@@ -1,5 +1,8 @@
 //! Top-k extraction from a single-source similarity vector.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 /// One entry of a top-k answer.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TopKEntry {
@@ -15,68 +18,78 @@ pub struct TopKEntry {
 /// The deterministic tie-break keeps top-k answers stable across runs and
 /// algorithms, which matters when computing Precision@k at the paper's
 /// `k = 500` where the tail of the ranking often contains equal scores.
-pub fn top_k(scores: &[f64], source: u32, k: usize) -> Vec<TopKEntry> {
-    top_k_where(scores, source, k, |_| true)
-}
-
-/// [`top_k`] restricted to the candidate nodes for which `keep` is true
-/// (the source is always excluded, whatever `keep` says about it).
 ///
-/// This is the shard-side half of a scatter/gathered top-k: each shard
-/// extracts the top-k of *its owned candidate subset* from the full column,
-/// and merging the per-shard lists with [`merge_top_k`] reproduces the
-/// global [`top_k`] answer bit-for-bit — each shard's k best bound how deep
-/// the global answer can reach into that shard.
-pub fn top_k_where(
-    scores: &[f64],
-    source: u32,
-    k: usize,
-    mut keep: impl FnMut(u32) -> bool,
-) -> Vec<TopKEntry> {
-    if k == 0 || scores.is_empty() {
+/// One pass over `scores` with a bounded max-heap of the best entries so far,
+/// whose root is the current k-th entry: O(n log k) worst case. The heap
+/// holds at most `min(k, n)` entries whatever `k` the caller asks for. Nodes
+/// arrive in ascending id order, so a candidate that ties the k-th entry's
+/// score ranks after it: only a strictly greater score displaces the root,
+/// and every other candidate costs one comparison. The answer equals a full
+/// sort truncated to `k`, bit for bit.
+pub fn top_k(scores: &[f64], source: u32, k: usize) -> Vec<TopKEntry> {
+    let k = k.min(scores.len());
+    let mut best: BinaryHeap<Ranked> = BinaryHeap::with_capacity(k);
+    let mut rest = scores.iter().enumerate();
+    while best.len() < k {
+        let Some((node, &score)) = rest.next() else {
+            break;
+        };
+        if node as u32 != source {
+            best.push(Ranked(TopKEntry {
+                node: node as u32,
+                score,
+            }));
+        }
+    }
+    let Some(root) = best.peek() else {
         return Vec::new();
+    };
+    let mut kth = root.0.score;
+    for (node, &score) in rest {
+        if score > kth && node as u32 != source {
+            if let Some(mut root) = best.peek_mut() {
+                *root = Ranked(TopKEntry {
+                    node: node as u32,
+                    score,
+                });
+            }
+            kth = best.peek().map_or(kth, |root| root.0.score);
+        }
     }
-    let mut entries: Vec<TopKEntry> = scores
-        .iter()
-        .enumerate()
-        .filter(|&(node, _)| node as u32 != source && keep(node as u32))
-        .map(|(node, &score)| TopKEntry {
-            node: node as u32,
-            score,
-        })
-        .collect();
-    if entries.is_empty() {
-        return entries;
-    }
-    let k = k.min(entries.len());
-    // Partial selection then exact sort of the prefix: O(n + k log k) average.
-    let pivot = k.saturating_sub(1).min(entries.len() - 1);
-    entries.select_nth_unstable_by(pivot, compare);
-    entries.truncate(k);
-    entries.sort_unstable_by(compare);
-    entries
+    best.into_sorted_vec().into_iter().map(|r| r.0).collect()
 }
 
-fn compare(a: &TopKEntry, b: &TopKEntry) -> std::cmp::Ordering {
+/// Score descending, then node id ascending: the ranking order, so `Less`
+/// means "ranks ahead of".
+fn compare(a: &TopKEntry, b: &TopKEntry) -> Ordering {
     b.score
         .partial_cmp(&a.score)
-        .unwrap_or(std::cmp::Ordering::Equal)
+        .unwrap_or(Ordering::Equal)
         .then(a.node.cmp(&b.node))
 }
 
-/// Merges per-shard top-k lists into the global top-k answer.
-///
-/// Precondition: the lists cover disjoint candidate sets (each produced by
-/// [`top_k_where`] over one shard of a partition) and each list holds its
-/// shard's `k` best. Under that precondition the merge is *exactly* the
-/// unsharded [`top_k`]: it sorts with the same comparator (score descending,
-/// ties by ascending node id) and truncates to `k`, so sharded and unsharded
-/// answers are bit-identical — including the order of tied scores.
-pub fn merge_top_k(lists: Vec<Vec<TopKEntry>>, k: usize) -> Vec<TopKEntry> {
-    let mut merged: Vec<TopKEntry> = lists.into_iter().flatten().collect();
-    merged.sort_unstable_by(compare);
-    merged.truncate(k);
-    merged
+/// A [`TopKEntry`] ordered by [`compare`], so a max-heap of them keeps the
+/// worst-ranked entry at its root.
+struct Ranked(TopKEntry);
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        compare(&self.0, &other.0)
+    }
 }
 
 /// Returns just the node ids of the top-k answer (ordering as [`top_k`]).
@@ -115,6 +128,7 @@ mod tests {
         let scores = vec![1.0, 0.4, 0.2];
         let top = top_k(&scores, 0, 100);
         assert_eq!(top.len(), 2);
+        assert_eq!(top_k(&scores, 0, usize::MAX), top);
     }
 
     #[test]
@@ -140,43 +154,8 @@ mod tests {
     }
 
     #[test]
-    fn sharded_extract_then_merge_is_bit_identical_to_unsharded() {
-        // Pseudo-random scores with deliberate ties; every (shards, k) pair
-        // must merge back to exactly the unsharded answer.
-        let scores: Vec<f64> = (0..500).map(|i| ((i * 7919) % 97) as f64 / 97.0).collect();
-        for source in [0u32, 3, 499] {
-            for shards in [1usize, 2, 3, 4, 7] {
-                for k in [0usize, 1, 5, 50, 600] {
-                    let per_shard: Vec<Vec<TopKEntry>> = (0..shards)
-                        .map(|s| {
-                            top_k_where(&scores, source, k, |node| {
-                                ((node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32)
-                                    % shards as u64
-                                    == s as u64
-                            })
-                        })
-                        .collect();
-                    let merged = merge_top_k(per_shard, k);
-                    assert_eq!(
-                        merged,
-                        top_k(&scores, source, k),
-                        "source {source}, {shards} shards, k {k}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn top_k_where_excludes_source_even_when_kept() {
-        let scores = vec![0.5, 1.0, 0.2];
-        let top = top_k_where(&scores, 1, 3, |_| true);
-        assert!(top.iter().all(|e| e.node != 1));
-    }
-
-    #[test]
     fn selection_matches_full_sort_on_random_input() {
-        // Cross-check the select_nth fast path against a straightforward sort.
+        // Cross-check the one-pass selection against a straightforward sort.
         let scores: Vec<f64> = (0..200)
             .map(|i| ((i * 7919) % 997) as f64 / 997.0)
             .collect();

@@ -1,12 +1,11 @@
 //! Deterministic node-to-shard partitioning for the sharded serving tier.
 //!
 //! A [`PartitionMap`] assigns every node id an *owning shard* with a pure
-//! function of `(node, num_shards)` — no table, no state, no I/O. That
-//! purity is a wire contract: the router and every shard process must agree
-//! on ownership without exchanging a partition table, and a plain
-//! `simrank-serve` can answer a shard-restricted request (`shardtopk`) for
-//! any `(shard, num_shards)` pair it is handed, because ownership is
-//! recomputable from the request alone.
+//! function of `(node, num_shards)` — no table, no state, no I/O. Every
+//! shard is a full replica, so ownership decides *where* a read runs, not
+//! what it answers: the router sends `query` and `topk` for a source to the
+//! source's owner, which keeps each replica's result cache warm for a
+//! disjoint slice of the source space.
 //!
 //! The assignment is a Fibonacci multiply-shift hash of the node id reduced
 //! modulo the shard count. Consecutive node ids therefore scatter across
@@ -14,11 +13,10 @@
 //! preferential-attachment graph — the low ids — on shard 0), and the map
 //! stays balanced within a fraction of a percent for any realistic `n`.
 //!
-//! Changing this function is a protocol break for deployed sharded tiers:
-//! a router and a shard disagreeing on ownership would silently drop
-//! candidates from scatter/gathered top-k answers. The unit tests pin the
-//! exact assignment for a handful of ids so an accidental change fails
-//! loudly.
+//! Changing this function moves most sources to another replica, so every
+//! cache in a deployed sharded tier starts cold after the upgrade. The unit
+//! tests pin the exact assignment for a handful of ids so an accidental
+//! change fails loudly.
 
 use crate::NodeId;
 

@@ -25,7 +25,7 @@ pub enum ShardError {
     /// The shard cannot be reached (connection refused, timed out, dropped
     /// mid-request). Surfaced to clients as the `shard_unavailable` code.
     Unavailable(String),
-    /// The shard answered, but with something the gather cannot use (a
+    /// The shard answered, but with something the router cannot use (a
     /// non-protocol reply shape). Surfaced as an `internal` error.
     Malformed(String),
 }
@@ -71,8 +71,8 @@ impl LocalShard {
 
 impl ShardBackend for LocalShard {
     fn request(&self, line: &str) -> Result<String, ShardError> {
-        // The router canonicalizes every line before scattering (explicit
-        // algorithm on query verbs), so the default algorithm below is never
+        // The router canonicalizes every line before sending it (explicit
+        // algorithm on read verbs), so the default algorithm below is never
         // consulted — it only keeps the shared entry point total.
         match protocol::serve_line(&self.service, AlgorithmKind::ExactSim, line) {
             Some(Outcome::Reply(reply)) => Ok(reply),

@@ -33,9 +33,9 @@
 //! When the server turns out to be a **router** (`--shards` / `--shard-of`;
 //! detected from the `per_shard` breakdown in its `stats` reply), the bench
 //! JSON additionally embeds a `router` object: shard count, the `topk`
-//! fan-out total, mixed-epoch retries, the barrier-wait p99, and per-shard
-//! qps computed from the pre/post-bench per-shard request deltas — which is
-//! what CI uploads as `BENCH_router.json`.
+//! fan-out total (one shard call per routed `topk`), the barrier-wait p99,
+//! and per-shard qps computed from the pre/post-bench per-shard request
+//! deltas — which is what CI uploads as `BENCH_router.json`.
 //!
 //! **Scenario mode** (`--scenario SPEC`) replaces the uniform hammer with a
 //! workload model from [`exactsim_router::scenario`]: `SPEC` is a built-in
@@ -52,8 +52,7 @@
 //! `p50_us`/`p99_us`/`p999_us`, the read/write/commit counts, the shed
 //! count and `shed_rate` (capacity-coded replies plus the server's
 //! `connections_rejected` delta over the run), the server's `stats` reply,
-//! and — against a router — the `router` breakdown including the
-//! `mixed_epoch_retries` delta the commit traffic produced. `--baseline
+//! and — against a router — the `router` breakdown. `--baseline
 //! PATH` compares the measured qps against a previous artifact's and fails
 //! the run when it drops below `baseline / --max-regression` (default 4.0,
 //! a deliberately generous noise floor for shared CI runners).
@@ -120,7 +119,7 @@ const HELP: &str = "simrank-client: TCP client / load generator for simrank-serv
   --max-regression F  baseline noise floor: fail below baseline/F (default 4)\n\
   --shutdown       send `shutdown` when done (graceful server drain)\n\
 against a router (--shards / --shard-of) the bench/scenario JSON embeds a\n\
-`router` object with per-shard qps, fan-out, and mixed-epoch retries\n\
+`router` object with per-shard qps and fan-out\n\
 without --bench/--scenario: REPL — forward stdin lines, print reply lines";
 
 fn parse_args() -> Result<Options, String> {
@@ -455,12 +454,11 @@ fn bench(opts: &Options, n: u64) -> Result<ExitCode, String> {
         let opt = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
         format!(
             concat!(
-                "{{\"shards\":{},\"fanout_topk\":{},\"mixed_epoch_retries\":{},",
+                "{{\"shards\":{},\"fanout_topk\":{},",
                 "\"barrier_wait_p99_us\":{},\"per_shard_qps\":[{}]}}"
             ),
             opt(u64_field(&server_stats, "shards")),
             opt(u64_field(&server_stats, "topk")),
-            opt(u64_field(&server_stats, "mixed_epoch_retries")),
             opt(u64_field(&server_stats, "barrier_wait_p99_us")),
             per_shard_qps.join(","),
         )
@@ -658,13 +656,6 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
     let opt_u64 = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
 
     let routed = server_stats.contains("\"per_shard\"");
-    // Commits under read load are what drive the router's mixed-epoch retry
-    // path, so the scenario artifact reports the delta over the run.
-    let retries_delta = routed.then(|| {
-        u64_field(&server_stats, "mixed_epoch_retries")
-            .unwrap_or(0)
-            .saturating_sub(u64_field(&pre_stats, "mixed_epoch_retries").unwrap_or(0))
-    });
     let router_json = if routed {
         let before = per_shard_requests(&pre_stats);
         let after = per_shard_requests(&server_stats);
@@ -681,12 +672,11 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
             .collect();
         format!(
             concat!(
-                "{{\"shards\":{},\"fanout_topk\":{},\"mixed_epoch_retries\":{},",
+                "{{\"shards\":{},\"fanout_topk\":{},",
                 "\"per_shard_qps\":[{}]}}"
             ),
             opt_u64(u64_field(&server_stats, "shards")),
             opt_u64(u64_field(&server_stats, "topk")),
-            opt_u64(u64_field(&server_stats, "mixed_epoch_retries")),
             per_shard_qps.join(","),
         )
     } else {
@@ -703,7 +693,7 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
             "\"zipf_exponent\":{},\"read_mix\":{},\"rate\":{},\"open_loop\":{},",
             "\"seed\":{},\"elapsed_ms\":{:.3},\"qps\":{:.1},",
             "\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},",
-            "\"mixed_epoch_retries\":{},\"router\":{},\"server_stats\":{}}}"
+            "\"router\":{},\"server_stats\":{}}}"
         ),
         escape_json(&spec.name),
         escape_json(raw_spec),
@@ -730,7 +720,6 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
         us(histogram.quantile(0.50)),
         us(histogram.quantile(0.99)),
         us(histogram.quantile(0.999)),
-        opt_u64(retries_delta),
         router_json,
         server_stats,
     );

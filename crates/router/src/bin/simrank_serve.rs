@@ -36,9 +36,9 @@
 //! `DIR/shard-<i>` store). `--shard-of A,B,...` boots the same router over
 //! *remote* shards: unmodified `simrank-serve --listen` processes at those
 //! addresses, spoken to over the regular TCP protocol. Either way the
-//! front-end (stdin or `--listen`) is unchanged; `query` routes to the
-//! owning shard, `topk` is scatter/gathered bit-identically, and updates
-//! commit under an epoch barrier (see `exactsim_router::router`). With
+//! front-end (stdin or `--listen`) is unchanged; `query` and `topk` route
+//! to the owning shard, fenced to the published epoch, and updates commit
+//! under an epoch barrier (see `exactsim_router::router`). With
 //! `--shard-of`, the graph/service flags are refused — the remote processes
 //! own their graphs.
 //!
@@ -47,8 +47,6 @@
 //! ```text
 //! query <node> [algo]      full single-source column (scores truncated to 32)
 //! topk <node> <k> [algo]   top-k most similar nodes
-//! shardtopk <node> <k> <shard> <num_shards> [algo]
-//!                          one shard's owned-candidate top-k (router-facing)
 //! addedge <u> <v>          stage the insertion of edge u -> v
 //! deledge <u> <v>          stage the deletion of edge u -> v
 //! addnode [count]          stage count (default 1) new isolated node ids
@@ -302,8 +300,8 @@ const FLAG_HELP: &str = "simrank-serve: SimRank query server (stdin REPL or TCP)
   --pool-pages N       buffer-pool capacity in 4 KiB pages (default 4096,\n\
                        i.e. 16 MiB resident); only meaningful with --paged\n\
   --shards N           front N in-process full-replica shards with a router:\n\
-                       queries route by owner, topk is scatter/gathered\n\
-                       bit-identically, commits run under an epoch barrier;\n\
+                       query and topk route to the owning shard, commits\n\
+                       run under an epoch barrier;\n\
                        with --data-dir, shard i persists in DIR/shard-i\n\
   --shard-of A,B,...   front *remote* shards at those addresses (unmodified\n\
                        simrank-serve --listen processes) with the same router\n\

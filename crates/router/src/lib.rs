@@ -7,7 +7,7 @@
 //! |---|---|
 //! | [`backend`] | [`ShardBackend`]: one shard the router can ask — [`LocalShard`] wraps an in-process [`exactsim_service::SimRankService`], [`RemoteShard`] speaks the unmodified TCP line protocol to a `simrank-serve --listen` process with connect/read deadlines |
 //! | [`health`] | per-shard closed → open → half-open circuit breakers (exponential backoff + jitter) behind every request and the background `ping` prober |
-//! | [`router`] | [`ShardRouter`]: routes `query` to the owning shard, scatter/gathers `topk` via the `shardtopk` verb (bit-identical merge), fans out updates with compensation and commits under a write barrier, and answers `stats`/`metrics` with fan-out, barrier, and per-shard series |
+//! | [`router`] | [`ShardRouter`]: routes `query` and `topk` to the owning shard with one call per read, fenced to the published epoch (failover marks replies `degraded`), fans out updates with compensation and commits under a write barrier, and answers `stats`/`metrics` with fan-out, barrier, and per-shard series |
 //! | [`scenario`] | workload scenarios for `simrank-client --scenario`: Zipfian source popularity, read/write/algorithm mixes, open-loop Poisson arrivals with burst phases, expanded into deterministic operation plans |
 //! | `wire` (private) | field scanners for the protocol's flat JSON reply lines |
 //!

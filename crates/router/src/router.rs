@@ -1,34 +1,33 @@
-//! The [`ShardRouter`]: one protocol endpoint scatter/gathering over N
-//! [`ShardBackend`]s.
+//! The [`ShardRouter`]: one protocol endpoint in front of N
+//! [`ShardBackend`] replicas.
 //!
-//! ## Why replicas, and what the partition actually partitions
+//! ## Why replicas, and what the partition decides
 //!
 //! SimRank single-source needs the whole graph — every node's similarity to
 //! the source is a function of global structure — so each shard holds a
-//! **full graph replica** and computes complete columns. What the
-//! deterministic partition ([`exactsim_graph::partition`]) assigns is
-//! *candidate ownership*: for a gathered top-k, shard `i` ranks only the
-//! nodes it owns (`shardtopk <node> <k> <i> <N>`), and the router merges the
-//! per-shard lists with [`exactsim::topk::merge_top_k`]. Because ownership
-//! is disjoint and exhaustive and both sides use the same
-//! score-descending / node-id-ascending comparator, the merged answer is
-//! **bit-identical** to the unsharded `topk` — scores travel as shortest
-//! round-trip `f64` strings, which parse back to the exact bits.
+//! **full graph replica** and computes complete columns. Any replica can
+//! answer any read; the deterministic partition
+//! ([`exactsim_graph::partition`]) only decides which one is asked. `query`
+//! and `topk` both go to the shard that *owns the source node*: one shard
+//! call per read, and each replica's result cache stays warm for a disjoint
+//! slice of the source space. The owner's reply is the unsharded answer
+//! itself, so routed answers are **bit-identical** to a single server by
+//! construction. Updates fan out to every replica.
 //!
-//! Single-source `query` goes to the one shard that owns the source node
-//! (any replica could answer; routing by owner spreads cache footprint), and
-//! updates fan out to every replica.
+//! ## Epoch barrier and read fence
 //!
-//! ## Epoch barrier
+//! A read reply is for the router's published epoch, or it is marked. Two
+//! mechanisms compose:
 //!
-//! Cross-shard answers must never mix epochs. Two mechanisms compose:
-//!
-//! 1. An `RwLock` barrier: queries and gathers hold it for read, the commit
-//!    fan-out holds it for write — so no gather ever straddles a
-//!    router-driven commit.
-//! 2. Gathers verify that every shard replied at the same epoch anyway
-//!    (guarding against out-of-band commits on a remote shard and divergent
-//!    boot states) and retry once before answering `internal`.
+//! 1. An `RwLock` barrier: reads and update fan-outs hold it for read, the
+//!    commit fan-out holds it for write — so the published epoch cannot move
+//!    while a read is in flight.
+//! 2. Every read is fenced: a reply whose `epoch` differs from the published
+//!    one (an out-of-band commit on a remote shard, a replica that restarted
+//!    behind its peers, divergent boot states) is re-asked of the other
+//!    replicas. An answer at the published epoch is served marked
+//!    `"degraded":true`; when no replica is at the published epoch the read
+//!    fails `internal` ("epochs diverge; commit to heal").
 //!
 //! Commits are two-phase from the router's perspective: `addedge`/`deledge`
 //! stage on every replica (compensated on partial failure), `commit` fans
@@ -46,13 +45,13 @@
 //! `ping`s each shard so breakers open within a probe interval of an outage
 //! and close shortly after recovery, independent of client traffic.
 //!
-//! Retry policy is verb-shaped. **Reads** (`query`, `topk` slices,
-//! `shardtopk`) are idempotent against a published epoch, and every backend
-//! is a full replica whose `shardtopk` answer is a pure function of the
-//! request line — so when a preferred shard is unavailable the router simply
-//! re-asks a live replica and the answer is bit-identical to the healthy
-//! path. Such replies (and gathers containing one) carry `"degraded":true`
-//! and count into `simrank_router_degraded_total`. **Writes** (`addedge`,
+//! Retry policy is verb-shaped. **Reads** (`query`, `topk`) are idempotent
+//! against a published epoch, and every backend is a full replica whose
+//! answer is a pure function of the request line and its epoch — so when
+//! the owner is unavailable (or fenced) the router re-asks the next live
+//! replica and the answer is bit-identical to the healthy path. Such
+//! replies carry `"degraded":true` and count into
+//! `simrank_router_degraded_total`. **Writes** (`addedge`,
 //! `deledge`, `addnode`, `commit`, `save`) are attempted exactly once per
 //! shard and never silently re-sent — a failed fan-out surfaces as a typed
 //! `shard_unavailable` reply and staged work is compensated where possible,
@@ -62,14 +61,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
-use exactsim::topk::merge_top_k;
 use exactsim_graph::partition::PartitionMap;
 use exactsim_obs::json::escape_json;
 use exactsim_obs::log as oplog;
 use exactsim_obs::metrics::{Counter, Histogram, Registry};
 use exactsim_service::net::ProtocolHost;
 use exactsim_service::protocol::{self, codes, Outcome, ProtoError, Request};
-use exactsim_service::{AlgorithmKind, ServiceStats, ServingShape, TopKResponse};
+use exactsim_service::{AlgorithmKind, ServiceStats, ServingShape};
 
 use crate::backend::{ShardBackend, ShardError};
 use crate::health::{Breaker, BreakerConfig};
@@ -86,20 +84,20 @@ struct Fanout {
 }
 
 struct Counters {
-    /// Query-shaped requests routed (query / topk / shardtopk).
+    /// Reads routed (query / topk).
     queries: Arc<Counter>,
-    /// Requests the router itself failed (shard unreachable, mixed epochs,
-    /// malformed shard replies) — shard-side protocol rejections passed
-    /// through verbatim do not count.
+    /// Requests the router itself failed (shard unreachable, diverged
+    /// epochs, malformed shard replies) — shard-side protocol rejections
+    /// passed through verbatim do not count.
     errors: Arc<Counter>,
     fanout: Fanout,
     shard_requests: Vec<Arc<Counter>>,
     shard_errors: Vec<Arc<Counter>>,
     shard_latency: Vec<Arc<Histogram>>,
     barrier_wait: Arc<Histogram>,
-    mixed_epoch_retries: Arc<Counter>,
-    /// Reads answered by a non-preferred replica because the preferred
-    /// shard was unavailable (the reply carried `degraded:true`).
+    /// Reads answered by a replica other than the owner because the owner
+    /// was unavailable or off the published epoch (the reply carried
+    /// `degraded:true`).
     degraded: Arc<Counter>,
     /// Requests failed fast by an open breaker, per shard (never sent).
     breaker_fastfail: Vec<Arc<Counter>>,
@@ -232,12 +230,12 @@ impl ShardRouter {
         let counters = Counters {
             queries: metrics.counter(
                 "simrank_router_requests_total",
-                "Query-shaped requests routed (query/topk/shardtopk)",
+                "Reads routed (query/topk)",
                 &[],
             ),
             errors: metrics.counter(
                 "simrank_router_errors_total",
-                "Requests the router failed (shard unreachable, mixed epochs)",
+                "Requests the router failed (shard unreachable, diverged epochs)",
                 &[],
             ),
             fanout: Fanout {
@@ -253,7 +251,7 @@ impl ShardRouter {
             shard_latency,
             degraded: metrics.counter(
                 "simrank_router_degraded_total",
-                "Reads answered by a failover replica instead of the preferred shard",
+                "Reads answered by a failover replica instead of the owner shard",
                 &[],
             ),
             breaker_fastfail,
@@ -261,11 +259,6 @@ impl ShardRouter {
             barrier_wait: metrics.histogram(
                 "simrank_router_barrier_wait_us",
                 "Time spent acquiring the epoch barrier",
-                &[],
-            ),
-            mixed_epoch_retries: metrics.counter(
-                "simrank_router_mixed_epoch_retries_total",
-                "Gathers re-scattered because shard epochs disagreed",
                 &[],
             ),
         };
@@ -318,7 +311,7 @@ impl ShardRouter {
                 Ok(_) => self.inner.health[shard].record_success(),
                 Err(ShardError::Unavailable(_)) => self.inner.health[shard].record_failure(),
                 // A malformed reply proves the process is up; health-wise
-                // that is a success even though gathers would reject it.
+                // that is a success even though reads would reject it.
                 Err(ShardError::Malformed(_)) => self.inner.health[shard].record_success(),
             }
         }
@@ -405,7 +398,6 @@ impl ShardRouter {
                 "\"degraded\":{},",
                 "\"fanout\":{{\"query\":{},\"topk\":{},\"update\":{},",
                 "\"commit\":{},\"epoch\":{},\"save\":{}}},",
-                "\"mixed_epoch_retries\":{},",
                 "\"barrier_wait_p50_us\":{},\"barrier_wait_p99_us\":{},",
                 "\"net_requests\":{},\"connections_accepted\":{},",
                 "\"connections_closed\":{},\"connections_rejected\":{},",
@@ -423,7 +415,6 @@ impl ShardRouter {
             c.fanout.commit.get(),
             c.fanout.epoch.get(),
             c.fanout.save.get(),
-            c.mixed_epoch_retries.get(),
             us(c.barrier_wait.quantile_value(0.50)),
             us(c.barrier_wait.quantile_value(0.99)),
             net.net_requests,
@@ -457,18 +448,24 @@ impl ShardRouter {
                 )
                 .to_json(),
             ),
-            Request::Query { node, algo } => self.route_query(*node, algo.unwrap_or(default_algo)),
-            Request::ShardTopK {
-                node,
-                k,
-                shard,
-                num_shards,
-                algo,
-            } => {
-                self.route_shard_topk(*node, *k, *shard, *num_shards, algo.unwrap_or(default_algo))
+            // Reads are canonicalized with an explicit algorithm, so every
+            // replica answers the same line whatever its own default.
+            Request::Query { node, algo } => {
+                let line = Request::Query {
+                    node: *node,
+                    algo: Some(algo.unwrap_or(default_algo)),
+                }
+                .to_line();
+                self.route_read(*node, &line, &self.inner.counters.fanout.query)
             }
             Request::TopK { node, k, algo } => {
-                self.gathered_topk(*node, *k, algo.unwrap_or(default_algo))
+                let line = Request::TopK {
+                    node: *node,
+                    k: *k,
+                    algo: Some(algo.unwrap_or(default_algo)),
+                }
+                .to_line();
+                self.route_read(*node, &line, &self.inner.counters.fanout.topk)
             }
             Request::AddEdge { u, v } => self.fan_update(true, *u, *v),
             Request::DelEdge { u, v } => self.fan_update(false, *u, *v),
@@ -530,26 +527,6 @@ impl ShardRouter {
         result
     }
 
-    /// Re-asks a read `line` of the replicas other than `failed` (every
-    /// backend holds the full graph and read answers are pure functions of
-    /// the line, so any live replica answers bit-identically). Only used
-    /// for idempotent reads — writes are never re-sent.
-    fn failover_read(&self, failed: usize, line: &str) -> Result<String, ShardError> {
-        let width = self.num_shards();
-        let mut last: Option<ShardError> = None;
-        for offset in 1..width {
-            let shard = (failed + offset) % width;
-            match self.timed_request(shard, line) {
-                Ok(reply) => return Ok(reply),
-                Err(e @ ShardError::Unavailable(_)) => last = Some(e),
-                // Don't mask a malformed-reply bug by trying elsewhere.
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last
-            .unwrap_or_else(|| ShardError::Unavailable("no replica available for failover".into())))
-    }
-
     /// Appends `"degraded":true` to a flat JSON object reply, marking an
     /// answer that a failover replica produced.
     fn mark_degraded(reply: &str) -> String {
@@ -602,170 +579,73 @@ impl ShardRouter {
         )
     }
 
-    /// `query` goes to the one shard that owns the source node. Any replica
-    /// could answer; routing by owner keeps each shard's result cache warm
-    /// for a disjoint slice of the source space.
-    fn route_query(&self, node: u32, algo: AlgorithmKind) -> Outcome {
-        self.inner.counters.queries.inc();
-        let owner = self.inner.partition.owner(node);
-        let line = Request::Query {
-            node,
-            algo: Some(algo),
-        }
-        .to_line();
-        let _epoch_stable = self.read_barrier();
-        self.inner.counters.fanout.query.inc();
-        match self.timed_request(owner, &line) {
-            Ok(reply) => Outcome::Reply(reply),
-            Err(ShardError::Unavailable(_)) => match self.failover_read(owner, &line) {
-                Ok(reply) => {
-                    self.inner.counters.degraded.inc();
-                    Outcome::Reply(Self::mark_degraded(&reply))
-                }
-                Err(e) => self.shard_error_reply(&e),
-            },
-            Err(e) => self.shard_error_reply(&e),
-        }
-    }
-
-    /// A `shardtopk` addressed to the router is answered by one replica
-    /// (whichever backend `shard` hashes onto — every replica holds the full
-    /// graph, and ownership is a pure function of the request's own
-    /// `num_shards`, which need not match the router's width).
-    fn route_shard_topk(
-        &self,
-        node: u32,
-        k: usize,
-        shard: usize,
-        num_shards: usize,
-        algo: AlgorithmKind,
-    ) -> Outcome {
-        self.inner.counters.queries.inc();
-        let backend = shard % self.num_shards();
-        let line = Request::ShardTopK {
-            node,
-            k,
-            shard,
-            num_shards,
-            algo: Some(algo),
-        }
-        .to_line();
-        let _epoch_stable = self.read_barrier();
-        self.inner.counters.fanout.query.inc();
-        match self.timed_request(backend, &line) {
-            Ok(reply) => Outcome::Reply(reply),
-            Err(ShardError::Unavailable(_)) => match self.failover_read(backend, &line) {
-                Ok(reply) => {
-                    self.inner.counters.degraded.inc();
-                    Outcome::Reply(Self::mark_degraded(&reply))
-                }
-                Err(e) => self.shard_error_reply(&e),
-            },
-            Err(e) => self.shard_error_reply(&e),
-        }
-    }
-
-    /// The gathered `topk`: scatter `shardtopk` to every shard, verify one
-    /// epoch, merge. Retries the scatter once on an epoch mismatch (an
-    /// out-of-band commit landed mid-gather) before failing typed.
-    fn gathered_topk(&self, node: u32, k: usize, algo: AlgorithmKind) -> Outcome {
-        self.inner.counters.queries.inc();
+    /// A read (`query` or `topk`) goes to the shard that owns the source
+    /// node: one shard call, and each replica's cache stays warm for its
+    /// slice of the source space.
+    ///
+    /// The reply is fenced to the published epoch. When the owner is
+    /// unavailable or answers at another epoch, the other replicas are asked
+    /// in turn, and an answer at the published epoch is marked
+    /// `"degraded":true`. Re-asking is safe because reads are idempotent;
+    /// writes never take this path.
+    fn route_read(&self, node: u32, line: &str, fanout: &Counter) -> Outcome {
+        let c = &self.inner.counters;
+        c.queries.inc();
         let width = self.num_shards();
-        let lines: Vec<String> = (0..width)
-            .map(|shard| {
-                Request::ShardTopK {
-                    node,
-                    k,
-                    shard,
-                    num_shards: width,
-                    algo: Some(algo),
+        let owner = self.inner.partition.owner(node);
+        let _epoch_stable = self.read_barrier();
+        let published = self.epoch();
+        let mut unavailable: Option<ShardError> = None;
+        let mut off_epoch: Vec<String> = Vec::new();
+        for offset in 0..width {
+            let shard = (owner + offset) % width;
+            fanout.inc();
+            let reply = match self.timed_request(shard, line) {
+                Ok(reply) => reply,
+                Err(e @ ShardError::Unavailable(_)) => {
+                    unavailable.get_or_insert(e);
+                    continue;
                 }
-                .to_line()
-            })
-            .collect();
-        let started = Instant::now();
-        let mut last_epochs: Vec<u64> = Vec::new();
-        for attempt in 0..2 {
-            if attempt > 0 {
-                self.inner.counters.mixed_epoch_retries.inc();
-            }
-            let (replies, degraded) = {
-                let _epoch_stable = self.read_barrier();
-                self.inner.counters.fanout.topk.add(width as u64);
-                let scattered = self.scatter(&lines);
-                // Failover pass, still under the barrier: a dead shard's
-                // slice is re-asked of a live replica — ownership is a pure
-                // function of the line, so the answer is bit-identical to
-                // what the dead shard would have said.
-                let mut degraded = false;
-                let mut replies = Vec::with_capacity(width);
-                for (slice, reply) in scattered.into_iter().enumerate() {
-                    match reply {
-                        Err(ShardError::Unavailable(_)) => {
-                            match self.failover_read(slice, &lines[slice]) {
-                                Ok(recovered) => {
-                                    degraded = true;
-                                    self.inner.counters.degraded.inc();
-                                    replies.push(Ok(recovered));
-                                }
-                                Err(e) => replies.push(Err(e)),
-                            }
-                        }
-                        other => replies.push(other),
-                    }
-                }
-                (replies, degraded)
+                // Don't mask a malformed-reply bug by trying elsewhere.
+                Err(e) => return self.shard_error_reply(&e),
             };
-            let mut oks = Vec::with_capacity(width);
-            for reply in replies {
-                match reply {
-                    Ok(reply) => {
-                        // A shard-side rejection (out_of_range, ...) is
-                        // deterministic across replicas; pass it through.
-                        if wire::error_code(&reply).is_some() {
-                            return Outcome::Reply(reply);
-                        }
-                        oks.push(reply);
-                    }
-                    Err(e) => return self.shard_error_reply(&e),
-                }
+            // A shard-side rejection (out_of_range, ...) is deterministic
+            // across replicas; pass it through.
+            if wire::error_code(&reply).is_some() {
+                return Outcome::Reply(reply);
             }
-            let epochs: Option<Vec<u64>> =
-                oks.iter().map(|r| wire::u64_field(r, "epoch")).collect();
-            let Some(epochs) = epochs else {
-                return self.internal_reply("a shard answered topk without an epoch".into());
-            };
-            if epochs.windows(2).all(|w| w[0] == w[1]) {
-                let lists: Option<Vec<_>> = oks.iter().map(|r| wire::results(r)).collect();
-                let Some(lists) = lists else {
+            match wire::u64_field(&reply, "epoch") {
+                Some(epoch) if epoch == published => {
+                    if offset == 0 {
+                        return Outcome::Reply(reply);
+                    }
+                    c.degraded.inc();
+                    return Outcome::Reply(Self::mark_degraded(&reply));
+                }
+                Some(epoch) => off_epoch.push(format!("shard {shard} at {epoch}")),
+                None => {
                     return self
-                        .internal_reply("a shard answered topk with unparsable results".into());
-                };
-                let response = TopKResponse {
-                    algorithm: algo,
-                    epoch: epochs[0],
-                    source: node,
-                    k,
-                    entries: merge_top_k(lists, k),
-                    query_time: started.elapsed(),
-                };
-                let json = response.to_json();
-                return Outcome::Reply(if degraded {
-                    Self::mark_degraded(&json)
-                } else {
-                    json
-                });
+                        .internal_reply(format!("shard {shard} answered a read without an epoch"))
+                }
             }
-            last_epochs = epochs;
         }
-        self.internal_reply(format!(
-            "shard epochs still diverge after a retry ({last_epochs:?}); commit to heal"
-        ))
+        if !off_epoch.is_empty() {
+            return self.internal_reply(format!(
+                "shard epochs diverge (router at {published}, {}); commit to heal",
+                off_epoch.join(", ")
+            ));
+        }
+        self.shard_error_reply(
+            &unavailable.unwrap_or_else(|| {
+                ShardError::Unavailable("no replica available for the read".into())
+            }),
+        )
     }
 
-    /// `addedge`/`deledge` stage on every replica. On partial failure the
-    /// successful `pending` stages are compensated with the opposite op
-    /// (staging is cancellative), so no replica is left ahead of the others.
+    /// `addedge`/`deledge` stage on every replica. On partial failure every
+    /// stage that changed a replica's delta is compensated with the opposite
+    /// op (staging is cancellative: the opposite op restores the delta), so
+    /// no replica is left ahead of the others.
     fn fan_update(&self, insert: bool, u: u32, v: u32) -> Outcome {
         let request = if insert {
             Request::AddEdge { u, v }
@@ -792,8 +672,9 @@ impl ShardRouter {
                 _ => self.internal_reply("update fan-out produced no reply".into()),
             };
         }
-        // Compensation: undo only the stages that actually took (`pending`);
-        // `noop`/`cancelled` stages changed nothing that needs undoing.
+        // Compensation: undo every stage that changed the delta — `pending`
+        // staged the op, `cancelled` dropped a staged opposite op. Only a
+        // `noop` stage changed nothing.
         let undo = if insert {
             Request::DelEdge { u, v }
         } else {
@@ -807,7 +688,10 @@ impl ShardRouter {
                 Ok(reply) => {
                     if let Some(_code) = wire::error_code(&reply) {
                         first_rejection.get_or_insert(reply);
-                    } else if wire::str_field(&reply, "staged") == Some("pending") {
+                    } else if matches!(
+                        wire::str_field(&reply, "staged"),
+                        Some("pending" | "cancelled")
+                    ) {
                         let _ = self.timed_request(shard, &undo);
                     }
                 }
@@ -864,7 +748,7 @@ impl ShardRouter {
         }
     }
 
-    /// The commit fan-out: write barrier (no gather straddles it), commit on
+    /// The commit fan-out: write barrier (no read straddles it), commit on
     /// every shard, publish the router epoch only on unanimous agreement.
     fn commit(&self) -> Outcome {
         let _epoch_frozen = self.write_barrier();

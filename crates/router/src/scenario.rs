@@ -171,8 +171,8 @@ pub fn builtin(name: &str) -> Option<ScenarioSpec> {
             ..base
         },
         // Update-dominated: every other operation mutates the graph, commits
-        // come fast, readers constantly cross epochs (the router's
-        // mixed-epoch retry path gets real traffic).
+        // come fast, readers constantly cross epochs (the router's epoch
+        // barrier and read fence get real traffic).
         "write_heavy" => ScenarioSpec {
             zipf_exponent: 0.8,
             read_mix: 0.5,

@@ -1,20 +1,13 @@
 //! Minimal field scanners for the protocol's JSON reply lines.
 //!
-//! The router gathers replies produced by [`exactsim_service`]'s own
-//! serializers, whose shapes are fixed and flat (one object per line, no
-//! nested objects except the `results` array of `{"node","score"}` pairs).
-//! Scanning for `"field":` is exact against that grammar, so a full JSON
-//! parser — which the offline workspace does not have — is not needed. The
-//! scanners are deliberately conservative: anything unexpected returns
-//! `None`, which the gather paths surface as an `internal` protocol error
-//! rather than a wrong answer.
-//!
-//! Bit-identity note: scores travel as Rust's shortest round-trip `f64`
-//! representation ([`exactsim_service::response`]), so `parse::<f64>()` here
-//! recovers the exact bits the shard computed — the gathered merge ranks the
-//! same values the unsharded server would.
-
-use exactsim::topk::TopKEntry;
+//! The router reads replies produced by [`exactsim_service`]'s own
+//! serializers, whose shapes are fixed and flat (one object per line), and
+//! only ever needs a few top-level scalars: a reply's `epoch`, an error
+//! `code`, a `staged` state. Scanning for `"field":` is exact against that
+//! grammar, so a full JSON parser — which the offline workspace does not
+//! have — is not needed. The scanners are deliberately conservative:
+//! anything unexpected returns `None`, which the router surfaces as an
+//! `internal` protocol error rather than a wrong answer.
 
 /// Everything after `"field":` in `json`, or `None` when absent.
 fn after_field<'a>(json: &'a str, field: &str) -> Option<&'a str> {
@@ -49,24 +42,6 @@ pub fn error_code(json: &str) -> Option<&str> {
     }
 }
 
-/// The `results` array of a `topk`/`shardtopk` reply, decoded back into
-/// entries the merge can rank.
-pub fn results(json: &str) -> Option<Vec<TopKEntry>> {
-    let rest = after_field(json, "results")?.strip_prefix('[')?;
-    let body = &rest[..rest.find(']')?];
-    let mut entries = Vec::new();
-    for obj in body.split('{').skip(1) {
-        let node_rest = obj.strip_prefix("\"node\":")?;
-        let comma = node_rest.find(',')?;
-        let node: u32 = node_rest[..comma].parse().ok()?;
-        let score_rest = node_rest[comma + 1..].strip_prefix("\"score\":")?;
-        let end = score_rest.find(['}', ','])?;
-        let score: f64 = score_rest[..end].parse().ok()?;
-        entries.push(TopKEntry { node, score });
-    }
-    Some(entries)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,27 +61,5 @@ mod tests {
         assert_eq!(error_code(err), Some("shard_unavailable"));
         let ok = "{\"epoch\":3,\"code_like\":\"x\"}";
         assert_eq!(error_code(ok), None);
-    }
-
-    #[test]
-    fn results_round_trip_exactly() {
-        // The score string is what the service serializer emits (shortest
-        // round-trip repr) — parsing must recover the identical bits.
-        let score = 0.1f64 + 0.2f64;
-        let json = format!(
-            "{{\"epoch\":1,\"results\":[{{\"node\":7,\"score\":{score}}},{{\"node\":9,\"score\":0.5}}]}}"
-        );
-        let entries = results(&json).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].node, 7);
-        assert_eq!(entries[0].score.to_bits(), score.to_bits());
-        assert_eq!(entries[1].node, 9);
-    }
-
-    #[test]
-    fn empty_results_and_garbage_are_handled() {
-        assert_eq!(results("{\"results\":[]}"), Some(vec![]));
-        assert_eq!(results("{\"results\":[{\"bogus\":1}]}"), None);
-        assert_eq!(results("{\"nothing\":true}"), None);
     }
 }

@@ -71,11 +71,11 @@ fn remote_shards_serve_bit_identically_and_a_dead_shard_yields_a_typed_error_fas
     let router =
         ShardRouter::new(vec![tight(shard0.local_addr()), tight(shard1.local_addr())]).unwrap();
 
-    // Replies through the remote scatter/gather are bit-identical to a
-    // direct in-process execution: the protocol's f64 formatting round-trips
+    // Replies routed to a remote shard are bit-identical to a direct
+    // in-process execution: the protocol's f64 formatting round-trips
     // exactly, so remoting adds no drift.
     let baseline = SimRankService::new(Arc::clone(&graph), config.clone()).unwrap();
-    for line in ["query 3", "topk 5 7", "shardtopk 5 7 1 2"] {
+    for line in ["query 3", "topk 5 7"] {
         let routed = ask(&router, line);
         let direct = match protocol::execute(
             &baseline,
@@ -152,19 +152,26 @@ fn remote_shards_serve_bit_identically_and_a_dead_shard_yields_a_typed_error_fas
         "failover reply must be bit-identical to the live replica's answer"
     );
 
-    // A gather's dead slice fails over the same way: the merged topk is
-    // served, marked degraded, bit-identical in its results.
-    let gathered = ask(&router, &format!("topk {owned_by_live} 5"));
-    assert!(!gathered.contains("\"error\""), "{gathered}");
-    assert!(gathered.contains("\"degraded\":true"), "{gathered}");
-    assert!(gathered.contains("\"results\":["), "{gathered}");
-    // ...while single-shard routes to the surviving replica serve normally.
+    // A topk owned by the dead shard fails over the same way: served by the
+    // live replica, marked degraded, bit-identical in its results.
+    let top = ask(&router, &format!("topk {owned_by_dead} 5"));
+    assert!(!top.contains("\"error\""), "{top}");
+    assert!(top.contains("\"degraded\":true"), "{top}");
+    let direct_top = direct_conn
+        .round_trip(&format!("topk {owned_by_dead} 5 exactsim"))
+        .unwrap();
+    assert_eq!(
+        strip_query_time(&top).replace(",\"degraded\":true", ""),
+        strip_query_time(&direct_top),
+        "failover topk must be bit-identical to the live replica's answer"
+    );
+    // ...while reads owned by the surviving replica serve normally.
     let live = ask(&router, &format!("query {owned_by_live}"));
     assert!(!live.contains("\"error\""), "{live}");
     assert!(!live.contains("\"degraded\""), "{live}");
     assert!(live.contains("\"epoch\":1"), "{live}");
 
-    // Two failures are on the books for shard 1 (query + gather slice); the
+    // Two failures are on the books for shard 1 (query + topk); the
     // default breaker threshold is 3, so one probe round tips it open.
     assert_eq!(router.shard_health(0), BreakerState::Closed);
     router.probe_once();

@@ -103,7 +103,7 @@ pub use error::ServiceError;
 pub use executor::WorkerPool;
 pub use net::{NetOptions, NetServerHandle, ProtocolHost};
 pub use protocol::{Outcome, ProtoError, Request};
-pub use response::{AlgorithmKind, QueryResponse, ShardTopKResponse, TopKResponse};
+pub use response::{AlgorithmKind, QueryResponse, TopKResponse};
 pub use service::{BatchAnswer, BatchItem, BatchRequest, ServiceConfig, SimRankService};
 pub use stats::{ServiceStats, ServingShape, StatsSnapshot};
 

@@ -8,27 +8,21 @@
 //! lets all of them share one parser and one error-code vocabulary.
 //!
 //! ```text
-//! request   = query | topk | shardtopk | addedge | deledge | addnode
+//! request   = query | topk | addedge | deledge | addnode
 //!           | commit | epoch | ping | save | stats | metrics | slowlog
 //!           | trace | help | quit | shutdown
 //! query     = "query" node [algo]
 //! topk      = "topk" node k [algo]
-//! shardtopk = "shardtopk" node k shard num_shards [algo]
 //! addedge   = "addedge" node node
 //! deledge   = "deledge" node node
 //! addnode   = "addnode" [count]       count = u64 (>= 1, default 1)
 //! slowlog   = "slowlog" [n]
 //! trace     = "trace" (query | topk | commit)
 //! node      = u32        k = usize      algo = "exactsim" | "prsim" | "mc"
-//! shard     = usize (< num_shards)      num_shards = usize (>= 1)
 //! ```
 //!
-//! `shardtopk` is the router-facing half of a scatter/gathered top-k: it
-//! answers the top-k of the candidate subset that `shard` owns in a
-//! `num_shards`-way deterministic partition (`exactsim_graph::partition`).
-//! The server needs no shard configuration of its own — ownership is a pure
-//! function of `(node, num_shards)` recomputed per request — which is what
-//! lets an unmodified `simrank-serve` process act as a remote shard.
+//! A router speaks the same grammar to its shards, so an unmodified
+//! `simrank-serve` process can act as a remote shard.
 //!
 //! `metrics` is the one reply that spans multiple lines (Prometheus text
 //! exposition is inherently line-oriented): its payload is terminated by a
@@ -111,22 +105,6 @@ pub enum Request {
         node: u32,
         /// How many results.
         k: usize,
-        /// Explicit algorithm, or `None` for the server default.
-        algo: Option<AlgorithmKind>,
-    },
-    /// `shardtopk <node> <k> <shard> <num_shards> [algo]` — the top-k of the
-    /// candidate subset `shard` owns in a `num_shards`-way partition.
-    /// Router-facing: a gather merges `num_shards` of these into the
-    /// unsharded `topk` answer, bit-for-bit.
-    ShardTopK {
-        /// Query source node.
-        node: u32,
-        /// How many results (per shard: the merge needs each shard's k best).
-        k: usize,
-        /// Which shard's candidate subset to rank.
-        shard: usize,
-        /// The partition width ownership is computed against.
-        num_shards: usize,
         /// Explicit algorithm, or `None` for the server default.
         algo: Option<AlgorithmKind>,
     },
@@ -218,20 +196,6 @@ impl fmt::Display for Request {
                 k,
                 algo: Some(a),
             } => write!(f, "topk {node} {k} {a}"),
-            Request::ShardTopK {
-                node,
-                k,
-                shard,
-                num_shards,
-                algo: None,
-            } => write!(f, "shardtopk {node} {k} {shard} {num_shards}"),
-            Request::ShardTopK {
-                node,
-                k,
-                shard,
-                num_shards,
-                algo: Some(a),
-            } => write!(f, "shardtopk {node} {k} {shard} {num_shards} {a}"),
             Request::AddEdge { u, v } => write!(f, "addedge {u} {v}"),
             Request::DelEdge { u, v } => write!(f, "deledge {u} {v}"),
             Request::AddNode { count } => write!(f, "addnode {count}"),
@@ -336,9 +300,6 @@ impl From<StoreError> for ProtoError {
 pub const PROTOCOL_HELP: &str = "\
 query <node> [algo]      full single-source column (scores truncated to 32)
 topk <node> <k> [algo]   top-k most similar nodes
-shardtopk <node> <k> <shard> <num_shards> [algo]
-                         top-k restricted to the candidates owned by shard
-                         in a num_shards-way partition (router-facing)
 addedge <u> <v>          stage the insertion of edge u -> v
 deledge <u> <v>          stage the deletion of edge u -> v
 addnode [count]          stage count (default 1) new isolated node ids
@@ -412,44 +373,6 @@ pub fn parse_line(line: &str) -> Result<Option<Request>, ProtoError> {
                 node,
                 k,
                 algo: algo_arg(3)?,
-            }
-        }
-        "shardtopk" => {
-            const USAGE: &str = "shardtopk <node> <k> <shard> <num_shards> [algo]";
-            arity(6, USAGE)?;
-            let (node, k, shard, num_shards) =
-                match (parts.get(1), parts.get(2), parts.get(3), parts.get(4)) {
-                    (Some(node), Some(k), Some(shard), Some(num_shards)) => {
-                        let node = node_arg(node)?;
-                        let k = k
-                            .parse::<usize>()
-                            .map_err(|_| ProtoError::bad_request(format!("bad k `{k}`")))?;
-                        let shard = shard
-                            .parse::<usize>()
-                            .map_err(|_| ProtoError::bad_request(format!("bad shard `{shard}`")))?;
-                        let num_shards = num_shards.parse::<usize>().map_err(|_| {
-                            ProtoError::bad_request(format!("bad shard count `{num_shards}`"))
-                        })?;
-                        (node, k, shard, num_shards)
-                    }
-                    _ => return Err(ProtoError::bad_request(format!("usage: {USAGE}"))),
-                };
-            // Partition sanity is a parse-time property: an empty partition
-            // or an out-of-partition shard can never be served by anyone.
-            if num_shards == 0 {
-                return Err(ProtoError::bad_request("num_shards must be >= 1"));
-            }
-            if shard >= num_shards {
-                return Err(ProtoError::bad_request(format!(
-                    "shard {shard} out of partition 0..{num_shards}"
-                )));
-            }
-            Request::ShardTopK {
-                node,
-                k,
-                shard,
-                num_shards,
-                algo: algo_arg(5)?,
             }
         }
         "addedge" | "deledge" => {
@@ -724,25 +647,6 @@ pub fn execute(
         },
         Request::TopK { node, k, algo } => {
             match service.top_k(algo.unwrap_or(default_algo), *node, *k) {
-                Ok(response) => {
-                    let _ser = trace::stage(
-                        "serialize",
-                        Some(service.metrics().query_stage(STAGE_SERIALIZE)),
-                    );
-                    Outcome::Reply(response.to_json())
-                }
-                Err(e) => Outcome::Reply(ProtoError::from(e).to_json()),
-            }
-        }
-        Request::ShardTopK {
-            node,
-            k,
-            shard,
-            num_shards,
-            algo,
-        } => {
-            match service.shard_top_k(algo.unwrap_or(default_algo), *node, *k, *shard, *num_shards)
-            {
                 Ok(response) => {
                     let _ser = trace::stage(
                         "serialize",

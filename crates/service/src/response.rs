@@ -215,57 +215,6 @@ impl TopKResponse {
     }
 }
 
-/// A shard's contribution to a scatter/gathered top-k: the top-k of the
-/// candidate subset owned by `shard` in a `num_shards`-way partition
-/// (`exactsim_graph::partition`). Produced by the `shardtopk` protocol verb;
-/// a router merges `num_shards` of these into one answer bit-identical to
-/// the unsharded [`TopKResponse`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardTopKResponse {
-    /// The owned-candidate top-k (the `k`/`entries` of *this shard's*
-    /// subset; `epoch` is the epoch the column was computed at).
-    pub inner: TopKResponse,
-    /// Which shard's candidate subset was ranked.
-    pub shard: usize,
-    /// The partition width ownership was computed against.
-    pub num_shards: usize,
-}
-
-impl ShardTopKResponse {
-    /// Serializes to one line of JSON: the [`TopKResponse`] shape plus
-    /// `shard`/`num_shards`, so gather-side parsing shares one format.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96 + 32 * self.inner.entries.len());
-        out.push_str("{\"algorithm\":\"");
-        out.push_str(self.inner.algorithm.wire_name());
-        out.push_str("\",\"epoch\":");
-        out.push_str(&self.inner.epoch.to_string());
-        out.push_str(",\"source\":");
-        out.push_str(&self.inner.source.to_string());
-        out.push_str(",\"k\":");
-        out.push_str(&self.inner.k.to_string());
-        out.push_str(",\"shard\":");
-        out.push_str(&self.shard.to_string());
-        out.push_str(",\"num_shards\":");
-        out.push_str(&self.num_shards.to_string());
-        out.push_str(",\"query_time_us\":");
-        out.push_str(&self.inner.query_time.as_micros().to_string());
-        out.push_str(",\"results\":[");
-        for (i, e) in self.inner.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"node\":");
-            out.push_str(&e.node.to_string());
-            out.push_str(",\"score\":");
-            out.push_str(&format_f64(e.score));
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
 /// JSON-safe float formatting: finite values use Rust's shortest round-trip
 /// representation; non-finite values (which valid SimRank scores never
 /// contain, but errors should not corrupt the wire) become `null`.
@@ -337,26 +286,6 @@ mod tests {
         assert!(json.contains("{\"node\":2,\"score\":0.9}"));
         assert!(json.contains("\"epoch\":1"));
         assert!(json.contains("\"k\":2"));
-    }
-
-    #[test]
-    fn shard_topk_json_carries_shard_and_partition_width() {
-        let resp = QueryResponse {
-            algorithm: AlgorithmKind::ExactSim,
-            epoch: 2,
-            source: 1,
-            scores: vec![0.3, 1.0, 0.9, 0.5],
-            query_time: Duration::from_micros(7),
-        };
-        let shard = ShardTopKResponse {
-            inner: resp.top_k(2),
-            shard: 3,
-            num_shards: 4,
-        };
-        let json = shard.to_json();
-        assert!(json.contains("\"shard\":3,\"num_shards\":4"), "{json}");
-        assert!(json.contains("\"epoch\":2"), "{json}");
-        assert!(json.contains("{\"node\":2,\"score\":0.9}"), "{json}");
     }
 
     #[test]

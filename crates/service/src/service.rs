@@ -56,9 +56,8 @@ use crate::metrics::{
     ServiceMetrics, COMMIT_STAGE_CACHE_SWEEP, OUTCOME_DEDUP, OUTCOME_ERROR, OUTCOME_HIT,
     OUTCOME_MISS, STAGE_CACHE, STAGE_DEDUP, STAGE_INDEX_BUILD, STAGE_KERNEL,
 };
-use crate::response::{AlgorithmKind, QueryResponse, ShardTopKResponse, TopKResponse};
+use crate::response::{AlgorithmKind, QueryResponse, TopKResponse};
 use crate::stats::{ServiceStats, ServingShape, StatsSnapshot};
-use exactsim_graph::partition::PartitionMap;
 
 /// A `'static`, thread-safe, shareable algorithm handle.
 type AlgorithmHandle = Arc<dyn SingleSourceAlgorithm + Send + Sync>;
@@ -571,54 +570,6 @@ impl SimRankService {
         k: usize,
     ) -> Result<TopKResponse, ServiceError> {
         Ok(self.query(algorithm, source)?.top_k(k))
-    }
-
-    /// Serves the shard-restricted half of a scatter/gathered top-k: the
-    /// top-k of the candidate subset `shard` owns in a `num_shards`-way
-    /// [`PartitionMap`].
-    ///
-    /// The full single-source column is computed (or served from cache)
-    /// exactly as for [`SimRankService::top_k`] and filtered to the owned
-    /// subset afterwards, so per-shard entries carry the same bit-exact
-    /// scores as the unsharded answer — merging `num_shards` of these
-    /// reproduces it exactly (`exactsim::topk::merge_top_k`). Ownership is a
-    /// pure function of the request's `(shard, num_shards)`: the service
-    /// itself holds no shard configuration.
-    pub fn shard_top_k(
-        &self,
-        algorithm: AlgorithmKind,
-        source: NodeId,
-        k: usize,
-        shard: usize,
-        num_shards: usize,
-    ) -> Result<ShardTopKResponse, ServiceError> {
-        if num_shards == 0 {
-            return Err(ServiceError::InvalidRequest(
-                "num_shards must be >= 1".into(),
-            ));
-        }
-        if shard >= num_shards {
-            return Err(ServiceError::InvalidRequest(format!(
-                "shard {shard} out of partition 0..{num_shards}"
-            )));
-        }
-        let response = self.query(algorithm, source)?;
-        let partition = PartitionMap::new(num_shards);
-        let entries = exactsim::topk::top_k_where(&response.scores, source, k, |node| {
-            partition.owner(node) == shard
-        });
-        Ok(ShardTopKResponse {
-            inner: TopKResponse {
-                algorithm,
-                epoch: response.epoch,
-                source,
-                k,
-                entries,
-                query_time: response.query_time,
-            },
-            shard,
-            num_shards,
-        })
     }
 
     /// Submits a batch; answers stream back over the returned channel in

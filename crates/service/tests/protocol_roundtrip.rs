@@ -59,28 +59,6 @@ fn every_command_parses_to_its_request() {
                 algo: Some(AlgorithmKind::ExactSim),
             },
         ),
-        (
-            // The router's scatter verb: shard-restricted top-k, partition
-            // carried on the line so the serving process stays stateless.
-            "shardtopk 3 10 1 4",
-            Request::ShardTopK {
-                node: 3,
-                k: 10,
-                shard: 1,
-                num_shards: 4,
-                algo: None,
-            },
-        ),
-        (
-            "shardtopk 3 10 1 4 prsim",
-            Request::ShardTopK {
-                node: 3,
-                k: 10,
-                shard: 1,
-                num_shards: 4,
-                algo: Some(AlgorithmKind::PrSim),
-            },
-        ),
         ("addedge 1 2", Request::AddEdge { u: 1, v: 2 }),
         ("deledge 1 2", Request::DelEdge { u: 1, v: 2 }),
         ("addnode", Request::AddNode { count: 1 }), // count defaults to 1
@@ -146,20 +124,6 @@ fn every_request_formats_to_a_line_that_round_trips() {
             k: 25,
             algo: Some(AlgorithmKind::PrSim),
         },
-        Request::ShardTopK {
-            node: 9,
-            k: 25,
-            shard: 0,
-            num_shards: 1,
-            algo: None,
-        },
-        Request::ShardTopK {
-            node: 9,
-            k: 25,
-            shard: 3,
-            num_shards: 4,
-            algo: Some(AlgorithmKind::MonteCarlo),
-        },
         Request::AddEdge { u: 3, v: 4 },
         Request::DelEdge { u: 4, v: 3 },
         Request::AddNode { count: 1 },
@@ -200,11 +164,6 @@ fn malformed_lines_map_to_stable_codes() {
         ("topk 1", codes::BAD_REQUEST),   // missing k
         ("topk 1 x", codes::BAD_REQUEST), // unparsable k
         ("topk 1 5 bogus", codes::UNKNOWN_ALGORITHM),
-        ("shardtopk 1 5", codes::BAD_REQUEST), // missing shard/num_shards
-        ("shardtopk 1 5 0", codes::BAD_REQUEST), // missing num_shards
-        ("shardtopk 1 5 0 0", codes::BAD_REQUEST), // num_shards must be >= 1
-        ("shardtopk 1 5 4 4", codes::BAD_REQUEST), // shard out of partition
-        ("shardtopk 1 5 0 2 bogus", codes::UNKNOWN_ALGORITHM),
         ("addedge 1", codes::BAD_REQUEST), // missing head
         ("addedge a b", codes::BAD_REQUEST),
         ("deledge 1", codes::BAD_REQUEST),
@@ -371,26 +330,6 @@ fn execute_answers_each_command_with_its_wire_shape() {
         other => panic!("topk -> {other:?}"),
     }
 
-    // The shard-restricted top-k echoes its partition slot so a gathering
-    // router can attribute every candidate list.
-    match execute(
-        &service,
-        AlgorithmKind::ExactSim,
-        &Request::ShardTopK {
-            node: 1,
-            k: 5,
-            shard: 1,
-            num_shards: 4,
-            algo: None,
-        },
-    ) {
-        Outcome::Reply(json) => {
-            assert!(json.contains("\"shard\":1,\"num_shards\":4"), "{json}");
-            assert!(json.contains("\"results\":["), "{json}");
-        }
-        other => panic!("shardtopk -> {other:?}"),
-    }
-
     // The update protocol: stage, inspect, publish.
     match execute(
         &service,
@@ -528,6 +467,28 @@ fn execute_answers_each_command_with_its_wire_shape() {
         execute(&service, AlgorithmKind::ExactSim, &Request::Shutdown),
         Outcome::Shutdown(reply) if reply.contains("\"op\":\"shutdown\"")
     ));
+}
+
+/// `k` is a client-chosen `usize`: the largest one answers every node but
+/// the source, and the server sizes nothing from it.
+#[test]
+fn topk_with_the_largest_k_answers_every_other_node() {
+    let service = demo_service();
+    let n = 60; // demo_service graph size
+    match serve_line(
+        &service,
+        AlgorithmKind::ExactSim,
+        "topk 0 18446744073709551615",
+    )
+    .unwrap()
+    {
+        Outcome::Reply(json) => {
+            assert!(json.contains("\"k\":18446744073709551615"), "{json}");
+            assert_eq!(json.matches("{\"node\":").count(), n - 1, "{json}");
+            assert!(!json.contains("{\"node\":0,"), "{json}");
+        }
+        other => panic!("topk -> {other:?}"),
+    }
 }
 
 /// The `addnode` verb end to end: stage growth, watch it in `epoch`, publish

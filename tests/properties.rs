@@ -586,3 +586,56 @@ fn walk_sampling_never_visits_nodes_without_in_edges_midway() {
         }
     });
 }
+
+#[test]
+fn top_k_one_pass_selection_matches_a_full_sort() {
+    use exactsim::topk::top_k;
+
+    // The reference: every candidate but the source, fully sorted by score
+    // descending then node id ascending, truncated to k.
+    fn full_sort(scores: &[f64], source: u32, k: usize) -> Vec<(u32, u64)> {
+        let mut all: Vec<(u32, f64)> = scores
+            .iter()
+            .enumerate()
+            .map(|(node, &score)| (node as u32, score))
+            .filter(|&(node, _)| node != source)
+            .collect();
+        all.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .expect("finite scores")
+                .then(a.0.cmp(&b.0))
+        });
+        all.into_iter()
+            .take(k)
+            .map(|(node, score)| (node, score.to_bits()))
+            .collect()
+    }
+
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(0x70_9C ^ case);
+        let n = rng.gen_range(1usize..=300);
+        // Heavy ties: most scores come from a handful of levels, a third are
+        // zeros (both signs), the rest are distinct.
+        let scores: Vec<f64> = (0..n)
+            .map(|_| match rng.gen_range(0u32..6) {
+                0 => 0.0,
+                1 => -0.0,
+                2..=4 => f64::from(rng.gen_range(1u32..5)) / 8.0,
+                _ => rng.gen::<f64>(),
+            })
+            .collect();
+        for source in [0, n as u32 / 2, n as u32 - 1] {
+            for k in [0, 1, 10, n - 1, n, n + 5, usize::MAX] {
+                let fast: Vec<(u32, u64)> = top_k(&scores, source, k)
+                    .into_iter()
+                    .map(|e| (e.node, e.score.to_bits()))
+                    .collect();
+                assert_eq!(
+                    fast,
+                    full_sort(&scores, source, k),
+                    "case {case}: n={n} source={source} k={k}"
+                );
+            }
+        }
+    }
+}

@@ -119,9 +119,8 @@ fn four_shard_router_is_bit_identical_to_the_unsharded_service_across_all_algori
                 "{algo} query {source}: sharding must be invisible"
             );
 
-            // Top-k: scatter/gathered from per-shard `shardtopk` candidates
-            // and merged — must reproduce the baseline ranking bit for bit,
-            // ties and all.
+            // Top-k: routed to the owning shard like `query` — must
+            // reproduce the baseline ranking bit for bit, ties and all.
             let line = format!("topk {source} 9 {algo}");
             let routed = ask(&router, &line);
             let direct = ask_unsharded(&unsharded, &line);
@@ -129,19 +128,10 @@ fn four_shard_router_is_bit_identical_to_the_unsharded_service_across_all_algori
             assert_eq!(
                 strip_query_time(&routed),
                 strip_query_time(&direct),
-                "{algo} topk {source}: gather merge must be bit-identical"
+                "{algo} topk {source}: routed topk must be bit-identical"
             );
         }
     }
-
-    // The shard-restricted verb itself round-trips through the router (it
-    // addresses backend `shard % num_shards`); the union of the per-shard
-    // answers is what the gather above merged.
-    let shard_reply = ask(&router, "shardtopk 7 5 2 4");
-    assert!(
-        shard_reply.contains("\"shard\":2,\"num_shards\":4"),
-        "{shard_reply}"
-    );
 }
 
 #[test]
@@ -179,11 +169,11 @@ fn a_commit_raced_against_routed_queries_never_yields_a_mixed_epoch_answer() {
                 for i in 3..23 {
                     answers.push(ask_one(i));
                 }
-                // Gathers race the commit barrier too: a topk mid-commit
-                // must come back whole, from a single epoch.
-                let gathered = ask(&router, "topk 0 5");
-                assert!(!gathered.contains("\"error\""), "{gathered}");
-                assert!(epoch_of(&gathered) <= 1, "{gathered}");
+                // Routed topk races the commit barrier too: a topk
+                // mid-commit must come back whole, from a single epoch.
+                let top = ask(&router, "topk 0 5");
+                assert!(!top.contains("\"error\""), "{top}");
+                assert!(epoch_of(&top) <= 1, "{top}");
                 answers
             })
         })
@@ -257,14 +247,14 @@ fn a_commit_raced_against_routed_queries_never_yields_a_mixed_epoch_answer() {
     assert!(seen[0] >= CLIENTS * 3, "pre-commit answers: {seen:?}");
 
     // Deterministic post-commit pin: after the barrier, every source serves
-    // epoch 1, and a gather merges only epoch-1 candidates.
+    // epoch 1, for `query` and `topk` alike.
     for s in 0..SOURCES {
         let reply = ask(&router, &format!("query {s}"));
         assert_eq!(epoch_of(&reply), 1, "post-commit query serves epoch 1");
         assert_eq!(scores_fragment(&reply), expected[1][s as usize]);
     }
-    let gathered = ask(&router, "topk 0 6");
-    assert_eq!(epoch_of(&gathered), 1, "{gathered}");
+    let top = ask(&router, "topk 0 6");
+    assert_eq!(epoch_of(&top), 1, "{top}");
 
     // The router's own epoch verb agrees with every shard.
     let epochs = ask(&router, "epoch");
