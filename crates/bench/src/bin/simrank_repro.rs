@@ -10,11 +10,10 @@
 //! simrank-repro --list                      # what the registry knows
 //! ```
 //!
-//! `--quick` and `--full` are presets over the same environment knobs the
-//! standalone `figN_*` binaries read (`EXACTSIM_SCALE_SMALL`, …); with
-//! neither flag the environment-derived parameters are used, so an
-//! `EXACTSIM_*`-configured invocation behaves exactly like running the
-//! standalone binaries one by one. Relative `--out-dir` paths are anchored
+//! `--quick` and `--full` are presets over the environment knobs
+//! (`EXACTSIM_SCALE_SMALL`, …); with neither flag the environment-derived
+//! parameters are used. `--only figN` runs one target, and is the way to
+//! iterate on a single figure. Relative `--out-dir` paths are anchored
 //! at the workspace root regardless of the invoking cwd. See REPRODUCING.md
 //! at the repository root for the full walkthrough.
 

@@ -12,10 +12,10 @@
 //!   underlying sweep once and projecting every dependent figure from it.
 //!   This is what CI's `repro-smoke` job runs; REPRODUCING.md at the
 //!   repository root is the operator walkthrough.
-//! * **Standalone binaries** — each figure/table also has a dedicated binary
-//!   in `src/bin/` (thin wrappers over the same sweeps) printing CSV rows to
-//!   stdout (one row per measured configuration — the same series the paper
-//!   plots) and a human-readable summary to stderr.
+//! * **Ablation binaries** — `ablation_*` and `cost_model_walk_counts` in
+//!   `src/bin/` run the design-choice studies that are not paper figures,
+//!   printing CSV rows to stdout and a summary to stderr. Every paper
+//!   figure/table is a `simrank-repro --only figN|tableN` target.
 //!
 //! ## Environment variables
 //!
@@ -40,8 +40,8 @@ pub mod sweep;
 pub mod tables;
 
 pub use ground_truth::{ground_truth_exactsim, ground_truth_power_method, GroundTruth};
-pub use output::{print_rows, SweepRow};
+pub use output::SweepRow;
 pub use params::{HarnessParams, SweepSizes};
-pub use runner::{run_figure, run_figure_with, DatasetGroup};
+pub use runner::{run_figure_with, DatasetGroup};
 pub use sweep::{run_quality_sweep, AlgorithmFamily};
 pub use tables::{table2_rows, table3_rows, Table2Row, Table3Row};

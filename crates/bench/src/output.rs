@@ -1,6 +1,4 @@
-//! CSV output for the figure/table binaries.
-
-use std::io::Write;
+//! CSV and JSON output for the reproduction pipeline.
 
 /// One measured configuration: a single point of one of the paper's figures.
 #[derive(Clone, Debug, PartialEq)]
@@ -86,31 +84,6 @@ pub fn write_csv_file(
     std::fs::write(path, body)
 }
 
-/// Prints the header plus every row to stdout and a short summary to stderr.
-pub fn print_rows(title: &str, rows: &[SweepRow]) {
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let _ = writeln!(out, "# {title}");
-    let _ = writeln!(out, "{}", SweepRow::csv_header());
-    for row in rows {
-        let _ = writeln!(out, "{}", row.to_csv());
-    }
-    let _ = out.flush();
-    eprintln!("[{title}] {} rows", rows.len());
-    for row in rows {
-        eprintln!(
-            "  {:>3} {:<14} {:<18} query {:>9.4}s  preproc {:>9.3}s  maxerr {:>9.3e}  p@500 {:>6.3}",
-            row.dataset,
-            row.algorithm,
-            row.parameter,
-            row.query_seconds,
-            row.preprocessing_seconds,
-            row.max_error,
-            row.precision_at_500
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,12 +122,6 @@ mod tests {
         let csv = sample().to_csv();
         assert!(csv.starts_with("GQ,ExactSim,"));
         assert!(csv.contains("3.200e-4"));
-    }
-
-    #[test]
-    fn print_rows_does_not_panic() {
-        print_rows("unit-test", &[sample()]);
-        print_rows("empty", &[]);
     }
 
     #[test]

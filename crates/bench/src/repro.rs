@@ -304,8 +304,7 @@ pub fn run(
 }
 
 /// Figure 9's rows: both ExactSim variants on one small (HP) and one large
-/// (DB) stand-in — the standalone `fig9_ablation_basic_vs_optimized` binary
-/// shares this sweep shape.
+/// (DB) stand-in.
 fn ablation_rows(params: &HarnessParams) -> Vec<SweepRow> {
     let mut rows = Vec::new();
     for (key, group) in [("HP", DatasetGroup::Small), ("DB", DatasetGroup::Large)] {

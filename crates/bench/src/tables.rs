@@ -1,8 +1,7 @@
 //! Structured row computation for the paper's Table 2 and Table 3.
 //!
-//! The standalone `table2_datasets` / `table3_memory_overhead` binaries and
-//! the `simrank-repro` runner share these functions, so the one-command
-//! pipeline and the per-table binaries cannot drift apart.
+//! The `simrank-repro` runner's `table2` and `table3` targets render these
+//! rows.
 
 use exactsim::exactsim::{ExactSim, ExactSimConfig, ExactSimVariant};
 use exactsim_datasets::{all_datasets, large_datasets, query_sources, DatasetKind};

@@ -44,8 +44,8 @@
 //! [`suite`] wraps them behind the uniform [`suite::SingleSourceAlgorithm`]
 //! trait. The workspace's `exactsim-service` crate builds on exactly that: a
 //! concurrent query-serving engine (sharded LRU result cache, in-flight
-//! deduplication, worker-pool batching, latency stats) holding the solvers as
-//! `Arc<dyn SingleSourceAlgorithm + Send + Sync>`.
+//! deduplication, one metrics registry behind its latency stats) holding the
+//! solvers as `Arc<dyn SingleSourceAlgorithm + Send + Sync>`.
 //!
 //! ## Quickstart
 //!

@@ -26,9 +26,8 @@
 //!    scrape taken before the first request already shows every series at
 //!    zero — monitoring can alert on absence without a warm-up race.
 //! 3. **One histogram primitive.** The power-of-two bucketed
-//!    [`metrics::Histogram`] (formerly the service's `LatencyHistogram`)
-//!    backs snapshots, quantiles, and the Prometheus `_bucket` series alike,
-//!    so no number is computed two ways.
+//!    [`metrics::Histogram`] backs snapshots, quantiles, and the Prometheus
+//!    `_bucket` series alike, so no number is computed two ways.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -9,7 +9,7 @@
 //!   recording is two relaxed atomic adds and no allocation.
 //! * function-backed series — a counter or gauge whose value is read from a
 //!   closure at scrape time, used to expose counters that already live
-//!   elsewhere (service stats fields, kernel statics) without double
+//!   elsewhere (the slow-query ring's count, kernel statics) without double
 //!   bookkeeping.
 //!
 //! A [`Registry`] groups series into *families* (one metric name, one help

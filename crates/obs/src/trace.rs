@@ -10,8 +10,8 @@
 //! only while a `trace <request>` is being answered.
 //!
 //! The buffer is thread-local on purpose: the serving stack executes one
-//! request per thread end to end (worker pool handoff happens above the
-//! traced region), so no cross-thread propagation is needed, and an
+//! request per thread end to end (a connection handler or the REPL thread),
+//! so no cross-thread propagation is needed, and an
 //! abandoned trace (e.g. a panicking request) is simply overwritten by the
 //! next [`begin`] on that thread.
 

@@ -22,15 +22,15 @@
 //! concurrent sockets: each connection issues `topk <source> <K>` (or full
 //! `query` when `--topk 0`) round-robin over `R` distinct sources, measures
 //! client-observed latency per request, and prints one JSON object with
-//! `queries_per_sec`, `p50_us`/`p99_us` (same fixed-bucket histogram as the
-//! server, see `exactsim_service::stats`), the error count, and the
+//! `queries_per_sec`, `p50_us`/`p99_us` (the server's fixed-bucket
+//! `exactsim_obs::metrics::Histogram`), the error count, and the
 //! server's own `stats` reply embedded as `server_stats`, and a final
 //! Prometheus `metrics` scrape embedded (JSON-escaped) as `metrics_scrape` —
 //! schema-compatible with `BENCH_serving.json` so CI can upload it alongside
 //! (`BENCH_tcp.json`). The process exits nonzero unless every request
 //! succeeded and throughput is nonzero, which is what makes it a CI gate.
 //!
-//! When the server turns out to be a **router** (`--shards` / `--shard-of`;
+//! When the server turns out to be a **router** (`--shard-of`;
 //! detected from the `per_shard` breakdown in its `stats` reply), the bench
 //! JSON additionally embeds a `router` object: shard count, the `topk`
 //! fan-out total (one shard call per routed `topk`), the barrier-wait p99,
@@ -68,7 +68,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use exactsim_obs::json::escape_json;
-use exactsim_obs::metrics::Histogram as LatencyHistogram;
+use exactsim_obs::metrics::Histogram;
 use exactsim_router::scenario::{self, arrival_offsets, build_plan, parse_scenario, Op};
 use exactsim_service::net::LineClient;
 use exactsim_service::AlgorithmKind;
@@ -118,7 +118,7 @@ const HELP: &str = "simrank-client: TCP client / load generator for simrank-serv
   --baseline PATH  scenario mode: gate qps against a previous artifact\n\
   --max-regression F  baseline noise floor: fail below baseline/F (default 4)\n\
   --shutdown       send `shutdown` when done (graceful server drain)\n\
-against a router (--shards / --shard-of) the bench/scenario JSON embeds a\n\
+against a router (--shard-of) the bench/scenario JSON embeds a\n\
 `router` object with per-shard qps and fan-out\n\
 without --bench/--scenario: REPL — forward stdin lines, print reply lines";
 
@@ -320,7 +320,7 @@ fn repl(opts: &Options) -> Result<ExitCode, String> {
 /// Load-generator mode: `n` requests spread over `opts.conns` sockets.
 fn bench(opts: &Options, n: u64) -> Result<ExitCode, String> {
     let conns = opts.conns.min(n as usize).max(1);
-    let histogram = Arc::new(LatencyHistogram::default());
+    let histogram = Arc::new(Histogram::default());
     let errors = Arc::new(AtomicU64::new(0));
     let algo_suffix = opts.algo.map(|a| format!(" {a}")).unwrap_or_default();
 
@@ -566,7 +566,7 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
         .round_trip("stats")
         .map_err(|e| format!("stats: {e}"))?;
 
-    let histogram = Arc::new(LatencyHistogram::default());
+    let histogram = Arc::new(Histogram::default());
     let errors = Arc::new(AtomicU64::new(0));
     let shed = Arc::new(AtomicU64::new(0));
     let offsets = offsets.map(Arc::new);

@@ -1,12 +1,12 @@
 //! `simrank-serve` — the [`exactsim_service::protocol`] server, on stdin or
-//! on the network, fronting one service or a shard fan-out.
+//! on the network, fronting one service or a router over remote shards.
 //!
 //! ```text
 //! simrank-serve [--dataset KEY | --ba N M] [--scale F] [--seed S]
 //!               [--algo exactsim|prsim|mc] [--epsilon E]
-//!               [--workers W] [--cache-capacity C] [--walk-budget B]
+//!               [--cache-capacity C] [--walk-budget B]
 //!               [--data-dir DIR] [--paged] [--pool-pages N]
-//!               [--shards N | --shard-of ADDR,ADDR,...]
+//!               [--shard-of ADDR,ADDR,...]
 //!               [--listen ADDR] [--max-conns N] [--addr-file PATH]
 //!               [--log-json] [--slowlog-threshold-ms N]
 //!               [--fault-spec SPEC]
@@ -21,26 +21,24 @@
 //! With `--listen ADDR` (e.g. `127.0.0.1:7878`, or port `0` for an
 //! ephemeral port), the same protocol is served over TCP: an acceptor
 //! thread spawns one handler thread per connection, bounded by a
-//! `--max-conns` semaphore. The bound address is printed as a
-//! `{"listening": ...}` JSON line on stdout (and to `--addr-file` when
-//! given, which is how scripts find an ephemeral port). The server drains
-//! gracefully on SIGTERM/SIGINT or on the `shutdown` protocol command from
-//! any client: in-flight requests finish, and with `--data-dir` the WAL is
-//! folded into a fresh snapshot before exit.
+//! `--max-conns` semaphore; each request runs on its connection's handler
+//! (`stats` reports the live handlers as `workers`). The bound address is
+//! printed as a `{"listening": ...}` JSON line on stdout (and to
+//! `--addr-file` when given, which is how scripts find an ephemeral port).
+//! The server drains gracefully on SIGTERM/SIGINT or on the `shutdown`
+//! protocol command from any client: in-flight requests finish, and with
+//! `--data-dir` the WAL is folded into a fresh snapshot before exit.
 //!
 //! ## Sharded serving
 //!
-//! `--shards N` boots an in-process [`exactsim_router::ShardRouter`] over N
-//! full-replica [`exactsim_service::SimRankService`] shards (each with its
-//! own cache, worker pool, and — under `--data-dir DIR` — its own
-//! `DIR/shard-<i>` store). `--shard-of A,B,...` boots the same router over
+//! `--shard-of A,B,...` boots an [`exactsim_router::ShardRouter`] over
 //! *remote* shards: unmodified `simrank-serve --listen` processes at those
-//! addresses, spoken to over the regular TCP protocol. Either way the
-//! front-end (stdin or `--listen`) is unchanged; `query` and `topk` route
-//! to the owning shard, fenced to the published epoch, and updates commit
-//! under an epoch barrier (see `exactsim_router::router`). With
-//! `--shard-of`, the graph/service flags are refused — the remote processes
-//! own their graphs.
+//! addresses, each a full replica, spoken to over the regular TCP protocol.
+//! The front-end (stdin or `--listen`) is unchanged; `query` and `topk`
+//! route to the owning shard, fenced to the published epoch, and updates
+//! commit under an epoch barrier (see `exactsim_router::router`). The
+//! graph and storage flags are refused — the remote processes own their
+//! graphs.
 //!
 //! Protocol commands (see `exactsim_service::protocol` for the grammar):
 //!
@@ -96,8 +94,8 @@ use exactsim_graph::generators::barabasi_albert;
 use exactsim_graph::DiGraph;
 use exactsim_obs::fault;
 use exactsim_obs::log::{self as oplog, LogFormat};
-use exactsim_router::{LocalShard, RemoteShard, ShardBackend, ShardRouter};
-use exactsim_service::net::{self, signal, NetOptions, ProtocolHost};
+use exactsim_router::{RemoteShard, ShardBackend, ShardRouter};
+use exactsim_service::net::{self, signal, NetMetrics, NetOptions, ProtocolHost};
 use exactsim_service::protocol::Outcome;
 use exactsim_service::{
     protocol, AlgorithmKind, GraphStore, Opened, PagedOptions, ServiceConfig, SimRankService,
@@ -111,13 +109,11 @@ struct Options {
     seed: u64,
     algo: AlgorithmKind,
     epsilon: f64,
-    workers: usize,
     cache_capacity: usize,
     walk_budget: u64,
     data_dir: Option<PathBuf>,
     paged: bool,
     pool_pages: usize,
-    shards: Option<usize>,
     shard_of: Option<Vec<String>>,
     listen: Option<String>,
     max_conns: usize,
@@ -136,13 +132,11 @@ impl Default for Options {
             seed: 42,
             algo: AlgorithmKind::ExactSim,
             epsilon: 1e-2,
-            workers: 0,
             cache_capacity: 1024,
             walk_budget: 2_000_000,
             data_dir: None,
             paged: false,
             pool_pages: 4096,
-            shards: None,
             shard_of: None,
             listen: None,
             max_conns: 64,
@@ -187,10 +181,6 @@ fn parse_args() -> Result<Options, String> {
                 let v = next_value("--epsilon", &mut args)?;
                 opts.epsilon = v.parse().map_err(|_| format!("bad epsilon `{v}`"))?;
             }
-            "--workers" => {
-                let v = next_value("--workers", &mut args)?;
-                opts.workers = v.parse().map_err(|_| format!("bad worker count `{v}`"))?;
-            }
             "--cache-capacity" => {
                 let v = next_value("--cache-capacity", &mut args)?;
                 opts.cache_capacity = v.parse().map_err(|_| format!("bad capacity `{v}`"))?;
@@ -210,15 +200,6 @@ fn parse_args() -> Result<Options, String> {
                     .ok()
                     .filter(|&n: &usize| n > 0)
                     .ok_or_else(|| format!("bad pool size `{v}`"))?;
-            }
-            "--shards" => {
-                let v = next_value("--shards", &mut args)?;
-                opts.shards = Some(
-                    v.parse()
-                        .ok()
-                        .filter(|&n: &usize| n > 0)
-                        .ok_or_else(|| format!("bad shard count `{v}`"))?,
-                );
             }
             "--shard-of" => {
                 let v = next_value("--shard-of", &mut args)?;
@@ -267,9 +248,6 @@ fn parse_args() -> Result<Options, String> {
     if opts.addr_file.is_some() && opts.listen.is_none() {
         return Err("--addr-file only makes sense with --listen".to_string());
     }
-    if opts.shards.is_some() && opts.shard_of.is_some() {
-        return Err("--shards and --shard-of are mutually exclusive".to_string());
-    }
     if opts.shard_of.is_some()
         && (opts.dataset.is_some() || opts.ba.is_some() || opts.data_dir.is_some() || opts.paged)
     {
@@ -288,7 +266,6 @@ const FLAG_HELP: &str = "simrank-serve: SimRank query server (stdin REPL or TCP)
   --seed S             graph generation seed (default 42)\n\
   --algo A             default algorithm: exactsim | prsim | mc\n\
   --epsilon E          ExactSim/PRSim error target (default 1e-2)\n\
-  --workers W          batch worker threads (0 = one per core)\n\
   --cache-capacity C   result cache entries (default 1024)\n\
   --walk-budget B      cap on ExactSim walk pairs per query (default 2000000;\n\
                        0 = unlimited / paper-exact — small epsilons need the\n\
@@ -299,12 +276,10 @@ const FLAG_HELP: &str = "simrank-serve: SimRank query server (stdin REPL or TCP)
                        (graphs larger than RAM; pool stats in `stats`/metrics)\n\
   --pool-pages N       buffer-pool capacity in 4 KiB pages (default 4096,\n\
                        i.e. 16 MiB resident); only meaningful with --paged\n\
-  --shards N           front N in-process full-replica shards with a router:\n\
-                       query and topk route to the owning shard, commits\n\
-                       run under an epoch barrier;\n\
-                       with --data-dir, shard i persists in DIR/shard-i\n\
-  --shard-of A,B,...   front *remote* shards at those addresses (unmodified\n\
-                       simrank-serve --listen processes) with the same router\n\
+  --shard-of A,B,...   front remote shards at those addresses (unmodified\n\
+                       simrank-serve --listen processes) with a router: query\n\
+                       and topk route to the owning shard, commits run under\n\
+                       an epoch barrier\n\
   --listen ADDR        serve the protocol over TCP (e.g. 127.0.0.1:7878;\n\
                        port 0 picks an ephemeral port, reported on stdout)\n\
   --max-conns N        concurrent TCP connection bound (default 64)\n\
@@ -323,9 +298,9 @@ fn help_text() -> String {
     format!("{FLAG_HELP}\n{}", protocol::PROTOCOL_HELP)
 }
 
-/// The front-end the listener serves: one service, or a router over shards.
-/// Both implement [`ProtocolHost`]; this enum only exists so the binary can
-/// hold either and render mode-appropriate final stats.
+/// The front-end the listener serves: one service, or a router over remote
+/// shards. Both implement [`ProtocolHost`]; this enum only exists so the
+/// binary can hold either and render mode-appropriate final stats.
 enum Host {
     Single(SimRankService),
     Router(ShardRouter),
@@ -364,10 +339,10 @@ impl ProtocolHost for Host {
         }
     }
 
-    fn net_stats(&self) -> &exactsim_service::ServiceStats {
+    fn net_metrics(&self) -> &NetMetrics {
         match self {
-            Host::Single(s) => s.net_stats(),
-            Host::Router(r) => r.net_stats(),
+            Host::Single(s) => s.net_metrics(),
+            Host::Router(r) => r.net_metrics(),
         }
     }
 
@@ -383,8 +358,8 @@ impl ProtocolHost for Host {
 /// holds a store restarts the server into its last committed epoch and the
 /// graph flags are not consulted; a fresh (or missing) directory is
 /// initialized from the flags. Without `--data-dir` the store is in-memory.
-/// For in-process shards, each shard's directory is `DIR/shard-<i>`.
-fn build_store(opts: &Options, dir: Option<&PathBuf>) -> Result<GraphStore, String> {
+fn build_store(opts: &Options) -> Result<GraphStore, String> {
+    let dir = opts.data_dir.as_ref();
     let store = match dir {
         None => GraphStore::new(Arc::new(build_graph(opts)?)),
         Some(dir) => {
@@ -423,19 +398,11 @@ fn build_store(opts: &Options, dir: Option<&PathBuf>) -> Result<GraphStore, Stri
         return Ok(store);
     }
     // Page files are rebuildable caches, so an in-memory store may keep them
-    // in the system temp directory (unique per store: in-process shards each
-    // build their own). A durable store keeps them next to its truth.
+    // in the system temp directory (unique per process). A durable store
+    // keeps them next to its truth.
     let pages_dir = match dir {
         Some(dir) => dir.join("pages"),
-        None => {
-            static NEXT_PAGES_DIR: std::sync::atomic::AtomicUsize =
-                std::sync::atomic::AtomicUsize::new(0);
-            std::env::temp_dir().join(format!(
-                "simrank-pages-{}-{}",
-                std::process::id(),
-                NEXT_PAGES_DIR.fetch_add(1, Ordering::Relaxed)
-            ))
-        }
+        None => std::env::temp_dir().join(format!("simrank-pages-{}", std::process::id())),
     };
     let store = store
         .with_paging(
@@ -472,7 +439,6 @@ fn build_graph(opts: &Options) -> Result<DiGraph, String> {
 
 fn service_config(opts: &Options) -> ServiceConfig {
     ServiceConfig {
-        workers: opts.workers,
         cache_capacity: opts.cache_capacity,
         slowlog_threshold: Duration::from_millis(opts.slowlog_threshold_ms),
         exactsim: ExactSimConfig {
@@ -492,13 +458,8 @@ fn service_config(opts: &Options) -> ServiceConfig {
     }
 }
 
-fn build_service(opts: &Options, dir: Option<&PathBuf>) -> Result<SimRankService, String> {
-    let store = build_store(opts, dir)?;
-    SimRankService::with_store(Arc::new(store), service_config(opts)).map_err(|e| e.to_string())
-}
-
-/// Boots the requested front-end: a plain service, a router over N
-/// in-process replicas, or a router over remote shards.
+/// Boots the requested front-end: a plain service, or a router over remote
+/// shards.
 fn build_host(opts: &Options) -> Result<Host, String> {
     if let Some(addrs) = &opts.shard_of {
         let backends: Vec<Box<dyn ShardBackend>> = addrs
@@ -518,31 +479,15 @@ fn build_host(opts: &Options) -> Result<Host, String> {
         );
         return Ok(Host::Router(router));
     }
-    if let Some(n) = opts.shards {
-        let mut backends: Vec<Box<dyn ShardBackend>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let dir = opts.data_dir.as_ref().map(|d| d.join(format!("shard-{i}")));
-            let service =
-                build_service(opts, dir.as_ref()).map_err(|msg| format!("shard {i}: {msg}"))?;
-            backends.push(Box::new(LocalShard::new(service)));
-        }
-        let router = ShardRouter::new(backends)?;
-        router.start_health_probes();
-        oplog::info(
-            "simrank-serve",
-            "routing over in-process shards",
-            &[("shards", n.into()), ("epoch", router.epoch().into())],
-        );
-        return Ok(Host::Router(router));
-    }
-    let service = build_service(opts, opts.data_dir.as_ref())?;
+    let store = build_store(opts)?;
+    let service = SimRankService::with_store(Arc::new(store), service_config(opts))
+        .map_err(|e| e.to_string())?;
     oplog::info(
         "simrank-serve",
         "ready (type `help`)",
         &[
             ("nodes", service.graph().num_nodes().into()),
             ("edges", service.graph().num_edges().into()),
-            ("workers", service.workers().into()),
         ],
     );
     Ok(Host::Single(service))

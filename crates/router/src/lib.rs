@@ -1,11 +1,12 @@
 //! # exactsim-router
 //!
 //! The sharded serving tier: one protocol endpoint fronting N SimRank
-//! shards, in-process or remote, behind the same [`ShardBackend`] trait.
+//! shards behind the [`ShardBackend`] trait — remote `simrank-serve`
+//! processes in deployment, in-process services in tests and embeddings.
 //!
 //! | module | role |
 //! |---|---|
-//! | [`backend`] | [`ShardBackend`]: one shard the router can ask — [`LocalShard`] wraps an in-process [`exactsim_service::SimRankService`], [`RemoteShard`] speaks the unmodified TCP line protocol to a `simrank-serve --listen` process with connect/read deadlines |
+//! | [`backend`] | [`ShardBackend`]: one shard the router can ask — [`RemoteShard`] speaks the unmodified TCP line protocol to a `simrank-serve --listen` process with connect/read deadlines; [`LocalShard`] wraps an in-process [`exactsim_service::SimRankService`] (the test backend) |
 //! | [`health`] | per-shard closed → open → half-open circuit breakers (exponential backoff + jitter) behind every request and the background `ping` prober |
 //! | [`router`] | [`ShardRouter`]: routes `query` and `topk` to the owning shard with one call per read, fenced to the published epoch (failover marks replies `degraded`), fans out updates with compensation and commits under a write barrier, and answers `stats`/`metrics` with fan-out, barrier, and per-shard series |
 //! | [`scenario`] | workload scenarios for `simrank-client --scenario`: Zipfian source popularity, read/write/algorithm mixes, open-loop Poisson arrivals with burst phases, expanded into deterministic operation plans |
@@ -13,9 +14,9 @@
 //!
 //! The router implements [`exactsim_service::net::ProtocolHost`], so the
 //! same TCP listener (and stdin REPL) serves either a single service or a
-//! shard fan-out — `simrank-serve --shards N` / `--shard-of a:1,b:2` is the
-//! only difference an operator sees. Consistency story and the replica
-//! model are documented on [`router`].
+//! shard fan-out — `simrank-serve --shard-of a:1,b:2` is the only
+//! difference an operator sees. Consistency story and the replica model are
+//! documented on [`router`].
 //!
 //! ## Quickstart (in-process shards)
 //!

@@ -65,9 +65,9 @@ use exactsim_graph::partition::PartitionMap;
 use exactsim_obs::json::escape_json;
 use exactsim_obs::log as oplog;
 use exactsim_obs::metrics::{Counter, Histogram, Registry};
-use exactsim_service::net::ProtocolHost;
+use exactsim_service::net::{NetMetrics, ProtocolHost};
 use exactsim_service::protocol::{self, codes, Outcome, ProtoError, Request};
-use exactsim_service::{AlgorithmKind, ServiceStats, ServingShape};
+use exactsim_service::AlgorithmKind;
 
 use crate::backend::{ShardBackend, ShardError};
 use crate::health::{Breaker, BreakerConfig};
@@ -110,9 +110,11 @@ struct Inner {
     partition: PartitionMap,
     epoch: Arc<AtomicU64>,
     barrier: RwLock<()>,
-    net_stats: ServiceStats,
     metrics: Registry,
     counters: Counters,
+    /// The listener's connection, request and byte series, registered in
+    /// `metrics` like every other router series.
+    net: NetMetrics,
     /// One circuit breaker per shard (indexes match `shards`). Shared with
     /// the metrics gauges, hence the `Arc`.
     health: Arc<Vec<Breaker>>,
@@ -262,6 +264,7 @@ impl ShardRouter {
                 &[],
             ),
         };
+        let net = NetMetrics::register(&metrics);
         let partition = PartitionMap::new(shards.len());
         Ok(ShardRouter {
             inner: Arc::new(Inner {
@@ -269,9 +272,9 @@ impl ShardRouter {
                 partition,
                 epoch,
                 barrier: RwLock::new(()),
-                net_stats: ServiceStats::default(),
                 metrics,
                 counters,
+                net,
                 health,
                 breaker_config,
             }),
@@ -349,24 +352,11 @@ impl ShardRouter {
     /// The router's `stats` reply: its own epoch/shard topology, fan-out and
     /// barrier counters, the listener's connection counters, and a
     /// `per_shard` breakdown — one JSON line, like every `stats` reply.
+    /// Every number is read from a series of the router's own registry, so
+    /// `metrics` shows the same values.
     pub fn stats_json(&self) -> String {
         let c = &self.inner.counters;
-        let net = self.inner.net_stats.snapshot(
-            self.epoch(),
-            0,
-            0,
-            0,
-            None,
-            [None; 3],
-            ServingShape {
-                workers: 0,
-                kernel_threads: 0,
-                shards: self.num_shards(),
-            },
-            // A router holds no pages itself; each shard reports its own
-            // pool through its own `stats` verb.
-            None,
-        );
+        let net = &self.inner.net;
         let us = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
         let per_shard: Vec<String> = self
             .inner
@@ -417,12 +407,12 @@ impl ShardRouter {
             c.fanout.save.get(),
             us(c.barrier_wait.quantile_value(0.50)),
             us(c.barrier_wait.quantile_value(0.99)),
-            net.net_requests,
-            net.connections_accepted,
-            net.connections_closed,
-            net.connections_rejected,
-            net.bytes_in,
-            net.bytes_out,
+            net.requests.get(),
+            net.connections_accepted.get(),
+            net.connections_closed.get(),
+            net.connections_rejected.get(),
+            net.bytes_in.get(),
+            net.bytes_out.get(),
             per_shard.join(","),
         )
     }
@@ -869,8 +859,8 @@ impl ProtocolHost for ShardRouter {
         }
     }
 
-    fn net_stats(&self) -> &ServiceStats {
-        &self.inner.net_stats
+    fn net_metrics(&self) -> &NetMetrics {
+        &self.inner.net
     }
 
     fn on_drain(&self) {

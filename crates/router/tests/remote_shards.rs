@@ -19,7 +19,6 @@ use exactsim_service::{AlgorithmKind, ServiceConfig, SimRankService};
 
 fn test_config() -> ServiceConfig {
     ServiceConfig {
-        workers: 2,
         exactsim: ExactSimConfig {
             epsilon: 1e-2,
             walk_budget: Some(50_000),

@@ -75,7 +75,6 @@ impl ShardBackend for ScriptedShard {
 fn scripted_router() -> (ShardRouter, Vec<SimRankService>, Arc<Script>) {
     let graph = Arc::new(barabasi_albert(NODES, 3, true, 5).unwrap());
     let config = ServiceConfig {
-        workers: 1,
         exactsim: ExactSimConfig {
             epsilon: 1e-2,
             walk_budget: Some(20_000),

@@ -17,8 +17,8 @@ pub enum ServiceError {
     UnknownAlgorithm(String),
     /// A request was malformed (CLI / protocol layer).
     InvalidRequest(String),
-    /// The serving machinery itself failed (computation panicked, worker
-    /// lost) — never caused by the request contents.
+    /// The serving machinery itself failed (a computation panicked) —
+    /// never caused by the request contents.
     Internal(String),
 }
 

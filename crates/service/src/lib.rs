@@ -13,12 +13,11 @@
 //! | [`service`] | [`SimRankService`]: resolves its graph through an epoch-based [`exactsim_store::GraphStore`] and keeps per-epoch lazily-built algorithm indices behind `Arc<dyn SingleSourceAlgorithm + Send + Sync>` |
 //! | [`cache`] | sharded LRU result cache keyed by `(epoch, algorithm, source, epsilon-tier)` with generation invalidation |
 //! | `inflight` (private) | in-flight query deduplication: concurrent requests for the same key block on one computation |
-//! | [`executor`] | worker-pool batch executor (std threads + channels, no external deps) |
-//! | [`stats`] | [`ServiceStats`]: queries served, cache hit rate, p50/p99 latency from a fixed-bucket histogram, per-connection counters |
-//! | `metrics` (private) | the labeled metric families (Prometheus text exposition via the `metrics` verb) wired over [`exactsim_obs`] |
+//! | `metrics` (private) | the labeled metric families (Prometheus text exposition via the `metrics` verb) wired over [`exactsim_obs`]: the one place every served query, build, write, and connection is counted |
+//! | [`stats`] | [`StatsSnapshot`]: the `stats` reply, a typed read of those registry series plus live cache, store and config state |
 //! | [`response`] | serializable [`QueryResponse`] / [`TopKResponse`] wire types |
 //! | [`protocol`] | the line protocol itself: request grammar, parser, error codes, executor — shared by the stdin REPL, the TCP listener, and `simrank-client` |
-//! | [`net`] | TCP front-end: acceptor + per-connection handler threads bounded by a `max_conns` semaphore, graceful drain on `shutdown`/SIGTERM |
+//! | [`net`] | TCP front-end: acceptor + per-connection handler threads bounded by a `max_conns` semaphore, graceful drain on `shutdown`/SIGTERM; [`NetMetrics`] holds its connection/byte series |
 //!
 //! ## Quickstart
 //!
@@ -72,6 +71,9 @@
 //!
 //! * Each epoch's graph is immutable and shared (`Arc<DiGraph>`); algorithm
 //!   indices are built at most once per epoch under a `OnceLock`.
+//! * The service owns no threads: a query runs on the thread that issues
+//!   it (a TCP connection handler, the stdin REPL, or an application
+//!   thread — `std::thread::scope` is enough to send a batch).
 //! * Queries may be issued from any number of threads; a sharded mutex LRU
 //!   keeps cache contention low, and the in-flight table guarantees that at
 //!   any moment at most one thread computes a given `(epoch, algorithm,
@@ -80,8 +82,6 @@
 //! * A commit never blocks readers: queries capture one epoch state up
 //!   front and finish on it; the first query to observe the new epoch swaps
 //!   the serving state and sweeps the cache generation.
-//! * Batches are fanned out over a fixed worker pool and stream back over a
-//!   channel in completion order.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -89,7 +89,6 @@
 
 pub mod cache;
 pub mod error;
-pub mod executor;
 pub(crate) mod inflight;
 pub(crate) mod metrics;
 pub mod net;
@@ -100,12 +99,11 @@ pub mod stats;
 
 pub use cache::{epsilon_tier, CacheKey, ShardedLruCache};
 pub use error::ServiceError;
-pub use executor::WorkerPool;
-pub use net::{NetOptions, NetServerHandle, ProtocolHost};
+pub use net::{NetMetrics, NetOptions, NetServerHandle, ProtocolHost};
 pub use protocol::{Outcome, ProtoError, Request};
 pub use response::{AlgorithmKind, QueryResponse, TopKResponse};
-pub use service::{BatchAnswer, BatchItem, BatchRequest, ServiceConfig, SimRankService};
-pub use stats::{ServiceStats, ServingShape, StatsSnapshot};
+pub use service::{ServiceConfig, SimRankService};
+pub use stats::{ServingShape, StatsSnapshot};
 
 // Re-exported so protocol front-ends can drive updates and persistence
 // without naming the store crate themselves.

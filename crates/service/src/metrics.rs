@@ -13,9 +13,13 @@
 //! | `simrank_query_latency_us` | histogram | `algo`, `outcome` ∈ `hit\|miss\|dedup` |
 //! | `simrank_query_stage_us` | histogram | `stage` ∈ `parse\|cache\|dedup\|index_build\|kernel\|serialize` |
 //! | `simrank_serve_latency_us` | histogram | — (the aggregate behind `stats` p50/p99) |
+//! | `simrank_index_builds_total` | counter | — (PrSim and MC indices; ExactSim has none) |
+//! | `simrank_epoch_refreshes_total` | counter | — |
+//! | `simrank_updates_staged_total` | counter | — (`addedge`/`deledge`/`addnode` that reached the store) |
+//! | `simrank_commit_requests_total` | counter | — (`commit` requests accepted) |
 //! | `simrank_commits_total` | counter | — (effective commits only) |
 //! | `simrank_commit_stage_us` | histogram | `stage` ∈ `stage\|wal_append\|fsync\|csr_merge\|publish\|cache_sweep` |
-//! | `simrank_slow_queries_total` | counter | — |
+//! | `simrank_slow_queries_total` | counter | — (read from the slow-query ring) |
 //! | `simrank_epoch` | gauge | — |
 //! | `simrank_connections_accepted_total` … | counter | — (also `closed`, `rejected`) |
 //! | `simrank_net_requests_total` | counter | — |
@@ -33,20 +37,23 @@
 //!
 //! `algo` label values are the wire names of
 //! [`AlgorithmKind`]: `exactsim`, `prsim`, `mc`.
+//! The connection, request and byte series are [`NetMetrics`], which the
+//! TCP listener records into; `stats` reads every counter back from these
+//! series, so each event has one increment site.
 //! The kernel counters are process-global (they come from
 //! [`exactsim::counters`]), so two services in one process report the same
 //! kernel series — correct for Prometheus semantics (the scrape describes
 //! the process), just worth knowing in embedding scenarios.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 use exactsim_obs::metrics::{Counter, Histogram, Registry};
+use exactsim_obs::slowlog::SlowLog;
 use exactsim_store::{CommitReport, GraphStore};
 
+use crate::net::NetMetrics;
 use crate::response::AlgorithmKind;
-use crate::stats::ServiceStats;
 
 /// Query outcome labels, indexed by the `OUTCOME_*` constants.
 pub(crate) const OUTCOMES: [&str; 4] = ["hit", "miss", "dedup", "error"];
@@ -106,7 +113,8 @@ pub(crate) const COMMIT_STAGE_PUBLISH: usize = 4;
 pub(crate) const COMMIT_STAGE_CACHE_SWEEP: usize = 5;
 
 /// All labeled metric families of one service, plus the registry that
-/// renders them.
+/// renders them. The counters `stats` reports are `pub(crate)` so each
+/// event's one increment site records straight into its series.
 pub(crate) struct ServiceMetrics {
     registry: Registry,
     /// `simrank_queries_total{algo, outcome}`, `[algo][outcome]`.
@@ -119,13 +127,23 @@ pub(crate) struct ServiceMetrics {
     commit_stage: [Arc<Histogram>; 6],
     /// `simrank_commits_total`.
     commits: Arc<Counter>,
-    /// `simrank_slow_queries_total`.
-    slow_queries: Arc<Counter>,
+    /// `simrank_serve_latency_us`: every query, all algorithms and outcomes.
+    pub(crate) serve_latency: Arc<Histogram>,
+    /// `simrank_index_builds_total`.
+    pub(crate) index_builds: Arc<Counter>,
+    /// `simrank_epoch_refreshes_total`.
+    pub(crate) epoch_refreshes: Arc<Counter>,
+    /// `simrank_updates_staged_total`.
+    pub(crate) updates_staged: Arc<Counter>,
+    /// `simrank_commit_requests_total`.
+    pub(crate) commit_requests: Arc<Counter>,
+    /// The TCP listener's connection, request and byte series.
+    pub(crate) net: NetMetrics,
 }
 
 impl ServiceMetrics {
     /// Builds the registry and eagerly registers every series.
-    pub(crate) fn new(stats: &Arc<ServiceStats>, store: &Arc<GraphStore>) -> Self {
+    pub(crate) fn new(store: &Arc<GraphStore>, slowlog: &Arc<SlowLog>) -> Self {
         let registry = Registry::new();
 
         let query_outcomes = std::array::from_fn(|algo_idx| {
@@ -155,11 +173,30 @@ impl ServiceMetrics {
                 &[("stage", QUERY_STAGES[stage_idx])],
             )
         });
-        registry.register_histogram(
+        let serve_latency = registry.histogram(
             "simrank_serve_latency_us",
             "Aggregate serve latency in microseconds (all algorithms and outcomes)",
             &[],
-            Arc::clone(&stats.latency),
+        );
+        let index_builds = registry.counter(
+            "simrank_index_builds_total",
+            "Algorithm indices built (PrSim and MC, at most once per epoch each)",
+            &[],
+        );
+        let epoch_refreshes = registry.counter(
+            "simrank_epoch_refreshes_total",
+            "Times the service rebuilt its per-epoch state after a commit",
+            &[],
+        );
+        let updates_staged = registry.counter(
+            "simrank_updates_staged_total",
+            "Update requests that reached the store's staging area",
+            &[],
+        );
+        let commit_requests = registry.counter(
+            "simrank_commit_requests_total",
+            "Commit requests accepted, whether or not each advanced the epoch",
+            &[],
         );
 
         let commits = registry.counter(
@@ -174,10 +211,12 @@ impl ServiceMetrics {
                 &[("stage", COMMIT_STAGES[stage_idx])],
             )
         });
-        let slow_queries = registry.counter(
+        let slowlog = Arc::clone(slowlog);
+        registry.counter_fn(
             "simrank_slow_queries_total",
             "Queries recorded by the slow-query log",
             &[],
+            move || slowlog.total_recorded(),
         );
 
         let epoch_store = Arc::clone(store);
@@ -242,64 +281,7 @@ impl ServiceMetrics {
             );
         }
 
-        // Connection/byte counters are bumped on ServiceStats by the net
-        // listener; expose them as scrape-time reads so there is exactly one
-        // bump site per event.
-        type StatReader = fn(&ServiceStats) -> u64;
-        let stat_counters: [(&str, &str, StatReader); 5] = [
-            (
-                "simrank_connections_accepted_total",
-                "TCP connections accepted",
-                |s| s.connections_accepted.load(Ordering::Relaxed),
-            ),
-            (
-                "simrank_connections_closed_total",
-                "TCP connections finished (EOF, quit, error, or drain)",
-                |s| s.connections_closed.load(Ordering::Relaxed),
-            ),
-            (
-                "simrank_connections_rejected_total",
-                "TCP connections turned away at the connection cap",
-                |s| s.connections_rejected.load(Ordering::Relaxed),
-            ),
-            (
-                "simrank_net_requests_total",
-                "Protocol requests served over TCP",
-                |s| s.net_requests.load(Ordering::Relaxed),
-            ),
-            (
-                "simrank_epoch_refreshes_total",
-                "Times the service rebuilt its per-epoch state after a commit",
-                |s| s.epoch_refreshes.load(Ordering::Relaxed),
-            ),
-        ];
-        for (name, help, read) in stat_counters {
-            let stats = Arc::clone(stats);
-            registry.counter_fn(name, help, &[], move || read(&stats));
-        }
-        for (direction, read) in [
-            (
-                "in",
-                (|s: &ServiceStats| s.bytes_in.load(Ordering::Relaxed)) as fn(&ServiceStats) -> u64,
-            ),
-            ("out", |s: &ServiceStats| {
-                s.bytes_out.load(Ordering::Relaxed)
-            }),
-        ] {
-            let stats = Arc::clone(stats);
-            registry.counter_fn(
-                "simrank_net_bytes_total",
-                "Payload bytes over TCP, by direction",
-                &[("direction", direction)],
-                move || read(&stats),
-            );
-        }
-        registry.register_histogram(
-            "simrank_requests_per_connection",
-            "Requests served per finished TCP connection (unit: requests)",
-            &[],
-            Arc::clone(&stats.requests_per_conn),
-        );
+        let net = NetMetrics::register(&registry);
 
         // Kernel counters are process-global statics in the core crate.
         for (result, read) in [
@@ -344,7 +326,12 @@ impl ServiceMetrics {
             query_stage,
             commit_stage,
             commits,
-            slow_queries,
+            serve_latency,
+            index_builds,
+            epoch_refreshes,
+            updates_staged,
+            commit_requests,
+            net,
         }
     }
 
@@ -353,13 +340,24 @@ impl ServiceMetrics {
         self.registry.render()
     }
 
-    /// Records one finished query: outcome counter plus (for non-error
-    /// outcomes) the per-algorithm latency histogram.
+    /// Records one finished query: the aggregate serve latency, the outcome
+    /// counter, and (for non-error outcomes) the per-algorithm latency.
     pub(crate) fn record_query(&self, algorithm: AlgorithmKind, outcome: usize, latency: Duration) {
+        self.serve_latency.record(latency);
         self.query_outcomes[algorithm.index()][outcome].inc();
         if outcome != OUTCOME_ERROR {
             self.query_latency[algorithm.index()][outcome].record(latency);
         }
+    }
+
+    /// `simrank_queries_total` summed over `algo`, indexed by `OUTCOME_*`.
+    pub(crate) fn outcome_totals(&self) -> [u64; 4] {
+        std::array::from_fn(|outcome| {
+            self.query_outcomes
+                .iter()
+                .map(|by_outcome| by_outcome[outcome].get())
+                .sum()
+        })
     }
 
     /// The stage histogram for one query-path stage (`STAGE_*`).
@@ -388,10 +386,5 @@ impl ServiceMetrics {
             self.commit_stage[COMMIT_STAGE_WAL_APPEND].record(t.wal_append);
             self.commit_stage[COMMIT_STAGE_FSYNC].record(t.fsync);
         }
-    }
-
-    /// Bumps the slow-query counter (the ring itself lives on the service).
-    pub(crate) fn record_slow_query(&self) {
-        self.slow_queries.inc();
     }
 }

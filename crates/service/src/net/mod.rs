@@ -6,11 +6,12 @@
 //! of `max_conns` permits. A connection that arrives while all permits are
 //! held is answered with one `{"error", "code": "capacity"}` line and closed
 //! (load-shedding at accept time, so a slow client can never wedge the
-//! acceptor). All connections multiplex onto the **one shared**
-//! [`crate::SimRankService`]: the result cache, in-flight dedup, epoch
-//! refresh, and worker pool are common across every socket and the stdin
-//! path alike, and per-connection counters land in the same
-//! [`crate::ServiceStats`].
+//! acceptor). Each request runs on its connection's handler thread. All
+//! connections multiplex onto the **one shared** [`crate::SimRankService`]:
+//! the result cache, in-flight dedup, and epoch refresh are common across
+//! every socket and the stdin path alike. Connection, request and byte
+//! counts land in the host's [`NetMetrics`] series, which both `metrics`
+//! and `stats` read.
 //!
 //! ## Framing
 //!
@@ -38,4 +39,6 @@ mod server;
 pub mod signal;
 
 pub use client::LineClient;
-pub use server::{flush_shutdown_snapshot, serve, NetOptions, NetServerHandle, ProtocolHost};
+pub use server::{
+    flush_shutdown_snapshot, serve, NetMetrics, NetOptions, NetServerHandle, ProtocolHost,
+};

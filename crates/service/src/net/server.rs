@@ -10,9 +10,9 @@ use std::time::Duration;
 use crate::protocol::{self, Outcome, ProtoError};
 use crate::response::AlgorithmKind;
 use crate::service::SimRankService;
-use crate::stats::ServiceStats;
 use exactsim_obs::json::escape_json;
 use exactsim_obs::log as oplog;
+use exactsim_obs::metrics::{Counter, Histogram, Registry};
 
 /// Handlers poll the shutdown flag at this cadence between blocking reads.
 const READ_POLL: Duration = Duration::from_millis(100);
@@ -43,10 +43,85 @@ impl Default for NetOptions {
     }
 }
 
+/// The listener's connection, request and byte series. Each host registers
+/// one set in its own registry ([`NetMetrics::register`]), the listener
+/// records into it, and the host's `stats` reads the same counters back, so
+/// `stats` and `metrics` report one number per event.
+pub struct NetMetrics {
+    /// `simrank_connections_accepted_total`.
+    pub connections_accepted: Arc<Counter>,
+    /// `simrank_connections_closed_total`: finished by EOF, `quit`, error,
+    /// or drain.
+    pub connections_closed: Arc<Counter>,
+    /// `simrank_connections_rejected_total`: turned away at `max_conns`.
+    pub connections_rejected: Arc<Counter>,
+    /// `simrank_net_requests_total`: protocol requests served over TCP.
+    pub requests: Arc<Counter>,
+    /// `simrank_net_bytes_total{direction="in"}`: request lines, newlines
+    /// included.
+    pub bytes_in: Arc<Counter>,
+    /// `simrank_net_bytes_total{direction="out"}`: reply lines, newlines
+    /// included.
+    pub bytes_out: Arc<Counter>,
+    /// `simrank_requests_per_connection`: requests served per finished
+    /// connection (unit: requests) — the keep-alive distribution.
+    pub requests_per_conn: Arc<Histogram>,
+}
+
+impl NetMetrics {
+    /// Registers every net series in `registry` (at zero, before any
+    /// connection) and returns the handles the listener records into.
+    pub fn register(registry: &Registry) -> Self {
+        let bytes = |direction| {
+            registry.counter(
+                "simrank_net_bytes_total",
+                "Payload bytes over TCP, by direction",
+                &[("direction", direction)],
+            )
+        };
+        NetMetrics {
+            connections_accepted: registry.counter(
+                "simrank_connections_accepted_total",
+                "TCP connections accepted",
+                &[],
+            ),
+            connections_closed: registry.counter(
+                "simrank_connections_closed_total",
+                "TCP connections finished (EOF, quit, error, or drain)",
+                &[],
+            ),
+            connections_rejected: registry.counter(
+                "simrank_connections_rejected_total",
+                "TCP connections turned away at the connection cap",
+                &[],
+            ),
+            requests: registry.counter(
+                "simrank_net_requests_total",
+                "Protocol requests served over TCP",
+                &[],
+            ),
+            bytes_in: bytes("in"),
+            bytes_out: bytes("out"),
+            requests_per_conn: registry.histogram(
+                "simrank_requests_per_connection",
+                "Requests served per finished TCP connection (unit: requests)",
+                &[],
+            ),
+        }
+    }
+
+    /// Connection handlers serving right now (`accepted - closed`).
+    pub fn live_connections(&self) -> u64 {
+        self.connections_accepted
+            .get()
+            .saturating_sub(self.connections_closed.get())
+    }
+}
+
 /// A front-end the TCP listener can serve. The plain [`SimRankService`]
 /// implements it (one process, one graph); the router crate implements it
 /// over a shard fan-out. Implementations answer whole request lines and
-/// expose a [`ServiceStats`] for the listener to account connections and
+/// expose their [`NetMetrics`] for the listener to account connections and
 /// bytes against, so `stats` replies look the same whichever host answers.
 pub trait ProtocolHost: Send + Sync + 'static {
     /// Answers one trimmed, non-empty request line. `None` means "no reply"
@@ -54,8 +129,8 @@ pub trait ProtocolHost: Send + Sync + 'static {
     /// it the same way.
     fn serve_line(&self, default_algo: AlgorithmKind, line: &str) -> Option<Outcome>;
 
-    /// The counters the listener bumps for connections, requests, and bytes.
-    fn net_stats(&self) -> &ServiceStats;
+    /// The series the listener records connections, requests, and bytes in.
+    fn net_metrics(&self) -> &NetMetrics;
 
     /// Runs once after the acceptor and every handler have drained (durable
     /// snapshot flush, shard drain fan-out, ...).
@@ -67,8 +142,8 @@ impl ProtocolHost for SimRankService {
         protocol::serve_line(self, default_algo, line)
     }
 
-    fn net_stats(&self) -> &ServiceStats {
-        self.raw_stats()
+    fn net_metrics(&self) -> &NetMetrics {
+        &self.metrics().net
     }
 
     fn on_drain(&self) {
@@ -113,8 +188,8 @@ struct Shared<H: ProtocolHost> {
 }
 
 impl<H: ProtocolHost> Shared<H> {
-    fn stats(&self) -> &ServiceStats {
-        self.host.net_stats()
+    fn net(&self) -> &NetMetrics {
+        self.host.net_metrics()
     }
 }
 
@@ -201,11 +276,11 @@ fn accept_loop<H: ProtocolHost>(listener: TcpListener, shared: Arc<Shared<H>>) {
                     continue;
                 }
                 if !shared.permits.try_acquire() {
-                    ServiceStats::bump(&shared.stats().connections_rejected);
+                    shared.net().connections_rejected.inc();
                     reject_at_capacity(stream, shared.options.max_conns);
                     continue;
                 }
-                ServiceStats::bump(&shared.stats().connections_accepted);
+                shared.net().connections_accepted.inc();
                 let conn_shared = Arc::clone(&shared);
                 let spawned = std::thread::Builder::new()
                     .name(format!("simrank-conn-{peer}"))
@@ -215,14 +290,14 @@ fn accept_loop<H: ProtocolHost>(listener: TcpListener, shared: Arc<Shared<H>>) {
                         // exit path (EOF, quit, error, drain) — the handler
                         // owns its permit for its whole lifetime.
                         conn_shared.permits.release();
-                        ServiceStats::bump(&conn_shared.stats().connections_closed);
+                        conn_shared.net().connections_closed.inc();
                     });
                 match spawned {
                     Ok(handle) => handlers.push(handle),
                     Err(_) => {
                         // Could not spawn a thread: undo the accept.
                         shared.permits.release();
-                        ServiceStats::bump(&shared.stats().connections_closed);
+                        shared.net().connections_closed.inc();
                     }
                 }
                 handlers.retain(|h| !h.is_finished());
@@ -306,14 +381,11 @@ fn handle_connection<H: ProtocolHost>(stream: &TcpStream, shared: &Shared<H>) {
         match reader.read_until(b'\n', &mut buf) {
             Ok(0) => break, // EOF
             Ok(n) => {
-                shared
-                    .stats()
-                    .bytes_in
-                    .fetch_add(n as u64, Ordering::Relaxed);
+                shared.net().bytes_in.add(n as u64);
                 // Also the exhausted-limit case: the limit is one past the
                 // cap, so an over-long line trips this before a newline.
                 if buf.len() > MAX_LINE_BYTES {
-                    oversized_line(&mut writer, shared.stats());
+                    oversized_line(&mut writer, shared.net());
                     break;
                 }
                 let line = String::from_utf8_lossy(&buf).into_owned();
@@ -332,21 +404,21 @@ fn handle_connection<H: ProtocolHost>(stream: &TcpStream, shared: &Shared<H>) {
                 // Timed out waiting for (the rest of) a line: keep whatever
                 // partial bytes arrived and re-check the shutdown flag.
                 if buf.len() > MAX_LINE_BYTES {
-                    oversized_line(&mut writer, shared.stats());
+                    oversized_line(&mut writer, shared.net());
                     break;
                 }
             }
             Err(_) => break,
         }
     }
-    shared.stats().requests_per_conn.record_value(requests);
+    shared.net().requests_per_conn.record_value(requests);
 }
 
-fn oversized_line(writer: &mut BufWriter<&TcpStream>, stats: &ServiceStats) {
+fn oversized_line(writer: &mut BufWriter<&TcpStream>, net: &NetMetrics) {
     let error = ProtoError::bad_request(format!(
         "request line exceeds {MAX_LINE_BYTES} bytes; closing connection"
     ));
-    let _ = write_reply(writer, stats, &error.to_json());
+    let _ = write_reply(writer, net, &error.to_json());
 }
 
 /// Parses, executes, and answers one request line. Returns `true` when the
@@ -361,7 +433,7 @@ fn serve_one<H: ProtocolHost>(
     if trimmed.is_empty() || trimmed.starts_with('#') {
         return false;
     }
-    ServiceStats::bump(&shared.stats().net_requests);
+    shared.net().requests.inc();
     *requests += 1;
     // The in-flight leader re-raises computation panics (after waking its
     // followers); over TCP that must cost an `internal` error reply, not the
@@ -380,16 +452,16 @@ fn serve_one<H: ProtocolHost>(
     });
     match outcome {
         None => false,
-        Some(Outcome::Reply(reply)) => write_reply(writer, shared.stats(), &reply),
-        Some(Outcome::Text(payload)) => write_text(writer, shared.stats(), &payload),
+        Some(Outcome::Reply(reply)) => write_reply(writer, shared.net(), &reply),
+        Some(Outcome::Text(payload)) => write_text(writer, shared.net(), &payload),
         Some(Outcome::Help(text)) => write_reply(
             writer,
-            shared.stats(),
+            shared.net(),
             &format!("{{\"help\":\"{}\"}}", escape_json(text)),
         ),
         Some(Outcome::Quit) => true,
         Some(Outcome::Shutdown(reply)) => {
-            let _ = write_reply(writer, shared.stats(), &reply);
+            let _ = write_reply(writer, shared.net(), &reply);
             shared.shutdown.store(true, Ordering::Release);
             true
         }
@@ -397,10 +469,8 @@ fn serve_one<H: ProtocolHost>(
 }
 
 /// Writes one reply line; returns `true` (stop serving) on a dead socket.
-fn write_reply(writer: &mut BufWriter<&TcpStream>, stats: &ServiceStats, reply: &str) -> bool {
-    stats
-        .bytes_out
-        .fetch_add(reply.len() as u64 + 1, Ordering::Relaxed);
+fn write_reply(writer: &mut BufWriter<&TcpStream>, net: &NetMetrics, reply: &str) -> bool {
+    net.bytes_out.add(reply.len() as u64 + 1);
     if writeln!(writer, "{reply}").is_err() {
         return true;
     }
@@ -409,10 +479,8 @@ fn write_reply(writer: &mut BufWriter<&TcpStream>, stats: &ServiceStats, reply: 
 
 /// Writes one multi-line payload (already newline-terminated — the `metrics`
 /// exposition); returns `true` on a dead socket.
-fn write_text(writer: &mut BufWriter<&TcpStream>, stats: &ServiceStats, payload: &str) -> bool {
-    stats
-        .bytes_out
-        .fetch_add(payload.len() as u64, Ordering::Relaxed);
+fn write_text(writer: &mut BufWriter<&TcpStream>, net: &NetMetrics, payload: &str) -> bool {
+    net.bytes_out.add(payload.len() as u64);
     if writer.write_all(payload.as_bytes()).is_err() {
         return true;
     }

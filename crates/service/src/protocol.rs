@@ -76,8 +76,8 @@ pub mod codes {
     pub const IO: &str = "io";
     /// Store-level failure: recovery-time corruption classes, WAL lock, …
     pub const STORAGE: &str = "storage";
-    /// The serving machinery itself failed (panicked computation, lost
-    /// worker) — never caused by request contents.
+    /// The serving machinery itself failed (a panicked computation) —
+    /// never caused by request contents.
     pub const INTERNAL: &str = "internal";
     /// The TCP listener is at its `--max-conns` bound; the connection is
     /// answered with this error and closed without serving requests.
@@ -584,7 +584,7 @@ pub fn execute(
             };
             match result {
                 Ok(staged) => {
-                    crate::stats::ServiceStats::bump(&service.raw_stats().updates_staged);
+                    service.metrics().updates_staged.inc();
                     let staged = match staged {
                         exactsim_store::Staged::Pending => "pending",
                         exactsim_store::Staged::Cancelled => "cancelled",
@@ -600,7 +600,7 @@ pub fn execute(
         }
         Request::AddNode { count } => match service.store().stage_add_nodes(*count) {
             Ok(pending_nodes) => {
-                crate::stats::ServiceStats::bump(&service.raw_stats().updates_staged);
+                service.metrics().updates_staged.inc();
                 Outcome::Reply(format!(
                     "{{\"op\":\"addnode\",\"staged\":\"pending\",\"added\":{count},\"pending_nodes\":{pending_nodes}}}"
                 ))
@@ -609,7 +609,7 @@ pub fn execute(
         },
         Request::Commit => match service.commit() {
             Ok(report) => {
-                crate::stats::ServiceStats::bump(&service.raw_stats().commit_requests);
+                service.metrics().commit_requests.inc();
                 Outcome::Reply(format!(
                 "{{\"op\":\"commit\",\"epoch\":{},\"advanced\":{},\"edges_inserted\":{},\"edges_deleted\":{},\"nodes_added\":{},\"num_edges\":{},\"build_us\":{}}}",
                 report.epoch,

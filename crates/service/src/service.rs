@@ -28,10 +28,10 @@
 //! sweep. In-flight queries on the old snapshot finish undisturbed (their
 //! `Arc`s pin the old graph).
 //!
-//! Batches fan out over a fixed [`WorkerPool`] and stream back over a
-//! channel in completion order.
+//! The service runs no threads of its own: every query executes on its
+//! caller's thread (a TCP connection handler, the stdin REPL, or any
+//! application thread).
 
-use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
@@ -43,6 +43,7 @@ use exactsim::suite::{
 };
 use exactsim::SimRankError;
 use exactsim_graph::{DiGraph, NodeId};
+use exactsim_obs::metrics::Counter;
 use exactsim_obs::slowlog::SlowLog;
 use exactsim_obs::trace;
 use exactsim_store::GraphHandle;
@@ -50,14 +51,13 @@ use exactsim_store::{CommitReport, GraphSnapshot, GraphStore, StoreError};
 
 use crate::cache::{epsilon_tier, CacheKey, ShardedLruCache};
 use crate::error::ServiceError;
-use crate::executor::WorkerPool;
 use crate::inflight::{InflightTable, Ticket};
 use crate::metrics::{
     ServiceMetrics, COMMIT_STAGE_CACHE_SWEEP, OUTCOME_DEDUP, OUTCOME_ERROR, OUTCOME_HIT,
     OUTCOME_MISS, STAGE_CACHE, STAGE_DEDUP, STAGE_INDEX_BUILD, STAGE_KERNEL,
 };
 use crate::response::{AlgorithmKind, QueryResponse, TopKResponse};
-use crate::stats::{ServiceStats, ServingShape, StatsSnapshot};
+use crate::stats::{ServingShape, StatsSnapshot};
 
 /// A `'static`, thread-safe, shareable algorithm handle.
 type AlgorithmHandle = Arc<dyn SingleSourceAlgorithm + Send + Sync>;
@@ -65,8 +65,6 @@ type AlgorithmHandle = Arc<dyn SingleSourceAlgorithm + Send + Sync>;
 /// Configuration of a [`SimRankService`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads of the batch executor (`0` = one per available core).
-    pub workers: usize,
     /// Total result-cache capacity in entries (each entry holds one full
     /// single-source column, i.e. `n` floats — size the capacity to the
     /// graph).
@@ -89,7 +87,6 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            workers: 0,
             cache_capacity: 1024,
             cache_shards: 16,
             exactsim: ExactSimConfig::default(),
@@ -129,37 +126,6 @@ impl ServiceConfig {
     }
 }
 
-/// One request of a batch.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BatchRequest {
-    /// Which algorithm should answer.
-    pub algorithm: AlgorithmKind,
-    /// The query source node.
-    pub source: NodeId,
-    /// `Some(k)` for a top-k answer, `None` for the full column.
-    pub top_k: Option<usize>,
-}
-
-/// The answer to one [`BatchRequest`].
-#[derive(Clone, Debug)]
-pub enum BatchAnswer {
-    /// Full single-source column (shared with the cache).
-    Full(Arc<QueryResponse>),
-    /// Top-k extraction.
-    TopK(TopKResponse),
-}
-
-/// One completed batch item, streamed back in completion order.
-#[derive(Clone, Debug)]
-pub struct BatchItem {
-    /// Index of the request in the submitted batch.
-    pub index: usize,
-    /// The request this answers.
-    pub request: BatchRequest,
-    /// The answer or the error.
-    pub outcome: Result<BatchAnswer, ServiceError>,
-}
-
 /// One epoch's immutable serving state: the graph snapshot it serves plus
 /// the per-algorithm indices built against it.
 struct EpochState {
@@ -187,7 +153,7 @@ impl EpochState {
         &self,
         kind: AlgorithmKind,
         config: &ServiceConfig,
-        stats: &ServiceStats,
+        index_builds: &Counter,
     ) -> Result<AlgorithmHandle, ServiceError> {
         let cell = &self.algorithms[kind.index()];
         cell.get_or_init(|| {
@@ -200,11 +166,11 @@ impl EpochState {
                         as AlgorithmHandle
                 }
                 AlgorithmKind::PrSim => {
-                    ServiceStats::bump(&stats.index_builds);
+                    index_builds.inc();
                     Arc::new(PrSimAlgorithm::build(graph, config.prsim)?) as AlgorithmHandle
                 }
                 AlgorithmKind::MonteCarlo => {
-                    ServiceStats::bump(&stats.index_builds);
+                    index_builds.inc();
                     Arc::new(MonteCarloAlgorithm::build(graph, config.mc)?) as AlgorithmHandle
                 }
             })
@@ -237,11 +203,10 @@ struct Inner {
     state: RwLock<Arc<EpochState>>,
     cache: ShardedLruCache,
     inflight: InflightTable,
-    /// Behind `Arc` so the metrics registry's scrape-time closures can read
-    /// the same counters the hot path bumps.
-    stats: Arc<ServiceStats>,
     metrics: ServiceMetrics,
-    slowlog: SlowLog,
+    /// Behind `Arc` so `simrank_slow_queries_total` can read the ring's own
+    /// count at scrape time.
+    slowlog: Arc<SlowLog>,
 }
 
 impl Inner {
@@ -273,7 +238,7 @@ impl Inner {
                 );
                 self.cache.clear();
             }
-            ServiceStats::bump(&self.stats.epoch_refreshes);
+            self.metrics.epoch_refreshes.inc();
         }
         Arc::clone(&state)
     }
@@ -298,21 +263,18 @@ impl Inner {
         // atomic load and must not pollute the build-stage histogram (and a
         // traced cache-hit query must show no index/kernel stages at all).
         let handle = if state.algorithms[algorithm.index()].get().is_some() {
-            state.handle(algorithm, &self.config, &self.stats)?
+            state.handle(algorithm, &self.config, &self.metrics.index_builds)?
         } else {
             let _build = trace::stage(
                 "index_build",
                 Some(self.metrics.query_stage(STAGE_INDEX_BUILD)),
             );
-            state.handle(algorithm, &self.config, &self.stats)?
+            state.handle(algorithm, &self.config, &self.metrics.index_builds)?
         };
         let output = {
             let _kernel = trace::stage("kernel", Some(self.metrics.query_stage(STAGE_KERNEL)));
             handle.query(source)?
         };
-        // Counted only on success so that
-        // queries = cache_hits + dedup_joins + computations + errors.
-        ServiceStats::bump(&self.stats.computations);
         Ok(Arc::new(QueryResponse::from_output(
             algorithm,
             state.epoch,
@@ -321,10 +283,10 @@ impl Inner {
         )))
     }
 
-    /// Closes the books on one query: aggregate latency, the labeled
-    /// outcome/latency series, and the slow-query ring. The request string is
-    /// built lazily — only queries that cross the slowlog threshold pay for
-    /// the formatting.
+    /// Closes the books on one query: its one outcome count (which `stats`
+    /// reads back as hits, joins, computations, or errors), the latency
+    /// series, and the slow-query ring. The request string is built lazily —
+    /// only queries that cross the slowlog threshold pay for the formatting.
     fn finish_query(
         &self,
         algorithm: AlgorithmKind,
@@ -333,16 +295,11 @@ impl Inner {
         started: Instant,
     ) {
         let elapsed = started.elapsed();
-        self.stats.latency.record(elapsed);
         self.metrics.record_query(algorithm, outcome, elapsed);
-        let recorded = self
-            .slowlog
+        self.slowlog
             .observe(elapsed, crate::metrics::OUTCOMES[outcome], || {
                 format!("query {source} {}", algorithm.wire_name())
             });
-        if recorded {
-            self.metrics.record_slow_query();
-        }
     }
 
     fn query(
@@ -351,7 +308,6 @@ impl Inner {
         source: NodeId,
     ) -> Result<Arc<QueryResponse>, ServiceError> {
         let serve_start = Instant::now();
-        ServiceStats::bump(&self.stats.queries);
         // Captured once: cache key, index, and computation all use this
         // epoch's snapshot, so one answer never mixes two graphs.
         let state = self.current_state();
@@ -362,7 +318,6 @@ impl Inner {
             self.cache.get(&key)
         };
         if let Some(hit) = cached {
-            ServiceStats::bump(&self.stats.cache_hits);
             self.finish_query(algorithm, source, OUTCOME_HIT, serve_start);
             return Ok(hit);
         }
@@ -372,7 +327,6 @@ impl Inner {
                 // Double-check the cache: between our miss and winning the
                 // lead, the previous leader may have inserted and retired.
                 if let Some(hit) = self.cache.get(&key) {
-                    ServiceStats::bump(&self.stats.cache_hits);
                     self.inflight.complete(&key, &slot, Ok(Arc::clone(&hit)));
                     self.finish_query(algorithm, source, OUTCOME_HIT, serve_start);
                     return Ok(hit);
@@ -390,9 +344,7 @@ impl Inner {
                             &slot,
                             Err(ServiceError::Internal("computation panicked".into())),
                         );
-                        // Keep the books balanced (queries = hits + joins +
-                        // computations + errors) even on the unwind path.
-                        ServiceStats::bump(&self.stats.errors);
+                        // Count the query even on the unwind path.
                         self.finish_query(algorithm, source, OUTCOME_ERROR, serve_start);
                         std::panic::resume_unwind(payload);
                     }
@@ -417,14 +369,10 @@ impl Inner {
                     let _join = trace::stage("dedup", Some(self.metrics.query_stage(STAGE_DEDUP)));
                     slot.wait()
                 };
-                if result.is_ok() {
-                    ServiceStats::bump(&self.stats.dedup_joins);
-                }
                 (result, OUTCOME_DEDUP)
             }
         };
         let outcome = if result.is_err() {
-            ServiceStats::bump(&self.stats.errors);
             OUTCOME_ERROR
         } else {
             outcome
@@ -435,15 +383,10 @@ impl Inner {
 }
 
 /// The concurrent SimRank query-serving engine. Cheap to clone (all clones
-/// share one graph, one cache, one worker pool).
+/// share one store, one cache, one in-flight table, one registry).
 #[derive(Clone)]
 pub struct SimRankService {
     inner: Arc<Inner>,
-    /// Kept outside `Inner` so batch jobs (which capture `Arc<Inner>`) never
-    /// keep the pool itself alive: when the last service clone drops, the
-    /// pool's channel closes, workers drain and are joined — even if those
-    /// workers still hold `Inner` references through queued jobs.
-    pool: Arc<WorkerPool>,
 }
 
 impl SimRankService {
@@ -476,18 +419,15 @@ impl SimRankService {
         exactsim::exactsim::ExactSim::new(snapshot.graph.clone(), config.exactsim.clone())?;
         config.prsim.validate()?;
         config.mc.validate()?;
-        let workers = if config.workers == 0 {
-            std::thread::available_parallelism().map_or(4, |n| n.get())
-        } else {
-            config.workers
-        };
         let cache = ShardedLruCache::new(config.cache_capacity, config.cache_shards);
-        let stats = Arc::new(ServiceStats::new());
+        let slowlog = Arc::new(SlowLog::new(
+            config.slowlog_capacity,
+            config.slowlog_threshold,
+        ));
         // Registered before the first query so a scrape of an idle service
         // already exposes every series at zero (Prometheus rate() needs the
         // first sample to exist).
-        let metrics = ServiceMetrics::new(&stats, &store);
-        let slowlog = SlowLog::new(config.slowlog_capacity, config.slowlog_threshold);
+        let metrics = ServiceMetrics::new(&store, &slowlog);
         Ok(SimRankService {
             inner: Arc::new(Inner {
                 store,
@@ -495,11 +435,9 @@ impl SimRankService {
                 state: RwLock::new(Arc::new(EpochState::new(snapshot))),
                 cache,
                 inflight: InflightTable::new(),
-                stats,
                 metrics,
                 slowlog,
             }),
-            pool: Arc::new(WorkerPool::new(workers)),
         })
     }
 
@@ -543,11 +481,6 @@ impl SimRankService {
         &self.inner.config
     }
 
-    /// Number of batch worker threads.
-    pub fn workers(&self) -> usize {
-        self.pool.threads()
-    }
-
     /// Serves one single-source query through cache → dedup → computation.
     ///
     /// The returned response is shared with the cache; results for the same
@@ -572,97 +505,66 @@ impl SimRankService {
         Ok(self.query(algorithm, source)?.top_k(k))
     }
 
-    /// Submits a batch; answers stream back over the returned channel in
-    /// completion order (each [`BatchItem`] carries its original index).
-    /// Dropping the receiver abandons the remaining answers but not the
-    /// cache/stat effects of their computations.
-    pub fn submit_batch(&self, requests: Vec<BatchRequest>) -> Receiver<BatchItem> {
-        let (tx, rx) = channel();
-        for (index, request) in requests.into_iter().enumerate() {
-            let inner = Arc::clone(&self.inner);
-            let tx = tx.clone();
-            self.pool.execute(move || {
-                let outcome = inner
-                    .query(request.algorithm, request.source)
-                    .map(|response| match request.top_k {
-                        Some(k) => BatchAnswer::TopK(response.top_k(k)),
-                        None => BatchAnswer::Full(response),
-                    });
-                // The receiver may be gone; that only cancels delivery.
-                let _ = tx.send(BatchItem {
-                    index,
-                    request,
-                    outcome,
-                });
-            });
-        }
-        rx
-    }
-
-    /// Runs a batch to completion and returns the answers ordered by their
-    /// original request index. A request whose worker died before reporting
-    /// (it panicked mid-computation) comes back as a
-    /// [`ServiceError::Internal`] outcome rather than silently missing.
-    pub fn run_batch(&self, requests: Vec<BatchRequest>) -> Vec<BatchItem> {
-        let expected = requests.len();
-        let rx = self.submit_batch(requests.clone());
-        let mut items: Vec<BatchItem> = rx.iter().take(expected).collect();
-        if items.len() < expected {
-            let mut answered = vec![false; expected];
-            for item in &items {
-                answered[item.index] = true;
-            }
-            for (index, request) in requests.into_iter().enumerate() {
-                if !answered[index] {
-                    items.push(BatchItem {
-                        index,
-                        request,
-                        outcome: Err(ServiceError::Internal(
-                            "worker lost before returning a result".into(),
-                        )),
-                    });
-                }
-            }
-        }
-        items.sort_by_key(|item| item.index);
-        items
-    }
-
-    /// A point-in-time snapshot of the serving counters, including the
-    /// backing store's durability state (data dir, WAL length, snapshot
-    /// epoch) when it has one, and the per-algorithm index memory of the
-    /// epoch state currently serving (without forcing an epoch refresh).
+    /// A point-in-time read of the serving counters: every counter comes
+    /// from the registry series `metrics` renders, next to the live cache
+    /// state, the backing store's durability state (data dir, WAL length,
+    /// snapshot epoch) when it has one, and the per-algorithm index memory
+    /// of the epoch state currently serving (without forcing an epoch
+    /// refresh). `queries` is the sum of the four outcomes, so
+    /// `queries == cache_hits + dedup_joins + computations + errors` holds
+    /// in every snapshot.
     pub fn stats(&self) -> StatsSnapshot {
-        let index_memory = {
-            let state = self.inner.state.read().expect("epoch state poisoned");
+        let inner = &self.inner;
+        let metrics = &inner.metrics;
+        let net = &metrics.net;
+        let outcomes = metrics.outcome_totals();
+        let index_memory_bytes = {
+            let state = inner.state.read().expect("epoch state poisoned");
             state.index_memory_bytes()
         };
-        self.inner.stats.snapshot(
-            self.inner.store.epoch(),
-            self.inner.cache.evictions(),
-            self.inner.cache.invalidations(),
-            self.inner.cache.len(),
-            self.inner.store.durability(),
-            index_memory,
-            ServingShape {
-                workers: self.pool.threads(),
-                kernel_threads: self.inner.config.exactsim.simrank.threads,
+        let durability = inner.store.durability();
+        StatsSnapshot {
+            epoch: inner.store.epoch(),
+            shape: ServingShape {
+                workers: net.live_connections() as usize,
+                kernel_threads: inner.config.exactsim.simrank.threads,
                 shards: 1,
             },
-            self.inner.store.pool_stats(),
-        )
+            pool: inner.store.pool_stats(),
+            data_dir: durability
+                .as_ref()
+                .map(|d| d.data_dir.display().to_string()),
+            wal_len: durability.as_ref().map(|d| d.wal_records),
+            last_snapshot_epoch: durability.as_ref().map(|d| d.last_snapshot_epoch),
+            queries: outcomes.iter().sum(),
+            cache_hits: outcomes[OUTCOME_HIT],
+            dedup_joins: outcomes[OUTCOME_DEDUP],
+            computations: outcomes[OUTCOME_MISS],
+            index_builds: metrics.index_builds.get(),
+            errors: outcomes[OUTCOME_ERROR],
+            epoch_refreshes: metrics.epoch_refreshes.get(),
+            updates_staged: metrics.updates_staged.get(),
+            commit_requests: metrics.commit_requests.get(),
+            evictions: inner.cache.evictions(),
+            invalidations: inner.cache.invalidations(),
+            cached_entries: inner.cache.len(),
+            index_memory_bytes,
+            p50: metrics.serve_latency.quantile(0.50),
+            p99: metrics.serve_latency.quantile(0.99),
+            latency_saturated: metrics.serve_latency.saturated(),
+            connections_accepted: net.connections_accepted.get(),
+            connections_closed: net.connections_closed.get(),
+            connections_rejected: net.connections_rejected.get(),
+            net_requests: net.requests.get(),
+            bytes_in: net.bytes_in.get(),
+            bytes_out: net.bytes_out.get(),
+            requests_per_conn_p50: net.requests_per_conn.quantile_value(0.50),
+        }
     }
 
     /// Number of keys currently being computed (diagnostics).
     pub fn in_flight(&self) -> usize {
         self.inner.inflight.len()
-    }
-
-    /// The live counters, for in-crate front-ends (the `net` listener bumps
-    /// its per-connection counters here so `stats` replies are uniform
-    /// across the stdin and TCP paths).
-    pub(crate) fn raw_stats(&self) -> &ServiceStats {
-        &self.inner.stats
     }
 
     /// Renders every registered metric family in Prometheus text exposition
@@ -678,7 +580,8 @@ impl SimRankService {
     }
 
     /// The labeled metrics registry wrapper, for in-crate front-ends that
-    /// record protocol-level stages (parse, serialize).
+    /// record protocol-level stages (parse, serialize), writes, and net
+    /// traffic.
     pub(crate) fn metrics(&self) -> &ServiceMetrics {
         &self.inner.metrics
     }
@@ -923,22 +826,35 @@ mod tests {
 
     #[test]
     fn batch_answers_carry_indices_and_complete() {
+        // A batch of 20 requests over 5 sources, alternating top-k and full
+        // columns, answered from 4 scoped threads into per-index slots.
         let service = demo_service(60, 7);
-        let requests: Vec<BatchRequest> = (0..20)
-            .map(|i| BatchRequest {
-                algorithm: AlgorithmKind::ExactSim,
-                source: (i % 5) as NodeId,
-                top_k: if i % 2 == 0 { Some(3) } else { None },
-            })
-            .collect();
-        let items = service.run_batch(requests.clone());
-        assert_eq!(items.len(), 20);
-        for (i, item) in items.iter().enumerate() {
-            assert_eq!(item.index, i);
-            assert_eq!(item.request, requests[i]);
-            match item.outcome.as_ref().unwrap() {
-                BatchAnswer::TopK(top) => assert!(top.entries.len() <= 3),
-                BatchAnswer::Full(resp) => assert_eq!(resp.scores.len(), 60),
+        let top_k = |i: usize| i.is_multiple_of(2).then_some(3);
+        let mut answers: Vec<Option<Result<usize, ServiceError>>> = vec![None; 20];
+        std::thread::scope(|scope| {
+            for (lane, slots) in answers.chunks_mut(5).enumerate() {
+                let service = &service;
+                scope.spawn(move || {
+                    for (offset, slot) in slots.iter_mut().enumerate() {
+                        let i = lane * 5 + offset;
+                        let source = (i % 5) as NodeId;
+                        *slot = Some(match top_k(i) {
+                            Some(k) => service
+                                .top_k(AlgorithmKind::ExactSim, source, k)
+                                .map(|top| top.entries.len()),
+                            None => service
+                                .query(AlgorithmKind::ExactSim, source)
+                                .map(|resp| resp.scores.len()),
+                        });
+                    }
+                });
+            }
+        });
+        for (i, answer) in answers.into_iter().enumerate() {
+            let len = answer.expect("every request answered").unwrap();
+            match top_k(i) {
+                Some(k) => assert!(len <= k, "request {i}"),
+                None => assert_eq!(len, 60, "request {i}"),
             }
         }
         // 5 distinct sources -> at most 5 computations, everything else served

@@ -1,80 +1,29 @@
-//! Service observability: counters and a fixed-bucket latency histogram.
+//! The `stats` reply: a typed, point-in-time read of the registry.
 //!
-//! Everything is lock-free (`AtomicU64` with relaxed ordering): recording a
-//! served query must never contend with other queries. Quantiles come from a
-//! power-of-two-bucketed histogram over microseconds — p50/p99 are resolved
-//! to the upper bound of the containing bucket, i.e. within a factor of two,
-//! which is the standard fixed-memory trade-off (HdrHistogram-lite).
+//! [`StatsSnapshot`] owns no counters. [`crate::SimRankService::stats`]
+//! fills it from the same registry series that the `metrics` verb renders
+//! (query outcomes, index builds, epoch refreshes, writes, serve latency,
+//! and the listener's [`crate::net::NetMetrics`]), plus the live cache,
+//! store and config state. Each event is counted once, in one series, so
+//! `stats` and `metrics` cannot drift apart.
 //!
-//! The histogram primitive itself lives in [`exactsim_obs::metrics`] (it is
-//! re-exported here as [`LatencyHistogram`]); the labeled per-algorithm /
-//! per-stage series and the Prometheus exposition live in the service's
-//! `metrics` module, leaving this module as the aggregate snapshot the
-//! `stats` protocol verb reports.
+//! Quantiles come from the power-of-two-bucketed
+//! [`exactsim_obs::metrics::Histogram`] over microseconds: p50/p99 are the
+//! upper bound of the containing bucket, i.e. within a factor of two.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use exactsim_store::{DurabilityInfo, PoolStats};
+use exactsim_obs::json::escape_json;
+use exactsim_store::PoolStats;
 
-// The histogram primitive and the JSON escaping helper both moved to the
-// workspace-wide `exactsim-obs` crate (so the store, the kernels, and the
-// metrics registry can share them); they are re-exported here under their
-// historical names for the service API.
-pub use exactsim_obs::json::escape_json;
-pub use exactsim_obs::metrics::{Histogram as LatencyHistogram, SATURATION_BOUND_US};
-
-/// Live counters of a [`crate::SimRankService`].
-///
-/// Latency quantiles come from a [`LatencyHistogram`]: bucket `0` is sub-µs,
-/// bucket `i ≥ 1` covers `[2^(i-1), 2^i)` µs, and the reported p50/p99 are
-/// bucket *upper* bounds (within 2× of the true quantile). Observations past
-/// the top bucket (`≥ 2^39 µs`) saturate into an explicit counter surfaced
-/// as [`StatsSnapshot::latency_saturated`] instead of being folded into the
-/// top bucket.
-///
-/// The `connections_*` / `net_requests` counters are bumped by the
-/// [`crate::net`] listener; on a stdin-only server they stay zero.
-#[derive(Default)]
-pub struct ServiceStats {
-    pub(crate) queries: AtomicU64,
-    pub(crate) cache_hits: AtomicU64,
-    pub(crate) dedup_joins: AtomicU64,
-    pub(crate) computations: AtomicU64,
-    pub(crate) index_builds: AtomicU64,
-    pub(crate) errors: AtomicU64,
-    pub(crate) epoch_refreshes: AtomicU64,
-    /// `addedge`/`deledge` requests that staged (or cancelled/no-op'd) an
-    /// update — the write half of a scenario's read/write mix.
-    pub(crate) updates_staged: AtomicU64,
-    /// `commit` requests accepted (whether or not they advanced the epoch).
-    pub(crate) commit_requests: AtomicU64,
-    pub(crate) connections_accepted: AtomicU64,
-    pub(crate) connections_closed: AtomicU64,
-    pub(crate) connections_rejected: AtomicU64,
-    pub(crate) net_requests: AtomicU64,
-    /// Payload bytes read from TCP connections (request lines incl. newline).
-    pub(crate) bytes_in: AtomicU64,
-    /// Payload bytes written to TCP connections (reply lines incl. newline).
-    pub(crate) bytes_out: AtomicU64,
-    /// Histograms live behind `Arc` so the metrics registry can expose the
-    /// same buckets that back the snapshot quantiles — one source of truth.
-    pub(crate) latency: Arc<LatencyHistogram>,
-    /// Requests served per TCP connection (recorded when each closes) — the
-    /// keep-alive effectiveness distribution.
-    pub(crate) requests_per_conn: Arc<LatencyHistogram>,
-}
-
-/// The statically-configured serving topology, reported explicitly by the
-/// `stats` verb so operators never have to re-derive it from boot flags:
-/// how many batch workers the service runs, how many threads the ExactSim
-/// kernel uses per query, and how many shards the deployment has (always 1
-/// for a plain single-process service; a router reports its real width).
+/// The serving topology, reported explicitly by the `stats` verb so
+/// operators never have to re-derive it from boot flags.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServingShape {
-    /// Batch-executor worker threads (resolved, not the `0 = per-core` flag).
+    /// TCP connection handlers serving right now (`connections_accepted -
+    /// connections_closed`): each runs its requests on its own thread.
+    /// Always 0 on the stdin REPL.
     pub workers: usize,
     /// ExactSim kernel threads per query (`SimRankConfig::threads`).
     pub kernel_threads: usize,
@@ -92,87 +41,12 @@ impl Default for ServingShape {
     }
 }
 
-impl ServiceStats {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a consistent-enough snapshot (individual counters are exact;
-    /// ratios between them can be off by in-flight queries).
-    #[allow(clippy::too_many_arguments)] // one call site per host, all named state
-    pub fn snapshot(
-        &self,
-        epoch: u64,
-        evictions: u64,
-        invalidations: u64,
-        cached_entries: usize,
-        durability: Option<DurabilityInfo>,
-        index_memory_bytes: [Option<u64>; 3],
-        shape: ServingShape,
-        pool: Option<PoolStats>,
-    ) -> StatsSnapshot {
-        let queries = self.queries.load(Ordering::Relaxed);
-        let cache_hits = self.cache_hits.load(Ordering::Relaxed);
-        let dedup_joins = self.dedup_joins.load(Ordering::Relaxed);
-        let connections_accepted = self.connections_accepted.load(Ordering::Relaxed);
-        let connections_rejected = self.connections_rejected.load(Ordering::Relaxed);
-        StatsSnapshot {
-            epoch,
-            shape,
-            pool,
-            data_dir: durability
-                .as_ref()
-                .map(|d| d.data_dir.display().to_string()),
-            wal_len: durability.as_ref().map(|d| d.wal_records),
-            last_snapshot_epoch: durability.as_ref().map(|d| d.last_snapshot_epoch),
-            queries,
-            cache_hits,
-            dedup_joins,
-            computations: self.computations.load(Ordering::Relaxed),
-            index_builds: self.index_builds.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            epoch_refreshes: self.epoch_refreshes.load(Ordering::Relaxed),
-            updates_staged: self.updates_staged.load(Ordering::Relaxed),
-            commit_requests: self.commit_requests.load(Ordering::Relaxed),
-            evictions,
-            invalidations,
-            cached_entries,
-            hit_rate: if queries == 0 {
-                0.0
-            } else {
-                (cache_hits + dedup_joins) as f64 / queries as f64
-            },
-            index_memory_bytes,
-            p50: self.latency.quantile(0.50),
-            p99: self.latency.quantile(0.99),
-            latency_saturated: self.latency.saturated(),
-            connections_accepted,
-            connections_closed: self.connections_closed.load(Ordering::Relaxed),
-            connections_rejected,
-            shed_rate: if connections_accepted + connections_rejected == 0 {
-                0.0
-            } else {
-                connections_rejected as f64 / (connections_accepted + connections_rejected) as f64
-            },
-            net_requests: self.net_requests.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            requests_per_conn_p50: self.requests_per_conn.quantile_value(0.50),
-        }
-    }
-}
-
 /// A point-in-time copy of the service counters.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatsSnapshot {
     /// The graph epoch the service is currently serving.
     pub epoch: u64,
-    /// The configured serving topology (worker threads, kernel threads,
+    /// The serving topology (live connection handlers, kernel threads,
     /// shard count) — explicit so operators read it instead of inferring it
     /// from the boot flags.
     pub shape: ServingShape,
@@ -213,9 +87,6 @@ pub struct StatsSnapshot {
     pub invalidations: u64,
     /// Entries currently resident in the cache.
     pub cached_entries: usize,
-    /// `(cache_hits + dedup_joins) / queries` — the fraction of queries that
-    /// did *not* pay for a computation.
-    pub hit_rate: f64,
     /// Per-algorithm index heap footprint for the serving epoch, in
     /// `[exactsim, prsim, mc]` order ([`AlgorithmKind::ALL`] of the response
     /// module). `None` until that algorithm's index has been built this
@@ -237,10 +108,6 @@ pub struct StatsSnapshot {
     pub connections_closed: u64,
     /// TCP connections turned away because `--max-conns` handlers were busy.
     pub connections_rejected: u64,
-    /// `connections_rejected / (connections_accepted + connections_rejected)`
-    /// — the fraction of offered connections the listener load-shed. Zero
-    /// before any connection attempt (and always zero without a listener).
-    pub shed_rate: f64,
     /// Protocol requests served over TCP connections (a subset of the
     /// activity in `queries`: updates/stats/etc. count here too).
     pub net_requests: u64,
@@ -257,6 +124,22 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    /// `(cache_hits + dedup_joins) / queries` — the fraction of queries that
+    /// did *not* pay for a computation. Zero before the first query.
+    pub fn hit_rate(&self) -> f64 {
+        ratio(self.cache_hits + self.dedup_joins, self.queries)
+    }
+
+    /// `connections_rejected / (connections_accepted + connections_rejected)`
+    /// — the fraction of offered connections the listener load-shed. Zero
+    /// before any connection attempt (and always zero without a listener).
+    pub fn shed_rate(&self) -> f64 {
+        ratio(
+            self.connections_rejected,
+            self.connections_accepted + self.connections_rejected,
+        )
+    }
+
     /// Serializes to one line of JSON for the `stats` protocol command
     /// (hand-rolled like [`crate::response`]; the offline build has no
     /// serde). Latencies are microsecond bucket upper bounds, `null` before
@@ -324,7 +207,7 @@ impl StatsSnapshot {
             self.evictions,
             self.invalidations,
             self.cached_entries,
-            self.hit_rate,
+            self.hit_rate(),
             opt_u64(self.index_memory_bytes[0]),
             opt_u64(self.index_memory_bytes[1]),
             opt_u64(self.index_memory_bytes[2]),
@@ -334,7 +217,7 @@ impl StatsSnapshot {
             self.connections_accepted,
             self.connections_closed,
             self.connections_rejected,
-            self.shed_rate,
+            self.shed_rate(),
             self.net_requests,
             self.bytes_in,
             self.bytes_out,
@@ -359,7 +242,7 @@ impl fmt::Display for StatsSnapshot {
         writeln!(
             f,
             "cache hit rate:     {:.1}% ({} hits, {} dedup joins)",
-            self.hit_rate * 100.0,
+            self.hit_rate() * 100.0,
             self.cache_hits,
             self.dedup_joins
         )?;
@@ -398,7 +281,7 @@ impl fmt::Display for StatsSnapshot {
                 self.connections_accepted
                     .saturating_sub(self.connections_closed),
                 self.connections_rejected,
-                self.shed_rate * 100.0,
+                self.shed_rate() * 100.0,
                 self.net_requests
             )?;
             let per_conn = match self.requests_per_conn_p50 {
@@ -446,13 +329,22 @@ impl fmt::Display for StatsSnapshot {
     }
 }
 
+fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exactsim_obs::metrics::{Histogram, SATURATION_BOUND_US};
 
     #[test]
     fn histogram_buckets_by_powers_of_two() {
-        let h = LatencyHistogram::default();
+        let h = Histogram::default();
         assert_eq!(h.quantile(0.5), None);
         for us in [0u64, 1, 2, 3, 100, 1000, 100_000] {
             h.record(Duration::from_micros(us));
@@ -468,7 +360,7 @@ mod tests {
 
     #[test]
     fn latencies_past_the_top_bucket_saturate_instead_of_clamping() {
-        let h = LatencyHistogram::default();
+        let h = Histogram::default();
         // One bucketable observation and two past the nominal 2^39 µs bound.
         h.record(Duration::from_micros(10));
         h.record(Duration::from_micros(SATURATION_BOUND_US));
@@ -484,30 +376,29 @@ mod tests {
             Some(Duration::from_micros(SATURATION_BOUND_US))
         );
 
-        let stats = ServiceStats::new();
-        stats.latency.record(Duration::from_micros(u64::MAX));
-        let snap = stats.snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None);
-        assert_eq!(snap.latency_saturated, 1);
+        let snap = StatsSnapshot {
+            latency_saturated: 1,
+            ..Default::default()
+        };
         assert!(snap.to_json().contains("\"latency_saturated\":1"));
         assert!(snap.to_string().contains("latency saturated:  1"));
     }
 
     #[test]
     fn connection_counters_surface_in_json_and_display() {
-        let stats = ServiceStats::new();
-        stats.connections_accepted.store(5, Ordering::Relaxed);
-        stats.connections_closed.store(3, Ordering::Relaxed);
-        stats.connections_rejected.store(2, Ordering::Relaxed);
-        stats.net_requests.store(40, Ordering::Relaxed);
-        let snap = stats.snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None);
-        assert_eq!(snap.connections_accepted, 5);
-        assert_eq!(snap.net_requests, 40);
+        let snap = StatsSnapshot {
+            connections_accepted: 5,
+            connections_closed: 3,
+            connections_rejected: 2,
+            net_requests: 40,
+            ..Default::default()
+        };
         let json = snap.to_json();
         assert!(json.contains("\"connections_accepted\":5"), "{json}");
         assert!(json.contains("\"connections_rejected\":2"), "{json}");
         assert!(json.contains("\"net_requests\":40"), "{json}");
         // 2 of 7 offered connections were shed.
-        assert!((snap.shed_rate - 2.0 / 7.0).abs() < 1e-12);
+        assert!((snap.shed_rate() - 2.0 / 7.0).abs() < 1e-12);
         assert!(json.contains("\"shed_rate\":0.2857"), "{json}");
         let rendered = snap.to_string();
         assert!(
@@ -515,26 +406,25 @@ mod tests {
             "{rendered}"
         );
         // A stdin-only server never shows the TCP line.
-        let quiet = ServiceStats::new()
-            .snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None)
-            .to_string();
+        let quiet = StatsSnapshot::default().to_string();
         assert!(!quiet.contains("tcp connections"));
     }
 
     #[test]
     fn byte_and_per_connection_counters_surface_in_json_and_display() {
-        let stats = ServiceStats::new();
-        stats.connections_accepted.store(2, Ordering::Relaxed);
-        stats.connections_closed.store(2, Ordering::Relaxed);
-        stats.bytes_in.store(120, Ordering::Relaxed);
-        stats.bytes_out.store(4096, Ordering::Relaxed);
-        // Two finished connections: 3 requests and 5 requests.
-        stats.requests_per_conn.record_value(3);
-        stats.requests_per_conn.record_value(5);
-        let snap = stats.snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None);
-        assert_eq!(snap.bytes_in, 120);
-        assert_eq!(snap.bytes_out, 4096);
-        // p50 of {3, 5} resolves to the upper bound of 3's bucket [2, 4).
+        // Two finished connections: 3 requests and 5 requests. The p50 of
+        // {3, 5} resolves to the upper bound of 3's bucket [2, 4).
+        let per_conn = Histogram::default();
+        per_conn.record_value(3);
+        per_conn.record_value(5);
+        let snap = StatsSnapshot {
+            connections_accepted: 2,
+            connections_closed: 2,
+            bytes_in: 120,
+            bytes_out: 4096,
+            requests_per_conn_p50: per_conn.quantile_value(0.50),
+            ..Default::default()
+        };
         assert_eq!(snap.requests_per_conn_p50, Some(4));
         let json = snap.to_json();
         assert!(json.contains("\"bytes_in\":120"), "{json}");
@@ -547,9 +437,10 @@ mod tests {
         );
         // Before any connection finishes, the quantile serializes as null and
         // the Display suffix is omitted.
-        let fresh = ServiceStats::new();
-        fresh.connections_accepted.store(1, Ordering::Relaxed);
-        let early = fresh.snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None);
+        let early = StatsSnapshot {
+            connections_accepted: 1,
+            ..Default::default()
+        };
         assert!(early.to_json().contains("\"requests_per_conn_p50\":null"));
         assert!(early
             .to_string()
@@ -558,12 +449,11 @@ mod tests {
 
     #[test]
     fn write_counters_and_shed_rate_surface_in_json_and_display() {
-        let stats = ServiceStats::new();
-        stats.updates_staged.store(12, Ordering::Relaxed);
-        stats.commit_requests.store(3, Ordering::Relaxed);
-        let snap = stats.snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None);
-        assert_eq!(snap.updates_staged, 12);
-        assert_eq!(snap.commit_requests, 3);
+        let snap = StatsSnapshot {
+            updates_staged: 12,
+            commit_requests: 3,
+            ..Default::default()
+        };
         let json = snap.to_json();
         assert!(json.contains("\"updates_staged\":12"), "{json}");
         assert!(json.contains("\"commit_requests\":3"), "{json}");
@@ -573,26 +463,18 @@ mod tests {
             "{snap}"
         );
         // A read-only server omits the Display line and sheds nothing.
-        let quiet =
-            ServiceStats::new().snapshot(0, 0, 0, 0, None, [None; 3], Default::default(), None);
+        let quiet = StatsSnapshot::default();
         assert!(!quiet.to_string().contains("writes:"));
-        assert_eq!(quiet.shed_rate, 0.0);
+        assert_eq!(quiet.shed_rate(), 0.0);
         assert!(quiet.to_json().contains("\"shed_rate\":0.0000"));
     }
 
     #[test]
     fn index_memory_surfaces_in_json_and_display() {
-        let stats = ServiceStats::new();
-        let snap = stats.snapshot(
-            0,
-            0,
-            0,
-            0,
-            None,
-            [Some(0), Some(4096), None],
-            ServingShape::default(),
-            None,
-        );
+        let snap = StatsSnapshot {
+            index_memory_bytes: [Some(0), Some(4096), None],
+            ..Default::default()
+        };
         let json = snap.to_json();
         assert!(
             json.contains("\"memory_bytes\":{\"exactsim\":0,\"prsim\":4096,\"mc\":null}"),
@@ -607,59 +489,49 @@ mod tests {
 
     #[test]
     fn snapshot_hit_rate_counts_hits_and_joins() {
-        let stats = ServiceStats::new();
-        stats.queries.store(10, Ordering::Relaxed);
-        stats.cache_hits.store(6, Ordering::Relaxed);
-        stats.dedup_joins.store(3, Ordering::Relaxed);
-        stats.computations.store(1, Ordering::Relaxed);
-        stats.epoch_refreshes.store(2, Ordering::Relaxed);
-        let snap = stats.snapshot(
-            7,
-            0,
-            4,
-            5,
-            None,
-            [Some(0), Some(1024), None],
-            ServingShape::default(),
-            None,
-        );
-        assert!((snap.hit_rate - 0.9).abs() < 1e-12);
-        assert_eq!(snap.cached_entries, 5);
-        assert_eq!(snap.epoch, 7);
-        assert_eq!(snap.invalidations, 4);
-        assert_eq!(snap.epoch_refreshes, 2);
+        let snap = StatsSnapshot {
+            epoch: 7,
+            queries: 10,
+            cache_hits: 6,
+            dedup_joins: 3,
+            computations: 1,
+            epoch_refreshes: 2,
+            invalidations: 4,
+            cached_entries: 5,
+            index_memory_bytes: [Some(0), Some(1024), None],
+            ..Default::default()
+        };
+        assert!((snap.hit_rate() - 0.9).abs() < 1e-12);
         let rendered = snap.to_string();
         assert!(rendered.contains("90.0%"));
         assert!(rendered.contains("computations:       1"));
         assert!(rendered.contains("graph epoch:        7"));
+        assert!(rendered.contains("epoch refreshes:    2"));
+        assert!(rendered.contains("5 entries resident, 0 evicted, 4 invalidated"));
         assert!(rendered.contains("in-memory"));
     }
 
     #[test]
     fn zero_queries_mean_zero_hit_rate() {
-        let snap = ServiceStats::new().snapshot(
-            0,
-            0,
-            0,
-            0,
-            None,
-            [None; 3],
-            ServingShape::default(),
-            None,
-        );
-        assert_eq!(snap.hit_rate, 0.0);
+        let snap = StatsSnapshot::default();
+        assert_eq!(snap.hit_rate(), 0.0);
         assert_eq!(snap.p50, None);
     }
 
     #[test]
     fn json_snapshot_is_wire_shaped() {
-        let stats = ServiceStats::new();
-        stats.queries.store(4, Ordering::Relaxed);
-        stats.cache_hits.store(2, Ordering::Relaxed);
-        stats.latency.record(Duration::from_micros(100));
-        let json = stats
-            .snapshot(3, 1, 0, 2, None, [None; 3], ServingShape::default(), None)
-            .to_json();
+        let latency = Histogram::default();
+        latency.record(Duration::from_micros(100));
+        let json = StatsSnapshot {
+            epoch: 3,
+            queries: 4,
+            cache_hits: 2,
+            evictions: 1,
+            cached_entries: 2,
+            p50: latency.quantile(0.50),
+            ..Default::default()
+        }
+        .to_json();
         assert!(json.starts_with("{\"epoch\":3,"));
         assert!(json.contains("\"queries\":4"));
         assert!(json.contains("\"hit_rate\":0.5000"));
@@ -670,20 +542,20 @@ mod tests {
         assert!(json.contains("\"wal_len\":null"));
         assert!(json.contains("\"last_snapshot_epoch\":null"));
         // Before any query, quantiles serialize as null.
-        let empty = ServiceStats::new()
-            .snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None)
-            .to_json();
+        let empty = StatsSnapshot::default().to_json();
         assert!(empty.contains("\"p99_us\":null"));
     }
 
     #[test]
     fn serving_shape_surfaces_in_json_and_display() {
-        let shape = ServingShape {
-            workers: 4,
-            kernel_threads: 2,
-            shards: 3,
+        let snap = StatsSnapshot {
+            shape: ServingShape {
+                workers: 4,
+                kernel_threads: 2,
+                shards: 3,
+            },
+            ..Default::default()
         };
-        let snap = ServiceStats::new().snapshot(0, 0, 0, 0, None, [None; 3], shape, None);
         let json = snap.to_json();
         // Shape rides immediately after the epoch so scrapers that read a
         // prefix still see it.
@@ -694,32 +566,23 @@ mod tests {
         let rendered = snap.to_string();
         assert!(rendered.contains("3 shard(s), 4 workers, 2 kernel thread(s)"));
         // The single-process default reports one shard.
-        let plain = ServiceStats::new()
-            .snapshot(0, 0, 0, 0, None, [None; 3], ServingShape::default(), None)
-            .to_json();
+        let plain = StatsSnapshot::default().to_json();
         assert!(plain.contains("\"shards\":1"), "{plain}");
     }
 
     #[test]
     fn pool_stats_surface_in_json_and_display() {
-        let pool = PoolStats {
-            capacity: 64,
-            resident: 64,
-            pinned: 2,
-            hits: 900,
-            misses: 100,
-            evictions: 36,
+        let snap = StatsSnapshot {
+            pool: Some(PoolStats {
+                capacity: 64,
+                resident: 64,
+                pinned: 2,
+                hits: 900,
+                misses: 100,
+                evictions: 36,
+            }),
+            ..Default::default()
         };
-        let snap = ServiceStats::new().snapshot(
-            0,
-            0,
-            0,
-            0,
-            None,
-            [None; 3],
-            ServingShape::default(),
-            Some(pool),
-        );
         let json = snap.to_json();
         assert!(
             json.contains(concat!(
@@ -737,40 +600,20 @@ mod tests {
         );
         // An in-memory (unpaged) store reports no pool at all — scrapers can
         // key backend detection on the null.
-        let unpaged = ServiceStats::new().snapshot(
-            0,
-            0,
-            0,
-            0,
-            None,
-            [None; 3],
-            ServingShape::default(),
-            None,
-        );
+        let unpaged = StatsSnapshot::default();
         assert!(unpaged.to_json().contains("\"pool\":null"));
         assert!(!unpaged.to_string().contains("buffer pool:"));
     }
 
     #[test]
     fn durable_stats_surface_the_data_dir_wal_and_snapshot_epoch() {
-        let stats = ServiceStats::new();
-        let info = DurabilityInfo {
-            data_dir: std::path::PathBuf::from("/var/lib/simrank \"x\""),
-            wal_records: 12,
-            last_snapshot_epoch: 3,
+        let snap = StatsSnapshot {
+            epoch: 5,
+            data_dir: Some("/var/lib/simrank \"x\"".to_string()),
+            wal_len: Some(12),
+            last_snapshot_epoch: Some(3),
+            ..Default::default()
         };
-        let snap = stats.snapshot(
-            5,
-            0,
-            0,
-            0,
-            Some(info),
-            [None; 3],
-            ServingShape::default(),
-            None,
-        );
-        assert_eq!(snap.wal_len, Some(12));
-        assert_eq!(snap.last_snapshot_epoch, Some(3));
         let json = snap.to_json();
         assert!(json.contains("\"wal_len\":12"), "{json}");
         assert!(json.contains("\"last_snapshot_epoch\":3"), "{json}");

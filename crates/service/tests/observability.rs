@@ -1,8 +1,9 @@
 //! End-to-end coverage of the observability layer: the Prometheus scrape of
-//! a live service, outcome-labeled query series, per-stage trace reports,
-//! the slow-query ring, and commit-stage timings on a durable store.
+//! a live service, outcome-labeled query series, `stats` as a read of those
+//! series, per-stage trace reports, the slow-query ring, and commit-stage
+//! timings on a durable store.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use exactsim_graph::generators::barabasi_albert;
@@ -113,6 +114,124 @@ fn query_outcomes_land_in_their_labeled_series() {
     );
     // Kernel counters moved: ExactSim accounts solver levels + walk pairs.
     assert!(series("simrank_kernel_solver_iterations_total").unwrap() > 0.0);
+}
+
+/// A seeded mix on one service — hits, misses, dedup joins from 8 racing
+/// threads, out-of-range errors, all three algorithms, and a write + commit
+/// through the protocol. With no query in flight, every `stats` counter is
+/// exactly its series in one scrape, and the query books balance.
+#[test]
+fn stats_counters_are_their_registry_series_in_one_scrape() {
+    const RACERS: usize = 8;
+    let service = demo_service();
+
+    // Dedup joins: 8 threads released together onto one cold source. A
+    // leader that finishes before any follower arrives leaves only cache
+    // hits, so race fresh sources until at least one query joined.
+    let mut races = 0u32;
+    while service.stats().dedup_joins == 0 {
+        assert!(
+            races < 20,
+            "{RACERS} racing threads never joined a computation"
+        );
+        let barrier = Barrier::new(RACERS);
+        std::thread::scope(|scope| {
+            for _ in 0..RACERS {
+                scope.spawn(|| {
+                    barrier.wait();
+                    service.query(AlgorithmKind::ExactSim, 40 + races).unwrap();
+                });
+            }
+        });
+        races += 1;
+    }
+
+    // Seeded mix over a 12-source hot set (a miss, then hits) with one
+    // request in eight aimed past the 60-node graph (an error).
+    let mut state = 0x5EED_u64;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    };
+    for _ in 0..300 {
+        let algo = AlgorithmKind::ALL[(next() % 3) as usize];
+        let source = if next() % 8 == 0 {
+            60 + (next() % 4) as u32
+        } else {
+            (next() % 12) as u32
+        };
+        let _ = service.query(algo, source);
+    }
+    for request in [Request::AddEdge { u: 0, v: 59 }, Request::Commit] {
+        assert!(matches!(
+            execute(&service, AlgorithmKind::ExactSim, &request),
+            Outcome::Reply(reply) if !reply.contains("\"error\"")
+        ));
+    }
+    service.query(AlgorithmKind::ExactSim, 0).unwrap(); // adopts epoch 1
+
+    assert_eq!(service.in_flight(), 0);
+    let snap = service.stats();
+    let scrape = service.metrics_text();
+    let series = |name: &str| sample_value(&scrape, name).unwrap() as u64;
+    let outcome = |outcome: &str| -> u64 {
+        AlgorithmKind::ALL
+            .iter()
+            .map(|algo| {
+                series(&format!(
+                    "simrank_queries_total{{algo=\"{}\",outcome=\"{outcome}\"}}",
+                    algo.wire_name()
+                ))
+            })
+            .sum()
+    };
+    assert_eq!(snap.cache_hits, outcome("hit"));
+    assert_eq!(snap.computations, outcome("miss"));
+    assert_eq!(snap.dedup_joins, outcome("dedup"));
+    assert_eq!(snap.errors, outcome("error"));
+    assert_eq!(
+        snap.queries,
+        snap.cache_hits + snap.dedup_joins + snap.computations + snap.errors
+    );
+    assert_eq!(snap.queries, 300 + 1 + (RACERS as u64) * u64::from(races));
+    assert_eq!(series("simrank_serve_latency_us_count"), snap.queries);
+    assert_eq!(series("simrank_index_builds_total"), snap.index_builds);
+    assert_eq!(
+        series("simrank_epoch_refreshes_total"),
+        snap.epoch_refreshes
+    );
+    assert_eq!(series("simrank_updates_staged_total"), snap.updates_staged);
+    assert_eq!(
+        series("simrank_commit_requests_total"),
+        snap.commit_requests
+    );
+
+    // The mix reached every outcome, every algorithm, and every counter.
+    assert!(snap.cache_hits > 0 && snap.computations > 0, "{snap:?}");
+    assert!(snap.dedup_joins > 0 && snap.errors > 0, "{snap:?}");
+    for algo in AlgorithmKind::ALL {
+        let served: u64 = ["hit", "miss", "dedup", "error"]
+            .iter()
+            .map(|outcome| {
+                series(&format!(
+                    "simrank_queries_total{{algo=\"{}\",outcome=\"{outcome}\"}}",
+                    algo.wire_name()
+                ))
+            })
+            .sum();
+        assert!(served > 0, "{algo} never served");
+    }
+    assert_eq!(snap.index_builds, 2, "PrSim and MC, once each at epoch 0");
+    assert_eq!(
+        (
+            snap.updates_staged,
+            snap.commit_requests,
+            snap.epoch_refreshes
+        ),
+        (1, 1, 1)
+    );
 }
 
 #[test]

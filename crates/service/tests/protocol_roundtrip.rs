@@ -395,9 +395,10 @@ fn execute_answers_each_command_with_its_wire_shape() {
             assert!(json.contains("\"connections_accepted\":0"), "{json}");
             assert!(json.contains("\"latency_saturated\":0"), "{json}");
             // The serving topology is explicit: a plain (unsharded) service
-            // reports its worker/kernel-thread configuration and shards=1.
+            // reports its live connection handlers (none without a
+            // listener), kernel threads, and shards=1.
             assert!(json.contains("\"shards\":1"), "{json}");
-            assert!(json.contains("\"workers\":"), "{json}");
+            assert!(json.contains("\"workers\":0"), "{json}");
             assert!(json.contains("\"kernel_threads\":"), "{json}");
             // The write path bumped its counters: exactly one addedge and
             // one commit were executed earlier in this test.

@@ -49,7 +49,6 @@ fn main() {
     let service = SimRankService::new(
         Arc::clone(&graph),
         ServiceConfig {
-            workers: 4,
             exactsim: ExactSimConfig {
                 epsilon: 1e-2,
                 walk_budget: Some(100_000),

@@ -17,7 +17,6 @@ use exactsim_service::{AlgorithmKind, GraphStore, ServiceConfig, SimRankService}
 
 fn config() -> ServiceConfig {
     ServiceConfig {
-        workers: 4,
         exactsim: ExactSimConfig {
             epsilon: 1e-2,
             walk_budget: Some(100_000),

@@ -1,6 +1,6 @@
 //! Serving-layer demo: spin up a [`SimRankService`] on a generated
-//! Barabási–Albert graph, fire a mixed batch of repeated top-k queries from
-//! several threads, and print throughput plus the cache hit rate.
+//! Barabási–Albert graph, fire a batch of repeated top-k queries from
+//! several scoped threads, and print throughput plus the cache hit rate.
 //!
 //! ```text
 //! cargo run --release -p exactsim-examples --bin serving_demo
@@ -12,7 +12,10 @@ use std::time::Instant;
 use exactsim::exactsim::ExactSimConfig;
 use exactsim_graph::generators::barabasi_albert;
 use exactsim_graph::NeighborAccess;
-use exactsim_service::{AlgorithmKind, BatchRequest, ServiceConfig, SimRankService};
+use exactsim_service::{AlgorithmKind, ServiceConfig, SimRankService};
+
+/// Client threads sending the batch; the service itself runs no threads.
+const CLIENT_THREADS: u32 = 8;
 
 fn main() {
     let n = 2_000;
@@ -24,7 +27,6 @@ fn main() {
     );
 
     let config = ServiceConfig {
-        workers: 8,
         cache_capacity: 256,
         exactsim: ExactSimConfig {
             epsilon: 1e-2,
@@ -34,29 +36,39 @@ fn main() {
         ..ServiceConfig::default()
     };
     let service = SimRankService::new(graph, config).expect("valid service config");
-    println!(
-        "service: {} workers, ExactSim ε = 1e-2\n",
-        service.workers()
-    );
+    println!("service: ExactSim ε = 1e-2, {CLIENT_THREADS} client threads\n");
 
     // A production-shaped workload: 400 top-k queries concentrated on 25 hot
-    // sources (popular nodes dominate real SimRank traffic), interleaved so
-    // duplicates race while the cache is still cold.
+    // sources (popular nodes dominate real SimRank traffic), dealt
+    // round-robin to the client threads so duplicates race while the cache
+    // is still cold.
     let hot_sources = 25u32;
-    let requests: Vec<BatchRequest> = (0..400)
-        .map(|i| BatchRequest {
-            algorithm: AlgorithmKind::ExactSim,
-            source: i % hot_sources,
-            top_k: Some(10),
-        })
-        .collect();
-    let total = requests.len();
+    let total = 400u32;
 
     let start = Instant::now();
-    let items = service.run_batch(requests);
+    let failures: usize = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENT_THREADS)
+            .map(|thread| {
+                let service = &service;
+                scope.spawn(move || {
+                    (thread..total)
+                        .step_by(CLIENT_THREADS as usize)
+                        .filter(|i| {
+                            service
+                                .top_k(AlgorithmKind::ExactSim, i % hot_sources, 10)
+                                .is_err()
+                        })
+                        .count()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|client| client.join().expect("client thread"))
+            .sum()
+    });
     let elapsed = start.elapsed();
 
-    let failures = items.iter().filter(|i| i.outcome.is_err()).count();
     let snap = service.stats();
     println!("batch: {total} top-10 queries over {hot_sources} hot sources");
     println!(

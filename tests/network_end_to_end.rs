@@ -38,7 +38,6 @@ impl Drop for TempDir {
 
 fn test_config() -> ServiceConfig {
     ServiceConfig {
-        workers: 4,
         exactsim: ExactSimConfig {
             epsilon: 1e-2,
             walk_budget: Some(50_000),

@@ -31,7 +31,6 @@ impl Drop for TempDir {
 
 fn config() -> ServiceConfig {
     ServiceConfig {
-        workers: 2,
         exactsim: ExactSimConfig {
             epsilon: 1e-2,
             walk_budget: Some(50_000),

@@ -21,7 +21,6 @@ const SHARDS: usize = 4;
 
 fn test_config() -> ServiceConfig {
     ServiceConfig {
-        workers: 2,
         exactsim: ExactSimConfig {
             epsilon: 1e-2,
             walk_budget: Some(50_000),
