@@ -23,7 +23,7 @@
 //!   [`crate::power_method::PowerMethod::exact_diagonal`]), used for
 //!   validation and ablations.
 
-use exactsim_graph::linalg::{p_multiply_sparse_into, SparseVec};
+use exactsim_graph::linalg::SparseVec;
 use exactsim_graph::{NeighborAccess, NodeId};
 use rand::rngs::SmallRng;
 
@@ -155,15 +155,64 @@ pub fn estimate_bernoulli<G: NeighborAccess>(
 /// [`LocalExploreCaps`].
 ///
 /// All intermediate state lives in the caller-owned [`DiagonalScratch`]:
-/// walk distributions in an epoch-stamped [`crate::scratch::DistTable`], the
+/// walk distributions in its [`crate::scratch::DistTable`] arena, the
 /// per-level `Z` accumulation in an epoch-stamped dense workspace drained in
 /// sorted index order. The seed-era implementation accumulated through
 /// `BTreeMap`s, which sum in exactly that ascending-key order — so this
 /// version is bit-identical (pinned by `tests/properties.rs` against a
 /// verbatim port of the old code) while performing no per-node allocation in
 /// steady state.
+///
+/// Each call is a query of its own: it starts with an empty arena, so the
+/// result and its statistics depend on nothing but the arguments. (Within
+/// [`estimate_diagonal_with`], the nodes of one shard share one arena.)
+///
+/// # Panics
+/// Panics if `scratch` was created for a graph with a different node count.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_local_deterministic<G: NeighborAccess>(
+    graph: &G,
+    node: NodeId,
+    samples: u64,
+    sqrt_c: f64,
+    tail_skip_threshold: f64,
+    caps: LocalExploreCaps,
+    scratch: &mut DiagonalScratch,
+    rng: &mut SmallRng,
+) -> (f64, LocalNodeStats) {
+    let n = graph.num_nodes();
+    assert_scratch_fits(scratch, n);
+    scratch.dist.begin_query(n);
+    explore_node(
+        graph,
+        node,
+        samples,
+        sqrt_c,
+        tail_skip_threshold,
+        caps,
+        scratch,
+        rng,
+    )
+}
+
+/// A scratch retained from a *different* graph would index out of bounds
+/// deep inside the kernels (or silently carry the wrong size); fail loudly
+/// at the boundary instead.
+fn assert_scratch_fits(scratch: &DiagonalScratch, n: usize) {
+    assert_eq!(
+        scratch.num_nodes(),
+        n,
+        "diagonal scratch was created for a graph with {} nodes, \
+         but this graph has {n}",
+        scratch.num_nodes()
+    );
+}
+
+/// Algorithm 3 for one node, inside the query the scratch's arena is on:
+/// walk distributions built for earlier nodes of the query are reused, and
+/// the node is charged each level's edge cost the first time it reaches it.
+#[allow(clippy::too_many_arguments)]
+fn explore_node<G: NeighborAccess>(
     graph: &G,
     node: NodeId,
     samples: u64,
@@ -189,17 +238,9 @@ pub fn estimate_local_deterministic<G: NeighborAccess>(
     };
     let edge_budget = edge_budget.min(caps.max_edges);
 
-    let DiagonalScratch {
-        ws,
-        z,
-        z_levels,
-        dist,
-    } = scratch;
-
-    // Lazily grown walk distributions: dist.slot(s).level(t) = P^t · e_s (no
-    // decay), logically reset per node, storage retained across nodes.
-    dist.begin_node(graph.num_nodes());
-    dist.slot_mut(node).ensure_unit(node);
+    let DiagonalScratch { z, z_levels, dist } = scratch;
+    // dist.level(s, t) = P^t · e_s (no decay).
+    dist.begin_node();
 
     let mut edges_used = 0u64;
     // Z[t] (t >= 1) lives in z_levels[t - 1] as a sorted sparse vector of the
@@ -209,55 +250,29 @@ pub fn estimate_local_deterministic<G: NeighborAccess>(
     let mut met_probability = 0.0f64;
 
     let mut level = 0usize;
-    // Cost model: extending a distribution by one level costs Σ din(j) over
-    // its current support.
-    fn extend_cost<G: NeighborAccess>(v: &SparseVec, graph: &G) -> u64 {
-        v.iter().map(|(j, _)| graph.in_degree(j) as u64).sum()
-    }
-
     while level < caps.max_levels {
         let next_level = level + 1;
-        // Make sure the distribution from `node` reaches `next_level`.
-        {
-            let node_dist = dist.slot_mut(node);
-            node_dist.ensure_unit(node);
-            while node_dist.len() <= next_level {
-                let (last, next) = node_dist.split_for_extend();
-                edges_used += extend_cost(last, graph);
-                p_multiply_sparse_into(graph, last, ws, next);
-            }
-        }
-
         // Z_{next_level}(node, q) = c^ℓ (P^ℓ e_node)(q)²
         //   − Σ_{t=1}^{ℓ-1} Σ_{q'} c^{ℓ-t} (P^{ℓ-t} e_{q'})(q)² · Z_t(node, q').
+        edges_used += dist.reach(graph, node, next_level);
         {
-            let node_dist = dist.slot_mut(node);
-            let base = node_dist.level(next_level);
+            let (qs, vs) = dist.level(node, next_level);
             let scale = c.powi(next_level as i32);
-            for (q, v) in base.iter() {
+            for (&q, &v) in qs.iter().zip(vs) {
                 z.add(q, scale * v * v);
             }
         }
         for t in 1..next_level {
             let remaining = next_level - t;
-            for idx in 0..z_levels[t - 1].nnz() {
-                let (q_prime, z_val) = (
-                    z_levels[t - 1].indices()[idx],
-                    z_levels[t - 1].values()[idx],
-                );
-                let q_dist = dist.slot_mut(q_prime);
-                q_dist.ensure_unit(q_prime);
-                while q_dist.len() <= remaining {
-                    let (last, next) = q_dist.split_for_extend();
-                    edges_used += extend_cost(last, graph);
-                    p_multiply_sparse_into(graph, last, ws, next);
-                }
-                let spread = q_dist.level(remaining);
+            let z_t = &z_levels[t - 1];
+            for (q_prime, z_val) in z_t.iter() {
+                edges_used += dist.reach(graph, q_prime, remaining);
                 let factor = c.powi(remaining as i32) * z_val;
                 if factor == 0.0 {
                     continue;
                 }
-                for (q, v) in spread.iter() {
+                let (qs, vs) = dist.level(q_prime, remaining);
+                for (&q, &v) in qs.iter().zip(vs) {
                     z.add(q, -(factor * v * v));
                 }
             }
@@ -429,6 +444,7 @@ fn local_deterministic_shard<G: NeighborAccess>(
     values: &mut [f64],
 ) -> ShardTallies {
     let mut tallies = ShardTallies::default();
+    scratch.dist.begin_query(graph.num_nodes());
     for k in range.clone() {
         let r = allocation[k];
         if r == 0 {
@@ -440,7 +456,7 @@ fn local_deterministic_shard<G: NeighborAccess>(
         } else {
             0.0
         };
-        let (value, stats) = estimate_local_deterministic(
+        let (value, stats) = explore_node(
             graph,
             k as NodeId,
             r,
@@ -535,16 +551,8 @@ pub fn estimate_diagonal_with<G: NeighborAccess>(
                 scratches.push(DiagonalScratch::new(n));
             }
             let shard_count = ranges.len();
-            // A scratch retained from a *different* graph would index out of
-            // bounds deep inside the kernels; fail loudly at the boundary.
             for scratch in &scratches[..shard_count] {
-                assert_eq!(
-                    scratch.num_nodes(),
-                    n,
-                    "diagonal scratch was created for a graph with {} nodes, \
-                     but this graph has {n}",
-                    scratch.num_nodes()
-                );
+                assert_scratch_fits(scratch, n);
             }
             let tallies = shard_over_values(
                 &mut out.values,
@@ -866,6 +874,42 @@ mod tests {
                 assert_eq!(single.tails_skipped, sharded.tails_skipped);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "diagonal scratch was created for a graph with 8 nodes")]
+    fn per_node_estimate_rejects_a_scratch_for_a_smaller_graph() {
+        let g = complete(10);
+        let mut ws = scratch(8);
+        let mut rng = make_rng(6);
+        estimate_local_deterministic(
+            &g,
+            9,
+            1_000,
+            SQRT_C,
+            0.0,
+            LocalExploreCaps::default(),
+            &mut ws,
+            &mut rng,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "diagonal scratch was created for a graph with 12 nodes")]
+    fn per_node_estimate_rejects_a_scratch_for_a_larger_graph() {
+        let g = complete(10);
+        let mut ws = scratch(12);
+        let mut rng = make_rng(6);
+        estimate_local_deterministic(
+            &g,
+            0,
+            1_000,
+            SQRT_C,
+            0.0,
+            LocalExploreCaps::default(),
+            &mut ws,
+            &mut rng,
+        );
     }
 
     #[test]

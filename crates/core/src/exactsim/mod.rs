@@ -489,13 +489,14 @@ impl<G: NeighborAccess> ExactSim<G> {
 /// ping-pong temporary).
 ///
 /// Deliberately *excluded*: the capacity retained inside pooled [`Scratch`]
-/// workspaces between queries (the [`crate::scratch::DistTable`] keeps the
-/// exploration distributions' buffers alive by design so later queries can
-/// reuse them). That retention is a property of the solver's pool — it
-/// scales with concurrency × threads, not with one query — and counting it
-/// here would make identical queries report different numbers depending on
-/// pool history, which is exactly what a per-query Table 3 column must not
-/// do.
+/// workspaces between queries. The largest part is Algorithm 3's
+/// [`crate::scratch::DistTable`] arena, which each query truncates and
+/// refills, so a scratch retains the arena of one query — the largest it
+/// has served — not a distribution per node ever explored. That retention
+/// is a property of the solver's pool — it scales with concurrency ×
+/// threads, not with one query — and counting it here would make identical
+/// queries report different numbers depending on pool history, which is
+/// exactly what a per-query Table 3 column must not do.
 fn aux_memory_bytes(
     hop_bytes: usize,
     diagonal_len: usize,

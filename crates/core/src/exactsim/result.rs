@@ -45,7 +45,9 @@ pub struct ExactSimStats {
     /// Peak auxiliary memory in bytes — the quantity reported in the paper's
     /// Table 3. Audited to cover hop vectors (with their aggregate), the
     /// diagonal estimate, the `R(k)` allocation vector, and the two dense
-    /// recurrence accumulators; see `ExactSimResult::memory_bytes`.
+    /// recurrence accumulators; see `ExactSimResult::memory_bytes`. The
+    /// Algorithm 3 walk-distribution arena is not counted: a pooled scratch
+    /// retains one query's arena between queries, which is pool state.
     pub aux_memory_bytes: usize,
     /// `‖π_i‖²` of the source's Personalized PageRank vector (drives the
     /// Lemma 3 speed-up).

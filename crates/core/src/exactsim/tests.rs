@@ -355,3 +355,43 @@ fn queries_are_bit_identical_across_calls_and_instances() {
         assert_eq!(a.scores, b.scores, "source {source} not reproducible");
     }
 }
+
+#[test]
+fn exploration_arena_retains_one_query_not_every_source() {
+    // Algorithm 3's walk distributions live in a per-query arena that the
+    // next query truncates, so a scratch serving many distinct sources keeps
+    // about the largest single query's memory instead of growing with every
+    // source it has seen.
+    let n = 2_000;
+    let g = barabasi_albert(n, 4, true, 41).unwrap();
+    let mut cfg = config(1e-2, ExactSimVariant::Optimized);
+    cfg.walk_budget = Some(100_000);
+    let solver = ExactSim::new(&g, cfg).unwrap();
+    let sources: Vec<NodeId> = (0..20u32).map(|i| i * 97 % n as u32).collect();
+    let arena_bytes =
+        |scratch: &Scratch| -> usize { scratch.diag.iter().map(|d| d.dist.retained_bytes()).sum() };
+    let largest = sources
+        .iter()
+        .map(|&source| {
+            let mut fresh = Scratch::new(n);
+            let result = solver.query_with(source, &mut fresh).unwrap();
+            assert!(
+                result.stats.explore_edges > 0,
+                "source {source} explored nothing"
+            );
+            arena_bytes(&fresh)
+        })
+        .max()
+        .unwrap();
+    let mut shared = Scratch::new(n);
+    for (i, &source) in sources.iter().enumerate() {
+        solver.query_with(source, &mut shared).unwrap();
+        let retained = arena_bytes(&shared);
+        assert!(
+            retained <= 2 * largest,
+            "after {} sources the arena retains {retained} bytes; the largest \
+             single query needs {largest}",
+            i + 1
+        );
+    }
+}

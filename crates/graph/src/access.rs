@@ -24,6 +24,16 @@
 //! contract is **at most a few live guards per thread**, so a tiny buffer
 //! pool never deadlocks against its own pins.
 //!
+//! ## Run accessors
+//!
+//! Kernels that scan many nodes in ascending order (the `P·x` and `Pᵀ·x`
+//! multiplies) call
+//! [`NeighborAccess::for_each_in_neighbors`] /
+//! [`NeighborAccess::for_each_out_neighbors`] with the whole run instead of
+//! one accessor call per node. The provided default is exactly that
+//! per-node loop; a paged backend overrides it to fetch each page once per
+//! run of consecutive nodes stored on it.
+//!
 //! ## Determinism contract
 //!
 //! Implementations must return the same neighbor lists (same order — sorted
@@ -76,6 +86,33 @@ pub trait NeighborAccess: Send + Sync {
     /// out-neighbor list; backends with cheaper membership tests may override.
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.out_neighbors(u).binary_search(&v).is_ok()
+    }
+
+    /// Calls `f(v, in_neighbors(v))` for every `v` of `nodes`, in order —
+    /// empty lists included. The default is the per-node loop; backends
+    /// whose lists are cheaper to hand out in runs (ascending node order)
+    /// override it. See the [module docs](self#run-accessors).
+    #[inline]
+    fn for_each_in_neighbors<I, F>(&self, nodes: I, mut f: F)
+    where
+        I: IntoIterator<Item = NodeId>,
+        F: FnMut(NodeId, &[NodeId]),
+    {
+        for v in nodes {
+            f(v, &self.in_neighbors(v));
+        }
+    }
+
+    /// The out-neighbor twin of [`NeighborAccess::for_each_in_neighbors`].
+    #[inline]
+    fn for_each_out_neighbors<I, F>(&self, nodes: I, mut f: F)
+    where
+        I: IntoIterator<Item = NodeId>,
+        F: FnMut(NodeId, &[NodeId]),
+    {
+        for v in nodes {
+            f(v, &self.out_neighbors(v));
+        }
     }
 
     /// Bytes of this backend's state resident in RAM (for an in-memory CSR
@@ -172,6 +209,24 @@ impl<G: NeighborAccess> NeighborAccess for &G {
     }
 
     #[inline(always)]
+    fn for_each_in_neighbors<I, F>(&self, nodes: I, f: F)
+    where
+        I: IntoIterator<Item = NodeId>,
+        F: FnMut(NodeId, &[NodeId]),
+    {
+        (**self).for_each_in_neighbors(nodes, f)
+    }
+
+    #[inline(always)]
+    fn for_each_out_neighbors<I, F>(&self, nodes: I, f: F)
+    where
+        I: IntoIterator<Item = NodeId>,
+        F: FnMut(NodeId, &[NodeId]),
+    {
+        (**self).for_each_out_neighbors(nodes, f)
+    }
+
+    #[inline(always)]
     fn resident_bytes(&self) -> usize {
         (**self).resident_bytes()
     }
@@ -222,6 +277,24 @@ impl<G: NeighborAccess> NeighborAccess for Arc<G> {
     }
 
     #[inline(always)]
+    fn for_each_in_neighbors<I, F>(&self, nodes: I, f: F)
+    where
+        I: IntoIterator<Item = NodeId>,
+        F: FnMut(NodeId, &[NodeId]),
+    {
+        (**self).for_each_in_neighbors(nodes, f)
+    }
+
+    #[inline(always)]
+    fn for_each_out_neighbors<I, F>(&self, nodes: I, f: F)
+    where
+        I: IntoIterator<Item = NodeId>,
+        F: FnMut(NodeId, &[NodeId]),
+    {
+        (**self).for_each_out_neighbors(nodes, f)
+    }
+
+    #[inline(always)]
     fn resident_bytes(&self) -> usize {
         (**self).resident_bytes()
     }
@@ -267,6 +340,17 @@ mod tests {
         assert!(NeighborAccess::has_edge(&g, 0, 2));
         assert!(!NeighborAccess::has_edge(&g, 2, 0));
         assert_eq!(NeighborAccess::resident_bytes(&g), g.memory_bytes());
+    }
+
+    #[test]
+    fn run_accessors_visit_every_node_in_order() {
+        let g = sample();
+        let mut ins = Vec::new();
+        g.for_each_in_neighbors([3, 0, 2], |v, list| ins.push((v, list.to_vec())));
+        assert_eq!(ins, vec![(3, vec![2]), (0, vec![3]), (2, vec![0, 1])]);
+        let mut outs = Vec::new();
+        Arc::new(sample()).for_each_out_neighbors(0..4, |v, list| outs.push((v, list.len())));
+        assert_eq!(outs, vec![(0, 1), (1, 1), (2, 1), (3, 1)]);
     }
 
     #[test]

@@ -23,6 +23,6 @@ pub use dense::{
 };
 pub use sparse_vec::SparseVec;
 pub use transition::{
-    p_multiply, p_multiply_rows, p_multiply_sparse, p_multiply_sparse_into, pt_multiply,
-    pt_multiply_rows, pt_multiply_sparse, pt_multiply_sparse_into, Workspace,
+    p_multiply, p_multiply_accumulate, p_multiply_rows, p_multiply_sparse, p_multiply_sparse_into,
+    pt_multiply, pt_multiply_rows, pt_multiply_sparse, pt_multiply_sparse_into, Workspace,
 };

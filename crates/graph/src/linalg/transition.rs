@@ -33,20 +33,16 @@ pub fn p_multiply<G: NeighborAccess>(graph: &G, x: &[f64], y: &mut [f64]) {
     for v in y.iter_mut() {
         *v = 0.0;
     }
-    for j in 0..n as NodeId {
-        let xj = x[j as usize];
-        if xj == 0.0 {
-            continue;
+    let support = (0..n as NodeId).filter(|&j| x[j as usize] != 0.0);
+    graph.for_each_in_neighbors(support, |j, neighbors| {
+        if neighbors.is_empty() {
+            return;
         }
-        let din = graph.in_degree(j);
-        if din == 0 {
-            continue;
-        }
-        let share = xj / din as f64;
-        for &i in graph.in_neighbors(j).iter() {
+        let share = x[j as usize] / neighbors.len() as f64;
+        for &i in neighbors {
             y[i as usize] += share;
         }
-    }
+    });
 }
 
 /// Dense `y ← Pᵀ·x`. `x` and `y` must have length `n`; `y` is overwritten.
@@ -57,18 +53,23 @@ pub fn pt_multiply<G: NeighborAccess>(graph: &G, x: &[f64], y: &mut [f64]) {
     let n = graph.num_nodes();
     assert_eq!(x.len(), n, "input vector length must equal num_nodes");
     assert_eq!(y.len(), n, "output vector length must equal num_nodes");
-    for i in 0..n as NodeId {
-        let din = graph.in_degree(i);
-        if din == 0 {
-            y[i as usize] = 0.0;
-            continue;
-        }
-        let mut acc = 0.0;
-        for &j in graph.in_neighbors(i).iter() {
-            acc += x[j as usize];
-        }
-        y[i as usize] = acc / din as f64;
+    graph.for_each_in_neighbors(0..n as NodeId, |i, neighbors| {
+        y[i as usize] = in_neighbor_mean(x, neighbors);
+    });
+}
+
+/// `(Pᵀ·x)(i)` from `i`'s in-neighbor list: the mean of `x` over it, or
+/// `0.0` for a node without in-neighbors.
+#[inline]
+fn in_neighbor_mean(x: &[f64], neighbors: &[NodeId]) -> f64 {
+    if neighbors.is_empty() {
+        return 0.0;
     }
+    let mut acc = 0.0;
+    for &j in neighbors {
+        acc += x[j as usize];
+    }
+    acc / neighbors.len() as f64
 }
 
 /// Reusable dense scratch space for the sparse kernels: the epoch-stamped
@@ -188,6 +189,23 @@ impl Workspace {
         self.reset();
     }
 
+    /// Appends the accumulated entries to the parallel `indices`/`values`
+    /// arrays in sorted index order — without clearing them — and resets
+    /// the workspace. Like [`Workspace::drain_into`], entries that cancelled
+    /// to exactly 0.0 are left out. This is how an arena of many sparse
+    /// vectors grows one vector at a time.
+    pub fn drain_append(&mut self, indices: &mut Vec<NodeId>, values: &mut Vec<f64>) {
+        self.touched.sort_unstable();
+        for &i in &self.touched {
+            let v = self.accum[i as usize];
+            if v != 0.0 {
+                indices.push(i);
+                values.push(v);
+            }
+        }
+        self.reset();
+    }
+
     /// Drains the accumulated entries into a freshly allocated sorted
     /// [`SparseVec`] and resets the workspace for reuse.
     fn drain_sparse(&mut self) -> SparseVec {
@@ -206,7 +224,7 @@ pub fn p_multiply_sparse<G: NeighborAccess>(
     x: &SparseVec,
     ws: &mut Workspace,
 ) -> SparseVec {
-    accumulate_p_multiply(graph, x, ws);
+    p_multiply_accumulate(graph, x.indices(), x.values(), ws);
     ws.drain_sparse()
 }
 
@@ -219,22 +237,40 @@ pub fn p_multiply_sparse_into<G: NeighborAccess>(
     ws: &mut Workspace,
     out: &mut SparseVec,
 ) {
-    accumulate_p_multiply(graph, x, ws);
+    p_multiply_accumulate(graph, x.indices(), x.values(), ws);
     ws.drain_into(out);
 }
 
-fn accumulate_p_multiply<G: NeighborAccess>(graph: &G, x: &SparseVec, ws: &mut Workspace) {
+/// Accumulates sparse `P·x` into `ws` without draining it, for an `x` given
+/// as parallel `indices` (sorted ascending) and `values` slices — the form
+/// in which an arena stores its vectors. Drain `ws` afterwards with
+/// [`Workspace::drain_into`] or [`Workspace::drain_append`].
+///
+/// # Panics
+/// Panics if `indices` and `values` differ in length.
+pub fn p_multiply_accumulate<G: NeighborAccess>(
+    graph: &G,
+    indices: &[NodeId],
+    values: &[f64],
+    ws: &mut Workspace,
+) {
+    assert_eq!(
+        indices.len(),
+        values.len(),
+        "indices and values must be parallel"
+    );
     debug_assert_eq!(ws.len(), graph.num_nodes());
-    for (j, xj) in x.iter() {
-        let din = graph.in_degree(j);
-        if din == 0 || xj == 0.0 {
-            continue;
+    let mut x = values.iter();
+    graph.for_each_in_neighbors(indices.iter().copied(), |_, neighbors| {
+        let xj = *x.next().expect("one value per index");
+        if neighbors.is_empty() || xj == 0.0 {
+            return;
         }
-        let share = xj / din as f64;
-        for &i in graph.in_neighbors(j).iter() {
+        let share = xj / neighbors.len() as f64;
+        for &i in neighbors {
             ws.add(i, share);
         }
-    }
+    });
 }
 
 /// Sparse `Pᵀ·x` using a reusable [`Workspace`]; returns a sorted [`SparseVec`].
@@ -264,16 +300,18 @@ pub fn pt_multiply_sparse_into<G: NeighborAccess>(
 
 fn accumulate_pt_multiply<G: NeighborAccess>(graph: &G, x: &SparseVec, ws: &mut Workspace) {
     debug_assert_eq!(ws.len(), graph.num_nodes());
-    for (j, xj) in x.iter() {
+    let mut values = x.values().iter();
+    graph.for_each_out_neighbors(x.indices().iter().copied(), |_, neighbors| {
+        let xj = *values.next().expect("one value per index");
         if xj == 0.0 {
-            continue;
+            return;
         }
-        for &i in graph.out_neighbors(j).iter() {
+        for &i in neighbors {
             let din = graph.in_degree(i);
             debug_assert!(din > 0, "out-neighbor must have at least one in-edge");
             ws.add(i, xj / din as f64);
         }
-    }
+    });
 }
 
 /// Dense `P·x` restricted to the output rows `rows`, in *gather* form:
@@ -301,9 +339,10 @@ pub fn p_multiply_rows<G: NeighborAccess>(
         rows.len(),
         "output slice must match the row range"
     );
-    for (slot, i) in out.iter_mut().zip(rows) {
+    let mut slots = out.iter_mut();
+    graph.for_each_out_neighbors(rows.start as NodeId..rows.end as NodeId, |_, neighbors| {
         let mut acc = 0.0;
-        for &j in graph.out_neighbors(i as NodeId).iter() {
+        for &j in neighbors {
             let xj = x[j as usize];
             if xj == 0.0 {
                 continue;
@@ -311,8 +350,8 @@ pub fn p_multiply_rows<G: NeighborAccess>(
             // j ∈ O(i) implies din(j) ≥ 1 (the edge i → j ends at j).
             acc += xj / graph.in_degree(j) as f64;
         }
-        *slot = acc;
-    }
+        *slots.next().expect("one output slot per row") = acc;
+    });
 }
 
 /// Dense `Pᵀ·x` restricted to the output rows `rows` — the per-row loop of
@@ -336,19 +375,10 @@ pub fn pt_multiply_rows<G: NeighborAccess>(
         rows.len(),
         "output slice must match the row range"
     );
-    for (slot, i) in out.iter_mut().zip(rows) {
-        let i = i as NodeId;
-        let din = graph.in_degree(i);
-        if din == 0 {
-            *slot = 0.0;
-            continue;
-        }
-        let mut acc = 0.0;
-        for &j in graph.in_neighbors(i).iter() {
-            acc += x[j as usize];
-        }
-        *slot = acc / din as f64;
-    }
+    let mut slots = out.iter_mut();
+    graph.for_each_in_neighbors(rows.start as NodeId..rows.end as NodeId, |_, neighbors| {
+        *slots.next().expect("one output slot per row") = in_neighbor_mean(x, neighbors);
+    });
 }
 
 #[cfg(test)]
@@ -493,6 +523,22 @@ mod tests {
         let mut d = SparseVec::new();
         pt_multiply_sparse_into(&g, &x, &mut ws, &mut d);
         assert_eq!(c, d);
+    }
+
+    #[test]
+    fn slice_accumulate_appends_behind_existing_entries() {
+        let g = sample();
+        let mut ws = Workspace::new(4);
+        let x = SparseVec::from_unsorted(vec![(2, 0.75), (3, 0.25)]);
+        let want = p_multiply_sparse(&g, &x, &mut ws);
+        // An arena that already holds one vector gets the product appended.
+        let (mut indices, mut values) = (vec![9], vec![9.0]);
+        p_multiply_accumulate(&g, x.indices(), x.values(), &mut ws);
+        ws.drain_append(&mut indices, &mut values);
+        assert_eq!(indices[1..], *want.indices());
+        assert_eq!(values[1..], *want.values());
+        assert_eq!((indices[0], values[0]), (9, 9.0));
+        assert_eq!(ws.num_touched(), 0);
     }
 
     #[test]

@@ -88,7 +88,9 @@ pub struct PoolStats {
     pub resident: u64,
     /// Frames currently pinned by live neighbor guards.
     pub pinned: u64,
-    /// Fetches served from a resident frame (monotonic).
+    /// Page accesses served without reading the page file (monotonic):
+    /// fetches that found a resident frame, plus the paged graph's
+    /// page-table hits, which skip the pool lock.
     pub hits: u64,
     /// Fetches that had to read the page file (monotonic).
     pub misses: u64,
@@ -230,6 +232,12 @@ impl BufferPool {
             frame: idx,
             data,
         })
+    }
+
+    /// Counts an access served without the pool lock from a payload the
+    /// pool handed out earlier (the paged graph's page table) as a hit.
+    pub(crate) fn count_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     fn unpin(&self, frame: usize) {

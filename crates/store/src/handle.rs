@@ -165,6 +165,30 @@ impl NeighborAccess for GraphHandle {
         }
     }
 
+    #[inline]
+    fn for_each_in_neighbors<I, F>(&self, nodes: I, f: F)
+    where
+        I: IntoIterator<Item = NodeId>,
+        F: FnMut(NodeId, &[NodeId]),
+    {
+        match self {
+            GraphHandle::Mem(g) => g.for_each_in_neighbors(nodes, f),
+            GraphHandle::Paged(p) => p.for_each_in_neighbors(nodes, f),
+        }
+    }
+
+    #[inline]
+    fn for_each_out_neighbors<I, F>(&self, nodes: I, f: F)
+    where
+        I: IntoIterator<Item = NodeId>,
+        F: FnMut(NodeId, &[NodeId]),
+    {
+        match self {
+            GraphHandle::Mem(g) => g.for_each_out_neighbors(nodes, f),
+            GraphHandle::Paged(p) => p.for_each_out_neighbors(nodes, f),
+        }
+    }
+
     fn resident_bytes(&self) -> usize {
         match self {
             GraphHandle::Mem(g) => g.memory_bytes(),

@@ -17,9 +17,10 @@
 //! cache of a durably-stored epoch, and pool exhaustion means the pool was
 //! sized below `threads + 1` pages.
 
+use std::cell::RefCell;
 use std::ops::{Deref, Range};
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use exactsim_graph::{CsrAdjacency, DiGraph, NeighborAccess, NodeId};
 
@@ -109,54 +110,122 @@ impl PagedGraph {
         if range.is_empty() {
             return PagedNeighbors { page: None, range };
         }
-        let file = self.fm.id();
-        // Fast path: the thread's last page. Adjacency reads have strong run
-        // locality — consecutive nodes share a page — and a memo hit is a
-        // TLS compare plus an `Arc` bump instead of a pool round-trip. The
-        // memoized payload is held alive by its own `Arc`, so a concurrent
-        // eviction of the underlying frame cannot invalidate it; the pool's
-        // hit/miss counters only see the accesses that actually reach it.
-        let memo = LAST_PAGE.with(|m| {
-            m.borrow()
-                .as_ref()
-                .and_then(|(f, p, data)| ((*f, *p) == (file, page_no)).then(|| Arc::clone(data)))
-        });
-        if let Some(data) = memo {
-            return PagedNeighbors {
-                page: Some(PageRef::Memo(data)),
-                range,
-            };
-        }
-        let guard = self
-            .pool
-            .fetch(&self.fm, page_no)
-            .unwrap_or_else(|e| panic!("paged graph adjacency read failed: {e}"));
-        LAST_PAGE.with(|m| {
-            *m.borrow_mut() = Some((file, page_no, Arc::clone(guard.data())));
-        });
         PagedNeighbors {
-            page: Some(PageRef::Pinned(guard)),
+            page: Some(self.page(page_no)),
             range,
+        }
+    }
+
+    /// The payload of `page_no`. A page still alive in the thread's page
+    /// table is served from it — no pool lock, counted as a pool hit.
+    /// Anything else is fetched (and pinned) through the pool and recorded
+    /// in the table.
+    fn page(&self, page_no: u32) -> PageRef<'_> {
+        PAGE_TABLE.with(|table| {
+            let mut table = table.borrow_mut();
+            let file = self.fm.id();
+            if table.file != file {
+                table.file = file;
+                table.pages.clear();
+                table.pages.resize(self.fm.num_pages(), Weak::new());
+            }
+            let entry = &mut table.pages[page_no as usize];
+            if let Some(data) = entry.upgrade() {
+                self.pool.count_hit();
+                return PageRef::Shared(data);
+            }
+            let guard = self
+                .pool
+                .fetch(&self.fm, page_no)
+                .unwrap_or_else(|e| panic!("paged graph adjacency read failed: {e}"));
+            *entry = Arc::downgrade(guard.data());
+            PageRef::Pinned(guard)
+        })
+    }
+
+    /// The run accessor behind both orientations (`offsets` and `locate`
+    /// pick one): walks `nodes` holding one page at a time. A node stored
+    /// on the held page is sliced straight out of it; only a node on another
+    /// page pays for the page lookup and fetch.
+    fn for_each_run<I, F>(
+        &self,
+        nodes: I,
+        offsets: &[u64],
+        locate: impl Fn(NodeId) -> (u32, Range<usize>),
+        mut f: F,
+    ) where
+        I: IntoIterator<Item = NodeId>,
+        F: FnMut(NodeId, &[NodeId]),
+    {
+        // (nodes stored on the page, offset of its first target, payload)
+        let mut held: Option<(Range<NodeId>, u64, PageRef<'_>)> = None;
+        for v in nodes {
+            let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
+            if lo == hi {
+                f(v, &[]);
+                continue;
+            }
+            let (base, page) = match &held {
+                Some((stored, base, page)) if stored.contains(&v) => (*base, page),
+                _ => {
+                    // Release the previous page before taking the next, so a
+                    // run never holds more than one pin.
+                    held = None;
+                    let (page_no, _) = locate(v);
+                    let stored = self.fm.page_nodes(page_no);
+                    let base = offsets[stored.start as usize];
+                    let (_, base, page) = held.insert((stored, base, self.page(page_no)));
+                    (*base, &*page)
+                }
+            };
+            f(
+                v,
+                &page.targets()[(lo - base) as usize..(hi - base) as usize],
+            );
         }
     }
 }
 
+/// A thread's page table for one page file: entry `p` is a `Weak` handle on
+/// page `p`'s payload as the pool last handed it out. It owns nothing — a
+/// page lives only as long as the pool (or a live guard) keeps it — so the
+/// table serves exactly the pages the pool still holds, without the pool
+/// lock.
+struct PageTable {
+    /// Id of the page file the entries belong to (`0`: none yet; file ids
+    /// start at 1).
+    file: u64,
+    pages: Vec<Weak<PageData>>,
+}
+
 thread_local! {
-    /// The thread's most recently fetched page: `(file id, page no,
-    /// payload)`. One entry is deliberate — it serves the same-page runs of
-    /// sequential adjacency scans, and any reuse beyond that is the buffer
-    /// pool's job.
-    static LAST_PAGE: std::cell::RefCell<Option<(u64, u32, Arc<PageData>)>> =
-        const { std::cell::RefCell::new(None) };
+    /// The thread's page table, reset whenever the thread reads a different
+    /// page file.
+    static PAGE_TABLE: RefCell<PageTable> = const {
+        RefCell::new(PageTable {
+            file: 0,
+            pages: Vec::new(),
+        })
+    };
 }
 
 /// How a [`PagedNeighbors`] guard holds its page.
 enum PageRef<'a> {
     /// Fetched from the pool this access; pins the frame until drop.
     Pinned(PinnedPage<'a>),
-    /// Served from the thread's last-page memo; the payload outlives any
-    /// eviction because the memo shares ownership of it.
-    Memo(Arc<PageData>),
+    /// Served from the thread's page table; the payload outlives any
+    /// eviction because the guard shares ownership of it.
+    Shared(Arc<PageData>),
+}
+
+impl PageRef<'_> {
+    #[inline]
+    fn targets(&self) -> &[NodeId] {
+        match self {
+            PageRef::Pinned(guard) => &guard.data().targets,
+            PageRef::Shared(data) => &data.targets,
+        }
+    }
 }
 
 /// The guard returned by [`PagedGraph`]'s neighbor accessors: keeps its page
@@ -174,8 +243,7 @@ impl Deref for PagedNeighbors<'_> {
     #[inline]
     fn deref(&self) -> &[NodeId] {
         match &self.page {
-            Some(PageRef::Pinned(guard)) => &guard.data().targets[self.range.clone()],
-            Some(PageRef::Memo(data)) => &data.targets[self.range.clone()],
+            Some(page) => &page.targets()[self.range.clone()],
             None => &[],
         }
     }
@@ -214,6 +282,22 @@ impl NeighborAccess for PagedGraph {
     fn in_neighbors(&self, v: NodeId) -> PagedNeighbors<'_> {
         let (page_no, range) = self.fm.locate_in(v);
         self.neighbors(page_no, range)
+    }
+
+    fn for_each_in_neighbors<I, F>(&self, nodes: I, f: F)
+    where
+        I: IntoIterator<Item = NodeId>,
+        F: FnMut(NodeId, &[NodeId]),
+    {
+        self.for_each_run(nodes, self.fm.in_offsets(), |v| self.fm.locate_in(v), f)
+    }
+
+    fn for_each_out_neighbors<I, F>(&self, nodes: I, f: F)
+    where
+        I: IntoIterator<Item = NodeId>,
+        F: FnMut(NodeId, &[NodeId]),
+    {
+        self.for_each_run(nodes, self.fm.out_offsets(), |v| self.fm.locate_out(v), f)
     }
 
     fn resident_bytes(&self) -> usize {
@@ -257,6 +341,68 @@ mod tests {
         assert!(paged.num_pages() > 8);
         assert!(paged.pool_stats().evictions > 0);
         assert!(paged.resident_bytes() < graph.memory_bytes());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_accessors_fetch_each_page_once_per_run() {
+        let (dir, graph, paged) = paged("runs", 1024);
+        let n = graph.num_nodes() as NodeId;
+        let mut ins = Vec::new();
+        paged.for_each_in_neighbors(0..n, |v, list| ins.push((v, list.to_vec())));
+        let mut outs = Vec::new();
+        paged.for_each_out_neighbors(0..n, |v, list| outs.push((v, list.to_vec())));
+        for v in 0..n {
+            assert_eq!(ins[v as usize], (v, graph.in_neighbors(v).to_vec()));
+            assert_eq!(outs[v as usize], (v, graph.out_neighbors(v).to_vec()));
+        }
+        // One fetch per page, and every page was read from the file once.
+        let touched = (0..n)
+            .flat_map(|v| [paged.fm.locate_in(v), paged.fm.locate_out(v)])
+            .filter(|(_, range)| !range.is_empty())
+            .map(|(page, _)| page)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len() as u64;
+        let first = paged.pool_stats();
+        assert_eq!((first.misses, first.hits), (touched, 0));
+        // Every page is still resident: a second pass is all page-table hits.
+        paged.for_each_in_neighbors(0..n, |_, _| {});
+        paged.for_each_out_neighbors(0..n, |_, _| {});
+        let second = paged.pool_stats();
+        assert_eq!((second.misses, second.hits), (touched, touched));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn page_table_serves_resident_pages_and_forgets_evicted_ones() {
+        let (dir, graph, paged) = paged("table", 2);
+        let (page0, _) = paged.fm.locate_in(0);
+        let node_on = |page: u32| {
+            (0..paged.num_nodes() as NodeId)
+                .find(|&v| {
+                    let (p, range) = paged.fm.locate_in(v);
+                    p == page && !range.is_empty()
+                })
+                .expect("every page holds a non-empty list")
+        };
+        let v0 = node_on(page0);
+        drop(paged.in_neighbors(v0));
+        drop(paged.in_neighbors(v0));
+        let s = paged.pool_stats();
+        assert_eq!((s.misses, s.hits), (1, 1), "a resident page is a table hit");
+        // Cycle other pages through the 2-frame pool until page 0 is gone.
+        let in_pages = paged.fm.num_out_pages() as u32..paged.num_pages() as u32;
+        for page in in_pages.filter(|&p| p != page0).take(4) {
+            drop(paged.in_neighbors(node_on(page)));
+        }
+        assert!(paged.pool_stats().evictions > 0);
+        let before = paged.pool_stats().misses;
+        assert_eq!(&*paged.in_neighbors(v0), graph.in_neighbors(v0));
+        assert_eq!(
+            paged.pool_stats().misses,
+            before + 1,
+            "an evicted page must be read again, not served from the table"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -480,6 +480,12 @@ impl FileManager {
         (page_no, lo..hi)
     }
 
+    /// The consecutive nodes whose lists page `page_no` stores.
+    pub fn page_nodes(&self, page_no: u32) -> std::ops::Range<NodeId> {
+        let meta = self.directory[page_no as usize];
+        meta.first_node..meta.first_node + meta.node_count
+    }
+
     /// The page and page-relative target range holding `v`'s out-neighbors.
     pub fn locate_out(&self, v: NodeId) -> (u32, std::ops::Range<usize>) {
         self.locate(v, &self.out_first_nodes, 0, &self.out_offsets)

@@ -11,7 +11,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use exactsim::config::SimRankConfig;
-use exactsim::diagonal::{estimate_local_deterministic, LocalExploreCaps, LocalNodeStats};
+use exactsim::diagonal::{
+    estimate_diagonal_with, estimate_local_deterministic, DiagonalEstimator, LocalExploreCaps,
+    LocalNodeStats,
+};
 use exactsim::exactsim::{ExactSim, ExactSimConfig, ExactSimVariant};
 use exactsim::linearization::{Linearization, LinearizationConfig};
 use exactsim::mc::{MonteCarlo, MonteCarloConfig};
@@ -458,6 +461,91 @@ fn scratch_diagonal_kernel_is_bit_identical_to_the_seed_era_implementation() {
                     "{name} node {k} threshold {threshold}: seed-era {want} vs scratch {got}"
                 );
                 assert_eq!(want_stats, got_stats, "{name} node {k} stats diverged");
+            }
+        }
+    }
+}
+
+#[test]
+fn diagonal_estimation_reusing_walk_distributions_matches_the_seed_era_per_node_runs() {
+    // Within one `estimate_diagonal_with` shard, every node reuses the walk
+    // distributions earlier nodes built, while each is still charged the
+    // edge cost of the levels it reaches. The seed-era kernel rebuilt them
+    // for every node; both must give the same bits and the same counts.
+    // Scratches are kept per node count across graph families and thread
+    // counts, so a distribution kept from an earlier graph would show.
+    let caps = LocalExploreCaps {
+        max_levels: 12,
+        max_edges: 50_000,
+        max_tail_samples: 500,
+    };
+    let seed = 0x5EED_u64;
+    let c = SQRT_C * SQRT_C;
+    let mut scratches: std::collections::BTreeMap<usize, Vec<DiagonalScratch>> = Default::default();
+    for (name, graph) in bit_identity_graphs() {
+        let n = graph.num_nodes();
+        let mut rng = StdRng::seed_from_u64(n as u64 ^ seed);
+        let allocation: Vec<u64> = (0..n)
+            .map(|_| match rng.gen_range(0u32..4) {
+                0 => 0,
+                _ => rng.gen_range(500u64..60_000),
+            })
+            .collect();
+        for tail_skip in [0.0, 1e-3] {
+            let mut seed_ws = Workspace::new(n);
+            let mut want = vec![1.0 - c; n];
+            let (mut want_pairs, mut want_edges, mut want_skipped) = (0u64, 0u64, 0usize);
+            for (k, &r) in allocation.iter().enumerate() {
+                if r == 0 {
+                    continue;
+                }
+                let threshold = if tail_skip > 0.0 {
+                    f64::max(tail_skip, 0.25 / (r as f64).sqrt())
+                } else {
+                    0.0
+                };
+                let mut node_rng = walks::make_rng(walks::derive_seed(seed, k as u64));
+                let (value, stats) = seed_reference::estimate_local_deterministic(
+                    &graph,
+                    k as u32,
+                    r,
+                    SQRT_C,
+                    threshold,
+                    caps,
+                    &mut seed_ws,
+                    &mut node_rng,
+                );
+                want[k] = value;
+                want_pairs += stats.tail_pairs;
+                want_edges += stats.edges;
+                want_skipped += usize::from(stats.tail_skipped);
+            }
+            for threads in [1usize, 2, 3] {
+                let got = estimate_diagonal_with(
+                    &graph,
+                    &allocation,
+                    &DiagonalEstimator::LocalDeterministic(caps),
+                    SQRT_C,
+                    tail_skip,
+                    seed,
+                    threads,
+                    scratches.entry(n).or_default(),
+                );
+                for (k, (w, g)) in want.iter().zip(&got.values).enumerate() {
+                    assert_eq!(
+                        w.to_bits(),
+                        g.to_bits(),
+                        "{name} tail_skip {tail_skip} threads {threads} node {k}: \
+                         seed-era {w} vs reused {g}"
+                    );
+                }
+                let counts = (got.walk_pairs, got.explore_edges, got.tails_skipped);
+                assert_eq!(
+                    counts,
+                    (want_pairs, want_edges, want_skipped),
+                    "{name} tail_skip {tail_skip} threads {threads}: \
+                     (walk pairs, explore edges, tails skipped) diverged"
+                );
             }
         }
     }
