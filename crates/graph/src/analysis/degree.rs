@@ -1,4 +1,4 @@
-//! Degree statistics and histograms.
+//! Degree statistics.
 
 use crate::digraph::DiGraph;
 
@@ -76,16 +76,6 @@ fn estimate_power_law_exponent(graph: &DiGraph) -> Option<f64> {
     Some(1.0 + count as f64 / log_sum)
 }
 
-/// Histogram of in-degrees: `histogram[d]` is the number of nodes with
-/// in-degree exactly `d`.
-pub fn degree_histogram(graph: &DiGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; graph.max_in_degree() + 1];
-    for v in graph.nodes() {
-        hist[graph.in_degree(v)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,16 +100,6 @@ mod tests {
         assert_eq!(stats.max_in_degree, 5);
         assert_eq!(stats.zero_in_degree, 0);
         assert!((stats.average_degree - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_sums_to_node_count() {
-        let g = barabasi_albert(500, 3, false, 2).unwrap();
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.iter().sum::<usize>(), g.num_nodes());
-        // Total in-degree equals edge count.
-        let total: usize = hist.iter().enumerate().map(|(d, &c)| d * c).sum();
-        assert_eq!(total, g.num_edges());
     }
 
     #[test]
@@ -150,7 +130,5 @@ mod tests {
         let stats = DegreeStats::compute(&g);
         assert_eq!(stats.nodes, 0);
         assert_eq!(stats.max_in_degree, 0);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist, vec![0]);
     }
 }

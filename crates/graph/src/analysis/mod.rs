@@ -10,5 +10,5 @@ mod degree;
 mod pagerank;
 
 pub use components::{strongly_connected_components, weakly_connected_components, ComponentLabels};
-pub use degree::{degree_histogram, DegreeStats};
+pub use degree::DegreeStats;
 pub use pagerank::{pagerank, PageRankConfig};

@@ -73,28 +73,6 @@ impl PartitionMap {
     pub fn owner(&self, node: NodeId) -> usize {
         shard_of(node, self.num_shards)
     }
-
-    /// Whether `shard` owns `node`.
-    #[inline]
-    pub fn owns(&self, shard: usize, node: NodeId) -> bool {
-        self.owner(node) == shard
-    }
-
-    /// The nodes of `0..n` owned by `shard`, ascending.
-    pub fn owned_nodes(&self, shard: usize, n: usize) -> Vec<NodeId> {
-        (0..n as NodeId)
-            .filter(|&node| self.owner(node) == shard)
-            .collect()
-    }
-
-    /// How many of the nodes `0..n` each shard owns (balance diagnostics).
-    pub fn shard_sizes(&self, n: usize) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.num_shards];
-        for node in 0..n as NodeId {
-            sizes[self.owner(node)] += 1;
-        }
-        sizes
-    }
 }
 
 #[cfg(test)]
@@ -124,32 +102,19 @@ mod tests {
                 assert!(owner < shards);
                 assert_eq!(owner, p.owner(node), "pure function of the id");
                 assert_eq!(owner, shard_of(node, shards), "wrapper == free fn");
-                assert!(p.owns(owner, node));
             }
         }
-    }
-
-    #[test]
-    fn owned_nodes_partition_the_id_space_exactly() {
-        let n = 3_000;
-        let p = PartitionMap::new(4);
-        let mut seen = vec![false; n];
-        for shard in 0..4 {
-            for node in p.owned_nodes(shard, n) {
-                assert!(!seen[node as usize], "node {node} owned twice");
-                seen[node as usize] = true;
-                assert_eq!(p.owner(node), shard);
-            }
-        }
-        assert!(seen.into_iter().all(|s| s), "every node is owned");
     }
 
     #[test]
     fn shards_stay_balanced() {
         let n = 100_000;
         for shards in [2usize, 3, 4, 7] {
-            let sizes = PartitionMap::new(shards).shard_sizes(n);
-            assert_eq!(sizes.iter().sum::<usize>(), n);
+            let p = PartitionMap::new(shards);
+            let mut sizes = vec![0usize; shards];
+            for node in 0..n as NodeId {
+                sizes[p.owner(node)] += 1;
+            }
             let ideal = n / shards;
             for (shard, &size) in sizes.iter().enumerate() {
                 let skew = (size as f64 - ideal as f64).abs() / ideal as f64;

@@ -1,12 +1,8 @@
 //! `simrank-client` — TCP client for a `simrank-serve --listen` server:
-//! an operator REPL, a uniform load generator, and a workload-scenario
-//! driver in one binary.
+//! an operator REPL and the workload-scenario load driver in one binary.
 //!
 //! ```text
 //! simrank-client --connect ADDR                          # REPL (default)
-//! simrank-client --connect ADDR --bench N --conns C
-//!                [--sources R] [--topk K] [--algo A]
-//!                [--out PATH] [--shutdown]
 //! simrank-client --connect ADDR --scenario SPEC
 //!                [--out PATH] [--baseline PATH] [--max-regression F]
 //!                [--shutdown]
@@ -18,69 +14,56 @@
 //! multi-line reply, `metrics`, is read up to its `# EOF` terminator line
 //! and printed verbatim.
 //!
-//! **Bench mode** (`--bench N --conns C`) drives `N` requests over `C`
-//! concurrent sockets: each connection issues `topk <source> <K>` (or full
-//! `query` when `--topk 0`) round-robin over `R` distinct sources, measures
-//! client-observed latency per request, and prints one JSON object with
-//! `queries_per_sec`, `p50_us`/`p99_us` (the server's fixed-bucket
-//! `exactsim_obs::metrics::Histogram`), the error count, and the
-//! server's own `stats` reply embedded as `server_stats`, and a final
-//! Prometheus `metrics` scrape embedded (JSON-escaped) as `metrics_scrape` —
-//! schema-compatible with `BENCH_serving.json` so CI can upload it alongside
-//! (`BENCH_tcp.json`). The process exits nonzero unless every request
-//! succeeded and throughput is nonzero, which is what makes it a CI gate.
+//! **Scenario mode** (`--scenario SPEC`) drives a workload model from
+//! [`exactsim_router::scenario`]: `SPEC` is a built-in scenario name plus
+//! `key=value` overrides (e.g. `steady_read,requests=400,conns=8`, the
+//! uniform closed-loop `topk` hammer, or `read_mostly,requests=2000,zipf=1.5`)
+//! combining Zipfian source popularity, a read/write mix with periodic
+//! commits, a weighted algorithm mix, and optionally an open-loop Poisson
+//! arrival schedule with burst phases. The plan is expanded
+//! deterministically from the scenario seed, reads fan out over the
+//! scenario's connections while writes and commits stay ordered on the
+//! first, and open-loop latency is measured from each request's
+//! *scheduled* arrival time so queueing delay under overload is not
+//! coordination-masked.
 //!
-//! When the server turns out to be a **router** (`--shard-of`;
-//! detected from the `per_shard` breakdown in its `stats` reply), the bench
-//! JSON additionally embeds a `router` object: shard count, the `topk`
+//! The result is one JSON object (printed, and written to `--out`) with
+//! `qps`; `p50_us`/`p99_us`/`p999_us`, nearest-rank values over every
+//! answered request's measured latency; the read/write/commit counts; the
+//! shed count and `shed_rate` (capacity-coded replies plus the server's
+//! `connections_rejected` delta over the run); the server's `stats` reply
+//! as `server_stats`; and a final Prometheus `metrics` scrape, JSON-escaped,
+//! as `metrics_scrape`. When the server turns out to be a **router**
+//! (`--shard-of`; detected from the `per_shard` breakdown in its `stats`
+//! reply), the JSON also embeds a `router` object: shard count, the `topk`
 //! fan-out total (one shard call per routed `topk`), the barrier-wait p99,
-//! and per-shard qps computed from the pre/post-bench per-shard request
-//! deltas — which is what CI uploads as `BENCH_router.json`.
+//! and per-shard qps from the pre/post-run per-shard request deltas.
 //!
-//! **Scenario mode** (`--scenario SPEC`) replaces the uniform hammer with a
-//! workload model from [`exactsim_router::scenario`]: `SPEC` is a built-in
-//! scenario name plus `key=value` overrides (e.g.
-//! `read_mostly,requests=2000,zipf=1.5`) combining Zipfian source
-//! popularity, a read/write mix with periodic commits, a weighted algorithm
-//! mix, and optionally an open-loop Poisson arrival schedule with burst
-//! phases. The plan is expanded deterministically from the scenario seed,
-//! reads fan out over the scenario's connections while writes and commits
-//! stay ordered on the first, and open-loop latency is measured from each
-//! request's *scheduled* arrival time so queueing delay under overload is
-//! not coordination-masked. The result is one JSON object (written to
-//! `--out`, conventionally `BENCH_scenarios.json`) with `qps`,
-//! `p50_us`/`p99_us`/`p999_us`, the read/write/commit counts, the shed
-//! count and `shed_rate` (capacity-coded replies plus the server's
-//! `connections_rejected` delta over the run), the server's `stats` reply,
-//! and — against a router — the `router` breakdown. `--baseline
-//! PATH` compares the measured qps against a previous artifact's and fails
-//! the run when it drops below `baseline / --max-regression` (default 4.0,
-//! a deliberately generous noise floor for shared CI runners).
+//! The process exits nonzero on any hard error, on any operation neither
+//! answered nor shed, on zero throughput, on a `stats` reply without
+//! `queries`, on a scrape without the host's own series
+//! (`simrank_queries_total` on a server, `simrank_router_fanout_total` on a
+//! router), and — with `--baseline PATH` — when qps drops below the
+//! baseline artifact's `qps / --max-regression` (default 4.0, a
+//! deliberately generous noise floor for shared CI runners).
 //!
-//! `--shutdown` sends the `shutdown` command after the bench (or REPL EOF),
+//! `--shutdown` sends the `shutdown` command after the run (or REPL EOF),
 //! asking the server to drain gracefully — CI uses it to assert a clean
 //! server exit.
 
 use std::io::BufRead;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use exactsim_obs::json::escape_json;
-use exactsim_obs::metrics::Histogram;
 use exactsim_router::scenario::{self, arrival_offsets, build_plan, parse_scenario, Op};
+use exactsim_router::wire::{f64_field, u64_field};
 use exactsim_service::net::LineClient;
-use exactsim_service::AlgorithmKind;
 
 struct Options {
     connect: String,
-    bench: Option<u64>,
     scenario: Option<String>,
-    conns: usize,
-    sources: u32,
-    topk: usize,
-    algo: Option<AlgorithmKind>,
     out: Option<String>,
     baseline: Option<String>,
     max_regression: f64,
@@ -91,12 +74,7 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             connect: String::new(),
-            bench: None,
             scenario: None,
-            conns: 4,
-            sources: 25,
-            topk: 10,
-            algo: None,
             out: None,
             baseline: None,
             max_regression: 4.0,
@@ -105,22 +83,17 @@ impl Default for Options {
     }
 }
 
-const HELP: &str = "simrank-client: TCP client / load generator for simrank-serve --listen\n\
+const HELP: &str = "simrank-client: TCP client / load driver for simrank-serve --listen\n\
   --connect ADDR   server address, e.g. 127.0.0.1:7878 (required)\n\
-  --bench N        bench mode: drive N requests and print qps/p50/p99 JSON\n\
-  --scenario SPEC  scenario mode: drive a named workload model, e.g.\n\
-                   read_mostly,requests=2000,zipf=1.5 (see `--scenario help`)\n\
-  --conns C        concurrent sockets in bench mode (default 4)\n\
-  --sources R      round-robin over R distinct source nodes (default 25)\n\
-  --topk K         issue `topk <src> K` requests; 0 = full `query` (default 10)\n\
-  --algo A         explicit algorithm per request (default: server default)\n\
-  --out PATH       also write the bench/scenario JSON to PATH\n\
-  --baseline PATH  scenario mode: gate qps against a previous artifact\n\
+  --scenario SPEC  drive a named workload model, e.g. steady_read,requests=400,conns=8\n\
+                   or read_mostly,requests=2000,zipf=1.5 (see `--scenario help`)\n\
+  --out PATH       also write the scenario JSON to PATH\n\
+  --baseline PATH  gate qps against a previous scenario artifact\n\
   --max-regression F  baseline noise floor: fail below baseline/F (default 4)\n\
   --shutdown       send `shutdown` when done (graceful server drain)\n\
-against a router (--shard-of) the bench/scenario JSON embeds a\n\
-`router` object with per-shard qps and fan-out\n\
-without --bench/--scenario: REPL — forward stdin lines, print reply lines";
+against a router (--shard-of) the scenario JSON embeds a `router` object\n\
+with per-shard qps, fan-out and barrier p99\n\
+without --scenario: REPL — forward stdin lines, print reply lines";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options::default();
@@ -131,38 +104,6 @@ fn parse_args() -> Result<Options, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--connect" => opts.connect = next_value("--connect", &mut args)?,
-            "--bench" => {
-                let v = next_value("--bench", &mut args)?;
-                let n = v.parse().map_err(|_| format!("bad request count `{v}`"))?;
-                if n == 0 {
-                    return Err("--bench needs at least 1 request".into());
-                }
-                opts.bench = Some(n);
-            }
-            "--conns" => {
-                let v = next_value("--conns", &mut args)?;
-                opts.conns = v
-                    .parse()
-                    .ok()
-                    .filter(|&c: &usize| c > 0)
-                    .ok_or_else(|| format!("bad connection count `{v}`"))?;
-            }
-            "--sources" => {
-                let v = next_value("--sources", &mut args)?;
-                opts.sources = v
-                    .parse()
-                    .ok()
-                    .filter(|&r: &u32| r > 0)
-                    .ok_or_else(|| format!("bad source count `{v}`"))?;
-            }
-            "--topk" => {
-                let v = next_value("--topk", &mut args)?;
-                opts.topk = v.parse().map_err(|_| format!("bad k `{v}`"))?;
-            }
-            "--algo" => {
-                let v = next_value("--algo", &mut args)?;
-                opts.algo = Some(v.parse().map_err(|e| format!("{e}"))?);
-            }
             "--scenario" => {
                 let v = next_value("--scenario", &mut args)?;
                 if v == "help" || v == "list" {
@@ -199,36 +140,11 @@ fn parse_args() -> Result<Options, String> {
     if opts.connect.is_empty() {
         return Err("--connect <addr> is required".into());
     }
-    if opts.bench.is_some() && opts.scenario.is_some() {
-        return Err("--bench and --scenario are mutually exclusive".into());
-    }
     Ok(opts)
 }
 
 fn connect(addr: &str) -> Result<LineClient, String> {
     LineClient::connect(addr).map_err(|e| format!("cannot connect {addr}: {e}"))
-}
-
-/// The unsigned integer value of the first `"field":123` in `json` (the
-/// protocol's stats replies are flat enough for a scan).
-fn u64_field(json: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The float value of the first `"field":1.25` in `json` (used to read the
-/// headline qps back out of a baseline scenario artifact).
-fn f64_field(json: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let rest = &json[json.find(&needle)? + needle.len()..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// The `"requests":` counter of each entry in a router stats reply's
@@ -242,10 +158,20 @@ fn per_shard_requests(stats: &str) -> Vec<u64> {
     let Some(end) = body.find(']') else {
         return Vec::new();
     };
-    body[..end]
-        .match_indices("\"requests\":")
-        .filter_map(|(at, needle)| u64_field(&body[at..at + needle.len() + 24], "requests"))
+    let body = &body[..end];
+    body.match_indices("\"requests\":")
+        .filter_map(|(at, _)| u64_field(&body[at..], "requests"))
         .collect()
+}
+
+/// The nearest-rank `q`-quantile of `sorted` in whole microseconds: always
+/// one of the measured latencies, `null` when nothing was answered.
+fn quantile_us(sorted: &[Duration], q: f64) -> String {
+    if sorted.is_empty() {
+        return "null".to_string();
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1].as_micros().to_string()
 }
 
 fn main() -> ExitCode {
@@ -256,10 +182,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match (&opts.bench, &opts.scenario) {
-        (Some(n), _) => bench(&opts, *n),
-        (None, Some(spec)) => run_scenario(&opts, &spec.clone()),
-        (None, None) => repl(&opts),
+    let result = match &opts.scenario {
+        Some(spec) => run_scenario(&opts, spec),
+        None => repl(&opts),
     };
     match result {
         Ok(code) => code,
@@ -317,198 +242,14 @@ fn repl(opts: &Options) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Load-generator mode: `n` requests spread over `opts.conns` sockets.
-fn bench(opts: &Options, n: u64) -> Result<ExitCode, String> {
-    let conns = opts.conns.min(n as usize).max(1);
-    let histogram = Arc::new(Histogram::default());
-    let errors = Arc::new(AtomicU64::new(0));
-    let algo_suffix = opts.algo.map(|a| format!(" {a}")).unwrap_or_default();
-
-    // Connect every socket before starting the clock: the bench measures
-    // serving, not connection setup, and a refused socket fails fast here.
-    let mut sessions = Vec::with_capacity(conns);
-    for _ in 0..conns {
-        sessions.push(connect(&opts.connect)?);
-    }
-    // A pre-bench stats snapshot: against a router, the per-shard request
-    // deltas across the bench window are what per-shard qps is computed
-    // from. (One extra request on the first socket; not timed.)
-    let pre_stats = sessions[0]
-        .round_trip("stats")
-        .map_err(|e| format!("stats: {e}"))?;
-
-    let started = Instant::now();
-    let threads: Vec<_> = sessions
-        .into_iter()
-        .enumerate()
-        .map(|(t, mut session)| {
-            // Split the N requests over the sockets; the first few sockets
-            // absorb the remainder so exactly N requests go out in total.
-            let share = n / conns as u64 + u64::from((t as u64) < n % conns as u64);
-            let histogram = Arc::clone(&histogram);
-            let errors = Arc::clone(&errors);
-            let sources = opts.sources;
-            let topk = opts.topk;
-            let algo_suffix = algo_suffix.clone();
-            std::thread::spawn(move || {
-                for i in 0..share {
-                    let source = (t as u64 + i * conns as u64) % u64::from(sources);
-                    let request = if topk > 0 {
-                        format!("topk {source} {topk}{algo_suffix}")
-                    } else {
-                        format!("query {source}{algo_suffix}")
-                    };
-                    let sent = Instant::now();
-                    match session.round_trip(&request) {
-                        Ok(reply) if !reply.contains("\"error\"") => {
-                            histogram.record(sent.elapsed());
-                        }
-                        Ok(reply) => {
-                            eprintln!("simrank-client: request `{request}` failed: {reply}");
-                            errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => {
-                            eprintln!("simrank-client: {request}: {e}");
-                            errors.fetch_add(1, Ordering::Relaxed);
-                            return None;
-                        }
-                    }
-                }
-                // Hand the still-open session back: the tail requests below
-                // reuse it, so they cannot be load-shed the way a *fresh*
-                // connection could while the server is at --max-conns
-                // (handlers release their permits one read-poll tick after
-                // the bench sockets close).
-                Some(session)
-            })
-        })
-        .collect();
-    let mut survivors: Vec<LineClient> = Vec::new();
-    for thread in threads {
-        if let Ok(Some(session)) = thread.join() {
-            survivors.push(session);
-        }
-    }
-    let elapsed = started.elapsed();
-
-    // Server-side view (and the shutdown) over a surviving bench session.
-    let mut tail = survivors
-        .into_iter()
-        .next()
-        .ok_or("every bench connection died; no session left for stats")?;
-    let server_stats = tail
-        .round_trip("stats")
-        .map_err(|e| format!("stats: {e}"))?;
-    if server_stats.contains("\"error\"") || !server_stats.contains("\"queries\"") {
-        return Err(format!("unexpected stats reply: {server_stats}"));
-    }
-    // A final Prometheus scrape rides along in the bench artifact, so a CI
-    // run's bench JSON carries the complete post-load series state. What the
-    // scrape must contain depends on who answered: a single service counts
-    // simrank_queries_total; a router counts its fan-out instead.
-    let routed = server_stats.contains("\"per_shard\"");
-    let metrics_scrape = tail
-        .round_trip_multi("metrics", "# EOF")
-        .map_err(|e| format!("metrics: {e}"))?;
-    let expected_series = if routed {
-        "simrank_router_fanout_total"
-    } else {
-        "simrank_queries_total"
-    };
-    if !metrics_scrape.contains(expected_series) {
-        return Err(format!(
-            "unexpected metrics reply (no {expected_series}): {}",
-            metrics_scrape.lines().next().unwrap_or("")
-        ));
-    }
-    let shutdown_reply = if opts.shutdown {
-        Some(
-            tail.round_trip("shutdown")
-                .map_err(|e| format!("shutdown: {e}"))?,
-        )
-    } else {
-        None
-    };
-
-    let completed = histogram.count();
-    let errored = errors.load(Ordering::Relaxed);
-    let qps = completed as f64 / elapsed.as_secs_f64().max(f64::EPSILON);
-    let us = |d: Option<Duration>| d.map_or("null".to_string(), |d| d.as_micros().to_string());
-    // The router breakdown (satellite of the sharded serving tier): shard
-    // count, topk fan-out, barrier p99, and per-shard qps over the bench
-    // window from the pre/post request-counter deltas.
-    let router_json = if routed {
-        let before = per_shard_requests(&pre_stats);
-        let after = per_shard_requests(&server_stats);
-        let per_shard_qps: Vec<String> = after
-            .iter()
-            .enumerate()
-            .map(|(i, &post)| {
-                let delta = post.saturating_sub(before.get(i).copied().unwrap_or(0));
-                format!(
-                    "{:.1}",
-                    delta as f64 / elapsed.as_secs_f64().max(f64::EPSILON)
-                )
-            })
-            .collect();
-        let opt = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
-        format!(
-            concat!(
-                "{{\"shards\":{},\"fanout_topk\":{},",
-                "\"barrier_wait_p99_us\":{},\"per_shard_qps\":[{}]}}"
-            ),
-            opt(u64_field(&server_stats, "shards")),
-            opt(u64_field(&server_stats, "topk")),
-            opt(u64_field(&server_stats, "barrier_wait_p99_us")),
-            per_shard_qps.join(","),
-        )
-    } else {
-        "null".to_string()
-    };
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"tcp_serving\",\"schema_version\":2,",
-            "\"addr\":\"{}\",\"requests\":{},\"completed\":{},\"conns\":{},",
-            "\"sources\":{},\"topk\":{},",
-            "\"elapsed_ms\":{:.3},\"queries_per_sec\":{:.1},",
-            "\"p50_us\":{},\"p99_us\":{},\"errors\":{},",
-            "\"router\":{},",
-            "\"server_stats\":{},\"metrics_scrape\":\"{}\"}}"
-        ),
-        escape_json(&opts.connect),
-        n,
-        completed,
-        conns,
-        opts.sources,
-        opts.topk,
-        elapsed.as_secs_f64() * 1e3,
-        qps,
-        us(histogram.quantile(0.50)),
-        us(histogram.quantile(0.99)),
-        errored,
-        router_json,
-        server_stats,
-        escape_json(&metrics_scrape),
-    );
-    println!("{json}");
-    if let Some(path) = &opts.out {
-        std::fs::write(path, format!("{json}\n")).map_err(|e| format!("write {path}: {e}"))?;
-        eprintln!("simrank-client: wrote {path}");
-    }
-    if let Some(reply) = shutdown_reply {
-        eprintln!("simrank-client: server drain acknowledged: {reply}");
-    }
-
-    // The CI gate: every request answered, nonzero throughput.
-    if errored > 0 || completed != n {
-        eprintln!("simrank-client: {errored} errors, {completed}/{n} completed");
-        return Ok(ExitCode::FAILURE);
-    }
-    if qps <= 0.0 {
-        eprintln!("simrank-client: zero throughput");
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
+/// What one connection's thread brings back: the measured latency of every
+/// answered request, its error and shed counts, and its session while the
+/// socket is still open (the tail requests after the run reuse it).
+struct ConnOutcome {
+    latencies: Vec<Duration>,
+    errors: u64,
+    shed: u64,
+    session: Option<LineClient>,
 }
 
 /// Scenario mode: expand `spec` into its deterministic plan and drive it.
@@ -557,29 +298,33 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
         per_conn[conn].push((i, op.to_line(spec.topk)));
     }
 
-    // Connect every socket before starting the clock, as in bench mode.
+    // Connect every socket before starting the clock: the run measures
+    // serving, not connection setup, and a refused socket fails fast here.
     let mut sessions = Vec::with_capacity(conns);
     for _ in 0..conns {
         sessions.push(connect(&opts.connect)?);
     }
+    // A pre-run stats snapshot: the per-shard request and rejected-connection
+    // deltas across the run window are computed from it (one extra request
+    // on the first socket; not timed).
     let pre_stats = sessions[0]
         .round_trip("stats")
         .map_err(|e| format!("stats: {e}"))?;
 
-    let histogram = Arc::new(Histogram::default());
-    let errors = Arc::new(AtomicU64::new(0));
-    let shed = Arc::new(AtomicU64::new(0));
     let offsets = offsets.map(Arc::new);
     let started = Instant::now();
     let threads: Vec<_> = sessions
         .into_iter()
         .zip(per_conn)
         .map(|(mut session, ops)| {
-            let histogram = Arc::clone(&histogram);
-            let errors = Arc::clone(&errors);
-            let shed = Arc::clone(&shed);
             let offsets = offsets.clone();
             std::thread::spawn(move || {
+                let mut outcome = ConnOutcome {
+                    latencies: Vec::with_capacity(ops.len()),
+                    errors: 0,
+                    shed: 0,
+                    session: None,
+                };
                 for (global, line) in ops {
                     // Open loop: wait for the scheduled arrival, then measure
                     // from the schedule. Closed loop: measure from the send.
@@ -594,35 +339,46 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
                         None => started.elapsed(),
                     };
                     match session.round_trip(&line) {
-                        Ok(reply) if !reply.contains("\"error\"") => {
-                            histogram.record(started.elapsed().saturating_sub(measure_from));
-                        }
-                        Ok(reply) if reply.contains("\"code\":\"capacity\"") => {
-                            shed.fetch_add(1, Ordering::Relaxed);
-                        }
+                        Ok(reply) if !reply.contains("\"error\"") => outcome
+                            .latencies
+                            .push(started.elapsed().saturating_sub(measure_from)),
+                        Ok(reply) if reply.contains("\"code\":\"capacity\"") => outcome.shed += 1,
                         Ok(reply) => {
                             eprintln!("simrank-client: `{line}` failed: {reply}");
-                            errors.fetch_add(1, Ordering::Relaxed);
+                            outcome.errors += 1;
                         }
                         Err(e) => {
                             eprintln!("simrank-client: {line}: {e}");
-                            errors.fetch_add(1, Ordering::Relaxed);
-                            return None;
+                            outcome.errors += 1;
+                            return outcome;
                         }
                     }
                 }
-                Some(session)
+                outcome.session = Some(session);
+                outcome
             })
         })
         .collect();
+    let mut latencies = Vec::with_capacity(plan.len());
+    let (mut errored, mut shed) = (0u64, 0u64);
     let mut survivors: Vec<LineClient> = Vec::new();
     for thread in threads {
-        if let Ok(Some(session)) = thread.join() {
-            survivors.push(session);
+        // A panicked thread's operations stay unaccounted for, which the
+        // gate below turns into a failure.
+        if let Ok(outcome) = thread.join() {
+            latencies.extend(outcome.latencies);
+            errored += outcome.errors;
+            shed += outcome.shed;
+            survivors.extend(outcome.session);
         }
     }
     let elapsed = started.elapsed();
+    latencies.sort_unstable();
 
+    // Server-side view (and the shutdown) over a surviving session: a fresh
+    // connection could be load-shed while the server is at --max-conns
+    // (handlers release their permits one read-poll tick after the run's
+    // sockets close).
     let mut tail = survivors
         .into_iter()
         .next()
@@ -630,8 +386,27 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
     let server_stats = tail
         .round_trip("stats")
         .map_err(|e| format!("stats: {e}"))?;
-    if server_stats.contains("\"error\"") {
+    if server_stats.contains("\"error\"") || !server_stats.contains("\"queries\"") {
         return Err(format!("unexpected stats reply: {server_stats}"));
+    }
+    // A final Prometheus scrape rides along in the artifact, so a CI run's
+    // JSON carries the complete post-load series state. What the scrape
+    // must contain depends on who answered: a single service counts
+    // simrank_queries_total; a router counts its fan-out instead.
+    let routed = server_stats.contains("\"per_shard\"");
+    let metrics_scrape = tail
+        .round_trip_multi("metrics", "# EOF")
+        .map_err(|e| format!("metrics: {e}"))?;
+    let expected_series = if routed {
+        "simrank_router_fanout_total"
+    } else {
+        "simrank_queries_total"
+    };
+    if !metrics_scrape.contains(expected_series) {
+        return Err(format!(
+            "unexpected metrics reply (no {expected_series}): {}",
+            metrics_scrape.lines().next().unwrap_or("")
+        ));
     }
     let shutdown_reply = if opts.shutdown {
         Some(
@@ -647,36 +422,33 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
     let rejected_delta = u64_field(&server_stats, "connections_rejected")
         .unwrap_or(0)
         .saturating_sub(u64_field(&pre_stats, "connections_rejected").unwrap_or(0));
-    let shed = shed.load(Ordering::Relaxed) + rejected_delta;
-    let completed = histogram.count();
-    let errored = errors.load(Ordering::Relaxed);
-    let qps = completed as f64 / elapsed.as_secs_f64().max(f64::EPSILON);
+    let shed = shed + rejected_delta;
+    let completed = latencies.len() as u64;
+    let secs = elapsed.as_secs_f64().max(f64::EPSILON);
+    let qps = completed as f64 / secs;
     let shed_rate = shed as f64 / (completed + shed).max(1) as f64;
-    let us = |d: Option<Duration>| d.map_or("null".to_string(), |d| d.as_micros().to_string());
     let opt_u64 = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
 
-    let routed = server_stats.contains("\"per_shard\"");
+    // The router breakdown: shard count, topk fan-out, barrier p99, and
+    // per-shard qps over the run window from the request-counter deltas.
     let router_json = if routed {
         let before = per_shard_requests(&pre_stats);
-        let after = per_shard_requests(&server_stats);
-        let per_shard_qps: Vec<String> = after
+        let per_shard_qps: Vec<String> = per_shard_requests(&server_stats)
             .iter()
             .enumerate()
             .map(|(i, &post)| {
                 let delta = post.saturating_sub(before.get(i).copied().unwrap_or(0));
-                format!(
-                    "{:.1}",
-                    delta as f64 / elapsed.as_secs_f64().max(f64::EPSILON)
-                )
+                format!("{:.1}", delta as f64 / secs)
             })
             .collect();
         format!(
             concat!(
                 "{{\"shards\":{},\"fanout_topk\":{},",
-                "\"per_shard_qps\":[{}]}}"
+                "\"barrier_wait_p99_us\":{},\"per_shard_qps\":[{}]}}"
             ),
             opt_u64(u64_field(&server_stats, "shards")),
             opt_u64(u64_field(&server_stats, "topk")),
+            opt_u64(u64_field(&server_stats, "barrier_wait_p99_us")),
             per_shard_qps.join(","),
         )
     } else {
@@ -685,7 +457,7 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
 
     let json = format!(
         concat!(
-            "{{\"bench\":\"scenario\",\"schema_version\":1,",
+            "{{\"bench\":\"scenario\",\"schema_version\":2,",
             "\"scenario\":\"{}\",\"spec\":\"{}\",\"addr\":\"{}\",",
             "\"plan_ops\":{},\"reads\":{},\"writes\":{},\"commits\":{},",
             "\"completed\":{},\"errors\":{},\"shed\":{},\"shed_rate\":{:.4},",
@@ -693,7 +465,7 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
             "\"zipf_exponent\":{},\"read_mix\":{},\"rate\":{},\"open_loop\":{},",
             "\"seed\":{},\"elapsed_ms\":{:.3},\"qps\":{:.1},",
             "\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},",
-            "\"router\":{},\"server_stats\":{}}}"
+            "\"router\":{},\"server_stats\":{},\"metrics_scrape\":\"{}\"}}"
         ),
         escape_json(&spec.name),
         escape_json(raw_spec),
@@ -717,11 +489,12 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
         spec.seed,
         elapsed.as_secs_f64() * 1e3,
         qps,
-        us(histogram.quantile(0.50)),
-        us(histogram.quantile(0.99)),
-        us(histogram.quantile(0.999)),
+        quantile_us(&latencies, 0.50),
+        quantile_us(&latencies, 0.99),
+        quantile_us(&latencies, 0.999),
         router_json,
         server_stats,
+        escape_json(&metrics_scrape),
     );
     println!("{json}");
     if let Some(path) = &opts.out {
@@ -765,4 +538,31 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
         );
     }
     Ok(ExitCode::SUCCESS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_are_nearest_rank_samples() {
+        let sorted: Vec<Duration> = (1..=1000).map(Duration::from_micros).collect();
+        assert_eq!(quantile_us(&sorted, 0.50), "500");
+        assert_eq!(quantile_us(&sorted, 0.99), "990");
+        assert_eq!(quantile_us(&sorted, 0.999), "999");
+        assert_eq!(quantile_us(&sorted[..3], 0.50), "2");
+        assert_eq!(quantile_us(&sorted[..1], 0.999), "1");
+        assert_eq!(quantile_us(&[], 0.50), "null");
+    }
+
+    #[test]
+    fn per_shard_requests_reads_each_entry_in_order() {
+        let stats = concat!(
+            "{\"shards\":2,\"queries\":9,\"per_shard\":[",
+            "{\"addr\":\"a\",\"requests\":5,\"errors\":0},",
+            "{\"addr\":\"b\",\"requests\":4,\"errors\":1}]}"
+        );
+        assert_eq!(per_shard_requests(stats), vec![5, 4]);
+        assert!(per_shard_requests("{\"queries\":3}").is_empty());
+    }
 }

@@ -10,7 +10,7 @@
 //! | [`health`] | per-shard closed → open → half-open circuit breakers (exponential backoff + jitter) behind every request and the background `ping` prober |
 //! | [`router`] | [`ShardRouter`]: routes `query` and `topk` to the owning shard with one call per read, fenced to the published epoch (failover marks replies `degraded`), fans out updates with compensation and commits under a write barrier, and answers `stats`/`metrics` with fan-out, barrier, and per-shard series |
 //! | [`scenario`] | workload scenarios for `simrank-client --scenario`: Zipfian source popularity, read/write/algorithm mixes, open-loop Poisson arrivals with burst phases, expanded into deterministic operation plans |
-//! | `wire` (private) | field scanners for the protocol's flat JSON reply lines |
+//! | [`wire`] | field scanners for the protocol's flat JSON reply lines, shared by the router and `simrank-client` |
 //!
 //! The router implements [`exactsim_service::net::ProtocolHost`], so the
 //! same TCP listener (and stdin REPL) serves either a single service or a
@@ -52,7 +52,7 @@ pub mod backend;
 pub mod health;
 pub mod router;
 pub mod scenario;
-pub(crate) mod wire;
+pub mod wire;
 
 pub use backend::{LocalShard, RemoteShard, ShardBackend, ShardError};
 pub use health::{Breaker, BreakerConfig, BreakerState};

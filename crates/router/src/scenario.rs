@@ -1,6 +1,6 @@
 //! Workload scenarios for `simrank-client --scenario`: named, parameterised
-//! request mixes that turn the client from a uniform `topk` hammer into a
-//! workload model.
+//! request mixes, from the uniform `topk` hammer (`steady_read`) to skewed,
+//! write-heavy, bursty and fault-drill workload models.
 //!
 //! A scenario combines four independent axes:
 //!
@@ -153,8 +153,9 @@ pub fn builtin(name: &str) -> Option<ScenarioSpec> {
         ..ScenarioSpec::default()
     };
     Some(match name {
-        // The uniform closed-loop read hammer: the old `--bench` behaviour,
-        // expressed as a scenario.
+        // The uniform closed-loop read hammer: `topk` over uniformly drawn
+        // sources (CI's network and router smokes run it as
+        // `steady_read,requests=400,conns=8`).
         "steady_read" => base,
         // Zipf-skewed read-only load: a few hot sources dominate, which is
         // what makes the service's response cache and dedup earn their keep.

@@ -3,11 +3,13 @@
 //! The router reads replies produced by [`exactsim_service`]'s own
 //! serializers, whose shapes are fixed and flat (one object per line), and
 //! only ever needs a few top-level scalars: a reply's `epoch`, an error
-//! `code`, a `staged` state. Scanning for `"field":` is exact against that
-//! grammar, so a full JSON parser — which the offline workspace does not
-//! have — is not needed. The scanners are deliberately conservative:
-//! anything unexpected returns `None`, which the router surfaces as an
-//! `internal` protocol error rather than a wrong answer.
+//! `code`, a `staged` state. `simrank-client` reads `stats` counters and a
+//! baseline artifact's `qps` with the same scanners. Scanning for
+//! `"field":` is exact against that grammar, so a full JSON parser — which
+//! the offline workspace does not have — is not needed. The scanners are
+//! deliberately conservative: anything unexpected returns `None`, which the
+//! router surfaces as an `internal` protocol error rather than a wrong
+//! answer.
 
 /// Everything after `"field":` in `json`, or `None` when absent.
 fn after_field<'a>(json: &'a str, field: &str) -> Option<&'a str> {
@@ -21,6 +23,15 @@ pub fn u64_field(json: &str, field: &str) -> Option<u64> {
     let rest = after_field(json, field)?;
     let end = rest
         .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// The float value of a top-level `"field":1.25`.
+pub fn f64_field(json: &str, field: &str) -> Option<f64> {
+    let rest = after_field(json, field)?;
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
 }
@@ -52,6 +63,12 @@ mod tests {
         assert_eq!(u64_field(json, "epoch"), Some(42));
         assert_eq!(str_field(json, "op"), Some("commit"));
         assert_eq!(u64_field(json, "missing"), None);
+        assert_eq!(
+            f64_field("{\"qps\":1234.5,\"p50_us\":64}", "qps"),
+            Some(1234.5)
+        );
+        assert_eq!(f64_field(json, "epoch"), Some(42.0));
+        assert_eq!(f64_field(json, "missing"), None);
         assert_eq!(str_field(json, "missing"), None);
     }
 
