@@ -147,12 +147,12 @@ pub fn estimate_bernoulli<G: NeighborAccess>(
 ///   that threshold and sampling is skipped (bias ≤ threshold). Pass `0.0`
 ///   to always sample, reproducing the paper's pseudocode verbatim.
 ///
-/// Two refinements relative to the literal pseudocode, both recorded in
-/// DESIGN.md: (1) the tail is sampled with `⌈R(k)·c^{2ℓ(k)}⌉` pairs instead of
-/// `R(k)` — each tail sample has range `c^{ℓ(k)}`, so this keeps the variance
-/// at the `1/R(k)` level the paper's analysis assumes while avoiding
-/// astronomically many walks; (2) the engineering caps in
-/// [`LocalExploreCaps`].
+/// Two refinements relative to the literal pseudocode (see also "Practical
+/// deviations" in the [`crate::exactsim`] module docs): (1) the tail is
+/// sampled with `⌈R(k)·c^{2ℓ(k)}⌉` pairs instead of `R(k)` — each
+/// tail sample has range `c^{ℓ(k)}`, so this keeps the variance at the
+/// `1/R(k)` level the paper's analysis assumes while avoiding astronomically
+/// many walks; (2) the engineering caps in [`LocalExploreCaps`].
 ///
 /// All intermediate state lives in the caller-owned [`DiagonalScratch`]:
 /// walk distributions in its [`crate::scratch::DistTable`] arena, the

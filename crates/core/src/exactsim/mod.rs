@@ -15,7 +15,7 @@
 //! Lemma 2), *sampling ∝ π_i(k)²* (`R` scaled down by `‖π_i‖²`, Lemma 3) and
 //! the *local deterministic exploitation* of `D` (Algorithm 3).
 //!
-//! ## Practical deviations (also recorded in DESIGN.md)
+//! ## Practical deviations
 //!
 //! The theoretical sample count at `ε = 1e-7` is astronomically large; the
 //! guarantee is what makes the output a ground truth, but most of those

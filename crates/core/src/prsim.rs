@@ -14,10 +14,10 @@
 //!
 //! The authors' PRSim additionally samples the non-indexed part with a probe
 //! algorithm; re-implementing that machinery is out of scope for a baseline,
-//! so this implementation (documented in DESIGN.md) indexes the columns of
-//! *every* node `k` reachable within the level horizon, pruned at
-//! `(1−√c)·ε` — i.e. it behaves like PRSim with a hub fraction of 1. The two
-//! properties the paper's comparison relies on are preserved:
+//! so this implementation indexes the columns of *every* node `k` reachable
+//! within the level horizon, pruned at `(1−√c)·ε` — i.e. it behaves like
+//! PRSim with a hub fraction of 1. The two properties the paper's comparison
+//! relies on are preserved:
 //!
 //! * index time and size grow as the error parameter ε shrinks (the `1/ε`
 //!   pruning plus the `O(log n/ε²)` walk-based estimate of `D`);

@@ -119,14 +119,6 @@ impl Ord for Ranked {
     }
 }
 
-/// Returns just the node ids of the top-k answer (ordering as [`top_k`]).
-pub fn top_k_nodes(scores: &[f64], source: u32, k: usize) -> Vec<u32> {
-    top_k(scores, source, k)
-        .into_iter()
-        .map(|e| e.node)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,12 +155,6 @@ mod tests {
         assert!(top_k(&[1.0, 0.5], 0, 0).is_empty());
         assert!(top_k(&[], 0, 5).is_empty());
         assert!(top_k(&[1.0], 0, 5).is_empty());
-    }
-
-    #[test]
-    fn top_k_nodes_matches_top_k() {
-        let scores = vec![1.0, 0.2, 0.8, 0.6];
-        assert_eq!(top_k_nodes(&scores, 0, 2), vec![2, 3]);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! ```
 //!
 //! where *meet* means "visit the same node at the same step (step ≥ 1) while
-//! both walks are still alive". The Monte-Carlo baseline, the diagonal
-//! estimators of ExactSim (Algorithms 2 and 3) and the pooling evaluator are
-//! all built from the primitives in this module.
+//! both walks are still alive". The Monte-Carlo baseline and the diagonal
+//! estimators of ExactSim (Algorithms 2 and 3) are built from the primitives
+//! in this module.
 
 use exactsim_graph::{NeighborAccess, NodeId};
 use rand::rngs::SmallRng;

@@ -11,8 +11,9 @@
 //! scale-free graph with the same directedness and average degree, at the
 //! original node count for the small graphs and at a configurable scale-down
 //! factor for the large ones. The substitution rationale is spelled out in
-//! DESIGN.md; if a real SNAP/LAW edge list is placed on disk, [`DatasetSpec::
-//! load_or_generate`] prefers it over the synthetic graph.
+//! the "Dataset provenance" section of REPRODUCING.md; if a real SNAP/LAW edge
+//! list is placed on disk, [`DatasetSpec::load_or_generate`] prefers it over
+//! the synthetic graph.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

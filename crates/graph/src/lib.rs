@@ -21,7 +21,7 @@
 //! * [`generators`] — deterministic synthetic graph generators (Erdős–Rényi,
 //!   Barabási–Albert, power-law configuration model, stochastic block model,
 //!   and regular families) used as stand-ins for the SNAP/LAW datasets.
-//! * [`analysis`] — degree statistics, connected components and PageRank.
+//! * [`analysis`] — degree statistics and PageRank.
 //! * [`partition`] — the deterministic node-to-shard assignment of the
 //!   sharded serving tier ([`PartitionMap`]), a pure function of
 //!   `(node, num_shards)` shared by routers and shard processes.

@@ -300,7 +300,7 @@ fn help_text() -> String {
 
 /// The front-end the listener serves: one service, or a router over remote
 /// shards. Both implement [`ProtocolHost`]; this enum only exists so the
-/// binary can hold either and render mode-appropriate final stats.
+/// binary can hold either and print its final `stats` reply.
 enum Host {
     Single(SimRankService),
     Router(ShardRouter),
@@ -310,13 +310,6 @@ impl Host {
     fn stats_json(&self) -> String {
         match self {
             Host::Single(service) => service.stats().to_json(),
-            Host::Router(router) => router.stats_json(),
-        }
-    }
-
-    fn stats_human(&self) -> String {
-        match self {
-            Host::Single(service) => service.stats().to_string(),
             Host::Router(router) => router.stats_json(),
         }
     }
@@ -538,15 +531,16 @@ fn main() -> ExitCode {
         Some(addr) => serve_tcp(&host, addr, &opts),
         None => serve_stdin(&host, &opts),
     };
-    // The final counters: the human block in text mode, one structured event
-    // in JSON mode (so a `--log-json` stderr stream stays machine-parseable).
+    // The final counters are the `stats` reply: one JSON line under a header
+    // in text mode, one structured event in JSON mode (so a `--log-json`
+    // stderr stream stays machine-parseable).
     match oplog::format() {
         LogFormat::Json => oplog::info(
             "simrank-serve",
             "final stats",
             &[("stats", host.stats_json().into())],
         ),
-        LogFormat::Text => eprintln!("--- final stats ---\n{}", host.stats_human()),
+        LogFormat::Text => eprintln!("--- final stats ---\n{}", host.stats_json()),
     }
     code
 }

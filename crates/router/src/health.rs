@@ -37,9 +37,9 @@ use std::time::{Duration, Instant};
 
 /// Tuning knobs for every [`Breaker`] a router creates.
 ///
-/// [`BreakerConfig::from_env`] reads operator overrides; the defaults favor
-/// fast CI-visible transitions while staying sane in production: 3 strikes,
-/// 200 ms first cool-down, 2 s cap, 500 ms probe cadence.
+/// The defaults favor fast CI-visible transitions while staying sane in
+/// production: 3 strikes, 200 ms first cool-down, 2 s cap, 500 ms probe
+/// cadence.
 #[derive(Clone, Copy, Debug)]
 pub struct BreakerConfig {
     /// Consecutive unavailability failures that trip Closed → Open.
@@ -60,29 +60,6 @@ impl Default for BreakerConfig {
             backoff_max: Duration::from_millis(2_000),
             probe_interval: Duration::from_millis(500),
         }
-    }
-}
-
-impl BreakerConfig {
-    /// The defaults, overridden by any of `SIMRANK_BREAKER_THRESHOLD`,
-    /// `SIMRANK_BREAKER_BACKOFF_MS`, `SIMRANK_BREAKER_BACKOFF_MAX_MS`,
-    /// `SIMRANK_PROBE_INTERVAL_MS` (unparsable values are ignored).
-    pub fn from_env() -> Self {
-        let mut cfg = BreakerConfig::default();
-        let num = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-        if let Some(v) = num("SIMRANK_BREAKER_THRESHOLD") {
-            cfg.failure_threshold = (v as u32).max(1);
-        }
-        if let Some(v) = num("SIMRANK_BREAKER_BACKOFF_MS") {
-            cfg.backoff_base = Duration::from_millis(v.max(1));
-        }
-        if let Some(v) = num("SIMRANK_BREAKER_BACKOFF_MAX_MS") {
-            cfg.backoff_max = Duration::from_millis(v.max(1));
-        }
-        if let Some(v) = num("SIMRANK_PROBE_INTERVAL_MS") {
-            cfg.probe_interval = Duration::from_millis(v.max(1));
-        }
-        cfg
     }
 }
 

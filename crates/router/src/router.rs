@@ -182,7 +182,7 @@ impl ShardRouter {
                 &[("verb", verb)],
             )
         };
-        let breaker_config = BreakerConfig::from_env();
+        let breaker_config = BreakerConfig::default();
         let health: Arc<Vec<Breaker>> = Arc::new(
             (0..shards.len())
                 .map(|i| Breaker::new(breaker_config, i as u64))

@@ -11,7 +11,6 @@
 //! [`exactsim_obs::metrics::Histogram`] over microseconds: p50/p99 are the
 //! upper bound of the containing bucket, i.e. within a factor of two.
 
-use std::fmt;
 use std::time::Duration;
 
 use exactsim_obs::json::escape_json;
@@ -230,105 +229,6 @@ impl StatsSnapshot {
     }
 }
 
-impl fmt::Display for StatsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "graph epoch:        {}", self.epoch)?;
-        writeln!(
-            f,
-            "topology:           {} shard(s), {} workers, {} kernel thread(s)",
-            self.shape.shards, self.shape.workers, self.shape.kernel_threads
-        )?;
-        writeln!(f, "queries served:     {}", self.queries)?;
-        writeln!(
-            f,
-            "cache hit rate:     {:.1}% ({} hits, {} dedup joins)",
-            self.hit_rate() * 100.0,
-            self.cache_hits,
-            self.dedup_joins
-        )?;
-        writeln!(f, "computations:       {}", self.computations)?;
-        writeln!(f, "index builds:       {}", self.index_builds)?;
-        writeln!(
-            f,
-            "cache:              {} entries resident, {} evicted, {} invalidated",
-            self.cached_entries, self.evictions, self.invalidations
-        )?;
-        writeln!(f, "epoch refreshes:    {}", self.epoch_refreshes)?;
-        if self.updates_staged > 0 || self.commit_requests > 0 {
-            writeln!(
-                f,
-                "writes:             {} updates staged, {} commits",
-                self.updates_staged, self.commit_requests
-            )?;
-        }
-        let mem = |v: Option<u64>| match v {
-            Some(bytes) => format!("{bytes} B"),
-            None => "unbuilt".to_string(),
-        };
-        writeln!(
-            f,
-            "index memory:       exactsim {}, prsim {}, mc {}",
-            mem(self.index_memory_bytes[0]),
-            mem(self.index_memory_bytes[1]),
-            mem(self.index_memory_bytes[2])
-        )?;
-        writeln!(f, "errors:             {}", self.errors)?;
-        if self.connections_accepted > 0 || self.connections_rejected > 0 {
-            writeln!(
-                f,
-                "tcp connections:    {} accepted, {} live, {} rejected ({:.1}% shed), {} requests",
-                self.connections_accepted,
-                self.connections_accepted
-                    .saturating_sub(self.connections_closed),
-                self.connections_rejected,
-                self.shed_rate() * 100.0,
-                self.net_requests
-            )?;
-            let per_conn = match self.requests_per_conn_p50 {
-                Some(p50) => format!(", <= {p50} requests/conn (p50)"),
-                None => String::new(),
-            };
-            writeln!(
-                f,
-                "tcp bytes:          {} in, {} out{per_conn}",
-                self.bytes_in, self.bytes_out
-            )?;
-        }
-        if let Some(p) = &self.pool {
-            writeln!(
-                f,
-                "buffer pool:        {}/{} pages resident ({} pinned), {:.1}% hit rate, {} evictions",
-                p.resident,
-                p.capacity,
-                p.pinned,
-                p.hit_rate() * 100.0,
-                p.evictions
-            )?;
-        }
-        match (&self.data_dir, self.wal_len, self.last_snapshot_epoch) {
-            (Some(dir), Some(wal), Some(snap)) => writeln!(
-                f,
-                "durability:         {dir} (wal {wal} records, snapshot at epoch {snap})"
-            )?,
-            _ => writeln!(f, "durability:         in-memory (no data dir)")?,
-        }
-        let fmt_latency = |d: Option<Duration>| match d {
-            Some(d) => format!("<= {d:?}"),
-            None => "n/a".to_string(),
-        };
-        writeln!(f, "latency p50:        {}", fmt_latency(self.p50))?;
-        write!(f, "latency p99:        {}", fmt_latency(self.p99))?;
-        if self.latency_saturated > 0 {
-            write!(
-                f,
-                "\nlatency saturated:  {} observations past the top bucket",
-                self.latency_saturated
-            )?;
-        }
-        Ok(())
-    }
-}
-
 fn ratio(part: u64, whole: u64) -> f64 {
     if whole == 0 {
         0.0
@@ -381,7 +281,6 @@ mod tests {
             ..Default::default()
         };
         assert!(snap.to_json().contains("\"latency_saturated\":1"));
-        assert!(snap.to_string().contains("latency saturated:  1"));
     }
 
     #[test]
@@ -395,19 +294,12 @@ mod tests {
         };
         let json = snap.to_json();
         assert!(json.contains("\"connections_accepted\":5"), "{json}");
+        assert!(json.contains("\"connections_closed\":3"), "{json}");
         assert!(json.contains("\"connections_rejected\":2"), "{json}");
         assert!(json.contains("\"net_requests\":40"), "{json}");
         // 2 of 7 offered connections were shed.
         assert!((snap.shed_rate() - 2.0 / 7.0).abs() < 1e-12);
         assert!(json.contains("\"shed_rate\":0.2857"), "{json}");
-        let rendered = snap.to_string();
-        assert!(
-            rendered.contains("5 accepted, 2 live, 2 rejected (28.6% shed), 40 requests"),
-            "{rendered}"
-        );
-        // A stdin-only server never shows the TCP line.
-        let quiet = StatsSnapshot::default().to_string();
-        assert!(!quiet.contains("tcp connections"));
     }
 
     #[test]
@@ -430,21 +322,12 @@ mod tests {
         assert!(json.contains("\"bytes_in\":120"), "{json}");
         assert!(json.contains("\"bytes_out\":4096"), "{json}");
         assert!(json.contains("\"requests_per_conn_p50\":4"), "{json}");
-        let rendered = snap.to_string();
-        assert!(
-            rendered.contains("tcp bytes:          120 in, 4096 out, <= 4 requests/conn (p50)"),
-            "{rendered}"
-        );
-        // Before any connection finishes, the quantile serializes as null and
-        // the Display suffix is omitted.
+        // Before any connection finishes, the quantile serializes as null.
         let early = StatsSnapshot {
             connections_accepted: 1,
             ..Default::default()
         };
         assert!(early.to_json().contains("\"requests_per_conn_p50\":null"));
-        assert!(early
-            .to_string()
-            .contains("tcp bytes:          0 in, 0 out\n"));
     }
 
     #[test]
@@ -457,14 +340,8 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains("\"updates_staged\":12"), "{json}");
         assert!(json.contains("\"commit_requests\":3"), "{json}");
-        assert!(
-            snap.to_string()
-                .contains("writes:             12 updates staged, 3 commits"),
-            "{snap}"
-        );
-        // A read-only server omits the Display line and sheds nothing.
+        // A server with no listener sheds nothing.
         let quiet = StatsSnapshot::default();
-        assert!(!quiet.to_string().contains("writes:"));
         assert_eq!(quiet.shed_rate(), 0.0);
         assert!(quiet.to_json().contains("\"shed_rate\":0.0000"));
     }
@@ -479,11 +356,6 @@ mod tests {
         assert!(
             json.contains("\"memory_bytes\":{\"exactsim\":0,\"prsim\":4096,\"mc\":null}"),
             "{json}"
-        );
-        let rendered = snap.to_string();
-        assert!(
-            rendered.contains("index memory:       exactsim 0 B, prsim 4096 B, mc unbuilt"),
-            "{rendered}"
         );
     }
 
@@ -502,13 +374,17 @@ mod tests {
             ..Default::default()
         };
         assert!((snap.hit_rate() - 0.9).abs() < 1e-12);
-        let rendered = snap.to_string();
-        assert!(rendered.contains("90.0%"));
-        assert!(rendered.contains("computations:       1"));
-        assert!(rendered.contains("graph epoch:        7"));
-        assert!(rendered.contains("epoch refreshes:    2"));
-        assert!(rendered.contains("5 entries resident, 0 evicted, 4 invalidated"));
-        assert!(rendered.contains("in-memory"));
+        let json = snap.to_json();
+        for field in [
+            "\"epoch\":7,",
+            "\"hit_rate\":0.9000,",
+            "\"computations\":1,",
+            "\"epoch_refreshes\":2,",
+            "\"evictions\":0,\"invalidations\":4,\"cached_entries\":5,",
+            "\"data_dir\":null,",
+        ] {
+            assert!(json.contains(field), "{field} in {json}");
+        }
     }
 
     #[test]
@@ -563,8 +439,6 @@ mod tests {
             json.starts_with("{\"epoch\":0,\"shards\":3,\"workers\":4,\"kernel_threads\":2,"),
             "{json}"
         );
-        let rendered = snap.to_string();
-        assert!(rendered.contains("3 shard(s), 4 workers, 2 kernel thread(s)"));
         // The single-process default reports one shard.
         let plain = StatsSnapshot::default().to_json();
         assert!(plain.contains("\"shards\":1"), "{plain}");
@@ -592,17 +466,10 @@ mod tests {
             )),
             "{json}"
         );
-        assert!(
-            snap.to_string().contains(
-                "buffer pool:        64/64 pages resident (2 pinned), 90.0% hit rate, 36 evictions"
-            ),
-            "{snap}"
-        );
         // An in-memory (unpaged) store reports no pool at all — scrapers can
         // key backend detection on the null.
         let unpaged = StatsSnapshot::default();
         assert!(unpaged.to_json().contains("\"pool\":null"));
-        assert!(!unpaged.to_string().contains("buffer pool:"));
     }
 
     #[test]
@@ -622,6 +489,5 @@ mod tests {
             json.contains("\"data_dir\":\"/var/lib/simrank \\\"x\\\"\""),
             "{json}"
         );
-        assert!(snap.to_string().contains("wal 12 records"));
     }
 }

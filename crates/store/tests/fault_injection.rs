@@ -1,12 +1,15 @@
 //! Fault-injection coverage for the durable store: a failed WAL append must
 //! leave the staged delta intact and nothing published; a torn append must
-//! recover to the previous epoch on reopen; an exhausted buffer pool under
-//! concurrent pinners must fail typed instead of deadlocking.
+//! recover to the previous epoch on reopen; 50 commit cycles under a plan of
+//! clean and torn WAL failures, each failure followed by a crash and a
+//! reopen, must stay bit-identical to a never-faulted control; an exhausted
+//! buffer pool under concurrent pinners must fail typed instead of
+//! deadlocking.
 
 use std::sync::{Arc, Barrier, Mutex};
 
 use exactsim_graph::generators::barabasi_albert;
-use exactsim_graph::DiGraph;
+use exactsim_graph::{DiGraph, NodeId};
 use exactsim_obs::fault;
 use exactsim_store::pages::{write_page_file, FileManager};
 use exactsim_store::{BufferPool, GraphStore, StoreError};
@@ -96,6 +99,102 @@ fn torn_wal_append_recovers_to_previous_epoch() {
     assert_eq!(recovered.epoch(), 2);
     assert!(recovered.graph().has_edge(1, 3));
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Epoch, node count and the exact edge sequence of `faulted` must match
+/// the control's: both are CSR-built from the same committed deltas.
+fn assert_identical(label: &str, faulted: &GraphStore, control: &GraphStore) {
+    let (f, c) = (faulted.snapshot(), control.snapshot());
+    assert_eq!(f.epoch, c.epoch, "{label}: epoch diverged");
+    let fg = f.graph.materialize().unwrap();
+    let cg = c.graph.materialize().unwrap();
+    assert_eq!(fg.num_nodes(), cg.num_nodes(), "{label}: node count");
+    assert!(
+        fg.iter_edges().eq(cg.iter_edges()),
+        "{label}: edges diverged"
+    );
+}
+
+#[test]
+fn crash_loop_under_wal_faults_recovers_bit_identically_every_cycle() {
+    const ITERATIONS: u64 = 50;
+    const MAX_RETRIES: u32 = 16;
+    const NODES: u64 = 64;
+    let _g = fault_guard();
+    let dir = scratch_dir("crash-loop");
+    let seed = Arc::new(DiGraph::from_edges(
+        NODES as usize,
+        &[(0, 1), (1, 2), (2, 3), (3, 0)],
+    ));
+    let mut faulted = Some(GraphStore::create(&dir, Arc::clone(&seed)).unwrap());
+    // In-memory, so it has no WAL and the `wal.fsync` rules never touch it.
+    let control = GraphStore::new(seed);
+    // Every 3rd append fails cleanly, every 5th tears its frame; the rule
+    // counters are independent, so a retry can fail again.
+    fault::configure("wal.fsync=every:3;wal.fsync=every:5:torn").unwrap();
+
+    let mut rng = 0x5eed_f417u64;
+    let mut next = move || {
+        rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % NODES
+    };
+    let (mut injected, mut recoveries) = (0u64, 0u64);
+    for iter in 0..ITERATIONS {
+        let mut batch: Vec<(NodeId, NodeId)> = Vec::new();
+        while batch.len() < 3 + (iter % 5) as usize {
+            let (u, v) = (next() as NodeId, next() as NodeId);
+            if u != v {
+                batch.push((u, v));
+            }
+        }
+        for attempt in 1.. {
+            let store = faulted.as_ref().unwrap();
+            for &(u, v) in &batch {
+                store.stage_insert(u, v).unwrap();
+            }
+            let Err(e) = store.commit() else {
+                for &(u, v) in &batch {
+                    control.stage_insert(u, v).unwrap();
+                }
+                control.commit().unwrap();
+                assert_identical(&format!("iteration {iter} commit"), store, &control);
+                break;
+            };
+            assert!(
+                e.to_string().contains("injected fault"),
+                "iteration {iter}: {e}"
+            );
+            injected += 1;
+            // A failed append leaves the delta staged, safe to retry.
+            assert!(
+                store.pending_counts().0 > 0,
+                "iteration {iter}: delta drained"
+            );
+            // Crash: drop the store with its staged delta, then recover.
+            drop(faulted.take());
+            let reopened = GraphStore::open(&dir).unwrap();
+            recoveries += 1;
+            assert_identical(&format!("iteration {iter} recovery"), &reopened, &control);
+            faulted = Some(reopened);
+            assert!(attempt <= MAX_RETRIES, "iteration {iter}: no commit lands");
+        }
+    }
+    drop(faulted.take());
+    let reopened = GraphStore::open(&dir).unwrap();
+    assert_identical("final reopen", &reopened, &control);
+    let wal_hits = fault::hits(fault::sites::WAL_FSYNC);
+    fault::reset();
+
+    // The plan's deterministic outcome: a change here means the store
+    // commits, fails or recovers differently.
+    assert_eq!((injected, recoveries + 1, wal_hits), (42, 43, 154));
+    assert_eq!(reopened.epoch(), ITERATIONS);
+    assert_eq!(reopened.snapshot().graph.num_edges(), 244);
+    drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -141,7 +141,9 @@ fn concurrent_sockets_racing_a_commit_see_one_epoch_per_answer_bit_identical_to_
                 for i in 3..23 {
                     answers.push(ask(&mut client, i));
                 }
-                round_trip(&mut client, "topk 0 5"); // exercise the other verb too
+                // The other read verb, answered on the same socket.
+                let topk = round_trip(&mut client, "topk 0 5");
+                assert!(topk.contains("\"results\":["), "client {c}: {topk}");
                 answers
             })
         })
