@@ -156,9 +156,9 @@ pub fn estimate_bernoulli<G: NeighborAccess>(
 ///
 /// All intermediate state lives in the caller-owned [`DiagonalScratch`]:
 /// walk distributions in its [`crate::scratch::DistTable`] arena, the
-/// per-level `Z` accumulation in an epoch-stamped dense workspace drained in
-/// sorted index order. The seed-era implementation accumulated through
-/// `BTreeMap`s, which sum in exactly that ascending-key order — so this
+/// per-level `Z` accumulation in a dense workspace with a live-slot bitmap,
+/// drained in sorted index order. The seed-era implementation accumulated
+/// through `BTreeMap`s, which sum in exactly that ascending-key order — so this
 /// version is bit-identical (pinned by `tests/properties.rs` against a
 /// verbatim port of the old code) while performing no per-node allocation in
 /// steady state.

@@ -23,8 +23,11 @@
 //! bulk of each `D(k,k)`. This implementation therefore supports
 //!
 //! * an optional **walk budget** ([`ExactSimConfig::walk_budget`]) that caps
-//!   the total number of walk pairs and scales every `R(k)` proportionally
-//!   (the benchmark harness uses it to trace out time/error curves), and
+//!   the total number of walk pairs and scales every `R(k)` proportionally.
+//!   `simrank-serve` sets it to 2M pairs by default (`--walk-budget`), and
+//!   the benchmark harness uses it to trace out time/error curves. A cap
+//!   that binds widens the sampling part of the error bound by
+//!   `√(requested/total)`, so a small ε needs the cap lifted; and
 //! * the **equivalent-variance tail-sample reduction** inside Algorithm 3
 //!   (see [`crate::diagonal`]).
 //!
@@ -83,7 +86,9 @@ pub struct ExactSimConfig {
     pub diagonal: DiagonalMode,
     /// Optional cap on the total number of walk pairs. `None` reproduces the
     /// paper's sample counts exactly; `Some(budget)` scales every `R(k)`
-    /// down proportionally once the total exceeds the budget.
+    /// down proportionally once the total exceeds the budget, which loosens
+    /// the sampling part of the ε guarantee. `simrank-serve` serves with a
+    /// 2M-pair budget by default.
     pub walk_budget: Option<u64>,
     /// Engineering caps for Algorithm 3 (optimized variant only).
     pub explore_caps: LocalExploreCaps,
@@ -550,8 +555,13 @@ pub(crate) fn accumulate_dense<G: NeighborAccess>(
     s
 }
 
-/// Same recurrence with sparse hop vectors (the accumulator itself stays
-/// dense: after a few applications of `Pᵀ` it is dense anyway).
+/// Same recurrence with sparse hop vectors; the accumulator `s` itself is
+/// dense.
+///
+/// It starts at the highest level whose hop vector has entries. Above it,
+/// `s` is all `+0.0` and `√c·Pᵀ·s` is all `+0.0` again, so those passes are
+/// skipped without changing a bit. The pruned hop vectors of a serving query
+/// are empty well below `L`, and skipping them saves most of the `Pᵀ` passes.
 pub(crate) fn accumulate_sparse<G: NeighborAccess>(
     graph: &G,
     hops: &[SparseVec],
@@ -562,19 +572,21 @@ pub(crate) fn accumulate_sparse<G: NeighborAccess>(
 ) -> Vec<f64> {
     let n = graph.num_nodes();
     let stop = 1.0 - sqrt_c;
-    let levels = hops.len() - 1;
     let mut s = vec![0.0; n];
+    let Some(top) = hops.iter().rposition(|hop| !hop.is_empty()) else {
+        return s;
+    };
     tmp.clear();
     tmp.resize(n, 0.0);
-    for step in 0..=levels {
-        if step > 0 {
+    for level in (0..=top).rev() {
+        if level < top {
             pt_multiply_threaded(graph, &s, tmp, threads);
             for v in tmp.iter_mut() {
                 *v *= sqrt_c;
             }
             std::mem::swap(&mut s, tmp);
         }
-        for (k, value) in hops[levels - step].iter() {
+        for (k, value) in hops[level].iter() {
             s[k as usize] += diagonal[k as usize] * value / stop;
         }
     }

@@ -395,3 +395,107 @@ fn exploration_arena_retains_one_query_not_every_source() {
         );
     }
 }
+
+/// The sparse recurrence as it ran before it skipped the empty top levels:
+/// one `√c·Pᵀ` pass per level from `L` down, including the passes over an
+/// all-zero `s`. The reference [`accumulate_sparse`] is checked against.
+fn accumulate_sparse_every_level(
+    graph: &DiGraph,
+    hops: &[SparseVec],
+    diagonal: &[f64],
+    sqrt_c: f64,
+    threads: usize,
+) -> Vec<f64> {
+    let n = graph.num_nodes();
+    let stop = 1.0 - sqrt_c;
+    let levels = hops.len() - 1;
+    let mut s = vec![0.0; n];
+    let mut tmp = vec![0.0; n];
+    for step in 0..=levels {
+        if step > 0 {
+            pt_multiply_threaded(graph, &s, &mut tmp, threads);
+            for v in tmp.iter_mut() {
+                *v *= sqrt_c;
+            }
+            std::mem::swap(&mut s, &mut tmp);
+        }
+        for (k, value) in hops[levels - step].iter() {
+            s[k as usize] += diagonal[k as usize] * value / stop;
+        }
+    }
+    s
+}
+
+#[test]
+fn sparse_recurrence_skipping_empty_top_levels_is_bit_identical() {
+    use crate::ppr::sparse_hop_vectors;
+    use exactsim_graph::linalg::Workspace;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let sqrt_c = SimRankConfig::default().sqrt_decay();
+    let c = sqrt_c * sqrt_c;
+    let levels = 12;
+    let mut rng = StdRng::seed_from_u64(0xACC0_0019);
+    // BA hop vectors die out under pruning; a cycle's never do at threshold
+    // 0; a directed star's hub reaches the leaves and stops there.
+    let graphs = [
+        ("ba", barabasi_albert(300, 3, true, 7).unwrap()),
+        ("cycle", cycle(40)),
+        ("star", star(30, false)),
+    ];
+    let (mut empty_top, mut none_empty) = (0, 0);
+    // A stale temporary of the wrong size must not matter.
+    let mut tmp = vec![9.0; 3];
+    for (name, g) in &graphs {
+        let n = g.num_nodes();
+        let mut ws = Workspace::new(n);
+        let diagonal: Vec<f64> = (0..n).map(|_| rng.gen_range(1.0 - c..1.0)).collect();
+        for threshold in [0.0, 1e-4, 1e-2, 5e-2] {
+            for source in [0, n / 2, n - 1] {
+                let hops =
+                    sparse_hop_vectors(g, source as NodeId, sqrt_c, levels, threshold, &mut ws)
+                        .hops;
+                if hops[levels].is_empty() {
+                    empty_top += 1;
+                } else if hops.iter().all(|hop| !hop.is_empty()) {
+                    none_empty += 1;
+                }
+                for threads in [1, 2] {
+                    let want = accumulate_sparse_every_level(g, &hops, &diagonal, sqrt_c, threads);
+                    let got = accumulate_sparse(g, &hops, &diagonal, sqrt_c, threads, &mut tmp);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{name} source {source} threshold {threshold} threads {threads}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        empty_top > 0 && none_empty > 0,
+        "hop sets with an empty top: {empty_top}, with no empty level: {none_empty}"
+    );
+
+    // An empty level below a non-empty top is not skipped, and a set with no
+    // entries at all gives the zero column.
+    let g = &graphs[0].1;
+    let n = g.num_nodes();
+    let diagonal = vec![1.0 - c; n];
+    let mut hops = vec![SparseVec::new(); levels + 1];
+    hops[0] = SparseVec::unit(0, 0.5);
+    hops[4] = SparseVec::from_unsorted(vec![(1, 0.25), (2, 0.125)]);
+    assert_eq!(
+        bits(&accumulate_sparse(g, &hops, &diagonal, sqrt_c, 1, &mut tmp)),
+        bits(&accumulate_sparse_every_level(
+            g, &hops, &diagonal, sqrt_c, 1
+        ))
+    );
+    let none = vec![SparseVec::new(); levels + 1];
+    assert_eq!(
+        bits(&accumulate_sparse(g, &none, &diagonal, sqrt_c, 1, &mut tmp)),
+        bits(&vec![0.0; n])
+    );
+}

@@ -13,10 +13,12 @@
 //!
 //! Replacing ordered maps with dense accumulators must not change a single
 //! output bit (the PR-1 regression test pins this): every accumulator here is
-//! an epoch-stamped dense array whose touched indices are **drained in sorted
-//! order**, so float reductions happen in exactly the ascending-index order
-//! the `BTreeMap`s used to give. `tests/properties.rs` checks the rewritten
-//! kernels against a verbatim port of the seed-era implementation.
+//! a dense array with a live-slot bitmap
+//! ([`exactsim_graph::linalg::Workspace`]) whose touched indices are
+//! **drained in sorted order**, so float reductions happen in exactly the
+//! ascending-index order the `BTreeMap`s used to give. `tests/properties.rs`
+//! checks the rewritten kernels against a verbatim port of the seed-era
+//! implementation.
 //!
 //! Algorithm 3 additionally builds each walk distribution `P^t · e_q` once
 //! per query and lets every node of the query read it ([`DistTable`]). That

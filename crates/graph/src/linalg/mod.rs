@@ -17,6 +17,7 @@
 mod dense;
 mod sparse_vec;
 mod transition;
+mod workspace;
 
 pub use dense::{
     add_assign, axpy, dot, l1_norm, l2_norm_sq, linf_distance, scale, unit_vector, zero_vector,
@@ -24,5 +25,6 @@ pub use dense::{
 pub use sparse_vec::SparseVec;
 pub use transition::{
     p_multiply, p_multiply_accumulate, p_multiply_rows, p_multiply_sparse, p_multiply_sparse_into,
-    pt_multiply, pt_multiply_rows, pt_multiply_sparse, pt_multiply_sparse_into, Workspace,
+    pt_multiply, pt_multiply_rows, pt_multiply_sparse, pt_multiply_sparse_into,
 };
+pub use workspace::Workspace;

@@ -16,6 +16,7 @@
 
 use crate::access::NeighborAccess;
 use crate::linalg::sparse_vec::SparseVec;
+use crate::linalg::workspace::Workspace;
 use crate::NodeId;
 
 /// Dense `y ← P·x`. `x` and `y` must have length `n`; `y` is overwritten.
@@ -72,153 +73,13 @@ fn in_neighbor_mean(x: &[f64], neighbors: &[NodeId]) -> f64 {
     acc / neighbors.len() as f64
 }
 
-/// Reusable dense scratch space for the sparse kernels: the epoch-stamped
-/// sparse accumulator every Scratch-based kernel in this workspace builds on.
-///
-/// The sparse kernels accumulate into a dense `f64` buffer plus a "touched"
-/// list (the classic sparse-accumulator pattern), so a sequence of
-/// sparse-matrix × sparse-vector products performs no per-call allocation
-/// beyond the output vector. Slots are *epoch-stamped* rather than zeroed on
-/// drain: a slot belongs to the current accumulation iff its stamp equals the
-/// current epoch, so resetting the workspace is `O(touched)` regardless of
-/// `n`, and a value that cancels to exactly `0.0` cannot re-enter the touched
-/// list twice.
-///
-/// Draining always visits the touched indices in **sorted order** — that is
-/// the determinism contract: float accumulations performed through a
-/// workspace reduce in ascending-index order, exactly like the `BTreeMap`
-/// accumulators these workspaces replaced, so results are bit-identical
-/// between the two representations.
-#[derive(Clone, Debug)]
-pub struct Workspace {
-    accum: Vec<f64>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    touched: Vec<NodeId>,
-}
-
-impl Workspace {
-    /// Creates a workspace for graphs with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        Workspace {
-            accum: vec![0.0; n],
-            stamp: vec![0; n],
-            epoch: 1,
-            touched: Vec::new(),
-        }
-    }
-
-    /// Number of nodes this workspace supports.
-    pub fn len(&self) -> usize {
-        self.accum.len()
-    }
-
-    /// `true` iff the workspace covers zero nodes.
-    pub fn is_empty(&self) -> bool {
-        self.accum.is_empty()
-    }
-
-    /// Number of distinct indices touched since the last drain/reset.
-    pub fn num_touched(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// Adds `v` into slot `i`. The first touch of a slot in the current
-    /// epoch *assigns* (it does not read the stale value), so no zeroing pass
-    /// is ever needed.
-    #[inline]
-    pub fn add(&mut self, i: NodeId, v: f64) {
-        let idx = i as usize;
-        if self.stamp[idx] == self.epoch {
-            self.accum[idx] += v;
-        } else {
-            self.stamp[idx] = self.epoch;
-            self.accum[idx] = v;
-            self.touched.push(i);
-        }
-    }
-
-    /// Current value of slot `i` (`0.0` if untouched this epoch).
-    pub fn value(&self, i: NodeId) -> f64 {
-        let idx = i as usize;
-        if self.stamp[idx] == self.epoch {
-            self.accum[idx]
-        } else {
-            0.0
-        }
-    }
-
-    /// Discards any accumulated entries and starts a fresh epoch.
-    pub fn reset(&mut self) {
-        self.touched.clear();
-        if self.epoch == u32::MAX {
-            // Stamp wrap-around: invalidate everything explicitly once every
-            // ~4 billion epochs instead of letting stale stamps collide.
-            self.stamp.fill(0);
-            self.epoch = 1;
-        } else {
-            self.epoch += 1;
-        }
-    }
-
-    /// Visits every touched `(index, value)` pair in ascending index order —
-    /// including entries that cancelled to `0.0` — then resets the workspace.
-    /// This is the primitive the deterministic kernels reduce through.
-    pub fn drain_sorted(&mut self, mut f: impl FnMut(NodeId, f64)) {
-        self.touched.sort_unstable();
-        for idx in 0..self.touched.len() {
-            let i = self.touched[idx];
-            f(i, self.accum[i as usize]);
-        }
-        self.reset();
-    }
-
-    /// Drains the accumulated entries into `out` (cleared first) in sorted
-    /// index order and resets the workspace for reuse. Entries that cancelled
-    /// to exactly 0.0 are kept out of the result.
-    pub fn drain_into(&mut self, out: &mut SparseVec) {
-        out.clear();
-        self.touched.sort_unstable();
-        for idx in 0..self.touched.len() {
-            let i = self.touched[idx];
-            let v = self.accum[i as usize];
-            if v != 0.0 {
-                out.push_sorted(i, v);
-            }
-        }
-        self.reset();
-    }
-
-    /// Appends the accumulated entries to the parallel `indices`/`values`
-    /// arrays in sorted index order — without clearing them — and resets
-    /// the workspace. Like [`Workspace::drain_into`], entries that cancelled
-    /// to exactly 0.0 are left out. This is how an arena of many sparse
-    /// vectors grows one vector at a time.
-    pub fn drain_append(&mut self, indices: &mut Vec<NodeId>, values: &mut Vec<f64>) {
-        self.touched.sort_unstable();
-        for &i in &self.touched {
-            let v = self.accum[i as usize];
-            if v != 0.0 {
-                indices.push(i);
-                values.push(v);
-            }
-        }
-        self.reset();
-    }
-
-    /// Drains the accumulated entries into a freshly allocated sorted
-    /// [`SparseVec`] and resets the workspace for reuse.
-    fn drain_sparse(&mut self) -> SparseVec {
-        let mut out = SparseVec::with_capacity(self.touched.len());
-        self.drain_into(&mut out);
-        out
-    }
-}
-
 /// Sparse `P·x` using a reusable [`Workspace`]; returns a sorted [`SparseVec`].
 ///
-/// Cost is `O(Σ_{j ∈ supp(x)} din(j) + |out| log |out|)` — independent of `n`,
-/// which is what makes the sparse Linearization of §3.2 scale.
+/// Cost is `O(Σ_{j ∈ supp(x)} din(j))` for the scatter plus the sorted drain:
+/// a sort of the `|out|` touched entries while they are few next to the
+/// `n/64` bitmap words, otherwise one pass over those words, which is then
+/// `O(|out|)`. Neither part grows with `n` alone, which is what makes the
+/// sparse Linearization of §3.2 scale.
 pub fn p_multiply_sparse<G: NeighborAccess>(
     graph: &G,
     x: &SparseVec,

@@ -418,7 +418,7 @@ fn bit_identity_graphs() -> Vec<(String, DiGraph)> {
 #[test]
 fn scratch_diagonal_kernel_is_bit_identical_to_the_seed_era_implementation() {
     // The Scratch rewrite replaced every BTreeMap accumulator of Algorithm 3
-    // with epoch-stamped dense accumulators drained in sorted order. The
+    // with dense accumulators drained in sorted order. The
     // contract is bit-identity: same inputs, same RNG stream, the *exact*
     // same f64 bits out — including the cost statistics.
     for (name, graph) in bit_identity_graphs() {
