@@ -9,10 +9,12 @@
 //! against: CI runs it with `--quick` and fails if any tracked per-op p50
 //! regresses more than `--max-regression` (default 2.5×) against the
 //! checked-in `bench/baseline_core.json` and `bench/baseline_paged.json`
-//! (`--baseline` is repeatable), or if the paged sweep violates its own
+//! (`--baseline` is repeatable), if a baseline record has no counterpart in
+//! the run (a stale baseline), or if the paged sweep violates its own
 //! gates: 100%-residency p50 within 1.5× of in-memory (the two timed in
 //! alternation), and the 25%-residency pool completing bit-identically with
-//! evictions > 0.
+//! evictions > 0. An unknown argument exits 2 before anything runs, so a
+//! mistyped `--baseline` cannot skip the gate.
 //!
 //! Run it locally with
 //!
@@ -52,7 +54,6 @@ struct Record {
     n: usize,
     m: usize,
     eps: f64,
-    threads: usize,
     samples: usize,
     p50_us: f64,
     p99_us: f64,
@@ -69,7 +70,7 @@ impl Record {
         format!(
             concat!(
                 "{{\"kind\":\"{}\",\"algo\":\"{}\",\"graph\":\"{}\",\"n\":{},\"m\":{},",
-                "\"eps\":{:e},\"threads\":{},\"samples\":{},\"p50_us\":{:.2},",
+                "\"eps\":{:e},\"threads\":1,\"samples\":{},\"p50_us\":{:.2},",
                 "\"p99_us\":{:.2},\"mean_us\":{:.2},\"build_ms\":{:.3},",
                 "\"pool_pages\":{},\"evictions\":{}}}"
             ),
@@ -79,7 +80,6 @@ impl Record {
             self.n,
             self.m,
             self.eps,
-            self.threads,
             self.samples,
             self.p50_us,
             self.p99_us,
@@ -91,11 +91,13 @@ impl Record {
     }
 
     /// The identity a baseline record is matched on. `eps` uses the same
-    /// `{:e}` rendering as the JSON field so parsed baselines match exactly.
+    /// `{:e}` rendering as the JSON field so parsed baselines match exactly;
+    /// the trailing thread count is always 1 and stays in the key so the
+    /// checked-in baselines keep matching.
     fn key(&self) -> String {
         format!(
-            "{}/{}/{}/{:e}/{}",
-            self.kind, self.algo, self.graph, self.eps, self.threads
+            "{}/{}/{}/{:e}/1",
+            self.kind, self.algo, self.graph, self.eps
         )
     }
 }
@@ -211,20 +213,11 @@ fn sources(n: usize, count: usize) -> Vec<NodeId> {
     (0..count).map(|i| ((i * n) / count) as NodeId).collect()
 }
 
-fn simrank_config(threads: usize) -> SimRankConfig {
-    SimRankConfig {
-        threads,
-        ..SimRankConfig::default()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn push_query_record(
     records: &mut Vec<Record>,
     algo: &str,
     bg: &BenchGraph,
     eps: f64,
-    threads: usize,
     build_ms: f64,
     summary: Summary,
 ) {
@@ -235,7 +228,6 @@ fn push_query_record(
         n: bg.graph.num_nodes(),
         m: bg.graph.num_edges(),
         eps,
-        threads,
         samples: summary.samples,
         p50_us: summary.p50_us,
         p99_us: summary.p99_us,
@@ -246,7 +238,7 @@ fn push_query_record(
     });
 }
 
-fn bench_algorithms(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool, threads: usize) {
+fn bench_algorithms(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool) {
     let n = bg.graph.num_nodes();
     let samples = if quick { 9 } else { 25 };
     let srcs = sources(n, samples);
@@ -266,7 +258,6 @@ fn bench_algorithms(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool, thr
     let opt = ExactSim::new(
         &bg.graph,
         ExactSimConfig {
-            simrank: simrank_config(1),
             epsilon: eps_opt,
             variant: ExactSimVariant::Optimized,
             walk_budget: Some(200_000),
@@ -278,33 +269,13 @@ fn bench_algorithms(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool, thr
         let s = next();
         std::hint::black_box(opt.query(s).expect("query"));
     });
-    push_query_record(records, "exactsim_opt", bg, eps_opt, 1, 0.0, summary);
-
-    if threads > 1 {
-        let opt_mt = ExactSim::new(
-            &bg.graph,
-            ExactSimConfig {
-                simrank: simrank_config(threads),
-                epsilon: eps_opt,
-                variant: ExactSimVariant::Optimized,
-                walk_budget: Some(200_000),
-                ..Default::default()
-            },
-        )
-        .expect("exactsim");
-        let summary = measure(samples, 1, || {
-            let s = next();
-            std::hint::black_box(opt_mt.query(s).expect("query"));
-        });
-        push_query_record(records, "exactsim_opt", bg, eps_opt, threads, 0.0, summary);
-    }
+    push_query_record(records, "exactsim_opt", bg, eps_opt, 0.0, summary);
 
     // ExactSim basic (dense hop vectors, Bernoulli D).
     let eps_basic = 1e-2;
     let basic = ExactSim::new(
         &bg.graph,
         ExactSimConfig {
-            simrank: simrank_config(1),
             epsilon: eps_basic,
             variant: ExactSimVariant::Basic,
             walk_budget: Some(100_000),
@@ -316,13 +287,13 @@ fn bench_algorithms(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool, thr
         let s = next();
         std::hint::black_box(basic.query(s).expect("query"));
     });
-    push_query_record(records, "exactsim_basic", bg, eps_basic, 1, 0.0, summary);
+    push_query_record(records, "exactsim_basic", bg, eps_basic, 0.0, summary);
 
     // ParSim (index-free, deterministic).
     let parsim = ParSim::new(
         &bg.graph,
         ParSimConfig {
-            simrank: simrank_config(1),
+            simrank: SimRankConfig::default(),
             iterations: 30,
         },
     )
@@ -331,7 +302,7 @@ fn bench_algorithms(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool, thr
         let s = next();
         std::hint::black_box(parsim.query(s).expect("query"));
     });
-    push_query_record(records, "parsim", bg, 1e-2, 1, 0.0, summary);
+    push_query_record(records, "parsim", bg, 1e-2, 0.0, summary);
 
     // Linearization (Monte-Carlo D preprocessing).
     let eps_lin = 0.05;
@@ -339,7 +310,7 @@ fn bench_algorithms(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool, thr
     let lin = Linearization::build(
         &bg.graph,
         LinearizationConfig {
-            simrank: simrank_config(1),
+            simrank: SimRankConfig::default(),
             epsilon: eps_lin,
             walk_budget: Some(500_000),
         },
@@ -350,22 +321,14 @@ fn bench_algorithms(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool, thr
         let s = next();
         std::hint::black_box(lin.query(s).expect("query"));
     });
-    push_query_record(
-        records,
-        "linearization",
-        bg,
-        eps_lin,
-        1,
-        lin_build_ms,
-        summary,
-    );
+    push_query_record(records, "linearization", bg, eps_lin, lin_build_ms, summary);
 
     // MC (stored-walk index).
     let build = Instant::now();
     let mc = MonteCarlo::build(
         &bg.graph,
         MonteCarloConfig {
-            simrank: simrank_config(1),
+            simrank: SimRankConfig::default(),
             walks_per_node: if quick { 100 } else { 200 },
             walk_length: 10,
         },
@@ -376,7 +339,7 @@ fn bench_algorithms(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool, thr
         let s = next();
         std::hint::black_box(mc.query(s).expect("query"));
     });
-    push_query_record(records, "mc", bg, 1e-1, 1, mc_build_ms, summary);
+    push_query_record(records, "mc", bg, 1e-1, mc_build_ms, summary);
 
     // PRSim (inverted hop-column index).
     let eps_prsim = 1e-2;
@@ -384,7 +347,7 @@ fn bench_algorithms(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool, thr
     let prsim = PrSim::build(
         &bg.graph,
         PrSimConfig {
-            simrank: simrank_config(1),
+            simrank: SimRankConfig::default(),
             epsilon: eps_prsim,
             walk_budget: Some(200_000),
             max_index_entries: Some(20_000_000),
@@ -396,7 +359,7 @@ fn bench_algorithms(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool, thr
         let s = next();
         std::hint::black_box(prsim.query(s).expect("query"));
     });
-    push_query_record(records, "prsim", bg, eps_prsim, 1, prsim_build_ms, summary);
+    push_query_record(records, "prsim", bg, eps_prsim, prsim_build_ms, summary);
 }
 
 /// Allocation-sensitive kernel microbenches on the mid-size graph: these are
@@ -413,7 +376,6 @@ fn bench_kernels(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool) {
             n,
             m: g.num_edges(),
             eps: 0.0,
-            threads: 1,
             samples: summary.samples,
             p50_us: summary.p50_us,
             p99_us: summary.p99_us,
@@ -466,7 +428,6 @@ fn bench_kernels(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool) {
     let opt = ExactSim::new(
         g,
         ExactSimConfig {
-            simrank: simrank_config(1),
             epsilon: 1e-3,
             variant: ExactSimVariant::Optimized,
             walk_budget: Some(200_000),
@@ -509,7 +470,6 @@ fn bench_paged(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool) -> Vec<S
     let srcs = sources(bg.graph.num_nodes(), samples);
     let eps = 1e-3;
     let config = || ExactSimConfig {
-        simrank: simrank_config(1),
         epsilon: eps,
         variant: ExactSimVariant::Optimized,
         walk_budget: Some(200_000),
@@ -523,7 +483,6 @@ fn bench_paged(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool) -> Vec<S
             n: bg.graph.num_nodes(),
             m: bg.graph.num_edges(),
             eps,
-            threads: 1,
             samples: summary.samples,
             p50_us: summary.p50_us,
             p99_us: summary.p99_us,
@@ -673,12 +632,14 @@ fn resolve_path(path: &str) -> std::path::PathBuf {
         .join(p)
 }
 
+const USAGE: &str = "usage: cargo bench -p exactsim --bench simrank_bench -- \
+[--quick] [--out PATH] [--baseline PATH]... [--max-regression FACTOR]";
+
 fn main() {
     let mut quick = false;
     let mut out_path = String::from("BENCH_core.json");
     let mut baselines: Vec<String> = Vec::new();
     let mut max_regression = 2.5f64;
-    let mut threads = std::thread::available_parallelism().map_or(2, |p| p.get().min(4));
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -694,15 +655,13 @@ fn main() {
                     .parse()
                     .expect("--max-regression must be a number")
             }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("--threads must be a number")
+            // `cargo bench` appends this to every bench target's arguments.
+            "--bench" => {}
+            // A mistyped flag must not skip a gate and exit 0.
+            other => {
+                eprintln!("simrank-bench: unknown argument {other:?}\n{USAGE}");
+                std::process::exit(2);
             }
-            // `cargo bench` may forward harness flags; ignore them.
-            other => eprintln!("simrank-bench: ignoring unknown argument {other:?}"),
         }
     }
 
@@ -715,7 +674,7 @@ fn main() {
             bg.graph.num_nodes(),
             bg.graph.num_edges()
         );
-        bench_algorithms(&mut records, bg, quick, threads);
+        bench_algorithms(&mut records, bg, quick);
         if bg.mid_size {
             bench_kernels(&mut records, bg, quick);
             paged_failures = bench_paged(&mut records, bg, quick);
@@ -737,10 +696,9 @@ fn main() {
     );
     for r in &records {
         eprintln!(
-            "  {:<8} {:<24} {:<8} p50 {:>10.1}µs  p99 {:>10.1}µs  build {:>8.1}ms",
+            "  {:<8} {:<24} p50 {:>10.1}µs  p99 {:>10.1}µs  build {:>8.1}ms",
             r.kind,
             format!("{}@{}", r.algo, r.graph),
-            format!("t={}", r.threads),
             r.p50_us,
             r.p99_us,
             r.build_ms
@@ -760,12 +718,15 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
         let base = parse_baseline(&text);
         let mut failures = Vec::new();
-        let mut compared = 0usize;
-        for r in &records {
-            let Some((_, base_p50)) = base.iter().find(|(k, _)| *k == r.key()) else {
+        for (key, base_p50) in &base {
+            let Some(r) = records.iter().find(|r| r.key() == *key) else {
+                // A record nothing produces any more would otherwise drop
+                // out of the gate without a word.
+                failures.push(format!(
+                    "STALE {key}: in the baseline, but this run has no such record"
+                ));
                 continue;
             };
-            compared += 1;
             // Floor the baseline at 100µs before applying the ratio: the
             // sub-100µs records (PRSim queries, kernel microbenches) are
             // dominated by scheduler noise across machines — the checked-in
@@ -775,25 +736,23 @@ fn main() {
             let allowed = base_p50.max(100.0) * max_regression;
             if r.p50_us > allowed {
                 failures.push(format!(
-                    "{}: p50 {:.1}µs exceeds {:.1}µs ({}µs baseline × {max_regression})",
-                    r.key(),
-                    r.p50_us,
-                    allowed,
-                    base_p50
+                    "REGRESSION {key}: p50 {:.1}µs exceeds {:.1}µs ({}µs baseline × {max_regression})",
+                    r.p50_us, allowed, base_p50
                 ));
             }
         }
         eprintln!(
-            "[simrank-bench] baseline check vs {}: {compared} records compared",
-            path.display()
+            "[simrank-bench] baseline check vs {}: {} records checked",
+            path.display(),
+            base.len()
         );
-        if compared == 0 {
-            eprintln!("[simrank-bench] FAIL: no baseline records matched (stale baseline?)");
+        if base.is_empty() {
+            eprintln!("[simrank-bench] FAIL: the baseline holds no records");
             std::process::exit(1);
         }
         if !failures.is_empty() {
             for f in &failures {
-                eprintln!("[simrank-bench] REGRESSION {f}");
+                eprintln!("[simrank-bench] {f}");
             }
             std::process::exit(1);
         }

@@ -9,11 +9,13 @@ pub struct SimRankConfig {
     /// all experiments; 0.6 and 0.8 are the values common in the literature).
     pub decay: f64,
     /// Seed for every randomized component. Identical seeds reproduce
-    /// identical results regardless of thread count.
+    /// identical results.
     pub seed: u64,
-    /// Number of worker threads for the parallelizable stages (√c-walk
-    /// sampling and matrix-vector products). `1` means fully sequential,
-    /// which is the mode the paper uses for its comparisons.
+    /// Always 1, as in the paper's comparisons: every kernel runs on its
+    /// caller's thread. [`SimRankConfig::validate`] rejects any other value.
+    /// The field stays only because perfbench's core replica reads it; the
+    /// ROADMAP's latency-ledger benchmark follow-up deletes it with that
+    /// replica.
     pub threads: usize,
 }
 
@@ -51,10 +53,13 @@ impl SimRankConfig {
                 message: format!("decay factor must be in (0, 1), got {}", self.decay),
             });
         }
-        if self.threads == 0 {
+        if self.threads != 1 {
             return Err(SimRankError::InvalidParameter {
                 name: "threads",
-                message: "thread count must be at least 1".into(),
+                message: format!(
+                    "every kernel runs on its caller's thread, so threads must be 1, got {}",
+                    self.threads
+                ),
             });
         }
         Ok(())
@@ -96,12 +101,19 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_threads() {
-        let cfg = SimRankConfig {
-            threads: 0,
+    fn rejects_every_thread_count_but_one() {
+        for threads in [0usize, 2, 3, 64] {
+            let cfg = SimRankConfig {
+                threads,
+                ..Default::default()
+            };
+            assert!(cfg.validate().is_err(), "threads = {threads}");
+        }
+        let one = SimRankConfig {
+            threads: 1,
             ..Default::default()
         };
-        assert!(cfg.validate().is_err());
+        assert!(one.validate().is_ok());
     }
 
     #[test]

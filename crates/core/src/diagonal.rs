@@ -27,7 +27,6 @@ use exactsim_graph::linalg::SparseVec;
 use exactsim_graph::{NeighborAccess, NodeId};
 use rand::rngs::SmallRng;
 
-use crate::parallel::split_ranges;
 use crate::scratch::DiagonalScratch;
 use crate::walks::{self, PairOutcome};
 
@@ -165,7 +164,7 @@ pub fn estimate_bernoulli<G: NeighborAccess>(
 ///
 /// Each call is a query of its own: it starts with an empty arena, so the
 /// result and its statistics depend on nothing but the arguments. (Within
-/// [`estimate_diagonal_with`], the nodes of one shard share one arena.)
+/// [`estimate_diagonal_in`], all nodes of the call share one arena.)
 ///
 /// # Panics
 /// Panics if `scratch` was created for a graph with a different node count.
@@ -386,99 +385,8 @@ fn sample_tail_pair<G: NeighborAccess>(
     false
 }
 
-/// Per-shard tallies of a sharded diagonal estimation, merged by summing
-/// (order-independent integer counters).
-#[derive(Clone, Copy, Debug, Default)]
-struct ShardTallies {
-    walk_pairs: u64,
-    explore_edges: u64,
-    tails_skipped: usize,
-}
-
-/// One shard of the Bernoulli estimation: fills `values[k - range.start]`
-/// for every `k` in `range` with a positive allocation.
-fn bernoulli_shard<G: NeighborAccess>(
-    graph: &G,
-    allocation: &[u64],
-    range: std::ops::Range<usize>,
-    sqrt_c: f64,
-    seed: u64,
-    values: &mut [f64],
-) -> ShardTallies {
-    let c = sqrt_c * sqrt_c;
-    let max_steps = 10 * ((1.0 / (1.0 - sqrt_c)).ceil() as usize).max(10);
-    let mut tallies = ShardTallies::default();
-    for k in range.clone() {
-        let r = allocation[k];
-        if r == 0 {
-            continue;
-        }
-        let slot = &mut values[k - range.start];
-        let din = graph.in_degree(k as NodeId);
-        if din == 0 {
-            *slot = 1.0;
-            continue;
-        }
-        if din == 1 {
-            *slot = 1.0 - c;
-            continue;
-        }
-        let mut rng = walks::make_rng(walks::derive_seed(seed, k as u64));
-        *slot = estimate_bernoulli(graph, k as NodeId, r, sqrt_c, max_steps, &mut rng);
-        tallies.walk_pairs += r;
-    }
-    tallies
-}
-
-/// One shard of the Algorithm 3 estimation.
-#[allow(clippy::too_many_arguments)]
-fn local_deterministic_shard<G: NeighborAccess>(
-    graph: &G,
-    allocation: &[u64],
-    range: std::ops::Range<usize>,
-    sqrt_c: f64,
-    tail_skip_threshold: f64,
-    caps: LocalExploreCaps,
-    seed: u64,
-    scratch: &mut DiagonalScratch,
-    values: &mut [f64],
-) -> ShardTallies {
-    let mut tallies = ShardTallies::default();
-    scratch.dist.begin_query(graph.num_nodes());
-    for k in range.clone() {
-        let r = allocation[k];
-        if r == 0 {
-            continue;
-        }
-        let mut rng = walks::make_rng(walks::derive_seed(seed, k as u64));
-        let node_threshold = if tail_skip_threshold > 0.0 {
-            tail_skip_threshold.max(0.25 / (r as f64).sqrt())
-        } else {
-            0.0
-        };
-        let (value, stats) = explore_node(
-            graph,
-            k as NodeId,
-            r,
-            sqrt_c,
-            node_threshold,
-            caps,
-            scratch,
-            &mut rng,
-        );
-        values[k - range.start] = value;
-        tallies.walk_pairs += stats.tail_pairs;
-        tallies.explore_edges += stats.edges;
-        if stats.tail_skipped {
-            tallies.tails_skipped += 1;
-        }
-    }
-    tallies
-}
-
 /// Estimates `D̂(k,k)` for every node with a positive sample allocation,
-/// allocating its own per-shard scratches (convenience wrapper around
-/// [`estimate_diagonal_with`] for index-build-time callers).
+/// with a scratch of its own (for index-build-time callers).
 pub fn estimate_diagonal<G: NeighborAccess>(
     graph: &G,
     allocation: &[u64],
@@ -486,31 +394,22 @@ pub fn estimate_diagonal<G: NeighborAccess>(
     sqrt_c: f64,
     tail_skip_threshold: f64,
     seed: u64,
-    threads: usize,
 ) -> DiagonalEstimate {
-    let mut scratches = Vec::new();
-    estimate_diagonal_with(
+    estimate_diagonal_in(
         graph,
         allocation,
         estimator,
         sqrt_c,
         tail_skip_threshold,
         seed,
-        threads,
-        &mut scratches,
+        &mut DiagonalScratch::new(graph.num_nodes()),
     )
 }
 
-/// Estimates `D̂(k,k)` for every node with a positive sample allocation.
-///
-/// `allocation[k]` is the paper's `R(k)`; nodes with zero allocation keep the
-/// prior `1 − c` (their contribution to the caller's result is zero anyway).
-/// Every node derives its own RNG stream from `(seed, k)` and its exploration
-/// state lives entirely in one shard's [`DiagonalScratch`], so the node range
-/// can be sharded across `threads` worker threads — each shard writes its own
-/// disjoint slice of the output — and the result is **bit-identical for any
-/// thread count** (and independent of call order). `scratches` is grown to
-/// the shard count and reused across calls.
+/// [`estimate_diagonal_in`] in the shape perfbench's core replica calls:
+/// `threads` must be 1, and `scratches` holds the one scratch (created on
+/// first use). Both parameters go with that replica in the ROADMAP's
+/// latency-ledger benchmark follow-up.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_diagonal_with<G: NeighborAccess>(
     graph: &G,
@@ -522,6 +421,42 @@ pub fn estimate_diagonal_with<G: NeighborAccess>(
     threads: usize,
     scratches: &mut Vec<DiagonalScratch>,
 ) -> DiagonalEstimate {
+    assert_eq!(threads, 1, "every kernel runs on its caller's thread");
+    if scratches.is_empty() {
+        scratches.push(DiagonalScratch::new(graph.num_nodes()));
+    }
+    estimate_diagonal_in(
+        graph,
+        allocation,
+        estimator,
+        sqrt_c,
+        tail_skip_threshold,
+        seed,
+        &mut scratches[0],
+    )
+}
+
+/// Estimates `D̂(k,k)` for every node with a positive sample allocation,
+/// with a caller-owned scratch.
+///
+/// `allocation[k]` is the paper's `R(k)`; nodes with zero allocation keep the
+/// prior `1 − c` (their contribution to the caller's result is zero anyway).
+/// Every node derives its own RNG stream from `(seed, k)`, and the call is
+/// one query of the scratch's walk-distribution arena, so the result depends
+/// only on the arguments, never on what the scratch ran before.
+///
+/// # Panics
+/// Panics if `allocation` does not cover every node, or if Algorithm 3 gets
+/// a scratch created for a graph with a different node count.
+pub fn estimate_diagonal_in<G: NeighborAccess>(
+    graph: &G,
+    allocation: &[u64],
+    estimator: &DiagonalEstimator,
+    sqrt_c: f64,
+    tail_skip_threshold: f64,
+    seed: u64,
+    scratch: &mut DiagonalScratch,
+) -> DiagonalEstimate {
     let n = graph.num_nodes();
     assert_eq!(allocation.len(), n, "allocation must cover every node");
     let c = sqrt_c * sqrt_c;
@@ -529,7 +464,6 @@ pub fn estimate_diagonal_with<G: NeighborAccess>(
         values: vec![1.0 - c; n],
         ..Default::default()
     };
-    let ranges = split_ranges(n, threads.max(1));
     match estimator {
         DiagonalEstimator::Exact(values) => {
             assert_eq!(values.len(), n, "exact diagonal must cover every node");
@@ -539,68 +473,54 @@ pub fn estimate_diagonal_with<G: NeighborAccess>(
             // values already initialised to 1 - c.
         }
         DiagonalEstimator::Bernoulli => {
-            let mut units = vec![(); ranges.len()];
-            let tallies =
-                shard_over_values(&mut out.values, &ranges, &mut units, |range, (), values| {
-                    bernoulli_shard(graph, allocation, range, sqrt_c, seed, values)
-                });
-            apply_tallies(&mut out, tallies);
+            let max_steps = 10 * ((1.0 / (1.0 - sqrt_c)).ceil() as usize).max(10);
+            for (k, &r) in allocation.iter().enumerate() {
+                if r == 0 {
+                    continue;
+                }
+                let node = k as NodeId;
+                out.values[k] = match graph.in_degree(node) {
+                    0 => 1.0,
+                    1 => 1.0 - c,
+                    _ => {
+                        let mut rng = walks::make_rng(walks::derive_seed(seed, k as u64));
+                        out.walk_pairs += r;
+                        estimate_bernoulli(graph, node, r, sqrt_c, max_steps, &mut rng)
+                    }
+                };
+            }
         }
         DiagonalEstimator::LocalDeterministic(caps) => {
-            while scratches.len() < ranges.len() {
-                scratches.push(DiagonalScratch::new(n));
+            assert_scratch_fits(scratch, n);
+            scratch.dist.begin_query(n);
+            for (k, &r) in allocation.iter().enumerate() {
+                if r == 0 {
+                    continue;
+                }
+                let mut rng = walks::make_rng(walks::derive_seed(seed, k as u64));
+                let node_threshold = if tail_skip_threshold > 0.0 {
+                    tail_skip_threshold.max(0.25 / (r as f64).sqrt())
+                } else {
+                    0.0
+                };
+                let (value, stats) = explore_node(
+                    graph,
+                    k as NodeId,
+                    r,
+                    sqrt_c,
+                    node_threshold,
+                    *caps,
+                    scratch,
+                    &mut rng,
+                );
+                out.values[k] = value;
+                out.walk_pairs += stats.tail_pairs;
+                out.explore_edges += stats.edges;
+                out.tails_skipped += usize::from(stats.tail_skipped);
             }
-            let shard_count = ranges.len();
-            for scratch in &scratches[..shard_count] {
-                assert_scratch_fits(scratch, n);
-            }
-            let tallies = shard_over_values(
-                &mut out.values,
-                &ranges,
-                &mut scratches[..shard_count],
-                |range, scratch, values| {
-                    local_deterministic_shard(
-                        graph,
-                        allocation,
-                        range,
-                        sqrt_c,
-                        tail_skip_threshold,
-                        *caps,
-                        seed,
-                        scratch,
-                        values,
-                    )
-                },
-            );
-            apply_tallies(&mut out, tallies);
         }
     }
     out
-}
-
-fn apply_tallies(out: &mut DiagonalEstimate, tallies: ShardTallies) {
-    out.walk_pairs += tallies.walk_pairs;
-    out.explore_edges += tallies.explore_edges;
-    out.tails_skipped += tallies.tails_skipped;
-}
-
-/// Runs `work` over every shard of `values` through the crate's one
-/// deterministic sharding primitive ([`crate::parallel`]'s `shard_slices`),
-/// summing the per-shard tallies in shard order. An empty `ranges` (empty
-/// graph) is a no-op.
-fn shard_over_values<C: Send>(
-    values: &mut [f64],
-    ranges: &[std::ops::Range<usize>],
-    contexts: &mut [C],
-    work: impl Fn(std::ops::Range<usize>, &mut C, &mut [f64]) -> ShardTallies + Sync,
-) -> ShardTallies {
-    let mut tallies = ShardTallies::default();
-    for t in crate::parallel::shard_slices(values, ranges, contexts, work) {
-        tallies.walk_pairs += t.walk_pairs;
-        tallies.explore_edges += t.explore_edges;
-        tallies.tails_skipped += t.tails_skipped;
-    }
-    tallies
 }
 
 #[cfg(test)]
@@ -758,7 +678,6 @@ mod tests {
             SQRT_C,
             0.0,
             9,
-            1,
         );
         assert_eq!(est.walk_pairs, 10_000);
         let exact = exact_d(&g);
@@ -780,7 +699,6 @@ mod tests {
             SQRT_C,
             0.0,
             1,
-            1,
         );
         assert_eq!(e.values, exact);
         assert_eq!(e.walk_pairs, 0);
@@ -790,7 +708,6 @@ mod tests {
             &DiagonalEstimator::ParSimApprox,
             SQRT_C,
             0.0,
-            1,
             1,
         );
         assert!(p.values.iter().all(|&v| (v - (1.0 - C)).abs() < 1e-15));
@@ -807,7 +724,6 @@ mod tests {
             SQRT_C,
             1e-3,
             77,
-            1,
         );
         let exact = exact_d(&g);
         for (k, (est_k, exact_k)) in est.values.iter().zip(&exact).enumerate() {
@@ -832,7 +748,6 @@ mod tests {
             SQRT_C,
             1e-4,
             3,
-            1,
         );
         assert_eq!(est.tails_skipped, 6);
         assert_eq!(est.walk_pairs, 0);
@@ -850,29 +765,9 @@ mod tests {
             DiagonalEstimator::ParSimApprox,
             DiagonalEstimator::LocalDeterministic(LocalExploreCaps::default()),
         ] {
-            let est = estimate_diagonal(&g, &[], &estimator, SQRT_C, 0.0, 1, 4);
+            let est = estimate_diagonal(&g, &[], &estimator, SQRT_C, 0.0, 1);
             assert!(est.values.is_empty());
             assert_eq!(est.walk_pairs, 0);
-        }
-    }
-
-    #[test]
-    fn sharded_estimation_is_bit_identical_for_any_thread_count() {
-        let g = barabasi_albert(90, 3, true, 31).unwrap();
-        let allocation = vec![20_000u64; g.num_nodes()];
-        for estimator in [
-            DiagonalEstimator::Bernoulli,
-            DiagonalEstimator::LocalDeterministic(LocalExploreCaps::default()),
-        ] {
-            let single = estimate_diagonal(&g, &allocation, &estimator, SQRT_C, 1e-3, 5, 1);
-            for threads in [2usize, 3, 7] {
-                let sharded =
-                    estimate_diagonal(&g, &allocation, &estimator, SQRT_C, 1e-3, 5, threads);
-                assert_eq!(single.values, sharded.values, "threads = {threads}");
-                assert_eq!(single.walk_pairs, sharded.walk_pairs);
-                assert_eq!(single.explore_edges, sharded.explore_edges);
-                assert_eq!(single.tails_skipped, sharded.tails_skipped);
-            }
         }
     }
 
@@ -916,14 +811,6 @@ mod tests {
     #[should_panic(expected = "allocation must cover every node")]
     fn allocation_length_is_checked() {
         let g = complete(4);
-        estimate_diagonal(
-            &g,
-            &[1, 2],
-            &DiagonalEstimator::Bernoulli,
-            SQRT_C,
-            0.0,
-            1,
-            1,
-        );
+        estimate_diagonal(&g, &[1, 2], &DiagonalEstimator::Bernoulli, SQRT_C, 0.0, 1);
     }
 }

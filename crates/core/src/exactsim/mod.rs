@@ -38,13 +38,12 @@ mod result;
 
 pub use result::{ExactSimResult, ExactSimStats};
 
-use exactsim_graph::linalg::SparseVec;
+use exactsim_graph::linalg::{pt_multiply, SparseVec};
 use exactsim_graph::{NeighborAccess, NodeId};
 
 use crate::config::SimRankConfig;
-use crate::diagonal::{estimate_diagonal_with, DiagonalEstimator, LocalExploreCaps};
+use crate::diagonal::{estimate_diagonal_in, DiagonalEstimator, LocalExploreCaps};
 use crate::error::SimRankError;
-use crate::parallel::pt_multiply_threaded;
 use crate::ppr::{dense_hop_vectors_into, sparse_hop_vectors_into};
 use crate::scratch::{Scratch, ScratchPool};
 
@@ -75,7 +74,7 @@ pub enum DiagonalMode {
 /// Configuration of an [`ExactSim`] instance.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExactSimConfig {
-    /// Shared SimRank parameters (decay factor `c`, seed, threads).
+    /// Shared SimRank parameters (decay factor `c` and seed).
     pub simrank: SimRankConfig,
     /// Target additive error ε. The paper's "probabilistic exactness" is
     /// ε = 1e-7 (`float`-level precision).
@@ -216,9 +215,9 @@ impl<G: NeighborAccess> ExactSim<G> {
     /// Answers a single-source SimRank query with a caller-owned workspace.
     ///
     /// The result is bit-identical to [`ExactSim::query`] regardless of the
-    /// scratch's history or the configured thread count. The scratch must
-    /// have been created for a graph of the same size (a mismatch is an
-    /// error here instead of an index panic deep inside a kernel).
+    /// scratch's history. The scratch must have been created for a graph of
+    /// the same size (a mismatch is an error here instead of an index panic
+    /// deep inside a kernel).
     pub fn query_with(
         &self,
         source: NodeId,
@@ -324,7 +323,6 @@ impl<G: NeighborAccess> ExactSim<G> {
             source,
             sqrt_c,
             levels,
-            cfg.threads,
             dense_walk,
             dense_tmp,
             dense_hops,
@@ -343,14 +341,13 @@ impl<G: NeighborAccess> ExactSim<G> {
         }
         let (requested, actual) = self.apply_budget(allocation);
         let estimator = self.diagonal_estimator();
-        let diag = estimate_diagonal_with(
+        let diag = estimate_diagonal_in(
             &self.graph,
             allocation,
             &estimator,
             sqrt_c,
             0.0,
             cfg.seed ^ source as u64,
-            cfg.threads,
             diag_scratch,
         );
 
@@ -358,14 +355,7 @@ impl<G: NeighborAccess> ExactSim<G> {
             aux_memory_bytes(hops.memory_bytes(), diag.values.len(), allocation.len(), n);
 
         // Lines 9–12: the Linearization recurrence.
-        let scores = accumulate_dense(
-            &self.graph,
-            &hops.hops,
-            &diag.values,
-            sqrt_c,
-            cfg.threads,
-            dense_tmp,
-        );
+        let scores = accumulate_dense(&self.graph, &hops.hops, &diag.values, sqrt_c, dense_tmp);
 
         crate::counters::add(&crate::counters::SOLVER_ITERATIONS, levels as u64);
         crate::counters::add(&crate::counters::WALK_PAIRS, diag.walk_pairs);
@@ -442,28 +432,20 @@ impl<G: NeighborAccess> ExactSim<G> {
         // (1−√c)²·ε/4 across all D(k,k) adds at most ε/4 to the result.
         let tail_skip = (1.0 - sqrt_c).powi(2) * eps / 4.0;
         let estimator = self.diagonal_estimator();
-        let diag = estimate_diagonal_with(
+        let diag = estimate_diagonal_in(
             &self.graph,
             allocation,
             &estimator,
             sqrt_c,
             tail_skip,
             cfg.seed ^ source as u64,
-            cfg.threads,
             diag_scratch,
         );
 
         let aux_memory_bytes =
             aux_memory_bytes(hops.memory_bytes(), diag.values.len(), allocation.len(), n);
 
-        let scores = accumulate_sparse(
-            &self.graph,
-            &hops.hops,
-            &diag.values,
-            sqrt_c,
-            cfg.threads,
-            dense_tmp,
-        );
+        let scores = accumulate_sparse(&self.graph, &hops.hops, &diag.values, sqrt_c, dense_tmp);
 
         crate::counters::add(&crate::counters::SOLVER_ITERATIONS, levels as u64);
         crate::counters::add(&crate::counters::WALK_PAIRS, diag.walk_pairs);
@@ -498,10 +480,10 @@ impl<G: NeighborAccess> ExactSim<G> {
 /// [`crate::scratch::DistTable`] arena, which each query truncates and
 /// refills, so a scratch retains the arena of one query — the largest it
 /// has served — not a distribution per node ever explored. That retention
-/// is a property of the solver's pool — it scales with concurrency ×
-/// threads, not with one query — and counting it here would make identical
-/// queries report different numbers depending on pool history, which is
-/// exactly what a per-query Table 3 column must not do.
+/// is a property of the solver's pool — it scales with the number of
+/// concurrent queries, not with one query — and counting it here would make
+/// identical queries report different numbers depending on pool history,
+/// which is exactly what a per-query Table 3 column must not do.
 fn aux_memory_bytes(
     hop_bytes: usize,
     diagonal_len: usize,
@@ -519,14 +501,12 @@ fn aux_memory_bytes(
 /// Linearization baselines, which differ only in how `D̂` is produced.
 ///
 /// Only the returned score column is allocated; the ping-pong temporary is
-/// the caller-owned `tmp`, and the `Pᵀ` multiplies shard over `threads`
-/// workers (bit-identical for any thread count).
+/// the caller-owned `tmp`.
 pub(crate) fn accumulate_dense<G: NeighborAccess>(
     graph: &G,
     hops: &[Vec<f64>],
     diagonal: &[f64],
     sqrt_c: f64,
-    threads: usize,
     tmp: &mut Vec<f64>,
 ) -> Vec<f64> {
     let n = graph.num_nodes();
@@ -538,7 +518,7 @@ pub(crate) fn accumulate_dense<G: NeighborAccess>(
     for step in 0..=levels {
         // s ← √c·Pᵀ·s   (skipped on the first step where s = 0)
         if step > 0 {
-            pt_multiply_threaded(graph, &s, tmp, threads);
+            pt_multiply(graph, &s, tmp);
             for v in tmp.iter_mut() {
                 *v *= sqrt_c;
             }
@@ -567,7 +547,6 @@ pub(crate) fn accumulate_sparse<G: NeighborAccess>(
     hops: &[SparseVec],
     diagonal: &[f64],
     sqrt_c: f64,
-    threads: usize,
     tmp: &mut Vec<f64>,
 ) -> Vec<f64> {
     let n = graph.num_nodes();
@@ -580,7 +559,7 @@ pub(crate) fn accumulate_sparse<G: NeighborAccess>(
     tmp.resize(n, 0.0);
     for level in (0..=top).rev() {
         if level < top {
-            pt_multiply_threaded(graph, &s, tmp, threads);
+            pt_multiply(graph, &s, tmp);
             for v in tmp.iter_mut() {
                 *v *= sqrt_c;
             }

@@ -368,8 +368,7 @@ fn exploration_arena_retains_one_query_not_every_source() {
     cfg.walk_budget = Some(100_000);
     let solver = ExactSim::new(&g, cfg).unwrap();
     let sources: Vec<NodeId> = (0..20u32).map(|i| i * 97 % n as u32).collect();
-    let arena_bytes =
-        |scratch: &Scratch| -> usize { scratch.diag.iter().map(|d| d.dist.retained_bytes()).sum() };
+    let arena_bytes = |scratch: &Scratch| scratch.diag.dist.retained_bytes();
     let largest = sources
         .iter()
         .map(|&source| {
@@ -404,7 +403,6 @@ fn accumulate_sparse_every_level(
     hops: &[SparseVec],
     diagonal: &[f64],
     sqrt_c: f64,
-    threads: usize,
 ) -> Vec<f64> {
     let n = graph.num_nodes();
     let stop = 1.0 - sqrt_c;
@@ -413,7 +411,7 @@ fn accumulate_sparse_every_level(
     let mut tmp = vec![0.0; n];
     for step in 0..=levels {
         if step > 0 {
-            pt_multiply_threaded(graph, &s, &mut tmp, threads);
+            pt_multiply(graph, &s, &mut tmp);
             for v in tmp.iter_mut() {
                 *v *= sqrt_c;
             }
@@ -462,15 +460,13 @@ fn sparse_recurrence_skipping_empty_top_levels_is_bit_identical() {
                 } else if hops.iter().all(|hop| !hop.is_empty()) {
                     none_empty += 1;
                 }
-                for threads in [1, 2] {
-                    let want = accumulate_sparse_every_level(g, &hops, &diagonal, sqrt_c, threads);
-                    let got = accumulate_sparse(g, &hops, &diagonal, sqrt_c, threads, &mut tmp);
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "{name} source {source} threshold {threshold} threads {threads}"
-                    );
-                }
+                let want = accumulate_sparse_every_level(g, &hops, &diagonal, sqrt_c);
+                let got = accumulate_sparse(g, &hops, &diagonal, sqrt_c, &mut tmp);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{name} source {source} threshold {threshold}"
+                );
             }
         }
     }
@@ -488,14 +484,12 @@ fn sparse_recurrence_skipping_empty_top_levels_is_bit_identical() {
     hops[0] = SparseVec::unit(0, 0.5);
     hops[4] = SparseVec::from_unsorted(vec![(1, 0.25), (2, 0.125)]);
     assert_eq!(
-        bits(&accumulate_sparse(g, &hops, &diagonal, sqrt_c, 1, &mut tmp)),
-        bits(&accumulate_sparse_every_level(
-            g, &hops, &diagonal, sqrt_c, 1
-        ))
+        bits(&accumulate_sparse(g, &hops, &diagonal, sqrt_c, &mut tmp)),
+        bits(&accumulate_sparse_every_level(g, &hops, &diagonal, sqrt_c))
     );
     let none = vec![SparseVec::new(); levels + 1];
     assert_eq!(
-        bits(&accumulate_sparse(g, &none, &diagonal, sqrt_c, 1, &mut tmp)),
+        bits(&accumulate_sparse(g, &none, &diagonal, sqrt_c, &mut tmp)),
         bits(&vec![0.0; n])
     );
 }

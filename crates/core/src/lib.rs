@@ -78,7 +78,6 @@ pub mod linearization;
 pub mod mc;
 pub mod metrics;
 pub mod naive;
-pub mod parallel;
 pub mod parsim;
 pub mod power_method;
 pub mod ppr;

@@ -89,7 +89,6 @@ impl<G: NeighborAccess> Linearization<G> {
             config.simrank.sqrt_decay(),
             0.0,
             config.simrank.seed,
-            config.simrank.threads,
         );
         Ok(Linearization {
             graph,
@@ -139,7 +138,6 @@ impl<G: NeighborAccess> Linearization<G> {
             source,
             sqrt_c,
             levels,
-            cfg.threads,
             &mut scratch.dense_walk,
             &mut scratch.dense_tmp,
             &mut scratch.dense_hops,
@@ -149,7 +147,6 @@ impl<G: NeighborAccess> Linearization<G> {
             &scratch.dense_hops.hops,
             &self.diagonal,
             sqrt_c,
-            cfg.threads,
             &mut scratch.dense_tmp,
         );
         self.pool.give_back(scratch);

@@ -13,7 +13,6 @@ use exactsim_graph::{NeighborAccess, NodeId};
 
 use crate::config::SimRankConfig;
 use crate::error::SimRankError;
-use crate::parallel::parallel_map_reduce;
 use crate::walks::{self, Walk};
 
 /// Configuration for [`MonteCarlo`].
@@ -84,43 +83,27 @@ impl<G: NeighborAccess> MonteCarlo<G> {
         }
         let r = config.walks_per_node;
         let sqrt_c = config.simrank.sqrt_decay();
-        let threads = config.simrank.threads.max(1);
 
-        // Sample walks node-range by node-range; every node derives its own
-        // RNG stream from (seed, node id), so the index is bit-identical for
-        // any thread count.
-        let chunk_walks = parallel_map_reduce(
-            n,
-            threads,
-            |_chunk_index, range| {
-                let mut local = Vec::with_capacity(range.len() * r);
-                for v in range {
-                    let mut rng =
-                        walks::make_rng(walks::derive_seed(config.simrank.seed, v as u64));
-                    for _ in 0..r {
-                        local.push(walks::sample_walk(
-                            g,
-                            v as NodeId,
-                            sqrt_c,
-                            config.walk_length,
-                            &mut rng,
-                        ));
-                    }
-                }
-                local
-            },
-            Vec::with_capacity(n * r),
-            |mut acc: Vec<Walk>, part| {
-                acc.extend(part);
-                acc
-            },
-        );
-        debug_assert_eq!(chunk_walks.len(), n * r);
+        // Every node derives its own RNG stream from (seed, node id), so a
+        // node's walks do not depend on the nodes sampled before it.
+        let mut all_walks = Vec::with_capacity(n * r);
+        for v in 0..n {
+            let mut rng = walks::make_rng(walks::derive_seed(config.simrank.seed, v as u64));
+            for _ in 0..r {
+                all_walks.push(walks::sample_walk(
+                    g,
+                    v as NodeId,
+                    sqrt_c,
+                    config.walk_length,
+                    &mut rng,
+                ));
+            }
+        }
         crate::counters::add(&crate::counters::MC_WALKS, (n * r) as u64);
         Ok(MonteCarlo {
             graph,
             config,
-            walks: chunk_walks,
+            walks: all_walks,
         })
     }
 
@@ -145,11 +128,6 @@ impl<G: NeighborAccess> MonteCarlo<G> {
     }
 
     /// Answers a single-source query by pairing stored walks.
-    ///
-    /// The per-node tally loop is sharded over the configured thread count:
-    /// every node's score is computed independently from the stored walks, so
-    /// each shard writes a disjoint slice of the output and the result is
-    /// bit-identical for any thread count.
     pub fn query(&self, source: NodeId) -> Result<Vec<f64>, SimRankError> {
         let n = self.graph.num_nodes();
         if source as usize >= n {
@@ -159,31 +137,23 @@ impl<G: NeighborAccess> MonteCarlo<G> {
             });
         }
         let r = self.config.walks_per_node;
-        let all_walks = &self.walks;
-        let source_walks = &all_walks[source as usize * r..(source as usize + 1) * r];
-        let mut scores = vec![0.0; n];
-        let tally_range = |range: std::ops::Range<usize>, out: &mut [f64]| {
-            for (j, score) in range.clone().zip(out.iter_mut()) {
+        let source_walks = &self.walks[source as usize * r..(source as usize + 1) * r];
+        let scores = self
+            .walks
+            .chunks_exact(r)
+            .enumerate()
+            .map(|(j, other)| {
                 if j == source as usize {
-                    *score = 1.0;
-                    continue;
+                    return 1.0;
                 }
-                let other = &all_walks[j * r..(j + 1) * r];
-                let mut meets = 0usize;
-                for (a, b) in source_walks.iter().zip(other.iter()) {
-                    if walks::walks_meet(a, b) {
-                        meets += 1;
-                    }
-                }
-                *score = meets as f64 / r as f64;
-            }
-        };
-        let threads = self.config.simrank.threads.max(1);
-        let ranges = crate::parallel::split_ranges(n, threads);
-        let mut units = vec![(); ranges.len()];
-        crate::parallel::shard_slices(&mut scores, &ranges, &mut units, |range, (), out| {
-            tally_range(range, out)
-        });
+                let meets = source_walks
+                    .iter()
+                    .zip(other)
+                    .filter(|(a, b)| walks::walks_meet(a, b))
+                    .count();
+                meets as f64 / r as f64
+            })
+            .collect();
         Ok(scores)
     }
 }
@@ -297,13 +267,11 @@ mod tests {
             ..Default::default()
         };
         let a = MonteCarlo::build(&g, cfg).unwrap().query(3).unwrap();
-        cfg.simrank.threads = 4;
-        let b = MonteCarlo::build(&g, cfg).unwrap().query(3).unwrap();
-        // Per-node RNG streams make the index bit-identical for any thread count.
-        assert_eq!(a, b);
-        cfg.simrank.threads = 1;
         let a2 = MonteCarlo::build(&g, cfg).unwrap().query(3).unwrap();
         assert_eq!(a, a2);
+        // The index is built on the caller's thread; no other count exists.
+        cfg.simrank.threads = 4;
+        assert!(MonteCarlo::build(&g, cfg).is_err());
     }
 
     #[test]

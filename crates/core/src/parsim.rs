@@ -94,7 +94,6 @@ impl<G: NeighborAccess> ParSim<G> {
             source,
             sqrt_c,
             self.config.iterations,
-            cfg.threads,
             &mut scratch.dense_walk,
             &mut scratch.dense_tmp,
             &mut scratch.dense_hops,
@@ -104,7 +103,6 @@ impl<G: NeighborAccess> ParSim<G> {
             &scratch.dense_hops.hops,
             &self.diagonal,
             sqrt_c,
-            cfg.threads,
             &mut scratch.dense_tmp,
         );
         self.pool.give_back(scratch);

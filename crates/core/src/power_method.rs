@@ -19,8 +19,8 @@ use crate::error::SimRankError;
 /// Configuration for [`PowerMethod`].
 #[derive(Clone, Copy, Debug)]
 pub struct PowerMethodConfig {
-    /// Shared SimRank parameters (decay factor; seed/threads are unused —
-    /// the Power Method is deterministic).
+    /// Shared SimRank parameters (decay factor; the seed is unused — the
+    /// Power Method is deterministic).
     pub simrank: SimRankConfig,
     /// Target additive error; the iteration count is `⌈log_{1/c}(1/tolerance)⌉`.
     pub tolerance: f64,

@@ -12,10 +12,8 @@
 //! stops there prematurely, so `Σ_ℓ ‖π^ℓ_i‖₁ ≤ 1` with equality only when no
 //! walk from `v_i` can get stuck.
 
-use exactsim_graph::linalg::{p_multiply_sparse_into, SparseVec, Workspace};
+use exactsim_graph::linalg::{p_multiply, p_multiply_sparse_into, SparseVec, Workspace};
 use exactsim_graph::{NeighborAccess, NodeId};
-
-use crate::parallel::p_multiply_threaded;
 
 /// The ℓ-hop Personalized PageRank vectors of one source node, in dense form.
 #[derive(Clone, Debug, Default)]
@@ -54,23 +52,17 @@ pub fn dense_hop_vectors<G: NeighborAccess>(
     let mut out = DenseHopVectors::default();
     let mut walk = Vec::new();
     let mut tmp = Vec::new();
-    dense_hop_vectors_into(
-        graph, source, sqrt_c, levels, 1, &mut walk, &mut tmp, &mut out,
-    );
+    dense_hop_vectors_into(graph, source, sqrt_c, levels, &mut walk, &mut tmp, &mut out);
     out
 }
 
 /// [`dense_hop_vectors`] into caller-owned storage: `out`'s per-level vectors
-/// and the two dense walk buffers are reused across calls, and the `P`
-/// multiplies are sharded over `threads` workers (bit-identical for any
-/// thread count — see [`crate::parallel::p_multiply_threaded`]).
-#[allow(clippy::too_many_arguments)]
+/// and the two dense walk buffers are reused across calls.
 pub fn dense_hop_vectors_into<G: NeighborAccess>(
     graph: &G,
     source: NodeId,
     sqrt_c: f64,
     levels: usize,
-    threads: usize,
     walk: &mut Vec<f64>,
     tmp: &mut Vec<f64>,
     out: &mut DenseHopVectors,
@@ -102,7 +94,7 @@ pub fn dense_hop_vectors_into<G: NeighborAccess>(
             break;
         }
         // Advance: walk ← √c · P · walk.
-        p_multiply_threaded(graph, walk, tmp, threads);
+        p_multiply(graph, walk, tmp);
         for v in tmp.iter_mut() {
             *v *= sqrt_c;
         }

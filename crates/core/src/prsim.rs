@@ -149,7 +149,6 @@ impl<G: NeighborAccess> PrSim<G> {
             sqrt_c,
             0.0,
             config.simrank.seed ^ 0x9E37,
-            config.simrank.threads,
         );
 
         Ok(PrSim {

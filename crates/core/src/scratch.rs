@@ -65,8 +65,8 @@ pub struct Scratch {
     pub(crate) dense_tmp: Vec<f64>,
     /// Per-node walk-pair allocation `R(k)`.
     pub(crate) allocation: Vec<u64>,
-    /// Per-shard diagonal-exploration scratches, grown to the thread count.
-    pub(crate) diag: Vec<DiagonalScratch>,
+    /// Algorithm 3's exploration state for the query.
+    pub(crate) diag: DiagonalScratch,
 }
 
 impl Scratch {
@@ -83,7 +83,7 @@ impl Scratch {
             dense_walk: Vec::new(),
             dense_tmp: Vec::new(),
             allocation: Vec::new(),
-            diag: Vec::new(),
+            diag: DiagonalScratch::new(n),
         }
     }
 
@@ -160,8 +160,8 @@ impl std::fmt::Debug for ScratchPool {
     }
 }
 
-/// Scratch state for one shard of the diagonal estimation (Algorithm 3):
-/// the dense replacements for the seed-era `BTreeMap` accumulators.
+/// Scratch state of the diagonal estimation (Algorithm 3): the dense
+/// replacements for the seed-era `BTreeMap` accumulators.
 #[derive(Debug)]
 pub struct DiagonalScratch {
     /// Accumulator for the first-meeting level masses `Z_ℓ(k, ·)`.
@@ -173,7 +173,7 @@ pub struct DiagonalScratch {
 }
 
 impl DiagonalScratch {
-    /// Creates a per-shard scratch for graphs with `n` nodes.
+    /// Creates a scratch for graphs with `n` nodes.
     pub fn new(n: usize) -> Self {
         DiagonalScratch {
             z: Workspace::new(n),

@@ -50,16 +50,16 @@ impl Walk {
 
 /// Creates the RNG used by every sampling component.
 ///
-/// A dedicated constructor keeps seeding logic in one place: parallel workers
-/// derive independent streams by combining the user seed with a worker index
-/// through [`derive_seed`].
+/// A dedicated constructor keeps seeding logic in one place: per-node
+/// streams combine the user seed with the node id through [`derive_seed`].
 pub fn make_rng(seed: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed)
 }
 
-/// Derives a per-task seed from a base seed and a task index (SplitMix64-style
-/// mixing), so that parallel sampling is reproducible and independent of the
-/// number of worker threads.
+/// Derives a per-node seed from a base seed and a node id (SplitMix64-style
+/// mixing). Each node's samples then depend only on `(base, index)`, never on
+/// which nodes were sampled before it, so a solver may visit nodes in any
+/// order without changing a bit.
 pub fn derive_seed(base: u64, index: u64) -> u64 {
     let mut z = base ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

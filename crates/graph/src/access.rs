@@ -53,8 +53,8 @@ use crate::NodeId;
 /// `0..num_nodes()`.
 ///
 /// See the [module docs](self) for the guard-type and determinism contracts.
-/// `Send + Sync` is a supertrait because every solver shards work across
-/// scoped threads that share the graph.
+/// `Send + Sync` is a supertrait because one solver, and the graph it holds,
+/// serves concurrent queries from many threads.
 pub trait NeighborAccess: Send + Sync {
     /// The neighbor-list guard: a slice for in-memory backends, a buffer-pool
     /// pin guard for paged ones.

@@ -24,7 +24,7 @@ pub use dense::{
 };
 pub use sparse_vec::SparseVec;
 pub use transition::{
-    p_multiply, p_multiply_accumulate, p_multiply_rows, p_multiply_sparse, p_multiply_sparse_into,
-    pt_multiply, pt_multiply_rows, pt_multiply_sparse, pt_multiply_sparse_into,
+    p_multiply, p_multiply_accumulate, p_multiply_sparse, p_multiply_sparse_into, pt_multiply,
+    pt_multiply_sparse, pt_multiply_sparse_into,
 };
 pub use workspace::Workspace;

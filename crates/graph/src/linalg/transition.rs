@@ -175,73 +175,6 @@ fn accumulate_pt_multiply<G: NeighborAccess>(graph: &G, x: &SparseVec, ws: &mut 
     });
 }
 
-/// Dense `P·x` restricted to the output rows `rows`, in *gather* form:
-/// `out[i - rows.start] = Σ_{j ∈ O(i)} x(j)/din(j)`.
-///
-/// Because out-neighbor lists are sorted ascending, each output slot
-/// accumulates its terms in exactly the same ascending-`j` order as the
-/// scatter-form [`p_multiply`] — so a row-sharded parallel multiply built on
-/// this kernel is bit-identical to the sequential one for any shard split.
-///
-/// # Panics
-/// Panics if `x` is not `num_nodes` long, `rows` is out of range, or `out`
-/// does not have exactly `rows.len()` elements.
-pub fn p_multiply_rows<G: NeighborAccess>(
-    graph: &G,
-    x: &[f64],
-    rows: std::ops::Range<usize>,
-    out: &mut [f64],
-) {
-    let n = graph.num_nodes();
-    assert_eq!(x.len(), n, "input vector length must equal num_nodes");
-    assert!(rows.end <= n, "row range out of bounds");
-    assert_eq!(
-        out.len(),
-        rows.len(),
-        "output slice must match the row range"
-    );
-    let mut slots = out.iter_mut();
-    graph.for_each_out_neighbors(rows.start as NodeId..rows.end as NodeId, |_, neighbors| {
-        let mut acc = 0.0;
-        for &j in neighbors {
-            let xj = x[j as usize];
-            if xj == 0.0 {
-                continue;
-            }
-            // j ∈ O(i) implies din(j) ≥ 1 (the edge i → j ends at j).
-            acc += xj / graph.in_degree(j) as f64;
-        }
-        *slots.next().expect("one output slot per row") = acc;
-    });
-}
-
-/// Dense `Pᵀ·x` restricted to the output rows `rows` — the per-row loop of
-/// [`pt_multiply`], exposed so callers can shard the output deterministically
-/// across threads.
-///
-/// # Panics
-/// Panics if `x` is not `num_nodes` long, `rows` is out of range, or `out`
-/// does not have exactly `rows.len()` elements.
-pub fn pt_multiply_rows<G: NeighborAccess>(
-    graph: &G,
-    x: &[f64],
-    rows: std::ops::Range<usize>,
-    out: &mut [f64],
-) {
-    let n = graph.num_nodes();
-    assert_eq!(x.len(), n, "input vector length must equal num_nodes");
-    assert!(rows.end <= n, "row range out of bounds");
-    assert_eq!(
-        out.len(),
-        rows.len(),
-        "output slice must match the row range"
-    );
-    let mut slots = out.iter_mut();
-    graph.for_each_in_neighbors(rows.start as NodeId..rows.end as NodeId, |_, neighbors| {
-        *slots.next().expect("one output slot per row") = in_neighbor_mean(x, neighbors);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,31 +333,6 @@ mod tests {
         assert_eq!(values[1..], *want.values());
         assert_eq!((indices[0], values[0]), (9, 9.0));
         assert_eq!(ws.num_touched(), 0);
-    }
-
-    #[test]
-    fn row_kernels_are_bit_identical_to_the_full_dense_kernels() {
-        let g = sample();
-        let x = vec![0.3, 0.1, 0.4, 0.2];
-        let mut full = vec![0.0; 4];
-        p_multiply(&g, &x, &mut full);
-        // Any shard split reproduces the full result exactly.
-        for split in 0..=4usize {
-            let mut sharded = vec![9.0; 4];
-            let (lo, hi) = sharded.split_at_mut(split);
-            p_multiply_rows(&g, &x, 0..split, lo);
-            p_multiply_rows(&g, &x, split..4, hi);
-            assert_eq!(sharded, full, "split at {split}");
-        }
-        let mut full_t = vec![0.0; 4];
-        pt_multiply(&g, &x, &mut full_t);
-        for split in 0..=4usize {
-            let mut sharded = vec![9.0; 4];
-            let (lo, hi) = sharded.split_at_mut(split);
-            pt_multiply_rows(&g, &x, 0..split, lo);
-            pt_multiply_rows(&g, &x, split..4, hi);
-            assert_eq!(sharded, full_t, "split at {split}");
-        }
     }
 
     #[test]

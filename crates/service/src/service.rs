@@ -59,6 +59,10 @@ use crate::metrics::{
 use crate::response::{AlgorithmKind, QueryResponse, TopKResponse};
 use crate::stats::{ServingShape, StatsSnapshot};
 
+/// Independently locked shards of the result cache (fewer when the capacity
+/// is smaller, see [`ShardedLruCache::new`]).
+const CACHE_SHARDS: usize = 16;
+
 /// A `'static`, thread-safe, shareable algorithm handle.
 type AlgorithmHandle = Arc<dyn SingleSourceAlgorithm + Send + Sync>;
 
@@ -69,8 +73,6 @@ pub struct ServiceConfig {
     /// single-source column, i.e. `n` floats — size the capacity to the
     /// graph).
     pub cache_capacity: usize,
-    /// Number of independent cache shards.
-    pub cache_shards: usize,
     /// Configuration used when serving [`AlgorithmKind::ExactSim`].
     pub exactsim: ExactSimConfig,
     /// Configuration used when serving [`AlgorithmKind::PrSim`].
@@ -88,7 +90,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             cache_capacity: 1024,
-            cache_shards: 16,
             exactsim: ExactSimConfig::default(),
             prsim: PrSimConfig::default(),
             mc: MonteCarloConfig::default(),
@@ -419,7 +420,7 @@ impl SimRankService {
         exactsim::exactsim::ExactSim::new(snapshot.graph.clone(), config.exactsim.clone())?;
         config.prsim.validate()?;
         config.mc.validate()?;
-        let cache = ShardedLruCache::new(config.cache_capacity, config.cache_shards);
+        let cache = ShardedLruCache::new(config.cache_capacity, CACHE_SHARDS);
         let slowlog = Arc::new(SlowLog::new(
             config.slowlog_capacity,
             config.slowlog_threshold,
@@ -527,7 +528,7 @@ impl SimRankService {
             epoch: inner.store.epoch(),
             shape: ServingShape {
                 workers: net.live_connections() as usize,
-                kernel_threads: inner.config.exactsim.simrank.threads,
+                kernel_threads: 1,
                 shards: 1,
             },
             pool: inner.store.pool_stats(),

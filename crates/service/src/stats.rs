@@ -24,7 +24,8 @@ pub struct ServingShape {
     /// connections_closed`): each runs its requests on its own thread.
     /// Always 0 on the stdin REPL.
     pub workers: usize,
-    /// ExactSim kernel threads per query (`SimRankConfig::threads`).
+    /// Kernel threads per query: always 1, because every query runs on
+    /// the thread that issues it. The `stats` reply keeps the key.
     pub kernel_threads: usize,
     /// Shards behind this endpoint (1 unless answered by a router).
     pub shards: usize,
@@ -284,7 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn connection_counters_surface_in_json_and_display() {
+    fn connection_counters_surface_in_json() {
         let snap = StatsSnapshot {
             connections_accepted: 5,
             connections_closed: 3,
@@ -303,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn byte_and_per_connection_counters_surface_in_json_and_display() {
+    fn byte_and_per_connection_counters_surface_in_json() {
         // Two finished connections: 3 requests and 5 requests. The p50 of
         // {3, 5} resolves to the upper bound of 3's bucket [2, 4).
         let per_conn = Histogram::default();
@@ -331,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn write_counters_and_shed_rate_surface_in_json_and_display() {
+    fn write_counters_and_shed_rate_surface_in_json() {
         let snap = StatsSnapshot {
             updates_staged: 12,
             commit_requests: 3,
@@ -347,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn index_memory_surfaces_in_json_and_display() {
+    fn index_memory_surfaces_in_json() {
         let snap = StatsSnapshot {
             index_memory_bytes: [Some(0), Some(4096), None],
             ..Default::default()
@@ -423,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn serving_shape_surfaces_in_json_and_display() {
+    fn serving_shape_surfaces_in_json() {
         let snap = StatsSnapshot {
             shape: ServingShape {
                 workers: 4,
@@ -445,7 +446,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_stats_surface_in_json_and_display() {
+    fn pool_stats_surface_in_json() {
         let snap = StatsSnapshot {
             pool: Some(PoolStats {
                 capacity: 64,

@@ -335,11 +335,10 @@ fn commit_racing_live_queries_is_atomic_and_matches_a_fresh_service() {
 #[test]
 fn eviction_under_pressure_keeps_serving_correct_answers() {
     let graph = test_graph(100, 53);
-    // A cache of 4 entries in one shard under 20 distinct sources: constant
-    // eviction, every answer still correct.
+    // A cache of 4 entries under 20 distinct sources: constant eviction,
+    // every answer still correct.
     let config = ServiceConfig {
         cache_capacity: 4,
-        cache_shards: 1,
         ..test_config()
     };
     let service = SimRankService::new(Arc::clone(&graph), config.clone()).unwrap();

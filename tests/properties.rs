@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 
 use exactsim::config::SimRankConfig;
 use exactsim::diagonal::{
-    estimate_diagonal_with, estimate_local_deterministic, DiagonalEstimator, LocalExploreCaps,
+    estimate_diagonal_in, estimate_local_deterministic, DiagonalEstimator, LocalExploreCaps,
     LocalNodeStats,
 };
 use exactsim::exactsim::{ExactSim, ExactSimConfig, ExactSimVariant};
@@ -468,12 +468,12 @@ fn scratch_diagonal_kernel_is_bit_identical_to_the_seed_era_implementation() {
 
 #[test]
 fn diagonal_estimation_reusing_walk_distributions_matches_the_seed_era_per_node_runs() {
-    // Within one `estimate_diagonal_with` shard, every node reuses the walk
+    // Within one `estimate_diagonal_in` call, every node reuses the walk
     // distributions earlier nodes built, while each is still charged the
     // edge cost of the levels it reaches. The seed-era kernel rebuilt them
     // for every node; both must give the same bits and the same counts.
-    // Scratches are kept per node count across graph families and thread
-    // counts, so a distribution kept from an earlier graph would show.
+    // Scratches are kept per node count across graph families and tail-skip
+    // settings, so a distribution kept from an earlier graph would show.
     let caps = LocalExploreCaps {
         max_levels: 12,
         max_edges: 50_000,
@@ -481,7 +481,7 @@ fn diagonal_estimation_reusing_walk_distributions_matches_the_seed_era_per_node_
     };
     let seed = 0x5EED_u64;
     let c = SQRT_C * SQRT_C;
-    let mut scratches: std::collections::BTreeMap<usize, Vec<DiagonalScratch>> = Default::default();
+    let mut scratches: std::collections::BTreeMap<usize, DiagonalScratch> = Default::default();
     for (name, graph) in bit_identity_graphs() {
         let n = graph.num_nodes();
         let mut rng = StdRng::seed_from_u64(n as u64 ^ seed);
@@ -520,49 +520,44 @@ fn diagonal_estimation_reusing_walk_distributions_matches_the_seed_era_per_node_
                 want_edges += stats.edges;
                 want_skipped += usize::from(stats.tail_skipped);
             }
-            for threads in [1usize, 2, 3] {
-                let got = estimate_diagonal_with(
-                    &graph,
-                    &allocation,
-                    &DiagonalEstimator::LocalDeterministic(caps),
-                    SQRT_C,
-                    tail_skip,
-                    seed,
-                    threads,
-                    scratches.entry(n).or_default(),
-                );
-                for (k, (w, g)) in want.iter().zip(&got.values).enumerate() {
-                    assert_eq!(
-                        w.to_bits(),
-                        g.to_bits(),
-                        "{name} tail_skip {tail_skip} threads {threads} node {k}: \
-                         seed-era {w} vs reused {g}"
-                    );
-                }
-                let counts = (got.walk_pairs, got.explore_edges, got.tails_skipped);
+            let got = estimate_diagonal_in(
+                &graph,
+                &allocation,
+                &DiagonalEstimator::LocalDeterministic(caps),
+                SQRT_C,
+                tail_skip,
+                seed,
+                scratches
+                    .entry(n)
+                    .or_insert_with(|| DiagonalScratch::new(n)),
+            );
+            for (k, (w, g)) in want.iter().zip(&got.values).enumerate() {
                 assert_eq!(
-                    counts,
-                    (want_pairs, want_edges, want_skipped),
-                    "{name} tail_skip {tail_skip} threads {threads}: \
-                     (walk pairs, explore edges, tails skipped) diverged"
+                    w.to_bits(),
+                    g.to_bits(),
+                    "{name} tail_skip {tail_skip} node {k}: seed-era {w} vs reused {g}"
                 );
             }
+            let counts = (got.walk_pairs, got.explore_edges, got.tails_skipped);
+            assert_eq!(
+                counts,
+                (want_pairs, want_edges, want_skipped),
+                "{name} tail_skip {tail_skip}: \
+                 (walk pairs, explore edges, tails skipped) diverged"
+            );
         }
     }
 }
 
 #[test]
-fn all_five_solvers_are_bit_identical_across_scratch_reuse_instances_and_threads() {
+fn all_five_solvers_are_bit_identical_across_scratch_reuse_and_instances() {
     // One query answer per (solver, graph, source) — recomputed through a
-    // reused scratch pool, through a fresh solver instance, and with a
-    // different thread count — must be the same bit pattern every time.
+    // reused scratch pool and through a fresh solver instance — must be the
+    // same bit pattern every time.
     for (name, graph) in bit_identity_graphs() {
         let sources = [0u32, (graph.num_nodes() / 2) as u32];
-        let run_all = |threads: usize| -> Vec<(String, Vec<f64>)> {
-            let simrank = SimRankConfig {
-                threads,
-                ..SimRankConfig::default()
-            };
+        let run_all = || -> Vec<(String, Vec<f64>)> {
+            let simrank = SimRankConfig::default();
             let mut outputs = Vec::new();
             let opt = ExactSim::new(
                 &graph,
@@ -648,13 +643,11 @@ fn all_five_solvers_are_bit_identical_across_scratch_reuse_instances_and_threads
             }
             outputs
         };
-        let single = run_all(1);
-        let fresh = run_all(1);
-        let threaded = run_all(3);
-        for (((label, a), (_, b)), (_, c)) in single.iter().zip(&fresh).zip(&threaded) {
+        let first = run_all();
+        let fresh = run_all();
+        for ((label, a), (_, b)) in first.iter().zip(&fresh) {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(a), bits(b), "{name}/{label}: fresh instance diverged");
-            assert_eq!(bits(a), bits(c), "{name}/{label}: threads=3 diverged");
         }
     }
 }
