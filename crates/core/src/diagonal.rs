@@ -39,11 +39,12 @@ use crate::walks::{self, PairOutcome};
 /// gracefully (the remaining tail is still estimated by sampling).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LocalExploreCaps {
-    /// Maximum deterministic exploration depth `ℓ(k)`.
+    /// Maximum deterministic exploration depth `ℓ(k)`; at least 1 (tail
+    /// walks continue for up to `4 * max_levels` steps).
     pub max_levels: usize,
     /// Maximum number of edge traversals spent exploring one node.
     pub max_edges: u64,
-    /// Maximum number of tail walk pairs sampled for one node.
+    /// Maximum number of tail walk pairs sampled for one node; at least 1.
     pub max_tail_samples: u64,
 }
 
@@ -154,13 +155,14 @@ pub fn estimate_bernoulli<G: NeighborAccess>(
 /// many walks; (2) the engineering caps in [`LocalExploreCaps`].
 ///
 /// All intermediate state lives in the caller-owned [`DiagonalScratch`]:
-/// walk distributions in its [`crate::scratch::DistTable`] arena, the
-/// per-level `Z` accumulation in a dense workspace with a live-slot bitmap,
-/// drained in sorted index order. The seed-era implementation accumulated
-/// through `BTreeMap`s, which sum in exactly that ascending-key order — so this
-/// version is bit-identical (pinned by `tests/properties.rs` against a
-/// verbatim port of the old code) while performing no per-node allocation in
-/// steady state.
+/// walk distributions in its [`crate::scratch::DistTable`] (an arena of the
+/// levels `t ≥ 2`; `e_q` and the first step `P·e_q` are read off the
+/// graph), the per-level `Z` accumulation in a dense workspace with a
+/// live-slot bitmap, drained in sorted index order. The seed-era
+/// implementation accumulated through `BTreeMap`s, which sum in exactly that
+/// ascending-key order — so this version is bit-identical (pinned by
+/// `tests/properties.rs` against a verbatim port of the old code) while
+/// performing no per-node allocation in steady state.
 ///
 /// Each call is a query of its own: it starts with an empty arena, so the
 /// result and its statistics depend on nothing but the arguments. (Within
@@ -238,7 +240,7 @@ fn explore_node<G: NeighborAccess>(
     let edge_budget = edge_budget.min(caps.max_edges);
 
     let DiagonalScratch { z, z_levels, dist } = scratch;
-    // dist.level(s, t) = P^t · e_s (no decay).
+    // Level t of dist's slot s is P^t · e_s (no decay).
     dist.begin_node();
 
     let mut edges_used = 0u64;
@@ -254,13 +256,14 @@ fn explore_node<G: NeighborAccess>(
         // Z_{next_level}(node, q) = c^ℓ (P^ℓ e_node)(q)²
         //   − Σ_{t=1}^{ℓ-1} Σ_{q'} c^{ℓ-t} (P^{ℓ-t} e_{q'})(q)² · Z_t(node, q').
         edges_used += dist.reach(graph, node, next_level);
-        {
-            let (qs, vs) = dist.level(node, next_level);
-            let scale = c.powi(next_level as i32);
-            for (&q, &v) in qs.iter().zip(vs) {
-                z.add(q, scale * v * v);
-            }
-        }
+        let scale = c.powi(next_level as i32);
+        dist.for_each_mapped(
+            graph,
+            node,
+            next_level,
+            |v| scale * v * v,
+            |q, term| z.add(q, term),
+        );
         for t in 1..next_level {
             let remaining = next_level - t;
             let z_t = &z_levels[t - 1];
@@ -270,10 +273,13 @@ fn explore_node<G: NeighborAccess>(
                 if factor == 0.0 {
                     continue;
                 }
-                let (qs, vs) = dist.level(q_prime, remaining);
-                for (&q, &v) in qs.iter().zip(vs) {
-                    z.add(q, -(factor * v * v));
-                }
+                dist.for_each_mapped(
+                    graph,
+                    q_prime,
+                    remaining,
+                    |v| factor * v * v,
+                    |q, term| z.add(q, -term),
+                );
             }
         }
         // Drain in sorted index order (the BTreeMap iteration order):

@@ -127,6 +127,16 @@ impl ExactSimConfig {
                 message: "walk budget must be positive when set".into(),
             });
         }
+        let caps = &self.explore_caps;
+        if caps.max_levels == 0 || caps.max_tail_samples == 0 {
+            return Err(SimRankError::InvalidParameter {
+                name: "explore_caps",
+                message: format!(
+                    "max_levels and max_tail_samples must be positive, got {} and {}",
+                    caps.max_levels, caps.max_tail_samples
+                ),
+            });
+        }
         if let Some(t) = self.prune_threshold_override {
             if !(t >= 0.0 && t.is_finite()) {
                 return Err(SimRankError::InvalidParameter {

@@ -45,6 +45,39 @@ fn rejects_invalid_configurations() {
 }
 
 #[test]
+fn rejects_explore_caps_without_levels_or_tail_samples() {
+    // max_tail_samples = 0 would panic in the first sampled tail (a clamp
+    // to [1, 0]); max_levels = 0 would leave tail walks no continue steps,
+    // so every D̂(k) with din ≥ 2 would be 1 and a source could score itself
+    // above 1.
+    let g = barabasi_albert(200, 3, true, 1).unwrap();
+    let no_tails = LocalExploreCaps {
+        max_tail_samples: 0,
+        ..Default::default()
+    };
+    let no_levels = LocalExploreCaps {
+        max_levels: 0,
+        ..Default::default()
+    };
+    for caps in [no_tails, no_levels] {
+        let cfg = ExactSimConfig {
+            explore_caps: caps,
+            ..config(0.05, ExactSimVariant::Optimized)
+        };
+        assert!(
+            matches!(
+                ExactSim::new(&g, cfg),
+                Err(SimRankError::InvalidParameter {
+                    name: "explore_caps",
+                    ..
+                })
+            ),
+            "{caps:?} was accepted"
+        );
+    }
+}
+
+#[test]
 fn rejects_out_of_range_source() {
     let g = complete(4);
     let solver = ExactSim::new(&g, config(0.1, ExactSimVariant::Optimized)).unwrap();

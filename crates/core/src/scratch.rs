@@ -24,7 +24,10 @@
 //! per query and lets every node of the query read it ([`DistTable`]). That
 //! is safe for the same reason: a distribution is a pure function of `q`,
 //! `t` and the graph, so it has the same bits whichever node built it, and
-//! each node is still charged its edge cost as if it had built it.
+//! each node is still charged its edge cost as if it had built it. The
+//! first two levels are never built at all: `e_q` and `P · e_q` are read
+//! off `q` and its CSR in-row, with the bits a build would have given them,
+//! so the arena holds levels ≥ 2 only.
 //!
 //! ## Concurrency
 //!
@@ -192,13 +195,16 @@ impl DiagonalScratch {
 /// `P^t · e_q`, for every node `q` the exploration has reached during the
 /// current query.
 ///
-/// All levels of a query live in two flat arrays (`indices`, `values`),
-/// appended to as levels are built; starting the next query truncates
-/// them, keeping their capacity, so the arena retains one query's worth of
+/// Levels 0 and 1 are views, never stored: level 0 is `e_q`, and level 1,
+/// `P · e_q`, is `q`'s in-row with the value `1/din(q)` per in-edge (a run
+/// of duplicate in-edges is one entry, see `for_each_run`). The levels
+/// `t ≥ 2` of a query live in two flat arrays (`indices`, `values`),
+/// appended to as levels are built; starting the next query truncates them,
+/// keeping their capacity, so the arena retains one query's worth of
 /// memory, not every distribution the process has ever built. A level is
 /// built once per query and reused by every later node of that query. Each
 /// node is still charged a level's edge cost (`Σ din` over the previous
-/// level's support) the first time *it* reaches that level
+/// level's support, views included) the first time *it* reaches that level
 /// (starting a node resets only what it has been charged for), so the
 /// exploration's edge counts and budget stops are those of a per-node
 /// table.
@@ -209,13 +215,21 @@ pub struct DistTable {
     /// Entry arrays of every level built this query, level after level.
     indices: Vec<NodeId>,
     values: Vec<f64>,
-    /// Level records; slot `q`'s levels are `spans[first..first + len]`.
+    /// Level records; slot `q`'s built levels `2..2 + len` are
+    /// `spans[first..first + len]`.
     spans: Vec<LevelSpan>,
     /// Per-node slot headers, stamped by query and by node.
     slots: Vec<Slot>,
+    /// Level 1 of the slot whose level 2 is being built, copied out of
+    /// its in-row (entries, values).
+    row: Vec<NodeId>,
+    row_values: Vec<f64>,
     query: u32,
     node: u32,
 }
+
+/// The first level that is built and stored; levels below it are views.
+const FIRST_BUILT: usize = 2;
 
 /// One built level: its entry range in the arena and the edge cost of
 /// reaching it from level 0.
@@ -252,6 +266,8 @@ impl DistTable {
             // Grown on the first query, so a scratch that never runs
             // Algorithm 3 costs no per-node headers.
             slots: Vec::new(),
+            row: Vec::new(),
+            row_values: Vec::new(),
             query: 0,
             node: 0,
         }
@@ -281,28 +297,17 @@ impl DistTable {
     pub(crate) fn reach<G: NeighborAccess>(&mut self, graph: &G, q: NodeId, level: usize) -> u64 {
         let idx = q as usize;
         if self.slots[idx].query != self.query {
-            // First touch this query: level 0 is the unit vector e_q, which
-            // costs nothing to reach.
-            let start = self.indices.len();
-            self.indices.push(q);
-            self.values.push(1.0);
-            let first = self.spans.len();
-            self.spans.push(LevelSpan {
-                start,
-                end: start + 1,
-                cum_cost: 0,
-            });
+            // First touch this query: nothing is built, and level 0, the
+            // unit vector e_q, costs nothing to reach.
             self.slots[idx] = Slot {
                 query: self.query,
                 node: self.node,
                 reached: 1,
-                first,
-                len: 1,
-                cap: 1,
+                ..Slot::default()
             };
         }
-        while self.slots[idx].len <= level {
-            self.extend(graph, idx);
+        while FIRST_BUILT + self.slots[idx].len <= level {
+            self.extend(graph, q);
         }
         let slot = &mut self.slots[idx];
         if slot.node != self.node {
@@ -312,32 +317,62 @@ impl DistTable {
         if level < slot.reached {
             return 0;
         }
-        let cost = self.spans[slot.first + level].cum_cost
-            - self.spans[slot.first + slot.reached - 1].cum_cost;
+        let from = slot.reached - 1;
         slot.reached = level + 1;
-        cost
+        self.cum_cost(graph, q, level) - self.cum_cost(graph, q, from)
     }
 
-    /// Appends level `len` of slot `idx` by applying `P` to its newest level.
-    fn extend<G: NeighborAccess>(&mut self, graph: &G, idx: usize) {
+    /// `Σ_{u=1..=level} cost(u)` for slot `q`; a built level must exist.
+    fn cum_cost<G: NeighborAccess>(&self, graph: &G, q: NodeId, level: usize) -> u64 {
+        match level {
+            0 => 0,
+            // Level 1 is one scatter of e_q: din(q) edges.
+            1 => graph.in_degree(q) as u64,
+            _ => {
+                let slot = &self.slots[q as usize];
+                self.spans[slot.first + level - FIRST_BUILT].cum_cost
+            }
+        }
+    }
+
+    /// Appends level `FIRST_BUILT + len` of slot `q` by applying `P` to the
+    /// level below it.
+    fn extend<G: NeighborAccess>(&mut self, graph: &G, q: NodeId) {
+        let idx = q as usize;
         let Slot {
             first, len, cap, ..
         } = self.slots[idx];
-        let last = self.spans[first + len - 1];
-        let support = &self.indices[last.start..last.end];
-        let cost: u64 = support.iter().map(|&j| graph.in_degree(j) as u64).sum();
-        p_multiply_accumulate(
-            graph,
-            support,
-            &self.values[last.start..last.end],
-            &mut self.ws,
-        );
+        let (below, below_values, below_cost) = if len == 0 {
+            // Level 1 is q's in-row. Copy it out before scattering it: on a
+            // paged backend the row holds its page pinned, and the scatter
+            // pins the pages of other rows.
+            self.row.clear();
+            self.row_values.clear();
+            for_each_run(&graph.in_neighbors(q), |j, v, _| {
+                self.row.push(j);
+                self.row_values.push(v);
+            });
+            (
+                &self.row[..],
+                &self.row_values[..],
+                self.cum_cost(graph, q, 1),
+            )
+        } else {
+            let last = self.spans[first + len - 1];
+            (
+                &self.indices[last.start..last.end],
+                &self.values[last.start..last.end],
+                last.cum_cost,
+            )
+        };
+        let cost: u64 = below.iter().map(|&j| graph.in_degree(j) as u64).sum();
+        p_multiply_accumulate(graph, below, below_values, &mut self.ws);
         let start = self.indices.len();
         self.ws.drain_append(&mut self.indices, &mut self.values);
         let span = LevelSpan {
             start,
             end: self.indices.len(),
-            cum_cost: last.cum_cost + cost,
+            cum_cost: below_cost + cost,
         };
         let slot = &mut self.slots[idx];
         if len == cap {
@@ -348,7 +383,7 @@ impl DistTable {
                 slot.first = self.spans.len();
                 self.spans.extend_from_within(first..first + len);
             }
-            slot.cap = 2 * cap;
+            slot.cap = (2 * cap).max(1);
             self.spans
                 .resize(slot.first + slot.cap, LevelSpan::default());
         }
@@ -356,26 +391,66 @@ impl DistTable {
         slot.len = len + 1;
     }
 
-    /// Level `level` of slot `q` as parallel `(indices, values)` slices; the
-    /// level must have been [`DistTable::reach`]ed this query.
-    pub(crate) fn level(&self, q: NodeId, level: usize) -> (&[NodeId], &[f64]) {
-        let slot = &self.slots[q as usize];
-        debug_assert!(slot.query == self.query && level < slot.len);
-        let span = self.spans[slot.first + level];
-        (
-            &self.indices[span.start..span.end],
-            &self.values[span.start..span.end],
-        )
+    /// Calls `f(i, map(v))` for every entry `(i, v)` of level `level` of
+    /// slot `q`, in ascending `i`; the level must have been
+    /// [`DistTable::reach`]ed this query. On level 1, whose entries all
+    /// hold `1/din(q)` but for merged runs of duplicate in-edges, `map`
+    /// runs once for the row and once per merged run.
+    pub(crate) fn for_each_mapped<G: NeighborAccess>(
+        &self,
+        graph: &G,
+        q: NodeId,
+        level: usize,
+        map: impl Fn(f64) -> f64,
+        mut f: impl FnMut(NodeId, f64),
+    ) {
+        match level {
+            0 => f(q, map(1.0)),
+            1 => {
+                let row = graph.in_neighbors(q);
+                let single = map(1.0 / row.len() as f64);
+                for_each_run(&row, |i, v, run| {
+                    f(i, if run == 1 { single } else { map(v) })
+                });
+            }
+            _ => {
+                let slot = &self.slots[q as usize];
+                debug_assert!(slot.query == self.query && level < FIRST_BUILT + slot.len);
+                let span = self.spans[slot.first + level - FIRST_BUILT];
+                let values = &self.values[span.start..span.end];
+                for (&i, &v) in self.indices[span.start..span.end].iter().zip(values) {
+                    f(i, map(v));
+                }
+            }
+        }
     }
 
     /// Heap bytes the table retains between queries (capacity, not length).
     #[cfg(test)]
     pub(crate) fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.indices.capacity() * size_of::<NodeId>()
-            + self.values.capacity() * size_of::<f64>()
+        (self.indices.capacity() + self.row.capacity()) * size_of::<NodeId>()
+            + (self.values.capacity() + self.row_values.capacity()) * size_of::<f64>()
             + self.spans.capacity() * size_of::<LevelSpan>()
             + self.slots.capacity() * size_of::<Slot>()
+    }
+}
+
+/// Visits `P · e_q` from `q`'s in-row `row`: calls `f(i, v, run)` for every
+/// distinct in-neighbor `i`, where `run` is the number of its edges into
+/// `q`. The row is sorted, so those edges are adjacent, and `v` is
+/// `1/din(q)` added `run` times in turn — what scattering `e_q` into a
+/// [`Workspace`] sums, bit for bit.
+#[inline]
+fn for_each_run(row: &[NodeId], mut f: impl FnMut(NodeId, f64, usize)) {
+    debug_assert!(row.is_sorted(), "NeighborAccess hands out sorted in-rows");
+    let weight = 1.0 / row.len() as f64;
+    for run in row.chunk_by(|a, b| a == b) {
+        let mut v = weight;
+        for _ in 1..run.len() {
+            v += weight;
+        }
+        f(run[0], v, run.len());
     }
 }
 
@@ -393,6 +468,8 @@ fn next_stamp(stamp: u32, slots: &mut [Slot], clear: impl Fn(&mut Slot)) -> u32 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exactsim_graph::linalg::p_multiply_sparse;
+    use exactsim_graph::DiGraph;
 
     #[test]
     fn pool_reuses_scratches() {
@@ -409,44 +486,126 @@ mod tests {
         assert_eq!(pool.clone().idle(), 0);
     }
 
+    /// Level `level` of slot `q` as `(index, value bits)` pairs, read
+    /// through the accessor the exploration uses.
+    fn level_bits(
+        table: &DistTable,
+        graph: &DiGraph,
+        q: NodeId,
+        level: usize,
+    ) -> Vec<(NodeId, u64)> {
+        let mut out = Vec::new();
+        table.for_each_mapped(graph, q, level, |v| v, |i, v| out.push((i, v.to_bits())));
+        out
+    }
+
+    fn bits(entries: &[(NodeId, f64)]) -> Vec<(NodeId, u64)> {
+        entries.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+    }
+
     #[test]
     fn dist_table_resets_logically_between_nodes() {
         // 0 -> 2, 1 -> 2, 2 -> 3, 3 -> 0: P·e_2 = (e_0 + e_1)/2, P·e_3 = e_2.
-        let g = exactsim_graph::DiGraph::from_edges(4, &[(0, 2), (1, 2), (2, 3), (3, 0)]);
+        let g = DiGraph::from_edges(4, &[(0, 2), (1, 2), (2, 3), (3, 0)]);
         let mut table = DistTable::new(4);
         table.begin_query(4);
         table.begin_node();
-        // Reaching level 2 of slot 3 builds levels 1 and 2 and charges
+        // Reaching level 2 of slot 3 builds level 2 and charges
         // din(3) + din(2) = 1 + 2.
         assert_eq!(table.reach(&g, 3, 2), 3);
-        assert_eq!(table.level(3, 0), (&[3][..], &[1.0][..]));
-        assert_eq!(table.level(3, 1), (&[2][..], &[1.0][..]));
-        assert_eq!(table.level(3, 2), (&[0, 1][..], &[0.5, 0.5][..]));
+        assert_eq!(level_bits(&table, &g, 3, 0), bits(&[(3, 1.0)]));
+        assert_eq!(level_bits(&table, &g, 3, 1), bits(&[(2, 1.0)]));
+        assert_eq!(level_bits(&table, &g, 3, 2), bits(&[(0, 0.5), (1, 0.5)]));
         // Already reached by this node: free.
         assert_eq!(table.reach(&g, 3, 1), 0);
-        let arena = table.indices.len();
+        assert_eq!(table.indices.len(), 2, "only level 2 is stored");
 
-        // The next node reuses the built levels without a multiply, but is
-        // charged for them once.
+        // The next node reuses the built level without a multiply, but is
+        // charged for each level once.
         table.begin_node();
         assert_eq!(table.reach(&g, 3, 1), 1);
         assert_eq!(table.reach(&g, 3, 2), 2);
         assert_eq!(table.reach(&g, 3, 2), 0);
-        assert_eq!(table.indices.len(), arena);
+        assert_eq!(table.indices.len(), 2);
 
         // A new query starts from an empty arena.
         table.begin_query(4);
         table.begin_node();
         assert_eq!(table.reach(&g, 2, 0), 0);
-        assert_eq!(table.indices.len(), 1);
-        assert_eq!(table.level(2, 0), (&[2][..], &[1.0][..]));
+        assert!(table.indices.is_empty());
+        assert_eq!(level_bits(&table, &g, 2, 0), bits(&[(2, 1.0)]));
+    }
+
+    #[test]
+    fn dist_table_levels_are_iterated_p_multiplies_on_a_multigraph() {
+        // Parallel edges (0 -> 1 and 0 -> 3 twice, 3 -> 2 three times,
+        // 3 -> 4 six times), self-loops (1 -> 1, 2 -> 2) and a node without
+        // in-edges (5). Node 4's first step is one entry, 1/6 added six
+        // times in turn, which is 0.9999999999999999, not 6 · (1/6) = 1: a
+        // merged run must add, as a scatter does, not multiply.
+        let mut edges = vec![
+            (2, 0),
+            (5, 0),
+            (0, 1),
+            (0, 1),
+            (1, 1),
+            (2, 1),
+            (4, 1),
+            (2, 2),
+            (3, 2),
+            (3, 2),
+            (3, 2),
+            (5, 2),
+            (1, 3),
+            (0, 3),
+            (0, 3),
+        ];
+        edges.extend([(3, 4); 6]);
+        let g = DiGraph::from_edges(6, &edges);
+        assert_eq!(g.in_neighbors(2), &[2, 3, 3, 3, 5]);
+        assert_eq!(g.in_degree(5), 0);
+        let mut table = DistTable::new(6);
+        table.begin_query(6);
+        table.begin_node();
+        for q in 0..6 {
+            table.reach(&g, q, 1);
+        }
+        assert!(table.indices.is_empty() && table.spans.is_empty());
+        assert_eq!(
+            level_bits(&table, &g, 4, 1),
+            bits(&[(3, 1.0 - f64::EPSILON / 2.0)])
+        );
+
+        let mut ws = Workspace::new(6);
+        let mut stored = 0;
+        for q in 0..6 {
+            table.reach(&g, q, 4);
+            let mut want = SparseVec::unit(q, 1.0);
+            for level in 0..=4 {
+                let want_bits: Vec<_> = want.iter().map(|(i, v)| (i, v.to_bits())).collect();
+                assert_eq!(
+                    level_bits(&table, &g, q, level),
+                    want_bits,
+                    "slot {q} level {level}"
+                );
+                if level >= FIRST_BUILT {
+                    stored += want.nnz();
+                }
+                want = p_multiply_sparse(&g, &want, &mut ws);
+            }
+        }
+        assert_eq!(
+            table.indices.len(),
+            stored,
+            "the arena holds levels 2..=4 only"
+        );
     }
 
     #[test]
     fn dist_table_keeps_slot_levels_addressable_across_region_moves() {
         // Interleaved growth of two slots forces region moves; every level
         // must still read back as P^t · e_q.
-        let g = exactsim_graph::DiGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        let g = DiGraph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         let mut table = DistTable::new(3);
         table.begin_query(3);
         table.begin_node();
@@ -458,7 +617,7 @@ mod tests {
             // On the 3-cycle, P·e_v = e_{v-1}, so P^t·e_q = e_{(q - t) mod 3}.
             for q in [0u32, 1] {
                 let want = ((q as usize + 3 * 9 - level) % 3) as NodeId;
-                assert_eq!(table.level(q, level), (&[want][..], &[1.0][..]));
+                assert_eq!(level_bits(&table, &g, q, level), bits(&[(want, 1.0)]));
             }
         }
     }

@@ -191,3 +191,26 @@ fn all_solvers_are_bit_identical_across_backends() {
         assert!(stats.hits > 0 && stats.misses > 0);
     }
 }
+
+#[test]
+fn exactsim_needs_one_frame_per_query() {
+    // A query holds at most one page at a time. Algorithm 3 reads a node's
+    // first step straight off its in-row and copies the row out before
+    // scattering it into the next level, so its pin is gone before the
+    // scatter pins other rows' pages; a one-frame pool must do.
+    let dir = TempDir::new("one-frame");
+    let path = dir.0.join("epoch-0.pages");
+    let graph = Arc::new(barabasi_albert(160, 3, true, 17).unwrap());
+    PagedGraph::build(&path, &graph, 0, 32).unwrap();
+    let pool = Arc::new(BufferPool::new(1));
+    let paged = PagedGraph::open(&path, Arc::clone(&pool)).unwrap();
+    let sources: Vec<NodeId> = (0..graph.num_nodes() as NodeId).step_by(9).collect();
+    assert_identical(
+        "ExactSim",
+        "one-frame",
+        &ExactSimAlgorithm::new(GraphHandle::Mem(graph), exactsim_config()).unwrap(),
+        &ExactSimAlgorithm::new(GraphHandle::Paged(Arc::new(paged)), exactsim_config()).unwrap(),
+        &sources,
+    );
+    assert!(pool.stats().evictions > 0);
+}

@@ -390,8 +390,8 @@ mod seed_reference {
     }
 }
 
-/// The three generated graph families × three seeds the bit-identity
-/// properties sweep (the ISSUE-5 acceptance grid).
+/// The graphs the bit-identity properties sweep: three generated families
+/// × three seeds, and a multigraph.
 fn bit_identity_graphs() -> Vec<(String, DiGraph)> {
     let mut graphs = Vec::new();
     for seed in [1u64, 2, 3] {
@@ -412,7 +412,26 @@ fn bit_identity_graphs() -> Vec<(String, DiGraph)> {
             .graph,
         ));
     }
+    graphs.push(("multi".to_string(), multigraph()));
     graphs
+}
+
+/// A graph only `DiGraph::from_edges` builds, since `GraphBuilder` removes
+/// parallel edges and self-loops by default: each of 240 drawn edges is
+/// added one, two or three times, so in-rows hold runs of duplicate ids;
+/// every seventh node has a self-loop; node 0 has no in-edges.
+fn multigraph() -> DiGraph {
+    let n = 60u32;
+    let mut rng = StdRng::seed_from_u64(0x3417);
+    let mut edges = Vec::new();
+    for _ in 0..240 {
+        let (u, v) = (rng.gen_range(0..n), rng.gen_range(1..n));
+        for _ in 0..rng.gen_range(1..=3) {
+            edges.push((u, v));
+        }
+    }
+    edges.extend((1..n).step_by(7).map(|v| (v, v)));
+    DiGraph::from_edges(n as usize, &edges)
 }
 
 #[test]
