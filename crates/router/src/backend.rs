@@ -7,17 +7,23 @@
 //! * [`LocalShard`] wraps an in-process [`SimRankService`] and executes the
 //!   line through [`exactsim_service::protocol`], the same code path a
 //!   remote server would run.
-//! * [`RemoteShard`] holds one lazily-(re)connected [`LineClient`] to an
-//!   **unmodified** `simrank-serve --listen` process. Connect and read
-//!   deadlines bound every interaction, so a dead shard costs the router a
-//!   typed [`ShardError::Unavailable`] — never a hang.
+//! * [`RemoteShard`] speaks to an **unmodified** `simrank-serve --listen`
+//!   process over a stack of idle [`LineClient`] connections: a request
+//!   takes one (or opens one) and runs its round trip without holding any
+//!   lock, so no request waits for another. Connect and read deadlines bound
+//!   every interaction, and `ping` has a short one of its own, so a dead or
+//!   wedged shard costs the router a typed [`ShardError::Unavailable`] —
+//!   never a hang.
 
+use std::io;
 use std::sync::Mutex;
 use std::time::Duration;
 
 use exactsim_service::net::{flush_shutdown_snapshot, LineClient};
-use exactsim_service::protocol::{self, Outcome};
+use exactsim_service::protocol::{self, codes, Outcome};
 use exactsim_service::{AlgorithmKind, SimRankService};
+
+use crate::wire;
 
 /// Why a shard could not answer a request.
 #[derive(Clone, Debug)]
@@ -96,11 +102,18 @@ impl ShardBackend for LocalShard {
 
 /// A remote shard: one `simrank-serve --listen` process, spoken to over the
 /// unmodified TCP line protocol.
+///
+/// Connections live on a stack of idle ones whose lock is held only to pop
+/// and push. A request pops a connection, or opens one when none is idle,
+/// runs its round trip unlocked, and pushes the connection back only after
+/// a clean reply, so the stack never holds more connections than the
+/// shard's peak number of concurrent requests, and a connection with a
+/// reply still owed on it is never reused.
 pub struct RemoteShard {
     addr: String,
     connect_timeout: Duration,
     read_timeout: Duration,
-    conn: Mutex<Option<LineClient>>,
+    idle: Mutex<Vec<LineClient>>,
 }
 
 impl RemoteShard {
@@ -109,6 +122,11 @@ impl RemoteShard {
     /// Default per-reply read deadline. Generous: a shard computing a cold
     /// column is slow but alive; only a genuinely wedged shard trips it.
     pub const READ_TIMEOUT: Duration = Duration::from_secs(60);
+    /// Read deadline of a `ping`, the health prober's verb, when it is
+    /// shorter than the read deadline. A `ping` computes nothing, so a
+    /// shard that cannot answer one within this is wedged, and the breaker
+    /// learns it within a few probe rounds instead of read deadlines.
+    pub const PING_TIMEOUT: Duration = Duration::from_secs(1);
 
     /// A backend for the server at `addr` (e.g. `127.0.0.1:7878`) with the
     /// default deadlines. No connection is attempted until the first
@@ -118,7 +136,7 @@ impl RemoteShard {
             addr: addr.into(),
             connect_timeout: Self::CONNECT_TIMEOUT,
             read_timeout: Self::READ_TIMEOUT,
-            conn: Mutex::new(None),
+            idle: Mutex::new(Vec::new()),
         }
     }
 
@@ -135,7 +153,23 @@ impl RemoteShard {
             self.connect_timeout,
             Some(self.read_timeout),
         )
-        .map_err(|e| ShardError::Unavailable(format!("shard {}: {e}", self.addr)))
+        .map_err(|e| self.unavailable(e))
+    }
+
+    fn unavailable(&self, e: impl std::fmt::Display) -> ShardError {
+        ShardError::Unavailable(format!("shard {}: {e}", self.addr))
+    }
+
+    /// The idle stack. Every update under the lock is one push, pop or take,
+    /// so a stack poisoned by a panicking holder is still valid.
+    fn idle(&self) -> std::sync::MutexGuard<'_, Vec<LineClient>> {
+        self.idle.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Drops every idle connection (they close outside the lock).
+    fn drop_idle(&self) {
+        let stale = std::mem::take(&mut *self.idle());
+        drop(stale);
     }
 
     /// Verbs that mutate shard state. A failed round trip is ambiguous —
@@ -147,55 +181,96 @@ impl RemoteShard {
     /// re-ask; any retry policy beyond the single stale-socket reconnect
     /// lives in the router's breaker/failover layer, where it is
     /// observable.
-    fn is_write(line: &str) -> bool {
+    fn is_write(verb: &str) -> bool {
         matches!(
-            line.split_whitespace().next().unwrap_or(""),
+            verb,
             "addedge" | "deledge" | "addnode" | "commit" | "save" | "snapshot" | "shutdown"
         )
     }
+
+    /// One round trip on `conn` under the read deadline `deadline`, which
+    /// is restored to the connection's own afterwards.
+    fn exchange(
+        &self,
+        conn: &mut LineClient,
+        line: &str,
+        deadline: Duration,
+    ) -> io::Result<String> {
+        if deadline == self.read_timeout {
+            return conn.round_trip(line);
+        }
+        conn.set_read_timeout(Some(deadline))?;
+        let reply = conn.round_trip(line)?;
+        conn.set_read_timeout(Some(self.read_timeout))?;
+        Ok(reply)
+    }
+
+    /// The reply of a round trip on a connection this request opened. A
+    /// listener past its `max_conns` answers a new connection with one
+    /// `capacity` error line and closes it: that line is a refusal, not the
+    /// shard's answer, so the connection is not pooled and the request
+    /// fails as unavailable (a read then fails over).
+    fn fresh_reply(&self, conn: LineClient, reply: String) -> Result<String, ShardError> {
+        if wire::error_code(&reply) == Some(codes::CAPACITY) {
+            return Err(self.unavailable(format!("refused the connection: {reply}")));
+        }
+        self.idle().push(conn);
+        Ok(reply)
+    }
+}
+
+/// A read deadline that expired: the shard is slow or wedged, not gone, so
+/// a fresh socket would only wait as long again.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 impl ShardBackend for RemoteShard {
     fn request(&self, line: &str) -> Result<String, ShardError> {
-        let mut guard = self.conn.lock().expect("remote shard lock poisoned");
-        // A cached connection may be stale (the shard restarted between
-        // requests); for idempotent reads, one reconnect-and-retry heals
-        // that. A *fresh* connection failing is the shard being down — fail
-        // typed, fast, and without retrying. Writes are never re-sent at
-        // all: after a failed round trip on the stale socket there is no
-        // telling whether the shard received (and applied) the request
-        // before the connection died, and a silent re-send could
-        // double-apply it — see [`RemoteShard::is_write`].
-        let had_conn = guard.is_some();
-        if guard.is_none() {
-            *guard = Some(self.connect()?);
-        }
-        let attempt = guard
-            .as_mut()
-            .expect("connection just established")
-            .round_trip(line);
-        match attempt {
-            Ok(reply) => Ok(reply),
-            Err(first) => {
-                *guard = None;
-                if !had_conn || Self::is_write(line) {
-                    return Err(ShardError::Unavailable(format!(
-                        "shard {}: {first}",
-                        self.addr
-                    )));
-                }
-                let mut fresh = self.connect()?;
-                match fresh.round_trip(line) {
-                    Ok(reply) => {
-                        *guard = Some(fresh);
-                        Ok(reply)
-                    }
-                    Err(second) => Err(ShardError::Unavailable(format!(
-                        "shard {}: {second}",
-                        self.addr
-                    ))),
-                }
+        let verb = line.split_whitespace().next().unwrap_or("");
+        let deadline = if verb == "ping" {
+            Self::PING_TIMEOUT.min(self.read_timeout)
+        } else {
+            self.read_timeout
+        };
+        let pooled = self.idle().pop();
+        let reused = pooled.is_some();
+        let mut conn = match pooled {
+            Some(conn) => conn,
+            None => self.connect()?,
+        };
+        let first = match self.exchange(&mut conn, line, deadline) {
+            Ok(reply) if reused => {
+                self.idle().push(conn);
+                return Ok(reply);
             }
+            Ok(reply) => return self.fresh_reply(conn, reply),
+            Err(e) => e,
+        };
+        // The failed connection is dropped here, and with it every idle
+        // one: if the shard restarted they are all stale, and dropping them
+        // makes the restart cost one failed round trip, not one per pooled
+        // socket. A reused connection may have gone stale between requests
+        // while the shard stayed up, so a read retries once on a fresh
+        // connection; a fresh connection failing means the shard is down.
+        // A timed-out read is not retried: the shard is slow or wedged, and
+        // would keep a fresh socket waiting as long. Writes are never
+        // re-sent at all: after a failed round trip there is no telling
+        // whether the shard received (and applied) the request before the
+        // connection died, and a silent re-send could double-apply it — see
+        // [`RemoteShard::is_write`].
+        drop(conn);
+        self.drop_idle();
+        if !reused || Self::is_write(verb) || timed_out(&first) {
+            return Err(self.unavailable(first));
+        }
+        let mut fresh = self.connect()?;
+        match self.exchange(&mut fresh, line, deadline) {
+            Ok(reply) => self.fresh_reply(fresh, reply),
+            Err(second) => Err(self.unavailable(second)),
         }
     }
 
@@ -204,7 +279,7 @@ impl ShardBackend for RemoteShard {
     }
 
     fn drain(&self) {
-        // Drop the cached connection; the remote process outlives us.
-        *self.conn.lock().expect("remote shard lock poisoned") = None;
+        // Drop the idle connections; the remote process outlives us.
+        self.drop_idle();
     }
 }

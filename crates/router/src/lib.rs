@@ -6,7 +6,7 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`backend`] | [`ShardBackend`]: one shard the router can ask — [`RemoteShard`] speaks the unmodified TCP line protocol to a `simrank-serve --listen` process with connect/read deadlines; [`LocalShard`] wraps an in-process [`exactsim_service::SimRankService`] (the test backend) |
+//! | [`backend`] | [`ShardBackend`]: one shard the router can ask — [`RemoteShard`] speaks the unmodified TCP line protocol to a `simrank-serve --listen` process over a stack of idle connections, with connect/read deadlines; [`LocalShard`] wraps an in-process [`exactsim_service::SimRankService`] (the test backend) |
 //! | [`health`] | per-shard closed → open → half-open circuit breakers (exponential backoff + jitter) behind every request and the background `ping` prober |
 //! | [`router`] | [`ShardRouter`]: routes `query` and `topk` to the owning shard with one call per read, fenced to the published epoch (failover marks replies `degraded`), fans out updates with compensation and commits under a write barrier, and answers `stats`/`metrics` with fan-out, barrier, and per-shard series |
 //! | [`scenario`] | workload scenarios for `simrank-client --scenario`: Zipfian source popularity, read/write/algorithm mixes, open-loop Poisson arrivals with burst phases, expanded into deterministic operation plans |

@@ -304,6 +304,10 @@ impl ShardRouter {
     /// One probe round: `ping` every shard whose breaker admits it. Public
     /// so tests (and operators via a debugger) can drive probing
     /// deterministically; the background thread just calls this in a loop.
+    /// A remote shard that does not answer within
+    /// [`crate::RemoteShard::PING_TIMEOUT`] counts as unavailable, so a
+    /// wedged shard holds a round up for at most that long, and its breaker
+    /// opens within `failure_threshold` rounds.
     pub fn probe_once(&self) {
         for shard in 0..self.num_shards() {
             if !self.inner.health[shard].allow() {

@@ -3,17 +3,24 @@
 //! listeners — replies bit-identical to the in-process path (the f64 wire
 //! round-trip is exact), updates commit on every shard, and a shard that
 //! dies degrades reads to a live replica (marked `degraded:true`, never a
-//! wrong answer, never a hang) while its circuit breaker opens.
+//! wrong answer, never a hang) while its circuit breaker opens. So do a
+//! wedged shard and one refusing connections at its cap, and a restart
+//! behind pooled connections costs one failed round trip.
 
-use std::net::TcpListener;
-use std::sync::Arc;
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use exactsim::exactsim::ExactSimConfig;
 use exactsim_graph::generators::barabasi_albert;
 use exactsim_graph::partition::shard_of;
-use exactsim_router::{BreakerState, RemoteShard, ShardBackend, ShardRouter};
-use exactsim_service::net::{self, NetOptions};
+use exactsim_router::{
+    BreakerConfig, BreakerState, RemoteShard, ShardBackend, ShardError, ShardRouter,
+};
+use exactsim_service::net::{self, LineClient, NetOptions};
 use exactsim_service::protocol::{self, parse_line, Outcome};
 use exactsim_service::{AlgorithmKind, ServiceConfig, SimRankService};
 
@@ -271,4 +278,326 @@ fn a_shard_down_at_construction_fails_router_new_with_a_typed_error() {
         started.elapsed() < Duration::from_secs(5),
         "construction probe must fail fast"
     );
+}
+
+/// What a [`FakeShard`] does with one request line.
+enum Respond {
+    /// Answer with this line.
+    Reply(String),
+    /// Answer with this line, then close the connection.
+    ReplyAndHangUp(String),
+    /// Never answer.
+    Silent,
+}
+
+/// A listener that answers each request line as `respond(connection index,
+/// line)` says, for shard behaviour a real server does not show on cue.
+struct FakeShard {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    acceptor: JoinHandle<()>,
+}
+
+impl FakeShard {
+    /// How often its threads look at the stop flag.
+    const POLL: Duration = Duration::from_millis(20);
+
+    fn start(respond: impl Fn(usize, &str) -> Respond + Send + Sync + 'static) -> FakeShard {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let respond = Arc::new(respond);
+        let acceptor = std::thread::spawn({
+            let stop = Arc::clone(&stop);
+            move || {
+                let mut conns = Vec::new();
+                while !stop.load(Ordering::Acquire) {
+                    match listener.accept() {
+                        Ok((stream, _)) => {
+                            let index = conns.len();
+                            let (respond, stop) = (Arc::clone(&respond), Arc::clone(&stop));
+                            conns.push(std::thread::spawn(move || {
+                                Self::serve(stream, |line| respond(index, line), &stop)
+                            }));
+                        }
+                        Err(_) => std::thread::sleep(Self::POLL),
+                    }
+                }
+                for conn in conns {
+                    conn.join().unwrap();
+                }
+            }
+        });
+        FakeShard {
+            addr,
+            stop,
+            acceptor,
+        }
+    }
+
+    fn serve(stream: TcpStream, respond: impl Fn(&str) -> Respond, stop: &AtomicBool) {
+        stream.set_nonblocking(false).unwrap();
+        stream.set_read_timeout(Some(Self::POLL)).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = Vec::new();
+        while !stop.load(Ordering::Acquire) {
+            match reader.read_until(b'\n', &mut line) {
+                Ok(0) => return,
+                Ok(_) => {
+                    let request = String::from_utf8_lossy(&line).trim().to_string();
+                    line.clear();
+                    // A failed write means the client hung up.
+                    match respond(&request) {
+                        Respond::Reply(reply) => {
+                            if writeln!(writer, "{reply}").is_err() {
+                                return;
+                            }
+                        }
+                        Respond::ReplyAndHangUp(reply) => {
+                            let _ = writeln!(writer, "{reply}");
+                            return;
+                        }
+                        Respond::Silent => {}
+                    }
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(_) => return,
+            }
+        }
+    }
+
+    fn stop(self) {
+        self.stop.store(true, Ordering::Release);
+        self.acceptor.join().unwrap();
+    }
+}
+
+/// An `epoch` reply at epoch 0, enough for a router's constructor.
+const EPOCH_REPLY: &str =
+    "{\"epoch\":0,\"pending_insertions\":0,\"pending_deletions\":0,\"pending_nodes\":0}";
+
+#[test]
+fn a_failed_round_trip_drops_every_idle_connection_so_a_restart_costs_one_failure() {
+    // The first two connections each answer one request once both carry
+    // one, then hang up: a shard that restarted behind two pooled sockets.
+    // Later connections answer everything. The wait is bounded, so
+    // requests that cannot run side by side slow the test, not hang it.
+    const PAIRING: Duration = Duration::from_secs(5);
+    let asked = Arc::new((Mutex::new(0usize), Condvar::new()));
+    let shard = FakeShard::start(move |conn, _| {
+        let reply = "{\"op\":\"ok\",\"epoch\":0}".to_string();
+        if conn >= 2 {
+            return Respond::Reply(reply);
+        }
+        let (count, arrived) = &*asked;
+        let mut count = count.lock().unwrap();
+        *count += 1;
+        arrived.notify_all();
+        drop(
+            arrived
+                .wait_timeout_while(count, PAIRING, |n| *n < 2)
+                .unwrap(),
+        );
+        Respond::ReplyAndHangUp(reply)
+    });
+    let backend = RemoteShard::new(shard.addr.to_string());
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        let asks = [(); 2].map(|_| scope.spawn(|| backend.request("epoch")));
+        for ask in asks {
+            assert!(ask.join().unwrap().is_ok());
+        }
+    });
+    assert!(
+        started.elapsed() < PAIRING,
+        "the two requests did not run side by side"
+    );
+    // Writes are sent at most once, so the first one pays for a stale
+    // socket. It drops the other idle one too, so the next write goes out
+    // on a fresh connection instead of failing the same way.
+    assert!(matches!(
+        backend.request("addedge 1 2"),
+        Err(ShardError::Unavailable(_))
+    ));
+    let second = backend.request("addedge 1 2");
+    assert!(
+        second.is_ok(),
+        "a second stale socket was reused: {second:?}"
+    );
+
+    drop(backend);
+    shard.stop();
+}
+
+#[test]
+fn a_wedged_shard_is_detected_by_probes_without_waiting_for_the_read_deadline() {
+    // Accepts, answers `epoch` (so a router can be built over it), and never
+    // answers anything else; it keeps every other line it received.
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let wedged = FakeShard::start({
+        let seen = Arc::clone(&seen);
+        move |_, line| {
+            if line == "epoch" {
+                return Respond::Reply(EPOCH_REPLY.to_string());
+            }
+            seen.lock().unwrap().push(line.to_string());
+            Respond::Silent
+        }
+    });
+
+    // A read deadline that expires is a slow or wedged shard, not a stale
+    // socket: the read fails once and is not re-sent on a fresh one.
+    let direct = RemoteShard::new(wedged.addr.to_string())
+        .with_timeouts(Duration::from_millis(500), Duration::from_millis(300));
+    assert!(
+        direct.request("epoch").is_ok(),
+        "the epoch reply pools a connection"
+    );
+    let started = Instant::now();
+    match direct.request("topk 3 5 exactsim") {
+        Err(ShardError::Unavailable(_)) => {}
+        other => panic!("a wedged read must be unavailable: {other:?}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "{:?}",
+        started.elapsed()
+    );
+    assert_eq!(
+        *seen.lock().unwrap(),
+        ["topk 3 5 exactsim"],
+        "the timed-out read was re-sent"
+    );
+
+    // A router with the default 60 s read deadline over the wedged shard and
+    // a live replica.
+    let graph = Arc::new(barabasi_albert(120, 3, true, 7).unwrap());
+    let service = SimRankService::new(Arc::clone(&graph), test_config()).unwrap();
+    let live = net::serve(service, "127.0.0.1:0", NetOptions::default()).unwrap();
+    let router = ShardRouter::new(vec![
+        Box::new(RemoteShard::new(wedged.addr.to_string())) as Box<dyn ShardBackend>,
+        Box::new(RemoteShard::new(live.local_addr().to_string())),
+    ])
+    .unwrap();
+    let owned_by_wedged = (0..120u32).find(|&n| shard_of(n, 2) == 0).unwrap();
+    let line = format!("topk {owned_by_wedged} 5");
+
+    // Each probe round gives up on the wedged shard at the ping deadline, so
+    // the breaker opens within `failure_threshold` rounds; the read right
+    // after fails fast to the live replica. The channel bounds the wait, so
+    // a stalled prober fails the test instead of hanging it.
+    let threshold = BreakerConfig::default().failure_threshold;
+    let (done, finished) = mpsc::channel();
+    let prober = std::thread::spawn({
+        let router = router.clone();
+        let line = line.clone();
+        move || {
+            let started = Instant::now();
+            for _ in 0..threshold {
+                router.probe_once();
+            }
+            let probing = started.elapsed();
+            let health = router.shard_health(0);
+            let started = Instant::now();
+            let reply = ask(&router, &line);
+            let _ = done.send((probing, health, reply, started.elapsed()));
+        }
+    });
+    let (probing, health, reply, read_took) = finished
+        .recv_timeout(Duration::from_secs(20))
+        .expect("probing a wedged shard stalled for the read deadline");
+    prober.join().unwrap();
+    let bound = RemoteShard::PING_TIMEOUT * threshold + Duration::from_secs(2);
+    assert!(probing < bound, "{threshold} probe rounds took {probing:?}");
+    assert_eq!(health, BreakerState::Open);
+    assert_eq!(router.shard_health(1), BreakerState::Closed);
+    assert!(reply.contains("\"degraded\":true"), "{reply}");
+    assert!(!reply.contains("\"error\""), "{reply}");
+    assert!(
+        read_took < Duration::from_secs(1),
+        "failover took {read_took:?}"
+    );
+    let mut replica = LineClient::connect(live.local_addr()).unwrap();
+    let direct_top = replica
+        .round_trip(&format!("topk {owned_by_wedged} 5 exactsim"))
+        .unwrap();
+    assert_eq!(
+        strip_query_time(&reply).replace(",\"degraded\":true", ""),
+        strip_query_time(&direct_top),
+        "the failover answer is the live replica's"
+    );
+    // One ping per round, none re-sent, and the read never reached it.
+    let pings = vec!["ping"; threshold as usize];
+    assert_eq!(seen.lock().unwrap()[1..], pings);
+
+    drop(replica);
+    router.drain();
+    live.request_shutdown();
+    live.join();
+    wedged.stop();
+}
+
+#[test]
+fn a_shard_refusing_a_connection_at_capacity_fails_its_reads_over() {
+    let graph = Arc::new(barabasi_albert(120, 3, true, 7).unwrap());
+    let serve = |max_conns: usize| {
+        let service = SimRankService::new(Arc::clone(&graph), test_config()).unwrap();
+        let options = NetOptions {
+            max_conns,
+            ..NetOptions::default()
+        };
+        net::serve(service, "127.0.0.1:0", options).expect("bind shard listener")
+    };
+    let shard0 = serve(1);
+    let shard1 = serve(64);
+    let tight = |addr: SocketAddr| {
+        Box::new(
+            RemoteShard::new(addr.to_string())
+                .with_timeouts(Duration::from_millis(500), Duration::from_secs(30)),
+        ) as Box<dyn ShardBackend>
+    };
+    let router =
+        ShardRouter::new(vec![tight(shard0.local_addr()), tight(shard1.local_addr())]).unwrap();
+    // The router's pooled connection holds shard 0's only slot: let it go,
+    // then have a direct client take the slot once shard 0 has freed it.
+    router.drain();
+    let started = Instant::now();
+    let holder = loop {
+        let mut client = LineClient::connect(shard0.local_addr()).unwrap();
+        if client
+            .round_trip("ping")
+            .is_ok_and(|r| r.contains("\"op\":\"ping\""))
+        {
+            break client;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "shard 0 never freed its slot"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+
+    let owned_by_full = (0..120u32).find(|&n| shard_of(n, 2) == 0).unwrap();
+    let reply = ask(&router, &format!("topk {owned_by_full} 5"));
+    assert!(!reply.contains("\"code\":\"capacity\""), "{reply}");
+    assert!(!reply.contains("\"error\""), "{reply}");
+    assert!(reply.contains("\"degraded\":true"), "{reply}");
+    let mut replica = LineClient::connect(shard1.local_addr()).unwrap();
+    let direct = replica
+        .round_trip(&format!("topk {owned_by_full} 5 exactsim"))
+        .unwrap();
+    assert_eq!(
+        strip_query_time(&reply).replace(",\"degraded\":true", ""),
+        strip_query_time(&direct),
+        "the failover answer is shard 1's"
+    );
+
+    drop((holder, replica));
+    router.drain();
+    for shard in [shard0, shard1] {
+        shard.request_shutdown();
+        shard.join();
+    }
 }

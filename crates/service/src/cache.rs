@@ -282,13 +282,13 @@ mod tests {
     use std::time::Duration;
 
     fn resp(source: NodeId, tag: f64) -> Arc<QueryResponse> {
-        Arc::new(QueryResponse {
-            algorithm: AlgorithmKind::ExactSim,
-            epoch: 0,
+        Arc::new(QueryResponse::new(
+            AlgorithmKind::ExactSim,
+            0,
             source,
-            scores: vec![tag],
-            query_time: Duration::ZERO,
-        })
+            vec![tag],
+            Duration::ZERO,
+        ))
     }
 
     fn key(source: NodeId) -> CacheKey {
@@ -345,7 +345,7 @@ mod tests {
         cache.insert(key(0), resp(0, 9.0));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.get(&key(0)).unwrap().scores, vec![9.0]);
+        assert_eq!(cache.get(&key(0)).unwrap().scores(), vec![9.0]);
     }
 
     #[test]
@@ -371,10 +371,10 @@ mod tests {
         cache.insert(c, resp(1, 3.0));
         cache.insert(d, resp(1, 4.0));
         assert_eq!(cache.len(), 4);
-        assert_eq!(cache.get(&a).unwrap().scores, vec![1.0]);
-        assert_eq!(cache.get(&b).unwrap().scores, vec![2.0]);
-        assert_eq!(cache.get(&c).unwrap().scores, vec![3.0]);
-        assert_eq!(cache.get(&d).unwrap().scores, vec![4.0]);
+        assert_eq!(cache.get(&a).unwrap().scores(), vec![1.0]);
+        assert_eq!(cache.get(&b).unwrap().scores(), vec![2.0]);
+        assert_eq!(cache.get(&c).unwrap().scores(), vec![3.0]);
+        assert_eq!(cache.get(&d).unwrap().scores(), vec![4.0]);
     }
 
     #[test]
@@ -406,7 +406,7 @@ mod tests {
         }
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.evictions(), 2);
-        assert_eq!(cache.get(&key(14)).unwrap().scores, vec![14.0]);
+        assert_eq!(cache.get(&key(14)).unwrap().scores(), vec![14.0]);
         assert!(cache.get(&key(10)).is_none());
         // A second clear sweeps the reinserted generation.
         assert_eq!(cache.clear(), 3);
@@ -458,7 +458,7 @@ mod tests {
                     let s = (t * 31 + i) % 40;
                     cache.insert(key(s), resp(s, s as f64));
                     if let Some(hit) = cache.get(&key(s)) {
-                        assert_eq!(hit.scores, vec![s as f64], "cross-thread value mix-up");
+                        assert_eq!(hit.scores(), vec![s as f64], "cross-thread value mix-up");
                     }
                 }
             }));

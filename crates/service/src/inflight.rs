@@ -150,17 +150,17 @@ mod tests {
             }));
         }
         std::thread::sleep(Duration::from_millis(20));
-        let published = Arc::new(QueryResponse {
-            algorithm: AlgorithmKind::ExactSim,
-            epoch: 0,
-            source: 1,
-            scores: vec![1.0, 0.5],
-            query_time: Duration::from_micros(5),
-        });
+        let published = Arc::new(QueryResponse::new(
+            AlgorithmKind::ExactSim,
+            0,
+            1,
+            vec![1.0, 0.5],
+            Duration::from_micros(5),
+        ));
         table.complete(&key(), &slot, Ok(Arc::clone(&published)));
         for h in handles {
             if let Ok(resp) = h.join().unwrap() {
-                assert_eq!(resp.scores, published.scores);
+                assert_eq!(resp.scores(), published.scores());
             }
         }
     }

@@ -33,7 +33,7 @@
 //! // returning the exact same scores.
 //! let a = service.query(AlgorithmKind::ExactSim, 7).unwrap();
 //! let b = service.query(AlgorithmKind::ExactSim, 7).unwrap();
-//! assert_eq!(a.scores, b.scores);
+//! assert_eq!(a.scores(), b.scores());
 //! assert_eq!(service.stats().cache_hits, 1);
 //!
 //! // Top-k rides on the same cached single-source vectors.
@@ -64,7 +64,7 @@
 //! // the stale cached column for source 7 can no longer be returned.
 //! let after = service.query(AlgorithmKind::ExactSim, 7).unwrap();
 //! assert_eq!(service.epoch(), 1);
-//! assert_ne!(before.scores, after.scores);
+//! assert_ne!(before.scores(), after.scores());
 //! ```
 //!
 //! ## Concurrency model

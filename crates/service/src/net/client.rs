@@ -69,6 +69,12 @@ impl LineClient {
         }))
     }
 
+    /// Replaces the read deadline for every later reply; `None` makes reads
+    /// block.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.reader.get_ref().set_read_timeout(timeout)
+    }
+
     /// Sends one request line (the newline is appended here).
     pub fn send(&mut self, request: &str) -> io::Result<()> {
         injected(fault::sites::NET_WRITE)?;

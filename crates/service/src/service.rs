@@ -720,7 +720,11 @@ mod tests {
         // was swept, ExactSim recomputes on the new graph, and the MC index
         // is rebuilt for the new epoch.
         let after = service.query(AlgorithmKind::ExactSim, 0).unwrap();
-        assert_ne!(before.scores, after.scores, "the graph around 0 changed");
+        assert_ne!(
+            before.scores(),
+            after.scores(),
+            "the graph around 0 changed"
+        );
         service.query(AlgorithmKind::MonteCarlo, 0).unwrap();
         let snap = service.stats();
         assert_eq!(snap.epoch, 1);
@@ -763,7 +767,7 @@ mod tests {
         assert_eq!(b.epoch(), 1, "epoch is a property of the shared store");
         let via_a = a.query(AlgorithmKind::ExactSim, 0).unwrap();
         let via_b = b.query(AlgorithmKind::ExactSim, 0).unwrap();
-        assert_eq!(via_a.scores, via_b.scores);
+        assert_eq!(via_a.scores(), via_b.scores());
         assert!(a.graph().has_edge(0, 39));
     }
 
@@ -845,7 +849,7 @@ mod tests {
                                 .map(|top| top.entries.len()),
                             None => service
                                 .query(AlgorithmKind::ExactSim, source)
-                                .map(|resp| resp.scores.len()),
+                                .map(|resp| resp.scores().len()),
                         });
                     }
                 });

@@ -61,11 +61,13 @@ fn cached_answers_are_bit_identical_to_direct_library_calls() {
             .query(source)
             .unwrap();
         assert_eq!(
-            first.scores, direct.scores,
+            first.scores(),
+            direct.scores,
             "source {source}: serve != direct"
         );
         assert_eq!(
-            second.scores, direct.scores,
+            second.scores(),
+            direct.scores,
             "source {source}: cached != direct"
         );
         assert!(
@@ -76,11 +78,11 @@ fn cached_answers_are_bit_identical_to_direct_library_calls() {
 
     let direct_prsim = PrSim::build(graph.as_ref(), config.prsim).unwrap();
     let served_prsim = service.query(AlgorithmKind::PrSim, 3).unwrap();
-    assert_eq!(served_prsim.scores, direct_prsim.query(3).unwrap());
+    assert_eq!(served_prsim.scores(), direct_prsim.query(3).unwrap());
 
     let direct_mc = MonteCarlo::build(graph.as_ref(), config.mc).unwrap();
     let served_mc = service.query(AlgorithmKind::MonteCarlo, 3).unwrap();
-    assert_eq!(served_mc.scores, direct_mc.query(3).unwrap());
+    assert_eq!(served_mc.scores(), direct_mc.query(3).unwrap());
 
     let snap = service.stats();
     assert_eq!(snap.cache_hits, 3, "one repeat per ExactSim source");
@@ -150,7 +152,8 @@ fn thundering_herd_on_one_source_computes_once_and_agrees() {
     let reference = &responses[0];
     for r in &responses[1..] {
         assert_eq!(
-            r.scores, reference.scores,
+            r.scores(),
+            reference.scores(),
             "threads observed different answers"
         );
     }
@@ -237,7 +240,8 @@ fn commit_racing_live_queries_is_atomic_and_matches_a_fresh_service() {
     for s in 0..SOURCES {
         let warm = service.query(AlgorithmKind::ExactSim, s).unwrap();
         assert_eq!(
-            warm.scores, pre[s as usize],
+            warm.scores(),
+            pre[s as usize],
             "pre-commit must match epoch 0"
         );
     }
@@ -268,7 +272,7 @@ fn commit_racing_live_queries_is_atomic_and_matches_a_fresh_service() {
                     let s = source as usize;
                     // Atomicity: each answer is exactly one epoch's column.
                     assert!(
-                        response.scores == pre[s] || response.scores == post[s],
+                        response.scores() == pre[s] || response.scores() == post[s],
                         "thread {t} query {i}: answer matches neither epoch (a mix?)"
                     );
                     // Monotonicity: a query issued after the commit returned
@@ -276,7 +280,8 @@ fn commit_racing_live_queries_is_atomic_and_matches_a_fresh_service() {
                     // but before answering).
                     if commit_was_done {
                         assert_eq!(
-                            response.scores, post[s],
+                            response.scores(),
+                            post[s],
                             "thread {t} query {i}: stale answer after commit"
                         );
                     }
@@ -314,10 +319,11 @@ fn commit_racing_live_queries_is_atomic_and_matches_a_fresh_service() {
         let live = service.query(AlgorithmKind::ExactSim, s).unwrap();
         let scratch = fresh.query(AlgorithmKind::ExactSim, s).unwrap();
         assert_eq!(
-            live.scores, scratch.scores,
+            live.scores(),
+            scratch.scores(),
             "source {s}: post-commit service != fresh service on the new graph"
         );
-        assert_eq!(live.scores, post[s as usize]);
+        assert_eq!(live.scores(), post[s as usize]);
     }
 
     let snap = service.stats();
@@ -347,7 +353,7 @@ fn eviction_under_pressure_keeps_serving_correct_answers() {
         for source in 0..20u32 {
             let served = service.query(AlgorithmKind::ExactSim, source).unwrap();
             assert_eq!(
-                served.scores,
+                served.scores(),
                 solver.query(source).unwrap().scores,
                 "round {round} source {source}"
             );

@@ -84,13 +84,13 @@ fn expected_fragment(graph: &DiGraph, config: &ServiceConfig, epoch: u64, source
         .unwrap()
         .query(source)
         .unwrap();
-    let response = QueryResponse {
-        algorithm: AlgorithmKind::ExactSim,
+    let response = QueryResponse::new(
+        AlgorithmKind::ExactSim,
         epoch,
         source,
-        scores: direct.scores,
-        query_time: Duration::ZERO,
-    };
+        direct.scores,
+        Duration::ZERO,
+    );
     scores_fragment(&response.to_json(Some(32))).to_string()
 }
 

@@ -48,7 +48,7 @@ fn columns(service: &SimRankService) -> Vec<Vec<f64>> {
         AlgorithmKind::PrSim,
     ] {
         for source in [0u32, 13, 77] {
-            all.push(service.query(algo, source).unwrap().scores.clone());
+            all.push(service.query(algo, source).unwrap().scores().to_vec());
         }
     }
     all

@@ -211,13 +211,13 @@ fn a_commit_raced_against_routed_queries_never_yields_a_mixed_epoch_answer() {
                         .unwrap()
                         .query(s)
                         .unwrap();
-                    let response = QueryResponse {
-                        algorithm: AlgorithmKind::ExactSim,
-                        epoch: epoch as u64,
-                        source: s,
-                        scores: direct.scores,
-                        query_time: Duration::ZERO,
-                    };
+                    let response = QueryResponse::new(
+                        AlgorithmKind::ExactSim,
+                        epoch as u64,
+                        s,
+                        direct.scores,
+                        Duration::ZERO,
+                    );
                     scores_fragment(&response.to_json(Some(32))).to_string()
                 })
                 .collect()
