@@ -1,6 +1,13 @@
 //! Compressed-sparse-row adjacency storage.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::NodeId;
+
+/// One edge delta: `(insertions, deletions)`, each sorted by
+/// `(source, target)` and duplicate-free (see [`CsrAdjacency::apply_delta`]).
+pub type EdgeDelta<'a> = (&'a [(NodeId, NodeId)], &'a [(NodeId, NodeId)]);
 
 /// One orientation of a graph's adjacency in compressed-sparse-row form.
 ///
@@ -138,8 +145,10 @@ impl CsrAdjacency {
     }
 
     /// Rebuilds this orientation with a batch of edge insertions and
-    /// deletions applied, in `O(m + Δ)` — one merge pass over the existing
-    /// CSR arrays instead of a from-scratch `O(m log m)` reconstruction.
+    /// deletions applied: [`CsrAdjacency::apply_deltas`] with one delta, so
+    /// rows the delta does not name are copied in bulk and the cost is one
+    /// `O(n + m)` copy plus a merge of each named row with its `Δ` entries,
+    /// instead of a from-scratch `O(m log m)` reconstruction.
     ///
     /// `insertions` and `deletions` must both be sorted by `(source, target)`,
     /// duplicate-free, and name endpoints `< num_nodes` (all debug-asserted:
@@ -154,51 +163,122 @@ impl CsrAdjacency {
         insertions: &[(NodeId, NodeId)],
         deletions: &[(NodeId, NodeId)],
     ) -> CsrAdjacency {
-        debug_assert!(insertions.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(deletions.windows(2).all(|w| w[0] < w[1]));
+        self.apply_deltas(&[(insertions, deletions)])
+    }
+
+    /// Rebuilds this orientation with a sequence of `(insertions, deletions)`
+    /// deltas applied in order, in one pass: the result equals folding
+    /// [`CsrAdjacency::apply_delta`] over `deltas`, at the cost of a single
+    /// copy of the arrays.
+    ///
+    /// Each delta obeys [`CsrAdjacency::apply_delta`]'s contract (sorted,
+    /// duplicate-free, endpoints `< num_nodes`; debug-asserted). A run of
+    /// rows that no delta names is copied with one slice copy of its targets
+    /// and a shifted copy of its offsets. A named row goes through every
+    /// delta that names it, in delta order, with `apply_delta`'s merge. Each
+    /// delta's lists are walked by their own cursors as node ids ascend, and
+    /// a min-heap over the deltas' next sources finds the named rows. For `D`
+    /// deltas holding `Δ` edges the cost is `O(n + m)` for the copy,
+    /// `O(Δ log D)` for the heap, and one merge of a named row per delta
+    /// that names it.
+    pub fn apply_deltas(&self, deltas: &[EdgeDelta<'_>]) -> Self {
         let n = self.num_nodes();
-        debug_assert!(insertions
-            .iter()
-            .chain(deletions)
-            .all(|&(u, t)| (u as usize) < n && (t as usize) < n));
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(
-            (self.num_edges() + insertions.len()).saturating_sub(deletions.len()),
-        );
-        offsets.push(0usize);
-        let (mut ins, mut del) = (0usize, 0usize);
-        for v in 0..n as NodeId {
-            let old = self.neighbors(v);
-            // The slices of this node's insertions / deletions.
-            let ins_lo = ins;
-            while ins < insertions.len() && insertions[ins].0 == v {
-                ins += 1;
-            }
-            let del_lo = del;
-            while del < deletions.len() && deletions[del].0 == v {
-                del += 1;
-            }
-            let mut add = insertions[ins_lo..ins].iter().map(|&(_, t)| t).peekable();
-            let mut drop = deletions[del_lo..del].iter().map(|&(_, t)| t).peekable();
-            // Merge the sorted old list with the sorted additions, skipping
-            // every target named by a deletion.
-            for &t in old {
-                while add.peek().is_some_and(|&a| a < t) {
-                    targets.push(add.next().expect("peeked"));
-                }
-                while drop.peek().is_some_and(|&d| d < t) {
-                    drop.next();
-                }
-                if drop.peek() == Some(&t) {
-                    continue; // deleted (all occurrences of t are skipped)
-                }
-                targets.push(t);
-            }
-            targets.extend(add);
-            offsets.push(targets.len());
+        for &(insertions, deletions) in deltas {
+            debug_assert!(insertions.windows(2).all(|w| w[0] < w[1]));
+            debug_assert!(deletions.windows(2).all(|w| w[0] < w[1]));
+            debug_assert!(insertions
+                .iter()
+                .chain(deletions)
+                .all(|&(u, t)| (u as usize) < n && (t as usize) < n));
         }
+        let (inserted, deleted) = deltas
+            .iter()
+            .fold((0, 0), |(i, d), (ins, del)| (i + ins.len(), d + del.len()));
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity((self.num_edges() + inserted).saturating_sub(deleted));
+        offsets.push(0usize);
+
+        // Per delta, the next unread insertion and deletion.
+        let mut cursors = vec![(0usize, 0usize); deltas.len()];
+        let next_source = |d: usize, (ins, del): (usize, usize)| {
+            let (insertions, deletions) = deltas[d];
+            let a = insertions.get(ins).map(|e| e.0);
+            let b = deletions.get(del).map(|e| e.0);
+            a.into_iter().chain(b).min()
+        };
+        // Min-heap of (next named source, delta index): pops rows in id
+        // order and, within a row, deltas in their given order.
+        let mut heap: BinaryHeap<Reverse<(NodeId, usize)>> = (0..deltas.len())
+            .filter_map(|d| next_source(d, cursors[d]).map(|v| Reverse((v, d))))
+            .collect();
+        // A named row between two of its deltas, and the buffer the next
+        // delta merges it into.
+        let (mut row, mut spare) = (Vec::new(), Vec::new());
+        let mut copied = 0usize; // rows below this one are in the output
+        while let Some(Reverse((v, d))) = heap.pop() {
+            let first = copied <= v as usize; // no delta has merged row v yet
+            if first {
+                self.copy_rows(copied, v as usize, &mut offsets, &mut targets);
+                copied = v as usize + 1;
+            }
+            let (insertions, deletions) = deltas[d];
+            let (ins_lo, del_lo) = cursors[d];
+            let ins_hi = ins_lo + insertions[ins_lo..].partition_point(|e| e.0 == v);
+            let del_hi = del_lo + deletions[del_lo..].partition_point(|e| e.0 == v);
+            cursors[d] = (ins_hi, del_hi);
+            if let Some(next) = next_source(d, cursors[d]) {
+                heap.push(Reverse((next, d)));
+            }
+            let old: &[NodeId] = if first { self.neighbors(v) } else { &row };
+            let (ins, del) = (&insertions[ins_lo..ins_hi], &deletions[del_lo..del_hi]);
+            if heap.peek().is_none_or(|&Reverse((u, _))| u != v) {
+                // The last delta naming v writes the row into the output.
+                merge_row(old, ins, del, &mut targets);
+                offsets.push(targets.len());
+            } else {
+                spare.clear();
+                merge_row(old, ins, del, &mut spare);
+                std::mem::swap(&mut row, &mut spare);
+            }
+        }
+        self.copy_rows(copied, n, &mut offsets, &mut targets);
         CsrAdjacency { offsets, targets }
     }
+
+    /// Appends rows `lo..hi` unchanged: one slice copy of their targets and
+    /// their offsets shifted to where that copy lands.
+    fn copy_rows(&self, lo: usize, hi: usize, offsets: &mut Vec<usize>, targets: &mut Vec<NodeId>) {
+        let (start, end) = (self.offsets[lo], self.offsets[hi]);
+        let base = targets.len();
+        targets.extend_from_slice(&self.targets[start..end]);
+        offsets.extend(self.offsets[lo + 1..=hi].iter().map(|&o| o - start + base));
+    }
+}
+
+/// Appends `old` (sorted) to `out` with the sorted `insertions` merged in and
+/// every target named by the sorted `deletions` skipped, all occurrences of
+/// it. All three lists belong to one source node.
+fn merge_row(
+    old: &[NodeId],
+    insertions: &[(NodeId, NodeId)],
+    deletions: &[(NodeId, NodeId)],
+    out: &mut Vec<NodeId>,
+) {
+    let mut add = insertions.iter().map(|&(_, t)| t).peekable();
+    let mut drop = deletions.iter().map(|&(_, t)| t).peekable();
+    for &t in old {
+        while add.peek().is_some_and(|&a| a < t) {
+            out.push(add.next().expect("peeked"));
+        }
+        while drop.peek().is_some_and(|&d| d < t) {
+            drop.next();
+        }
+        if drop.peek() == Some(&t) {
+            continue; // deleted (all occurrences of t are skipped)
+        }
+        out.push(t);
+    }
+    out.extend(add);
 }
 
 #[cfg(test)]
@@ -311,6 +391,29 @@ mod tests {
         let csr = sample();
         let same = csr.apply_delta(&[], &[(1, 0), (2, 3)]);
         assert_eq!(same, csr);
+    }
+
+    #[test]
+    fn apply_deltas_equals_folding_apply_delta_in_order() {
+        let csr = sample(); // 0 -> {1, 2}, 1 -> {2}, 2 -> {}, 3 -> {0}
+        let deltas: [EdgeDelta; 5] = [
+            (&[(0, 3), (2, 1)], &[(0, 2)]),
+            (&[], &[]),
+            // Deletes what the first delta inserted, re-inserts what it
+            // deleted, and inserts a present edge (a second copy).
+            (&[(0, 2), (1, 2)], &[(0, 3)]),
+            (&[(3, 1)], &[(2, 0)]),
+            (&[(0, 3)], &[(1, 2)]),
+        ];
+        let folded = deltas
+            .iter()
+            .fold(csr.clone(), |acc, &(ins, del)| acc.apply_delta(ins, del));
+        let batched = csr.apply_deltas(&deltas);
+        assert_eq!(batched, folded);
+        let expected =
+            CsrAdjacency::from_edges(4, vec![(0, 1), (0, 2), (0, 3), (2, 1), (3, 0), (3, 1)]);
+        assert_eq!(batched, expected);
+        assert_eq!(csr.apply_deltas(&[]), csr);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The directed graph type used by every SimRank algorithm.
 
-use crate::csr::CsrAdjacency;
+use crate::csr::{CsrAdjacency, EdgeDelta};
 use crate::NodeId;
 
 /// A directed graph with both orientations materialised in CSR form.
@@ -186,7 +186,9 @@ impl DiGraph {
     }
 
     /// Rebuilds the graph with a batch of edge insertions and deletions
-    /// applied to *both* CSR orientations in one `O(m + Δ log Δ)` pass —
+    /// applied to *both* CSR orientations: [`DiGraph::apply_deltas`] with one
+    /// delta. Each orientation costs one bulk copy of the rows the delta
+    /// does not name plus a merge of the rows it does, `O(n + m + Δ log Δ)` —
     /// the delta→CSR path used by epoch-based dynamic stores, which is much
     /// cheaper than re-sorting the full edge list.
     ///
@@ -201,13 +203,30 @@ impl DiGraph {
         insertions: &[(NodeId, NodeId)],
         deletions: &[(NodeId, NodeId)],
     ) -> DiGraph {
-        let out_adj = self.out_adj.apply_delta(insertions, deletions);
+        self.apply_deltas(&[(insertions, deletions)])
+    }
+
+    /// Rebuilds the graph with a sequence of `(insertions, deletions)`
+    /// deltas applied in order, each under [`DiGraph::apply_delta`]'s
+    /// contract: the result equals folding `apply_delta` over `deltas`, but
+    /// each orientation is rebuilt in one [`CsrAdjacency::apply_deltas`]
+    /// pass. This is how WAL recovery replays a whole log.
+    pub fn apply_deltas(&self, deltas: &[EdgeDelta<'_>]) -> DiGraph {
+        let out_adj = self.out_adj.apply_deltas(deltas);
         let flip = |edges: &[(NodeId, NodeId)]| {
             let mut flipped: Vec<(NodeId, NodeId)> = edges.iter().map(|&(u, v)| (v, u)).collect();
             flipped.sort_unstable();
             flipped
         };
-        let in_adj = self.in_adj.apply_delta(&flip(insertions), &flip(deletions));
+        let owned: Vec<_> = deltas
+            .iter()
+            .map(|&(insertions, deletions)| (flip(insertions), flip(deletions)))
+            .collect();
+        let flipped: Vec<EdgeDelta> = owned
+            .iter()
+            .map(|(insertions, deletions)| (insertions.as_slice(), deletions.as_slice()))
+            .collect();
+        let in_adj = self.in_adj.apply_deltas(&flipped);
         DiGraph::from_csr(out_adj, in_adj)
     }
 

@@ -77,7 +77,7 @@ pub mod partition;
 
 pub use access::NeighborAccess;
 pub use builder::GraphBuilder;
-pub use csr::CsrAdjacency;
+pub use csr::{CsrAdjacency, EdgeDelta};
 pub use digraph::DiGraph;
 pub use error::GraphError;
 pub use linalg::SparseVec;

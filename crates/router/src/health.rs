@@ -19,11 +19,13 @@
 //!
 //! While `Open`, every [`Breaker::allow`] fails fast — a down shard costs
 //! the router a memory read instead of a connect timeout per request. When
-//! the cool-down expires the breaker admits exactly **one** trial request
-//! (`HalfOpen`); its outcome decides between closing and re-opening with a
-//! doubled cool-down. The background prober
-//! ([`ShardRouter::start_health_probes`]) sends `ping` trials on its own
-//! clock, so a shard heals even when no client traffic is flowing.
+//! the cool-down expires the breaker admits exactly **one** trial
+//! ([`Admission::Trial`], `HalfOpen`); its outcome decides between closing
+//! and re-opening with a doubled cool-down. A trial is always a `ping`: the
+//! background prober ([`ShardRouter::start_health_probes`]) sends its own on
+//! its own clock, so a shard heals even when no client traffic is flowing,
+//! and a client request admitted as the trial is preceded by one, so it
+//! never waits out a wedged shard's read deadline.
 //!
 //! [`ShardRouter::start_health_probes`]: crate::ShardRouter::start_health_probes
 //!
@@ -95,6 +97,19 @@ impl BreakerState {
     }
 }
 
+/// What [`Breaker::allow`] decided for one request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Admission {
+    /// Closed: send the request.
+    Pass,
+    /// The cool-down expired and this caller holds the single half-open
+    /// trial: it must `ping` the shard and report the outcome, which closes
+    /// or re-opens the breaker.
+    Trial,
+    /// Open, or another trial is in flight: fail fast without sending.
+    Refused,
+}
+
 /// If a half-open trial has not reported back after this long, assume its
 /// thread died and admit another trial rather than wedging half-open.
 const STALE_TRIAL: Duration = Duration::from_secs(90);
@@ -156,27 +171,28 @@ impl Breaker {
 
     /// May a request be sent to this shard right now?
     ///
-    /// Closed: yes. Open: no, until the cool-down expires — the expiring
-    /// call itself transitions to half-open and is admitted as the single
-    /// trial. Half-open: only if no trial is in flight.
-    pub fn allow(&self) -> bool {
+    /// Closed: [`Admission::Pass`]. Open: [`Admission::Refused`] until the
+    /// cool-down expires — the expiring call itself transitions to half-open
+    /// and is admitted as the single [`Admission::Trial`]. Half-open: a
+    /// trial only if none is in flight.
+    pub fn allow(&self) -> Admission {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         let now = Instant::now();
         match inner.state {
-            BreakerState::Closed => true,
+            BreakerState::Closed => Admission::Pass,
             BreakerState::Open => {
                 if now < inner.open_until {
-                    return false;
+                    return Admission::Refused;
                 }
                 inner.state = BreakerState::HalfOpen;
                 inner.trial_started = Some(now);
-                true
+                Admission::Trial
             }
             BreakerState::HalfOpen => match inner.trial_started {
-                Some(started) if now.duration_since(started) < STALE_TRIAL => false,
+                Some(started) if now.duration_since(started) < STALE_TRIAL => Admission::Refused,
                 _ => {
                     inner.trial_started = Some(now);
-                    true
+                    Admission::Trial
                 }
             },
         }
@@ -242,11 +258,11 @@ mod tests {
     fn stays_closed_below_threshold() {
         let b = Breaker::new(fast_config(), 0);
         for _ in 0..2 {
-            assert!(b.allow());
+            assert_eq!(b.allow(), Admission::Pass);
             b.record_failure();
         }
         assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.allow());
+        assert_eq!(b.allow(), Admission::Pass);
     }
 
     #[test]
@@ -268,7 +284,7 @@ mod tests {
             b.record_failure();
         }
         assert_eq!(b.state(), BreakerState::Open);
-        assert!(!b.allow(), "open breaker must fail fast");
+        assert_eq!(b.allow(), Admission::Refused, "open breaker must fail fast");
     }
 
     #[test]
@@ -279,12 +295,20 @@ mod tests {
         }
         // Cool-down for the first open is <= 80ms * 1.2.
         std::thread::sleep(Duration::from_millis(120));
-        assert!(b.allow(), "expired cool-down admits one trial");
+        assert_eq!(
+            b.allow(),
+            Admission::Trial,
+            "expired cool-down admits one trial"
+        );
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert!(!b.allow(), "only one trial while half-open");
+        assert_eq!(
+            b.allow(),
+            Admission::Refused,
+            "only one trial while half-open"
+        );
         b.record_success();
         assert_eq!(b.state(), BreakerState::Closed);
-        assert!(b.allow());
+        assert_eq!(b.allow(), Admission::Pass);
     }
 
     #[test]
@@ -294,11 +318,11 @@ mod tests {
             b.record_failure();
         }
         std::thread::sleep(Duration::from_millis(120));
-        assert!(b.allow());
+        assert_eq!(b.allow(), Admission::Trial);
         b.record_failure();
         assert_eq!(b.state(), BreakerState::Open);
         // Immediately after re-opening the (now doubled) cool-down holds.
-        assert!(!b.allow());
+        assert_eq!(b.allow(), Admission::Refused);
     }
 
     #[test]

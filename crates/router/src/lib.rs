@@ -55,5 +55,5 @@ pub mod scenario;
 pub mod wire;
 
 pub use backend::{LocalShard, RemoteShard, ShardBackend, ShardError};
-pub use health::{Breaker, BreakerConfig, BreakerState};
+pub use health::{Admission, Breaker, BreakerConfig, BreakerState};
 pub use router::ShardRouter;

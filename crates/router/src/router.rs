@@ -43,7 +43,13 @@
 //! touching the backend, so a down shard costs a memory read, not a connect
 //! timeout; a background prober ([`ShardRouter::start_health_probes`])
 //! `ping`s each shard so breakers open within a probe interval of an outage
-//! and close shortly after recovery, independent of client traffic.
+//! and close shortly after recovery, independent of client traffic. When a
+//! client request is admitted as an open breaker's half-open trial, the
+//! router sends that shard a `ping` first (a remote shard bounds it by
+//! [`crate::RemoteShard::PING_TIMEOUT`]): only a reply recloses the breaker
+//! and lets the request through, and a failed ping re-opens it and the
+//! request fails as unavailable (a read fails over), so no client request
+//! waits out a wedged shard's read deadline.
 //!
 //! Retry policy is verb-shaped. **Reads** (`query`, `topk`) are idempotent
 //! against a published epoch, and every backend is a full replica whose
@@ -70,7 +76,7 @@ use exactsim_service::protocol::{self, codes, Outcome, ProtoError, Request};
 use exactsim_service::AlgorithmKind;
 
 use crate::backend::{ShardBackend, ShardError};
-use crate::health::{Breaker, BreakerConfig};
+use crate::health::{Admission, Breaker, BreakerConfig};
 use crate::wire;
 
 /// Per-verb fan-out counters: how many shard requests each verb caused.
@@ -101,7 +107,8 @@ struct Counters {
     degraded: Arc<Counter>,
     /// Requests failed fast by an open breaker, per shard (never sent).
     breaker_fastfail: Vec<Arc<Counter>>,
-    /// Background health probes sent, per shard.
+    /// Health `ping`s sent, per shard: background probes and half-open
+    /// trials.
     probes: Vec<Arc<Counter>>,
 }
 
@@ -218,7 +225,7 @@ impl ShardRouter {
             ));
             probes.push(metrics.counter(
                 "simrank_router_probes_total",
-                "Background health probes sent to each shard",
+                "Health pings sent to each shard (background probes and half-open trials)",
                 labels,
             ));
             let gauge_health = Arc::clone(&health);
@@ -310,16 +317,28 @@ impl ShardRouter {
     /// opens within `failure_threshold` rounds.
     pub fn probe_once(&self) {
         for shard in 0..self.num_shards() {
-            if !self.inner.health[shard].allow() {
-                continue;
+            if self.inner.health[shard].allow() != Admission::Refused {
+                let _ = self.ping(shard);
             }
-            self.inner.counters.probes[shard].inc();
-            match self.inner.shards[shard].request("ping") {
-                Ok(_) => self.inner.health[shard].record_success(),
-                Err(ShardError::Unavailable(_)) => self.inner.health[shard].record_failure(),
-                // A malformed reply proves the process is up; health-wise
-                // that is a success even though reads would reject it.
-                Err(ShardError::Malformed(_)) => self.inner.health[shard].record_success(),
+        }
+    }
+
+    /// Sends `shard` a `ping` and reports the outcome to its breaker: a
+    /// probe, or the half-open trial ahead of a client request. `Err` iff
+    /// the shard is unavailable.
+    fn ping(&self, shard: usize) -> Result<(), ShardError> {
+        self.inner.counters.probes[shard].inc();
+        let breaker = &self.inner.health[shard];
+        match self.inner.shards[shard].request("ping") {
+            // A malformed reply proves the process is up; health-wise that
+            // is a success even though reads would reject it.
+            Ok(_) | Err(ShardError::Malformed(_)) => {
+                breaker.record_success();
+                Ok(())
+            }
+            Err(e) => {
+                breaker.record_failure();
+                Err(e)
             }
         }
     }
@@ -495,12 +514,18 @@ impl ShardRouter {
     fn timed_request(&self, shard: usize, line: &str) -> Result<String, ShardError> {
         let c = &self.inner.counters;
         let breaker = &self.inner.health[shard];
-        if !breaker.allow() {
-            c.breaker_fastfail[shard].inc();
-            return Err(ShardError::Unavailable(format!(
-                "shard {shard} ({}): circuit open",
-                self.inner.shards[shard].describe()
-            )));
+        match breaker.allow() {
+            Admission::Pass => {}
+            Admission::Refused => {
+                c.breaker_fastfail[shard].inc();
+                return Err(ShardError::Unavailable(format!(
+                    "shard {shard} ({}): circuit open",
+                    self.inner.shards[shard].describe()
+                )));
+            }
+            // The trial is a `ping`, bounded by the ping deadline, so the
+            // request never waits out a wedged shard's read deadline.
+            Admission::Trial => self.ping(shard)?,
         }
         c.shard_requests[shard].inc();
         let started = Instant::now();

@@ -540,6 +540,68 @@ fn a_wedged_shard_is_detected_by_probes_without_waiting_for_the_read_deadline() 
 }
 
 #[test]
+fn a_half_open_trial_on_a_wedged_shard_fails_over_at_the_ping_deadline() {
+    // Answers `epoch`, then never answers again; keeps every other line.
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let wedged = FakeShard::start({
+        let seen = Arc::clone(&seen);
+        move |_, line| {
+            if line == "epoch" {
+                return Respond::Reply(EPOCH_REPLY.to_string());
+            }
+            seen.lock().unwrap().push(line.to_string());
+            Respond::Silent
+        }
+    });
+    let graph = Arc::new(barabasi_albert(120, 3, true, 7).unwrap());
+    let service = SimRankService::new(Arc::clone(&graph), test_config()).unwrap();
+    let live = net::serve(service, "127.0.0.1:0", NetOptions::default()).unwrap();
+    // A 3 s read deadline: a read sent to the wedged shard waits all of it.
+    let read_deadline = Duration::from_secs(3);
+    let router = ShardRouter::new(vec![
+        Box::new(
+            RemoteShard::new(wedged.addr.to_string())
+                .with_timeouts(Duration::from_millis(500), read_deadline),
+        ) as Box<dyn ShardBackend>,
+        Box::new(RemoteShard::new(live.local_addr().to_string())),
+    ])
+    .unwrap();
+    let owned_by_wedged = (0..120u32).find(|&n| shard_of(n, 2) == 0).unwrap();
+
+    let config = BreakerConfig::default();
+    for _ in 0..config.failure_threshold {
+        router.probe_once();
+    }
+    assert_eq!(router.shard_health(0), BreakerState::Open);
+    // The first cool-down is `backoff_base` jittered by at most +20%, so
+    // after this sleep the next read is admitted as the half-open trial.
+    std::thread::sleep(config.backoff_base * 3 / 2);
+
+    let started = Instant::now();
+    let reply = ask(&router, &format!("topk {owned_by_wedged} 5"));
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(1_500),
+        "the trial read failed over after {took:?} (read deadline {read_deadline:?})"
+    );
+    assert!(reply.contains("\"degraded\":true"), "{reply}");
+    assert!(!reply.contains("\"error\""), "{reply}");
+    assert_eq!(
+        router.shard_health(0),
+        BreakerState::Open,
+        "the failed trial re-opens the breaker"
+    );
+    // The trial was a ping; the read itself never reached the wedged shard.
+    let pings = vec!["ping"; config.failure_threshold as usize + 1];
+    assert_eq!(*seen.lock().unwrap(), pings);
+
+    router.drain();
+    live.request_shutdown();
+    live.join();
+    wedged.stop();
+}
+
+#[test]
 fn a_shard_refusing_a_connection_at_capacity_fails_its_reads_over() {
     let graph = Arc::new(barabasi_albert(120, 3, true, 7).unwrap());
     let serve = |max_conns: usize| {

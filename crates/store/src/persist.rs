@@ -59,10 +59,19 @@
 //!    checksum or is structurally invalid is **corruption** and recovery
 //!    refuses with a typed [`StoreError::WalCorrupt`] — never a silent
 //!    partial load.
-//! 3. Replay records newer than the snapshot epoch in order; each must
-//!    publish exactly `epoch + 1`. Records at or below the snapshot epoch
-//!    are skipped (they are the residue of a crash between writing a
-//!    compaction snapshot and truncating the WAL).
+//! 3. Check the records newer than the snapshot epoch in order; the first
+//!    that fails is refused as [`StoreError::WalCorrupt`]. Each must
+//!    publish exactly `epoch + 1`; its `added` growth may not take the node
+//!    count past `u32::MAX` (the bound `addnode` staging enforces, so a
+//!    larger count is damage that survived the checksum); and its endpoints
+//!    must lie below the node count at that record. Records at or below the
+//!    snapshot epoch are skipped (they are the residue of a crash between
+//!    writing a compaction snapshot and truncating the WAL). The checked
+//!    records are then applied in one pass: the graph grows once by their
+//!    summed `added`, and one [`DiGraph::apply_deltas`] merges every delta
+//!    in record order. Growth only appends isolated nodes, so growing first
+//!    commutes with every delta, and a restart costs one copy of the graph
+//!    rather than one per record.
 //!
 //! ## Compaction
 //!
@@ -77,7 +86,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use exactsim_graph::binfmt::{decode_digraph, encode_digraph, encoded_len};
-use exactsim_graph::{DiGraph, NodeId};
+use exactsim_graph::{DiGraph, EdgeDelta, NodeId};
 use exactsim_obs::fault;
 
 use crate::error::StoreError;
@@ -619,7 +628,11 @@ impl DurableLog {
         let wal_records = scan.records.len() as u64;
         let records = scan.records;
 
+        // Every record is checked in order before anything is applied; the
+        // replayed deltas are then merged into the snapshot in one pass.
         let mut epoch = snapshot_epoch;
+        let mut n = graph.num_nodes() as u64; // the node count at this record
+        let mut deltas: Vec<EdgeDelta> = Vec::new();
         for record in &records {
             if record.epoch <= snapshot_epoch {
                 // Residue of a crash between compaction's snapshot write and
@@ -642,15 +655,27 @@ impl DurableLog {
                 });
             }
             // Id-space growth applies before the edge delta, so insertions
-            // in the same record may reference the new ids.
-            if record.added_nodes > 0 {
-                graph = graph.grow(record.added_nodes as usize);
-            }
-            // Endpoints must fit this graph's node space: apply_delta only
+            // in the same record may reference the new ids. The node count
+            // may not leave the u32 id space (the bound `addnode` staging
+            // enforces): unchecked, a huge count (damage that survived
+            // CRC32) wraps or aborts on allocation.
+            n = match n.checked_add(record.added_nodes) {
+                Some(grown) if grown <= u64::from(u32::MAX) => grown,
+                _ => {
+                    return Err(StoreError::WalCorrupt {
+                        path: wal_path.clone(),
+                        offset: 0,
+                        detail: format!(
+                            "record for epoch {} adds {} nodes to {n}, past the u32 id space",
+                            record.epoch, record.added_nodes
+                        ),
+                    })
+                }
+            };
+            // Endpoints must fit this graph's node space: apply_deltas only
             // debug-asserts ranges, and in release an out-of-range id (a
             // WAL from a different store, or damage that survived CRC32)
             // would silently desync the two CSR orientations.
-            let n = graph.num_nodes() as u64;
             if let Some(&(u, v)) = record
                 .insertions
                 .iter()
@@ -667,7 +692,7 @@ impl DurableLog {
                     ),
                 });
             }
-            graph = graph.apply_delta(&record.insertions, &record.deletions);
+            deltas.push((&record.insertions, &record.deletions));
             epoch = record.epoch;
         }
         if epoch < newest_named_epoch {
@@ -676,6 +701,14 @@ impl DurableLog {
             // refusing with the newest snapshot's error beats silently
             // publishing a rolled-back past.
             return Err(first_error.expect("fallback implies a snapshot error"));
+        }
+        // Growth only appends isolated nodes, so growing once up front
+        // commutes with every delta on the older ids.
+        if n > graph.num_nodes() as u64 {
+            graph = graph.grow(n as usize - graph.num_nodes());
+        }
+        if !deltas.is_empty() {
+            graph = graph.apply_deltas(&deltas);
         }
 
         Ok((

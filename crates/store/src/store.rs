@@ -144,7 +144,8 @@ fn page_file_path(dir: &Path, epoch: u64) -> PathBuf {
 /// [`GraphStore::stage_insert`] / [`GraphStore::stage_delete`] — validated
 /// against the node-id space and deduplicated against both the base graph
 /// and each other — and [`GraphStore::commit`] materializes a new CSR graph
-/// via the `O(m + Δ)` merge path ([`DiGraph::apply_delta`]), bumps the
+/// in one pass per batch ([`DiGraph::apply_delta`]: rows the delta does not
+/// name are copied in bulk, and only the named rows are merged), bumps the
 /// monotonic epoch, and atomically swaps the published snapshot.
 ///
 /// ## Durability
@@ -155,9 +156,11 @@ fn page_file_path(dir: &Path, epoch: u64) -> PathBuf {
 /// delta WAL (see [`crate::persist`] for the formats and the recovery
 /// protocol). Each commit appends its delta to the WAL and fsyncs *before*
 /// publishing the new epoch, so `open` after a crash restarts the store into
-/// exactly the last fully-committed epoch. [`GraphStore::save`] folds the
-/// WAL into a fresh snapshot; commits also do this automatically once the
-/// WAL exceeds a threshold ([`GraphStore::set_auto_compaction`]).
+/// exactly the last fully-committed epoch; it replays the whole WAL with one
+/// merge ([`DiGraph::apply_deltas`]), not one per record.
+/// [`GraphStore::save`] folds the WAL into a fresh snapshot; commits also do
+/// this automatically once the WAL exceeds a threshold
+/// ([`GraphStore::set_auto_compaction`]).
 ///
 /// ## Node-space growth
 ///

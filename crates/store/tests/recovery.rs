@@ -1,8 +1,10 @@
 //! Crash-recovery integration tests for the durable [`GraphStore`]:
-//! round-trip fidelity, WAL replay, compaction, and — crucially — corrupt
-//! persistence inputs (truncated WAL tails, bit-flipped checksums, wrong
-//! version headers), each of which must fail with a typed [`StoreError`],
-//! never a panic or a silent partial load.
+//! round-trip fidelity, WAL replay (a random history reopened after every
+//! commit must equal the live store bit for bit), compaction, and —
+//! crucially — corrupt persistence inputs (truncated WAL tails, bit-flipped
+//! checksums, wrong version headers, growth past the id space), each of
+//! which must fail with a typed [`StoreError`], never a panic or a silent
+//! partial load.
 
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -162,7 +164,7 @@ fn second_live_process_cannot_open_a_locked_store() {
 #[test]
 fn wal_records_with_out_of_range_endpoints_are_rejected_on_replay() {
     // A WAL paired with the wrong (smaller) store's snapshot must not reach
-    // apply_delta with out-of-range node ids. Build a 20-node store's WAL,
+    // the CSR merge with out-of-range node ids. Build a 20-node store's WAL,
     // then splice it next to a 6-node store's snapshot.
     let big_dir = TempDir::new("range-big");
     let big = GraphStore::create(
@@ -184,6 +186,127 @@ fn wal_records_with_out_of_range_endpoints_are_rejected_on_replay() {
             assert!(detail.contains("out of range"), "{detail}");
         }
         other => panic!("expected WalCorrupt, got {other:?}"),
+    }
+}
+
+/// Appends one hand-framed WAL record with no edges to the store in `dir`,
+/// in the format of the `persist` module docs: `payload_len u32`,
+/// `crc32 u32` over the payload, then the payload `epoch u64`, `added u64`,
+/// `n_ins u32`, `n_del u32`.
+fn append_growth_record(dir: &Path, epoch: u64, added_nodes: u64) {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&epoch.to_le_bytes());
+    payload.extend_from_slice(&added_nodes.to_le_bytes());
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    payload.extend_from_slice(&0u32.to_le_bytes());
+    let mut file = OpenOptions::new().append(true).open(wal_path(dir)).unwrap();
+    file.write_all(&(payload.len() as u32).to_le_bytes())
+        .unwrap();
+    file.write_all(&exactsim_store::persist::crc32(&payload).to_le_bytes())
+        .unwrap();
+    file.write_all(&payload).unwrap();
+}
+
+#[test]
+fn wal_records_growing_past_the_u32_id_space_are_rejected_on_replay() {
+    // A checksum-valid record whose `added_nodes` leaves the id space that
+    // `addnode` staging enforces: `u64::MAX` wraps an unchecked sum (the
+    // 6-node store came back with 5 nodes), and a node count of
+    // `u32::MAX + 1` is just past the bound (unchecked, recovery tried to
+    // allocate the offsets and aborted).
+    for added in [u64::MAX, u64::from(u32::MAX) + 1 - 6] {
+        let dir = TempDir::new("growth-bound");
+        drop(GraphStore::create(dir.path(), base_graph()).unwrap());
+        append_growth_record(dir.path(), 1, added);
+        match GraphStore::open(dir.path()) {
+            Err(StoreError::WalCorrupt { detail, .. }) => {
+                assert!(detail.contains("epoch 1"), "{detail}");
+                assert!(detail.contains("u32 id space"), "{detail}");
+            }
+            Ok(store) => panic!(
+                "added_nodes {added} recovered Ok with {} nodes",
+                store.num_nodes()
+            ),
+            Err(other) => panic!("added_nodes {added}: expected WalCorrupt, got {other:?}"),
+        }
+    }
+}
+
+/// SplitMix64, the seeded generator of the random histories below.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, bound: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % bound
+    }
+}
+
+/// A copy of the store files in `dir`, which can be opened while the live
+/// store holds its WAL lock.
+fn copy_store(dir: &Path) -> TempDir {
+    let copy = TempDir::new("copy");
+    std::fs::create_dir_all(copy.path()).unwrap();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), copy.path().join(entry.file_name())).unwrap();
+    }
+    copy
+}
+
+#[test]
+fn reopening_after_every_commit_of_a_random_history_equals_the_live_store() {
+    // Deletes of published edges (often ones a recent commit inserted),
+    // random inserts (on a few nodes, often of an edge deleted earlier),
+    // `addnode` with an edge to a new id, and a `save` midway: WAL replay
+    // merges many deltas that name the same rows, in order, after growing
+    // the graph.
+    for seed in 1..=4u64 {
+        let mut rng = Rng(seed);
+        let dir = TempDir::new("history");
+        let store = GraphStore::create(dir.path(), base_graph()).unwrap();
+        for commit in 0..30 {
+            if commit == 15 {
+                store.save().unwrap();
+            }
+            let n = store.num_nodes() as u64;
+            if rng.below(4) == 0 {
+                store.stage_add_nodes(1 + rng.below(3)).unwrap();
+                let new_id = (n + rng.below(store.pending_nodes())) as u32;
+                store.stage_insert(rng.below(n) as u32, new_id).unwrap();
+            }
+            let space = n + store.pending_nodes();
+            for _ in 0..1 + rng.below(4) {
+                let edges: Vec<(u32, u32)> =
+                    store.graph().materialize().unwrap().iter_edges().collect();
+                if rng.below(2) == 0 && !edges.is_empty() {
+                    let (u, v) = edges[rng.below(edges.len() as u64) as usize];
+                    store.stage_delete(u, v).unwrap();
+                } else {
+                    let (u, v) = (rng.below(space) as u32, rng.below(space) as u32);
+                    if u != v {
+                        store.stage_insert(u, v).unwrap();
+                    }
+                }
+            }
+            store.commit().unwrap();
+
+            let copy = copy_store(dir.path());
+            let reopened = GraphStore::open(copy.path()).unwrap();
+            let live = store.snapshot();
+            let case = format!("seed {seed}, commit {commit}");
+            assert_eq!(reopened.epoch(), live.epoch, "{case}");
+            let (got, want) = (
+                reopened.graph().materialize().unwrap(),
+                live.graph.materialize().unwrap(),
+            );
+            // Bit-identical CSR arrays, not just the same edge set.
+            assert_eq!(got.out_csr(), want.out_csr(), "{case}");
+            assert_eq!(got.in_csr(), want.in_csr(), "{case}");
+        }
     }
 }
 

@@ -30,7 +30,7 @@ use exactsim_graph::generators::{
 };
 use exactsim_graph::io::{parse_edge_list, to_edge_list_string, EdgeListOptions};
 use exactsim_graph::linalg::Workspace;
-use exactsim_graph::{DiGraph, GraphBuilder};
+use exactsim_graph::{DiGraph, EdgeDelta, GraphBuilder};
 
 const SQRT_C: f64 = 0.774_596_669_241_483_4; // sqrt(0.6)
 const CASES: u64 = 24;
@@ -432,6 +432,92 @@ fn multigraph() -> DiGraph {
     }
     edges.extend((1..n).step_by(7).map(|v| (v, v)));
     DiGraph::from_edges(n as usize, &edges)
+}
+
+#[test]
+fn batched_and_folded_csr_deltas_match_a_multiset_model() {
+    // The reference is independent of the merge: a multiset of edges in
+    // which a deletion clears every stored copy and an insertion adds one,
+    // rebuilt from scratch by `DiGraph::from_edges`. One `apply_deltas`
+    // pass and a fold of `apply_delta` must both equal it bit for bit, in
+    // both orientations.
+    use std::collections::BTreeMap;
+    type Edges = Vec<(u32, u32)>;
+
+    let bases = (0..CASES)
+        .map(|case| (format!("arbitrary/{case}"), arbitrary_graph(case)))
+        .chain([("multi".to_string(), multigraph())]);
+    for (case, (name, base)) in bases.enumerate() {
+        let mut rng = StdRng::seed_from_u64(0x00DE_17A5 ^ case as u64);
+        let old_n = base.num_nodes() as u32;
+        // Up to 3 isolated nodes, which later deltas attach edges to.
+        let grown = base.grow(rng.gen_range(0..=3));
+        let n = grown.num_nodes() as u32;
+        let mut model: BTreeMap<(u32, u32), usize> = BTreeMap::new();
+        for edge in base.iter_edges() {
+            *model.entry(edge).or_default() += 1;
+        }
+        let mut deleted: Edges = Vec::new();
+        let mut deltas: Vec<(Edges, Edges)> = Vec::new();
+        for _ in 0..rng.gen_range(1..=60) {
+            let (mut ins, mut del) = (Edges::new(), Edges::new());
+            // One delta in five is empty.
+            let size = if rng.gen_range(0..5) == 0 {
+                0
+            } else {
+                rng.gen_range(1..=6)
+            };
+            for _ in 0..size {
+                let present: Edges = model.keys().copied().collect();
+                let edge = match rng.gen_range(0..4) {
+                    // A present edge: deleted, or inserted as another copy.
+                    0 if !present.is_empty() => present[rng.gen_range(0..present.len())],
+                    // A deleted edge: re-inserted, or deleted while absent.
+                    1 if !deleted.is_empty() => deleted[rng.gen_range(0..deleted.len())],
+                    // An edge to a grown id.
+                    2 if n > old_n => (rng.gen_range(0..n), rng.gen_range(old_n..n)),
+                    _ => (rng.gen_range(0..n), rng.gen_range(0..n)),
+                };
+                if rng.gen_bool(0.5) {
+                    ins.push(edge);
+                } else {
+                    del.push(edge);
+                }
+            }
+            for list in [&mut ins, &mut del] {
+                list.sort_unstable();
+                list.dedup();
+            }
+            for edge in &del {
+                model.remove(edge);
+            }
+            for &edge in &ins {
+                *model.entry(edge).or_default() += 1;
+            }
+            deleted.extend(&del);
+            deltas.push((ins, del));
+        }
+        let edges: Edges = model
+            .iter()
+            .flat_map(|(&edge, &copies)| std::iter::repeat_n(edge, copies))
+            .collect();
+        let reference = DiGraph::from_edges(n as usize, &edges);
+
+        let views: Vec<EdgeDelta> = deltas
+            .iter()
+            .map(|(ins, del)| (ins.as_slice(), del.as_slice()))
+            .collect();
+        let batched = grown.apply_deltas(&views);
+        let folded = views.iter().fold(grown.clone(), |graph, &(ins, del)| {
+            graph.apply_delta(ins, del)
+        });
+        // `CsrAdjacency` equality compares the offsets and targets arrays.
+        for (how, got) in [("apply_deltas", &batched), ("folded apply_delta", &folded)] {
+            let at = format!("{name} ({} deltas): {how}", deltas.len());
+            assert_eq!(got.out_csr(), reference.out_csr(), "{at}");
+            assert_eq!(got.in_csr(), reference.in_csr(), "{at}");
+        }
+    }
 }
 
 #[test]
