@@ -38,6 +38,8 @@ mod result;
 
 pub use result::{ExactSimResult, ExactSimStats};
 
+use std::sync::Arc;
+
 use exactsim_graph::linalg::{pt_multiply, SparseVec};
 use exactsim_graph::{NeighborAccess, NodeId};
 
@@ -170,20 +172,38 @@ impl ExactSimConfig {
 /// trait objects), or stream adjacency from a buffer-managed page store
 /// (`exactsim-store`'s `GraphHandle`).
 ///
-/// The solver owns a [`ScratchPool`]: concurrent queries each check out a
-/// reusable [`Scratch`] workspace, so steady-state query traffic performs no
-/// accumulator allocation. Callers that manage their own workspaces (the
+/// The solver checks its [`Scratch`] workspaces out of a shared
+/// [`ScratchPool`], so concurrent queries each get their own and
+/// steady-state query traffic performs no accumulator allocation. A solver
+/// built with [`ExactSim::new`] has a pool of its own; one built with
+/// [`ExactSim::with_scratch_pool`] shares the caller's, which can outlive
+/// it (the service hands one pool to each epoch's solver), and clones
+/// share their solver's. Callers that manage their own workspaces (the
 /// benchmark harness, batch drivers) can use [`ExactSim::query_with`].
 #[derive(Clone, Debug)]
 pub struct ExactSim<G: NeighborAccess> {
     graph: G,
     config: ExactSimConfig,
-    pool: ScratchPool,
+    pool: Arc<ScratchPool>,
 }
 
 impl<G: NeighborAccess> ExactSim<G> {
-    /// Creates a solver for `graph` with the given configuration.
+    /// Creates a solver for `graph` with the given configuration and a
+    /// scratch pool of its own.
     pub fn new(graph: G, config: ExactSimConfig) -> Result<Self, SimRankError> {
+        let pool = Arc::new(ScratchPool::new(graph.num_nodes()));
+        Self::with_scratch_pool(graph, config, pool)
+    }
+
+    /// Creates a solver for `graph` that checks its scratches out of
+    /// `pool`. A pooled scratch holds no result state (see
+    /// [`ExactSim::query_with`]), so the pool may have served another
+    /// solver, on another graph with the same node count.
+    pub fn with_scratch_pool(
+        graph: G,
+        config: ExactSimConfig,
+        pool: Arc<ScratchPool>,
+    ) -> Result<Self, SimRankError> {
         config.validate()?;
         let n = graph.num_nodes();
         if n == 0 {
@@ -201,10 +221,19 @@ impl<G: NeighborAccess> ExactSim<G> {
                 });
             }
         }
+        if pool.num_nodes() != n {
+            return Err(SimRankError::InvalidParameter {
+                name: "scratch pool",
+                message: format!(
+                    "scratch pool was created for {} nodes but the graph has {n}",
+                    pool.num_nodes()
+                ),
+            });
+        }
         Ok(ExactSim {
             graph,
             config,
-            pool: ScratchPool::new(n),
+            pool,
         })
     }
 

@@ -390,6 +390,38 @@ fn queries_are_bit_identical_across_calls_and_instances() {
 }
 
 #[test]
+fn solvers_handed_one_scratch_pool_check_out_of_it() {
+    // The service hands one pool to the solver of each epoch while the node
+    // count stays the same: a solver must use the pool it is given, answer
+    // with the bits of a solver that owns its pool, and refuse a pool sized
+    // for another node count.
+    let g = barabasi_albert(150, 3, true, 11).unwrap();
+    let h = barabasi_albert(150, 2, true, 12).unwrap();
+    let cfg = ExactSimConfig {
+        epsilon: 1e-2,
+        walk_budget: Some(100_000),
+        ..Default::default()
+    };
+    let pool = Arc::new(ScratchPool::new(150));
+    for graph in [&g, &h, &g] {
+        let shared = ExactSim::with_scratch_pool(graph, cfg.clone(), Arc::clone(&pool)).unwrap();
+        let own = ExactSim::new(graph, cfg.clone()).unwrap();
+        for source in [0u32, 7, 42] {
+            let a = shared.query(source).unwrap().scores;
+            let b = own.query(source).unwrap().scores;
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "source {source}");
+        }
+        assert_eq!(pool.idle(), 1, "the shared solver returned its scratch");
+    }
+    let small = Arc::new(ScratchPool::new(149));
+    assert!(matches!(
+        ExactSim::with_scratch_pool(&g, cfg, small),
+        Err(SimRankError::InvalidParameter { .. })
+    ));
+}
+
+#[test]
 fn exploration_arena_retains_one_query_not_every_source() {
     // Algorithm 3's walk distributions live in a per-query arena that the
     // next query truncates, so a scratch serving many distinct sources keeps

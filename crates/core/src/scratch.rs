@@ -29,13 +29,26 @@
 //! off `q` and its CSR in-row, with the bits a build would have given them,
 //! so the arena holds levels ≥ 2 only.
 //!
-//! ## Concurrency
+//! Every accumulator is a [`Workspace`] whose slots hold `+0.0` outside its
+//! live set. A level build whose scatter makes at least one add per bitmap
+//! word runs wide — no first-touch branch, no touched list — and drains by
+//! scanning the bitmap; the rule is decided once, in
+//! [`exactsim_graph::linalg::p_multiply_accumulate`], for the level builds
+//! and the hop-vector pushes alike, and gives the bits a narrow scatter
+//! gives (see [`Workspace`]). The `Z` accumulator stays narrow.
 //!
-//! A `Scratch` is single-threaded state. Solvers own a [`ScratchPool`] —
-//! a lock-protected stack of scratches — so concurrent queries through one
-//! shared solver (the `exactsim-service` pattern) each check out their own
-//! workspace and return it when done; the pool grows to the peak concurrency
-//! and then stops allocating.
+//! ## Concurrency and lifetime
+//!
+//! A `Scratch` is single-threaded state. Solvers check scratches out of a
+//! [`ScratchPool`] — a lock-protected stack of scratches — so concurrent
+//! queries through one shared solver (the `exactsim-service` pattern) each
+//! check out their own workspace and return it when done; the pool grows to
+//! the peak concurrency and then stops allocating. A scratch holds no
+//! result state, only capacity, so a pool is tied to a node count, not to
+//! a solver or a graph: the service keeps one ExactSim pool across epochs
+//! for as long as the node count stays the same
+//! ([`crate::exactsim::ExactSim::with_scratch_pool`]), and the first query
+//! after a commit reuses the arena and workspaces the last epoch grew.
 
 use std::sync::Mutex;
 
@@ -96,14 +109,17 @@ impl Scratch {
     }
 }
 
-/// A lock-protected stack of [`Scratch`]es sized for one graph.
+/// A lock-protected stack of [`Scratch`]es sized for graphs of one node
+/// count.
 ///
 /// Checking out pops a scratch (or builds one on first use at this
 /// concurrency level); returning pushes it back. Steady-state query traffic
 /// therefore allocates nothing, while concurrent callers never contend on a
-/// single workspace. Cloning a pool (solvers derive `Clone`) yields a fresh
-/// empty pool for the same `n` — scratches hold no result state, so this is
-/// purely a warm-up concern.
+/// single workspace. Scratches hold no result state, so one pool can serve
+/// a sequence of solvers on different graphs of the same node count (behind
+/// an `Arc`, see [`crate::exactsim::ExactSim::with_scratch_pool`]). Cloning
+/// a pool (solvers that own theirs derive `Clone`) yields a fresh empty
+/// pool for the same `n` — purely a warm-up concern.
 pub struct ScratchPool {
     n: usize,
     pool: Mutex<Vec<Scratch>>,
@@ -116,6 +132,11 @@ impl ScratchPool {
             n,
             pool: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The node count this pool's scratches are sized for.
+    pub fn num_nodes(&self) -> usize {
+        self.n
     }
 
     /// Pops a scratch, creating one if the pool is empty.
@@ -365,8 +386,7 @@ impl DistTable {
                 last.cum_cost,
             )
         };
-        let cost: u64 = below.iter().map(|&j| graph.in_degree(j) as u64).sum();
-        p_multiply_accumulate(graph, below, below_values, &mut self.ws);
+        let cost = p_multiply_accumulate(graph, below, below_values, &mut self.ws);
         let start = self.indices.len();
         self.ws.drain_append(&mut self.indices, &mut self.values);
         let span = LevelSpan {

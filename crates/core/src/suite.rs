@@ -6,6 +6,7 @@
 //! algorithm behind [`SingleSourceAlgorithm`] so the harness (and the
 //! comparison example) can treat them interchangeably.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use exactsim_graph::{NeighborAccess, NodeId};
@@ -16,6 +17,7 @@ use crate::linearization::{Linearization, LinearizationConfig};
 use crate::mc::{MonteCarlo, MonteCarloConfig};
 use crate::parsim::{ParSim, ParSimConfig};
 use crate::prsim::{PrSim, PrSimConfig};
+use crate::scratch::ScratchPool;
 
 /// The output of one single-source query, uniform across algorithms.
 #[derive(Clone, Debug)]
@@ -69,6 +71,18 @@ impl<G: NeighborAccess> ExactSimAlgorithm<G> {
     pub fn new(graph: G, config: ExactSimConfig) -> Result<Self, SimRankError> {
         Ok(ExactSimAlgorithm {
             solver: ExactSim::new(graph, config)?,
+        })
+    }
+
+    /// Like [`ExactSimAlgorithm::new`], with the solver checking its
+    /// scratches out of `pool` ([`ExactSim::with_scratch_pool`]).
+    pub fn with_scratch_pool(
+        graph: G,
+        config: ExactSimConfig,
+        pool: Arc<ScratchPool>,
+    ) -> Result<Self, SimRankError> {
+        Ok(ExactSimAlgorithm {
+            solver: ExactSim::with_scratch_pool(graph, config, pool)?,
         })
     }
 }

@@ -75,11 +75,14 @@ fn in_neighbor_mean(x: &[f64], neighbors: &[NodeId]) -> f64 {
 
 /// Sparse `P·x` using a reusable [`Workspace`]; returns a sorted [`SparseVec`].
 ///
-/// Cost is `O(Σ_{j ∈ supp(x)} din(j))` for the scatter plus the sorted drain:
-/// a sort of the `|out|` touched entries while they are few next to the
-/// `n/64` bitmap words, otherwise one pass over those words, which is then
-/// `O(|out|)`. Neither part grows with `n` alone, which is what makes the
-/// sparse Linearization of §3.2 scale.
+/// Cost is `O(Σ_{j ∈ supp(x)} din(j))` for the scatter plus the sorted drain.
+/// A scatter of fewer adds than the `n/64` bitmap words is narrow and
+/// drains by sorting its `|out|` touched entries while they are few next to
+/// the words, otherwise by one pass over the words, which is then
+/// `O(|out|)`; a wider scatter skips the per-add bookkeeping and drains by
+/// the pass, which its adds outnumber (see [`Workspace`]). Neither part
+/// grows with `n` alone, which is what makes the sparse Linearization of
+/// §3.2 scale.
 pub fn p_multiply_sparse<G: NeighborAccess>(
     graph: &G,
     x: &SparseVec,
@@ -104,8 +107,14 @@ pub fn p_multiply_sparse_into<G: NeighborAccess>(
 
 /// Accumulates sparse `P·x` into `ws` without draining it, for an `x` given
 /// as parallel `indices` (sorted ascending) and `values` slices — the form
-/// in which an arena stores its vectors. Drain `ws` afterwards with
+/// in which an arena stores its vectors — and returns the number of adds,
+/// `Σ din(j)` over `indices`. Drain `ws` afterwards with
 /// [`Workspace::drain_into`] or [`Workspace::drain_append`].
+///
+/// Cost: the in-degrees first (no adjacency is read), then one add per
+/// edge, narrow or wide by [`Workspace::scatters_wide`]; the drain that
+/// follows is `O(n/64 + |out|)` after a wide scatter (see
+/// [`p_multiply_sparse`]).
 ///
 /// # Panics
 /// Panics if `indices` and `values` differ in length.
@@ -114,12 +123,27 @@ pub fn p_multiply_accumulate<G: NeighborAccess>(
     indices: &[NodeId],
     values: &[f64],
     ws: &mut Workspace,
-) {
+) -> u64 {
     assert_eq!(
         indices.len(),
         values.len(),
         "indices and values must be parallel"
     );
+    let adds: u64 = indices.iter().map(|&j| graph.in_degree(j) as u64).sum();
+    scatter_p(graph, indices, values, ws, ws.scatters_wide(adds));
+    adds
+}
+
+/// The scatter of [`p_multiply_accumulate`], narrow or wide as `wide` says.
+/// Each slot receives its shares in the same order either way: ascending
+/// `j`, then `j`'s sorted in-row.
+pub(crate) fn scatter_p<G: NeighborAccess>(
+    graph: &G,
+    indices: &[NodeId],
+    values: &[f64],
+    ws: &mut Workspace,
+    wide: bool,
+) {
     debug_assert_eq!(ws.len(), graph.num_nodes());
     let mut x = values.iter();
     graph.for_each_in_neighbors(indices.iter().copied(), |_, neighbors| {
@@ -128,8 +152,12 @@ pub fn p_multiply_accumulate<G: NeighborAccess>(
             return;
         }
         let share = xj / neighbors.len() as f64;
-        for &i in neighbors {
-            ws.add(i, share);
+        if wide {
+            ws.add_wide(neighbors, share);
+        } else {
+            for &i in neighbors {
+                ws.add(i, share);
+            }
         }
     });
 }
@@ -180,6 +208,8 @@ mod tests {
     use super::*;
     use crate::digraph::DiGraph;
     use crate::linalg::dense::{l1_norm, unit_vector};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// 0 -> 2, 1 -> 2, 2 -> 3, 3 -> 0 (same sample as digraph tests).
     fn sample() -> DiGraph {
@@ -333,6 +363,93 @@ mod tests {
         assert_eq!(values[1..], *want.values());
         assert_eq!((indices[0], values[0]), (9, 9.0));
         assert_eq!(ws.num_touched(), 0);
+    }
+
+    /// Sparse vectors as `(index, value bits)` pairs.
+    fn bits(indices: &[NodeId], values: &[f64]) -> Vec<(NodeId, u64)> {
+        indices
+            .iter()
+            .zip(values)
+            .map(|(&i, v)| (i, v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn wide_and_narrow_scatters_drain_to_the_same_bits() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0025);
+        for n in [1usize, 7, 64, 300, 5_000] {
+            // A multigraph: each drawn edge is stored one to three times, so
+            // in-rows hold runs of duplicates; every fifth node has a
+            // self-loop; node 0 has no in-edges.
+            let mut edges = Vec::new();
+            for _ in 0..3 * n {
+                let (u, v) = (rng.gen_range(0..n as NodeId), rng.gen_range(0..n as NodeId));
+                if v != 0 {
+                    edges.extend(std::iter::repeat_n((u, v), rng.gen_range(1..=3)));
+                }
+            }
+            edges.extend((1..n as NodeId).step_by(5).map(|v| (v, v)));
+            let graph = DiGraph::from_edges(n, &edges);
+            let (mut narrow, mut wide, mut chosen) =
+                (Workspace::new(n), Workspace::new(n), Workspace::new(n));
+            // Scatters the default rule ran narrow and wide.
+            let mut modes = [0usize; 2];
+            for round in 0..60 {
+                // Log-uniform support sizes, so both sides of the switch
+                // come up at every size.
+                let size = (n as f64).powf(rng.gen_range(0.0..1.0)) as usize;
+                let mut support: Vec<NodeId> = (0..size.max(1))
+                    .map(|_| rng.gen_range(0..n as NodeId))
+                    .collect();
+                support.sort_unstable();
+                support.dedup();
+                // Zero, negative and positive values; subnormal ones whose
+                // shares underflow to ±0.0; and negated neighbours, whose
+                // shares cancel where they meet.
+                let mut values: Vec<f64> = Vec::with_capacity(support.len());
+                for _ in 0..support.len() {
+                    let v = match rng.gen_range(0u32..8) {
+                        0 => 0.0,
+                        1 => -f64::from_bits(rng.gen_range(1..4)),
+                        2 => f64::from_bits(rng.gen_range(1..4)),
+                        3 => -values.last().copied().unwrap_or(1.0),
+                        _ => rng.gen_range(-2.0..2.0),
+                    };
+                    values.push(v);
+                }
+                let context = format!("n={n} round {round} ({} in support)", support.len());
+
+                let adds = p_multiply_accumulate(&graph, &support, &values, &mut chosen);
+                let want_adds: usize = support.iter().map(|&j| graph.in_degree(j)).sum();
+                assert_eq!(adds, want_adds as u64, "{context}");
+                modes[usize::from(chosen.scatters_wide(adds))] += 1;
+                scatter_p(&graph, &support, &values, &mut narrow, false);
+                scatter_p(&graph, &support, &values, &mut wide, true);
+
+                let mut outs = Vec::new();
+                for ws in [&mut narrow, &mut wide, &mut chosen] {
+                    let (mut out_indices, mut out_values) = (Vec::new(), Vec::new());
+                    if round % 2 == 0 {
+                        ws.drain_append(&mut out_indices, &mut out_values);
+                    } else {
+                        let mut out = SparseVec::unit(0, 1.0);
+                        ws.drain_into(&mut out);
+                        out_indices.extend_from_slice(out.indices());
+                        out_values.extend_from_slice(out.values());
+                    }
+                    outs.push(bits(&out_indices, &out_values));
+                    assert_eq!(ws.num_touched(), 0, "{context}: bitmap not cleared");
+                    for i in 0..n as NodeId {
+                        assert_eq!(ws.value(i).to_bits(), 0, "{context}: slot {i} not +0.0");
+                    }
+                }
+                assert_eq!(outs[1], outs[0], "{context}: wide vs narrow");
+                assert_eq!(outs[2], outs[0], "{context}: default rule vs narrow");
+            }
+            if n >= 300 {
+                assert!(modes[0] > 0 && modes[1] > 0, "n={n}: narrow/wide {modes:?}");
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,20 @@ use crate::NodeId;
 /// IC@0.005 stand-in's 580 words), and neither loses much near the switch.
 const WORDS_PER_SORTED_ENTRY: usize = 2;
 
+/// A scatter runs wide when it makes at least this many adds per bitmap
+/// word. A narrow add pays a first-touch branch and a touched-list push; a
+/// wide add pays neither, but its drain must scan all `n/64` words. Timed
+/// as scatter plus `drain_append` (2-vCPU VM, one pinned CPU) on random
+/// inputs over uniform random digraphs (`n` from 10,000 to 1,000,000) and
+/// on the walk distributions `P^t·e_q` (`t` ≤ 4, 300 sources) of the
+/// IC@0.005 stand-in (580 words), the two modes cost the same at 1/8–1/4
+/// adds per word. Above 1/4 wide is 20–45% faster; below 1/8 narrow wins,
+/// because a handful of adds cannot pay for the ~1 µs scan of 580 words. A
+/// switch at 1 sits inside wide's winning range, and the builds it leaves
+/// narrow cost a few microseconds either way. At `n` = 1,000 (16 words)
+/// the modes time the same.
+const ADDS_PER_WIDE_WORD: usize = 1;
+
 /// `true` iff a drain of `touched` entries over `words` bitmap words sorts
 /// the touched list (rather than scanning the words).
 fn drain_sorts(touched: usize, words: usize) -> bool {
@@ -21,30 +35,54 @@ fn drain_sorts(touched: usize, words: usize) -> bool {
 /// Reusable dense scratch space for the sparse kernels: the sparse
 /// accumulator every Scratch-based kernel in this workspace builds on.
 ///
-/// The sparse kernels accumulate into a dense `f64` buffer plus a "touched"
-/// list (the classic sparse-accumulator pattern), so a sequence of
-/// sparse-matrix × sparse-vector products performs no per-call allocation
-/// beyond the output vector. A bitmap marks the live slots, one bit per
-/// node: the first touch of a slot sets its bit and *assigns* the value, so
-/// the dense buffer is never zeroed, and a value that cancels to exactly
-/// `0.0` cannot re-enter the touched list twice. A reset clears only the
-/// bitmap words of touched slots, so it is `O(touched)` regardless of `n`.
+/// The sparse kernels accumulate into a dense `f64` buffer plus a bitmap of
+/// live slots, one bit per node (the classic sparse-accumulator pattern),
+/// so a sequence of sparse-matrix × sparse-vector products performs no
+/// per-call allocation beyond the output vector.
 ///
-/// Draining always visits the touched indices in **ascending order** — that
+/// **Invariant:** every slot outside the live set holds `+0.0`. `new`
+/// zeroes the buffer, and every drain and [`Workspace::reset`] zeroes each
+/// slot it visits, so no pass over all `n` slots is ever needed.
+///
+/// Two ways to add, chosen per scatter by
+/// [`Workspace::scatters_wide`]:
+/// - **Narrow** ([`Workspace::add`]): the first touch of a slot sets its
+///   bit, *assigns* the value and pushes the index on a touched list; a
+///   later touch adds. A value that cancels to exactly `0.0` stays live, so
+///   it cannot enter the touched list twice.
+/// - **Wide** (the `P·x` scatter of
+///   [`crate::linalg::p_multiply_accumulate`] when it makes at least one
+///   add per bitmap word, a timed constant): every add sets its bit and
+///   adds to the slot, `+0.0` or not, with no branch and no touched list.
+///   The drain then scans the bitmap.
+///
+/// The two modes give the same bits after a drain that drops exact zeros
+/// ([`Workspace::drain_into`], [`Workspace::drain_append`]): a slot
+/// receives its adds in the same order, and `0.0 + v == v` for every `v`
+/// but `−0.0`. The `P·x` scatter skips `x(j) == 0.0`, so a `−0.0` share
+/// comes only from underflow; it can change only the sign of a slot that
+/// stays zero, and those drains drop it either way.
+///
+/// Draining always visits the live indices in **ascending order** — that
 /// is the determinism contract: float accumulations performed through a
 /// workspace reduce in ascending-index order, exactly like the `BTreeMap`
 /// accumulators these workspaces replaced, so results are bit-identical
-/// between the two representations. A drain of `t` entries gets that order
-/// by sorting the touched list while `t` is small next to the `n/64`
-/// bitmap words (`O(t log t)`), and otherwise by scanning the bitmap word
-/// by word and clearing each word as it goes (`O(n/64 + t)`, which is
-/// `O(t)` there).
+/// between the two representations. A narrow drain of `t` entries gets
+/// that order by sorting the touched list while `t` is small next to the
+/// `n/64` bitmap words (`O(t log t)`); a wide drain, and a narrow one past
+/// that point, scans the bitmap word by word and clears each word as it
+/// goes (`O(n/64 + t)`, which is `O(t)` there).
 #[derive(Clone, Debug)]
 pub struct Workspace {
     accum: Vec<f64>,
     /// Bit `i % 64` of word `i / 64` is set iff slot `i` is live.
     live: Vec<u64>,
+    /// The live slots, in first-touch order, while no wide add has run
+    /// since the last drain/reset.
     touched: Vec<NodeId>,
+    /// A wide add ran since the last drain/reset: `touched` is incomplete,
+    /// and the next drain scans the bitmap.
+    wide: bool,
 }
 
 impl Workspace {
@@ -54,6 +92,7 @@ impl Workspace {
             accum: vec![0.0; n],
             live: vec![0; n.div_ceil(64)],
             touched: Vec::new(),
+            wide: false,
         }
     }
 
@@ -69,12 +108,21 @@ impl Workspace {
 
     /// Number of distinct indices touched since the last drain/reset.
     pub fn num_touched(&self) -> usize {
-        self.touched.len()
+        self.live
+            .iter()
+            .map(|word| word.count_ones() as usize)
+            .sum()
+    }
+
+    /// `true` iff a scatter of `adds` adds into this workspace runs wide:
+    /// at least one per bitmap word (`ADDS_PER_WIDE_WORD`). The one place
+    /// the mode is decided.
+    pub fn scatters_wide(&self, adds: u64) -> bool {
+        adds >= (ADDS_PER_WIDE_WORD * self.live.len()) as u64
     }
 
     /// Adds `v` into slot `i`. The first touch of a slot since the last
-    /// drain/reset *assigns* (it does not read the stale value), so no
-    /// zeroing pass is ever needed.
+    /// drain/reset *assigns* (it does not read the slot).
     #[inline]
     pub fn add(&mut self, i: NodeId, v: f64) {
         let idx = i as usize;
@@ -88,26 +136,31 @@ impl Workspace {
         }
     }
 
+    /// Adds `v` into every slot of `targets`, in order, the wide way: set
+    /// the slot's bit and add, with no branch and no touched-list push.
+    /// The next drain scans the bitmap.
+    #[inline]
+    pub(crate) fn add_wide(&mut self, targets: &[NodeId], v: f64) {
+        self.wide = true;
+        for &i in targets {
+            let idx = i as usize;
+            self.live[idx / 64] |= 1u64 << (idx % 64);
+            self.accum[idx] += v;
+        }
+    }
+
     /// Current value of slot `i` (`0.0` if untouched since the last
     /// drain/reset).
     pub fn value(&self, i: NodeId) -> f64 {
-        let idx = i as usize;
-        if self.live[idx / 64] & (1u64 << (idx % 64)) != 0 {
-            self.accum[idx]
-        } else {
-            0.0
-        }
+        self.accum[i as usize]
     }
 
     /// Discards any accumulated entries.
     pub fn reset(&mut self) {
-        for &i in &self.touched {
-            self.live[i as usize / 64] = 0;
-        }
-        self.touched.clear();
+        self.drain_sorted(|_, _| {});
     }
 
-    /// Visits every touched `(index, value)` pair in ascending index order —
+    /// Visits every live `(index, value)` pair in ascending index order —
     /// including entries that cancelled to `0.0` — then resets the workspace.
     /// This is the primitive the deterministic kernels reduce through.
     pub fn drain_sorted(&mut self, mut f: impl FnMut(NodeId, f64)) {
@@ -115,24 +168,26 @@ impl Workspace {
             accum,
             live,
             touched,
+            wide,
         } = self;
-        if drain_sorts(touched.len(), live.len()) {
+        if !*wide && drain_sorts(touched.len(), live.len()) {
             touched.sort_unstable();
             for &i in touched.iter() {
                 live[i as usize / 64] = 0;
-                f(i, accum[i as usize]);
+                f(i, std::mem::take(&mut accum[i as usize]));
             }
         } else {
             for (w, word) in live.iter_mut().enumerate() {
                 let mut bits = std::mem::take(word);
                 while bits != 0 {
                     let idx = w * 64 + bits.trailing_zeros() as usize;
-                    f(idx as NodeId, accum[idx]);
+                    f(idx as NodeId, std::mem::take(&mut accum[idx]));
                     bits &= bits - 1;
                 }
             }
         }
         touched.clear();
+        *wide = false;
     }
 
     /// Drains the accumulated entries into `out` (cleared first) in sorted
@@ -164,7 +219,7 @@ impl Workspace {
     /// Drains the accumulated entries into a freshly allocated sorted
     /// [`SparseVec`] and resets the workspace for reuse.
     pub(super) fn drain_sparse(&mut self) -> SparseVec {
-        let mut out = SparseVec::with_capacity(self.touched.len());
+        let mut out = SparseVec::with_capacity(self.num_touched());
         self.drain_into(&mut out);
         out
     }
@@ -186,16 +241,30 @@ mod tests {
     }
 
     /// Adds to `ws` and to the ordered-map reference in the same order. The
-    /// first add to a slot assigns, later ones accumulate, in both.
-    fn add_both(ws: &mut Workspace, map: &mut BTreeMap<NodeId, f64>, i: NodeId, v: f64) {
-        ws.add(i, v);
-        map.entry(i).and_modify(|acc| *acc += v).or_insert(v);
+    /// first narrow add to a slot assigns and later ones accumulate, in
+    /// both; a wide add accumulates onto the slot's `+0.0`.
+    fn add_both(
+        ws: &mut Workspace,
+        map: &mut BTreeMap<NodeId, f64>,
+        i: NodeId,
+        v: f64,
+        wide: bool,
+    ) {
+        if wide {
+            ws.add_wide(&[i], v);
+        } else {
+            ws.add(i, v);
+        }
+        let first = if wide { 0.0 + v } else { v };
+        map.entry(i).and_modify(|acc| *acc += v).or_insert(first);
     }
 
     fn assert_fresh(ws: &Workspace, context: &str) {
-        assert_eq!(ws.num_touched(), 0, "{context}: touched list not emptied");
-        for i in 0..ws.len() as NodeId {
-            assert_eq!(ws.value(i).to_bits(), 0, "{context}: slot {i} still live");
+        assert!(ws.touched.is_empty(), "{context}: touched list not emptied");
+        assert!(!ws.wide, "{context}: wide mode not cleared");
+        assert_eq!(ws.num_touched(), 0, "{context}: bitmap not cleared");
+        for (i, v) in ws.accum.iter().enumerate() {
+            assert_eq!(v.to_bits(), 0, "{context}: slot {i} holds {v}, not +0.0");
         }
     }
 
@@ -210,10 +279,14 @@ mod tests {
             // sorts is `switch - 1`.
             let switch = n.div_ceil(64).div_ceil(WORDS_PER_SORTED_ENTRY);
             let sizes = [1, switch.saturating_sub(1), switch, switch + 1, n / 3, n];
-            let mut paths = [0usize; 2];
-            // Each size meets each way of draining twice.
+            // Drains that sorted, scanned after narrow adds only, and
+            // scanned after wide adds.
+            let mut paths = [0usize; 3];
+            // Each size meets each way of draining twice: once after narrow
+            // adds, once after wide adds mixed with narrow ones.
             for round in 0..8 * sizes.len() {
                 let target = sizes[round / 8].clamp(1, n);
+                let wide = round / 4 % 2 == 1;
                 // `target` distinct slots in random order; the last slot sits
                 // in the last (possibly partial) word.
                 let mut slots = vec![(n - 1) as NodeId];
@@ -237,14 +310,19 @@ mod tests {
                         1 => -map.get(&i).copied().unwrap_or(1.0),
                         _ => rng.gen_range(-2.0..2.0),
                     };
-                    add_both(&mut ws, &mut map, i, v);
+                    add_both(&mut ws, &mut map, i, v, wide && k % 3 != 2);
                 }
                 assert_eq!(ws.num_touched(), target, "n={n} round {round}");
                 for i in 0..n as NodeId {
                     let want = map.get(&i).copied().unwrap_or(0.0);
                     assert_eq!(ws.value(i).to_bits(), want.to_bits(), "n={n} slot {i}");
                 }
-                paths[usize::from(!sorts(target, n))] += 1;
+                let path = if wide {
+                    2
+                } else {
+                    usize::from(!sorts(target, n))
+                };
+                paths[path] += 1;
                 let live = bits(map.iter().map(|(&i, &v)| (i, v)));
                 let nonzero: Vec<_> = live
                     .iter()
@@ -274,12 +352,13 @@ mod tests {
                 }
                 assert_fresh(&ws, &context);
             }
+            assert!(
+                paths[1] > 0 && paths[2] > 0,
+                "n={n}: drains sorted/scanned/wide {paths:?}"
+            );
             if switch > 1 {
                 assert!(sorts(switch - 1, n) && !sorts(switch, n));
-                assert!(
-                    paths[0] > 0 && paths[1] > 0,
-                    "n={n}: drains sorted/scanned {paths:?}"
-                );
+                assert!(paths[0] > 0, "n={n}: drains sorted/scanned/wide {paths:?}");
             }
         }
     }

@@ -26,7 +26,10 @@
 //! a new state and sweeps the result cache — and since [`CacheKey`] carries
 //! the epoch, entries of superseded epochs are unreachable even before the
 //! sweep. In-flight queries on the old snapshot finish undisturbed (their
-//! `Arc`s pin the old graph).
+//! `Arc`s pin the old graph). The new state's ExactSim solver is handed the
+//! old state's scratch pool while the node count is unchanged, so a commit
+//! does not make the next cold read regrow Algorithm 3's arena and
+//! workspaces.
 //!
 //! The service runs no threads of its own: every query executes on its
 //! caller's thread (a TCP connection handler, the stdin REPL, or any
@@ -38,6 +41,7 @@ use std::time::{Duration, Instant};
 use exactsim::exactsim::ExactSimConfig;
 use exactsim::mc::MonteCarloConfig;
 use exactsim::prsim::PrSimConfig;
+use exactsim::scratch::ScratchPool;
 use exactsim::suite::{
     ExactSimAlgorithm, MonteCarloAlgorithm, PrSimAlgorithm, SingleSourceAlgorithm,
 };
@@ -134,6 +138,11 @@ struct EpochState {
     /// The epoch's graph behind either storage backend (in-memory CSR or
     /// buffer-pool-paged); every algorithm is generic over it.
     graph: GraphHandle,
+    /// The scratches this epoch's ExactSim solver checks out. Handed on to
+    /// the next epoch while the node count stays the same, so the first
+    /// query after a commit does not regrow Algorithm 3's arena and
+    /// workspaces.
+    exactsim_scratch: Arc<ScratchPool>,
     /// Lazily-built per-algorithm indices, in [`AlgorithmKind::ALL`] order.
     /// Build errors are cached too: neither the configuration nor this
     /// epoch's graph can change, so retrying an invalid combination is
@@ -142,10 +151,20 @@ struct EpochState {
 }
 
 impl EpochState {
-    fn new(snapshot: GraphSnapshot) -> Self {
+    /// The state for `snapshot`, keeping `previous`'s ExactSim scratch pool
+    /// when the node count is unchanged.
+    fn new(snapshot: GraphSnapshot, previous: Option<&EpochState>) -> Self {
+        let n = snapshot.graph.num_nodes();
+        let exactsim_scratch = match previous {
+            Some(state) if state.exactsim_scratch.num_nodes() == n => {
+                Arc::clone(&state.exactsim_scratch)
+            }
+            _ => Arc::new(ScratchPool::new(n)),
+        };
         EpochState {
             epoch: snapshot.epoch,
             graph: snapshot.graph,
+            exactsim_scratch,
             algorithms: [OnceLock::new(), OnceLock::new(), OnceLock::new()],
         }
     }
@@ -162,10 +181,11 @@ impl EpochState {
             Ok(match kind {
                 // ExactSim is index-free: constructing its handle is pure
                 // validation and does not count as an index build.
-                AlgorithmKind::ExactSim => {
-                    Arc::new(ExactSimAlgorithm::new(graph, config.exactsim.clone())?)
-                        as AlgorithmHandle
-                }
+                AlgorithmKind::ExactSim => Arc::new(ExactSimAlgorithm::with_scratch_pool(
+                    graph,
+                    config.exactsim.clone(),
+                    Arc::clone(&self.exactsim_scratch),
+                )?) as AlgorithmHandle,
                 AlgorithmKind::PrSim => {
                     index_builds.inc();
                     Arc::new(PrSimAlgorithm::build(graph, config.prsim)?) as AlgorithmHandle
@@ -227,7 +247,7 @@ impl Inner {
         // refreshed while we waited, and the epoch may have advanced again.
         let snapshot = self.store.snapshot();
         if state.epoch != snapshot.epoch {
-            *state = Arc::new(EpochState::new(snapshot));
+            *state = Arc::new(EpochState::new(snapshot, Some(&state)));
             // Reclaim superseded epochs' entries eagerly. The epoch in the
             // key already makes them unreachable, so an old-epoch insert
             // racing this sweep is harmless either way. This is the tail end
@@ -433,7 +453,7 @@ impl SimRankService {
             inner: Arc::new(Inner {
                 store,
                 config,
-                state: RwLock::new(Arc::new(EpochState::new(snapshot))),
+                state: RwLock::new(Arc::new(EpochState::new(snapshot, None))),
                 cache,
                 inflight: InflightTable::new(),
                 metrics,
@@ -592,6 +612,7 @@ impl SimRankService {
 mod tests {
     use super::*;
     use exactsim_graph::generators::barabasi_albert;
+    use exactsim_graph::NeighborAccess;
 
     fn demo_service(n: usize, seed: u64) -> SimRankService {
         let graph = Arc::new(barabasi_albert(n, 3, true, seed).unwrap());
@@ -769,6 +790,69 @@ mod tests {
         let via_b = b.query(AlgorithmKind::ExactSim, 0).unwrap();
         assert_eq!(via_a.scores(), via_b.scores());
         assert!(a.graph().has_edge(0, 39));
+    }
+
+    /// The ExactSim scratch pool outlives an epoch while the node count
+    /// stays the same, a commit that grows the node space starts a new one,
+    /// and answers after either commit have the bits of a service built
+    /// fresh on that epoch's graph.
+    #[test]
+    fn exactsim_scratch_pool_is_kept_across_commits_that_keep_the_node_count() {
+        let service = demo_service(300, 23);
+        let sources: [NodeId; 4] = [0, 7, 150, 299];
+        let assert_fresh_bits = |context: &str| {
+            let graph = service.graph().materialize().unwrap();
+            let fresh = SimRankService::new(graph, ServiceConfig::fast_demo()).unwrap();
+            for source in sources {
+                let served = service.query(AlgorithmKind::ExactSim, source).unwrap();
+                let want = fresh.query(AlgorithmKind::ExactSim, source).unwrap();
+                let bits = |r: &QueryResponse| -> Vec<u64> {
+                    r.scores().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&served), bits(&want), "{context}: source {source}");
+            }
+        };
+        assert_fresh_bits("epoch 0");
+        let epoch0 = service.inner.current_state();
+        assert_eq!(epoch0.exactsim_scratch.idle(), 1);
+
+        // An edge commit keeps the pool. The pooled scratch is held out, so
+        // the new epoch's solver must give a scratch back to the pool it
+        // was handed for `idle` to read 1.
+        let dropped = service.graph().out_neighbors(0)[0];
+        assert_ne!(dropped, 299);
+        service.store().stage_insert(0, 299).unwrap();
+        service.store().stage_delete(0, dropped).unwrap();
+        service.commit().unwrap();
+        let held = epoch0.exactsim_scratch.checkout();
+        assert_fresh_bits("after an edge commit");
+        let epoch1 = service.inner.current_state();
+        assert_eq!(epoch1.epoch, 1);
+        assert!(Arc::ptr_eq(
+            &epoch0.exactsim_scratch,
+            &epoch1.exactsim_scratch
+        ));
+        assert_eq!(epoch1.exactsim_scratch.idle(), 1);
+        epoch0.exactsim_scratch.give_back(held);
+
+        // A commit that adds nodes starts a pool for the new node count.
+        service.store().stage_add_nodes(2).unwrap();
+        service.store().stage_insert(300, 0).unwrap();
+        service.store().stage_insert(5, 301).unwrap();
+        service.commit().unwrap();
+        assert_fresh_bits("after addnode");
+        let epoch2 = service.inner.current_state();
+        assert_eq!(epoch2.epoch, 2);
+        assert!(!Arc::ptr_eq(
+            &epoch1.exactsim_scratch,
+            &epoch2.exactsim_scratch
+        ));
+        assert_eq!(epoch2.exactsim_scratch.num_nodes(), 302);
+        assert_eq!(
+            epoch1.exactsim_scratch.idle(),
+            2,
+            "the old pool got nothing back"
+        );
     }
 
     /// A service over a paged store surfaces the buffer pool everywhere an

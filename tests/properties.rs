@@ -204,6 +204,7 @@ fn edge_list_round_trip_preserves_the_graph() {
 /// required to be bit-identical to. Uses only public API, so it stays
 /// independent of the production code paths.
 mod seed_reference {
+    use std::cell::Cell;
     use std::collections::BTreeMap;
 
     use exactsim::diagonal::{LocalExploreCaps, LocalNodeStats};
@@ -253,6 +254,28 @@ mod seed_reference {
         false
     }
 
+    thread_local! {
+        /// Builds of levels ≥ 2 (the levels the production arena builds,
+        /// the lower ones being views there), by scatter mode: narrow, wide.
+        static BUILDS: Cell<[usize; 2]> = const { Cell::new([0; 2]) };
+    }
+
+    fn count_build(level: usize, adds: u64, workspace: &Workspace) {
+        if level >= 2 {
+            BUILDS.with(|builds| {
+                let mut counts = builds.get();
+                counts[usize::from(workspace.scatters_wide(adds))] += 1;
+                builds.set(counts);
+            });
+        }
+    }
+
+    /// The [narrow, wide] level builds this thread has run since the last
+    /// call.
+    pub fn take_build_modes() -> [usize; 2] {
+        BUILDS.with(Cell::take)
+    }
+
     #[allow(clippy::too_many_arguments)]
     pub fn estimate_local_deterministic(
         graph: &DiGraph,
@@ -298,7 +321,9 @@ mod seed_reference {
                 let node_dist = dist.get_mut(&node).expect("source distribution present");
                 while node_dist.len() <= next_level {
                     let last = node_dist.last().expect("at least level 0");
-                    edges_used += extend_cost(last, graph);
+                    let cost = extend_cost(last, graph);
+                    edges_used += cost;
+                    count_build(node_dist.len(), cost, workspace);
                     let next = p_multiply_sparse(graph, last, workspace);
                     node_dist.push(next);
                 }
@@ -326,7 +351,9 @@ mod seed_reference {
                         .or_insert_with(|| vec![SparseVec::unit(q_prime, 1.0)]);
                     while q_dist.len() <= remaining {
                         let last = q_dist.last().expect("at least level 0");
-                        edges_used += extend_cost(last, graph);
+                        let cost = extend_cost(last, graph);
+                        edges_used += cost;
+                        count_build(q_dist.len(), cost, workspace);
                         let next = p_multiply_sparse(graph, last, workspace);
                         q_dist.push(next);
                     }
@@ -391,7 +418,9 @@ mod seed_reference {
 }
 
 /// The graphs the bit-identity properties sweep: three generated families
-/// × three seeds, and a multigraph.
+/// × three seeds, a multigraph, and `MIXED`. The 60–75-node graphs have
+/// one or two bitmap words, so a level build there runs narrow only when it
+/// makes fewer adds than that, which is rare.
 fn bit_identity_graphs() -> Vec<(String, DiGraph)> {
     let mut graphs = Vec::new();
     for seed in [1u64, 2, 3] {
@@ -413,8 +442,19 @@ fn bit_identity_graphs() -> Vec<(String, DiGraph)> {
         ));
     }
     graphs.push(("multi".to_string(), multigraph()));
+    graphs.push((
+        MIXED.to_string(),
+        gnm_directed(MIXED_NODES, 2 * MIXED_NODES, 4).unwrap(),
+    ));
     graphs
 }
+
+/// A sparse graph whose level builds scatter both ways: with 2 edges per
+/// node over 7 bitmap words, a level-2 build makes about 4 adds, fewer than
+/// the words, and runs narrow, while deeper levels grow past 7 and run
+/// wide. The bit-identity tests assert that both ran.
+const MIXED: &str = "mixed";
+const MIXED_NODES: usize = 400;
 
 /// A graph only `DiGraph::from_edges` builds, since `GraphBuilder` removes
 /// parallel edges and self-loops by default: each of 240 drawn edges is
@@ -568,6 +608,13 @@ fn scratch_diagonal_kernel_is_bit_identical_to_the_seed_era_implementation() {
                 assert_eq!(want_stats, got_stats, "{name} node {k} stats diverged");
             }
         }
+        let modes = seed_reference::take_build_modes();
+        if name == MIXED {
+            assert!(
+                modes[0] > 0 && modes[1] > 0,
+                "{name}: narrow/wide builds {modes:?}"
+            );
+        }
     }
 }
 
@@ -650,6 +697,13 @@ fn diagonal_estimation_reusing_walk_distributions_matches_the_seed_era_per_node_
                 "{name} tail_skip {tail_skip}: \
                  (walk pairs, explore edges, tails skipped) diverged"
             );
+            let modes = seed_reference::take_build_modes();
+            if name == MIXED {
+                assert!(
+                    modes[0] > 0 && modes[1] > 0,
+                    "{name} tail_skip {tail_skip}: narrow/wide builds {modes:?}"
+                );
+            }
         }
     }
 }
