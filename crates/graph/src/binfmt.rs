@@ -16,10 +16,11 @@
 //! ```
 //!
 //! Only the out-orientation is stored: the in-orientation is a pure function
-//! of it, and rebuilding it on decode ([`CsrAdjacency::from_edges`] sorts
-//! every neighbor list) reproduces the original in-CSR exactly, because both
-//! are the sorted form of the same edge multiset. This halves the on-disk
-//! size relative to storing both orientations.
+//! of it. Decoding rebuilds it with [`CsrAdjacency::transpose`], whose rows
+//! come out ascending by source with duplicates kept, which is exactly the
+//! in-CSR every constructor of this crate builds, so the original is
+//! reproduced bit for bit. This halves the on-disk size relative to storing
+//! both orientations, and a decode allocates the graph and nothing else.
 //!
 //! Decoding never trusts the input: lengths, offset monotonicity, and target
 //! ranges are all checked, and any violation is a typed
@@ -153,12 +154,11 @@ pub fn decode_digraph(bytes: &[u8]) -> Result<DiGraph, GraphError> {
             )));
         }
     }
-    let out_adj = CsrAdjacency::from_raw_parts(offsets, targets);
-    // The in-orientation is rebuilt from the edge multiset; from_edges sorts
-    // every list, so this is bit-identical to the in-CSR the graph was
-    // originally built with.
-    let in_adj = CsrAdjacency::from_edges(n, out_adj.iter_edges().map(|(u, v)| (v, u)));
-    Ok(DiGraph::from_csr(out_adj, in_adj))
+    // Every target is in range, so the transpose cannot panic; its rows are
+    // the in-CSR the graph was originally built with.
+    Ok(DiGraph::from_out_csr(CsrAdjacency::from_raw_parts(
+        offsets, targets,
+    )))
 }
 
 #[cfg(test)]

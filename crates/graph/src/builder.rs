@@ -135,15 +135,19 @@ impl GraphBuilder {
     }
 
     /// Finalises the graph.
+    ///
+    /// The out-orientation is counted from the edge list, which is freed
+    /// before the in-orientation is transposed from it, so the build peaks
+    /// at the edge list plus the out-CSR. With dedup on, the edge list is
+    /// sorted first and no neighbor list needs a sort of its own.
     pub fn build(mut self) -> DiGraph {
         if self.dedup {
             self.edges.sort_unstable();
             self.edges.dedup();
         }
         let out_adj = CsrAdjacency::from_edges(self.num_nodes, self.edges.iter().copied());
-        let in_adj =
-            CsrAdjacency::from_edges(self.num_nodes, self.edges.iter().map(|&(u, v)| (v, u)));
-        DiGraph::from_csr(out_adj, in_adj)
+        drop(self.edges);
+        DiGraph::from_out_csr(out_adj)
     }
 }
 

@@ -27,33 +27,71 @@ impl CsrAdjacency {
     /// `edges` is an iterator of `(source, target)` pairs; `num_nodes` fixes
     /// the node-id space. Neighbor lists are sorted; duplicates are *kept*
     /// (deduplication is the builder's responsibility).
+    ///
+    /// The iterator is walked twice (a counting sort: count the rows, then
+    /// place each target), never collected, so the build holds the result and
+    /// nothing else. A row's targets land in input order, and only a row that
+    /// comes out unsorted is sorted: input sorted by `(source, target)` needs
+    /// no sort at all.
+    ///
+    /// # Panics
+    /// Panics if a source is `>= num_nodes`.
     pub fn from_edges<I>(num_nodes: usize, edges: I) -> Self
     where
         I: IntoIterator<Item = (NodeId, NodeId)>,
+        I::IntoIter: Clone,
     {
-        let mut degrees = vec![0usize; num_nodes];
-        let edges: Vec<(NodeId, NodeId)> = edges.into_iter().collect();
-        for &(u, _) in &edges {
-            degrees[u as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(num_nodes + 1);
-        offsets.push(0usize);
-        let mut acc = 0usize;
-        for d in &degrees {
-            acc += d;
-            offsets.push(acc);
-        }
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0 as NodeId; acc];
-        for (u, v) in edges {
-            let slot = cursor[u as usize];
-            targets[slot] = v;
-            cursor[u as usize] += 1;
-        }
-        // Sort each adjacency list for deterministic iteration order.
+        let mut csr = CsrAdjacency::bucketed(num_nodes, edges.into_iter());
         for v in 0..num_nodes {
-            targets[offsets[v]..offsets[v + 1]].sort_unstable();
+            let row = &mut csr.targets[csr.offsets[v]..csr.offsets[v + 1]];
+            if !row.is_sorted() {
+                row.sort_unstable();
+            }
         }
+        csr
+    }
+
+    /// The other orientation of the same edge multiset: row `v` of the
+    /// result lists every `u` with `u → v` stored here.
+    ///
+    /// A counting sort that visits the sources in ascending order, so every
+    /// row comes out ascending with its duplicates adjacent — the rows
+    /// [`CsrAdjacency::from_edges`] would sort the flipped edges into, without
+    /// a sort. `O(n + m)` time; it allocates only the result.
+    pub fn transpose(&self) -> CsrAdjacency {
+        let n = self.num_nodes();
+        let flipped = (0..n).flat_map(|u| {
+            let u = u as NodeId;
+            self.neighbors(u).iter().map(move |&v| (v, u))
+        });
+        CsrAdjacency::bucketed(n, flipped)
+    }
+
+    /// Places every `(row, value)` pair in its row, in the order given: a
+    /// counting sort by row that walks `pairs` twice and allocates only the
+    /// two result arrays. Panics if a row is `>= num_nodes`.
+    fn bucketed<I>(num_nodes: usize, pairs: I) -> Self
+    where
+        I: Iterator<Item = (NodeId, NodeId)> + Clone,
+    {
+        let mut offsets = vec![0usize; num_nodes + 1];
+        for (row, _) in pairs.clone() {
+            // One slot per row, so an out-of-range row panics here.
+            offsets[1..][row as usize] += 1;
+        }
+        for v in 0..num_nodes {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut targets = vec![0 as NodeId; offsets[num_nodes]];
+        // `offsets[row]` is the row's cursor: it ends at the row's end, which
+        // is the next row's start, so one shift restores the offsets.
+        for (row, value) in pairs {
+            let slot = &mut offsets[row as usize];
+            targets[*slot] = value;
+            *slot += 1;
+        }
+        offsets.copy_within(0..num_nodes, 1);
+        offsets[0] = 0;
         CsrAdjacency { offsets, targets }
     }
 
@@ -283,7 +321,74 @@ fn merge_row(
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
+
+    /// The CSR of `edges` built the plain way: sort the whole list by
+    /// `(source, target)`, then cut it into rows.
+    fn sorted_reference(num_nodes: usize, mut edges: Vec<(NodeId, NodeId)>) -> CsrAdjacency {
+        edges.sort_unstable();
+        let mut offsets = vec![0usize; num_nodes + 1];
+        for &(u, _) in &edges {
+            offsets[u as usize + 1] += 1;
+        }
+        for v in 0..num_nodes {
+            offsets[v + 1] += offsets[v];
+        }
+        CsrAdjacency::from_raw_parts(offsets, edges.into_iter().map(|(_, v)| v).collect())
+    }
+
+    #[test]
+    fn counting_builds_equal_sorting_builds_on_multigraphs() {
+        let mut rng = StdRng::seed_from_u64(26);
+        for case in 0..300 {
+            // n = 0 and n = 1 first; the top three ids never get an edge.
+            let active = match case {
+                0 => 0,
+                1..=3 => 1,
+                _ => rng.gen_range(1..40usize),
+            };
+            let n = if case < 2 { active } else { active + case % 4 };
+            let m = if active == 0 {
+                0
+            } else {
+                rng.gen_range(0..5 * active)
+            };
+            let mut edges: Vec<(NodeId, NodeId)> = (0..m)
+                .map(|_| {
+                    let u = rng.gen_range(0..active) as NodeId;
+                    (u, rng.gen_range(0..active) as NodeId)
+                })
+                .collect();
+            if let Some(&(u, v)) = edges.first() {
+                edges.extend([(u, v), (u, v), (v, v), (u, u)]); // duplicates and self-loops
+            }
+            let flipped: Vec<_> = edges.iter().map(|&(u, v)| (v, u)).collect();
+
+            let csr = CsrAdjacency::from_edges(n, edges.iter().copied());
+            assert_eq!(csr, sorted_reference(n, edges.clone()), "case {case}");
+            let transposed = csr.transpose();
+            assert_eq!(
+                transposed,
+                sorted_reference(n, flipped.clone()),
+                "case {case}"
+            );
+            assert_eq!(transposed, CsrAdjacency::from_edges(n, flipped));
+            assert_eq!(transposed.transpose(), csr);
+            // Sorted input needs no row sort and gives the same rows.
+            let mut sorted = edges;
+            sorted.sort_unstable();
+            assert_eq!(CsrAdjacency::from_edges(n, sorted), csr);
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn from_edges_rejects_an_out_of_range_source() {
+        CsrAdjacency::from_edges(3, vec![(0, 1), (3, 0)]);
+    }
 
     fn sample() -> CsrAdjacency {
         // 0 -> {1, 2}, 1 -> {2}, 2 -> {}, 3 -> {0}

@@ -38,14 +38,21 @@ impl DiGraph {
         }
     }
 
+    /// Assembles a graph from its out-orientation: the in-orientation is its
+    /// [`CsrAdjacency::transpose`], every in-row ascending by source with
+    /// duplicates kept. Every graph this crate builds from edges (the builder,
+    /// [`DiGraph::from_edges`], the generators, snapshot decode) ends here.
+    pub(crate) fn from_out_csr(out_adj: CsrAdjacency) -> Self {
+        let in_adj = out_adj.transpose();
+        DiGraph::from_csr(out_adj, in_adj)
+    }
+
     /// Convenience constructor from an explicit edge list.
     ///
     /// Node ids must be `< num_nodes`. Duplicate edges are kept as-is; use
     /// [`crate::GraphBuilder`] for deduplication and validation.
     pub fn from_edges(num_nodes: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let out_adj = CsrAdjacency::from_edges(num_nodes, edges.iter().copied());
-        let in_adj = CsrAdjacency::from_edges(num_nodes, edges.iter().map(|&(u, v)| (v, u)));
-        DiGraph::from_csr(out_adj, in_adj)
+        DiGraph::from_out_csr(CsrAdjacency::from_edges(num_nodes, edges.iter().copied()))
     }
 
     /// Number of nodes `n`.

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::distinct::{distinct_keys, graph_of_keys};
 use crate::builder::GraphBuilder;
 use crate::digraph::DiGraph;
 use crate::error::GraphError;
@@ -78,6 +79,12 @@ pub fn erdos_renyi_undirected(n: usize, p: f64, seed: u64) -> Result<DiGraph, Gr
 
 /// Directed `G(n, m)`: exactly `m` distinct directed edges (no self-loops)
 /// chosen uniformly at random.
+///
+/// Candidate pairs `(u, v)` are drawn uniformly from `n × n`; a self-loop or
+/// a pair already accepted is skipped, and drawing goes on, with no budget,
+/// until the `m`-th distinct pair is accepted. The expected number of
+/// candidates is about `n²·ln(M / (M − m))` for `M = n(n − 1)` ordered pairs:
+/// close to `m` for sparse requests, `n²·ln M` for the complete digraph.
 pub fn gnm_directed(n: usize, m: usize, seed: u64) -> Result<DiGraph, GraphError> {
     let max_edges = n.saturating_mul(n.saturating_sub(1));
     if m > max_edges {
@@ -86,21 +93,12 @@ pub fn gnm_directed(n: usize, m: usize, seed: u64) -> Result<DiGraph, GraphError
         )));
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut builder = GraphBuilder::with_capacity(n, m);
-    let mut seen = std::collections::HashSet::with_capacity(m * 2);
-    let mut added = 0usize;
-    while added < m {
+    let keys = distinct_keys(m, usize::MAX, move || {
         let u = rng.gen_range(0..n) as NodeId;
         let v = rng.gen_range(0..n) as NodeId;
-        if u == v {
-            continue;
-        }
-        if seen.insert((u, v)) {
-            builder.add_edge(u, v);
-            added += 1;
-        }
-    }
-    Ok(builder.build())
+        (u, v)
+    });
+    Ok(graph_of_keys(n, keys))
 }
 
 #[cfg(test)]
@@ -176,6 +174,54 @@ mod tests {
         assert_eq!(g.num_edges(), 123);
         for v in g.nodes() {
             assert!(!g.has_edge(v, v));
+        }
+    }
+
+    /// `gnm_directed` as it was first written: one candidate at a time into
+    /// a hash set, then the builder.
+    fn gnm_hash_set_reference(n: usize, m: usize, seed: u64) -> DiGraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut builder = GraphBuilder::with_capacity(n, m);
+        let mut seen = std::collections::HashSet::new();
+        while seen.len() < m {
+            let u = rng.gen_range(0..n) as NodeId;
+            let v = rng.gen_range(0..n) as NodeId;
+            if u != v && seen.insert((u, v)) {
+                builder.add_edge(u, v);
+            }
+        }
+        builder.build()
+    }
+
+    #[test]
+    fn gnm_equals_the_hash_set_loop_from_sparse_to_complete() {
+        let mut rng = StdRng::seed_from_u64(26);
+        for case in 0..48 {
+            let n = rng.gen_range(1..60usize);
+            let pairs = n * (n - 1);
+            let m = match case % 4 {
+                0 => pairs,
+                1 => rng.gen_range(0..=pairs.min(2 * n)),
+                _ => rng.gen_range(0..=pairs),
+            };
+            let seed = rng.gen::<u64>();
+            let got = gnm_directed(n, m, seed).unwrap();
+            let want = gnm_hash_set_reference(n, m, seed);
+            assert_eq!(got.out_csr(), want.out_csr(), "n={n} m={m} seed={seed}");
+            assert_eq!(got.in_csr(), want.in_csr(), "n={n} m={m} seed={seed}");
+        }
+    }
+
+    #[test]
+    fn a_complete_gnm_request_builds_the_complete_digraph() {
+        // About n²·ln(n²) ≈ 1M candidates, most of them in rounds that
+        // accept a key or two: no round may pay a merge the size of the graph.
+        let n = 300;
+        let complete = crate::generators::complete(n);
+        for seed in 0..2 {
+            let g = gnm_directed(n, n * (n - 1), seed).unwrap();
+            assert_eq!(g.out_csr(), complete.out_csr());
+            assert_eq!(g.in_csr(), complete.in_csr());
         }
     }
 

@@ -15,6 +15,7 @@
 //!   [`grid`]) used in unit and property tests where SimRank values can be
 //!   reasoned about by hand.
 
+mod distinct;
 mod erdos_renyi;
 mod preferential;
 mod regular;

@@ -10,6 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::distinct::{distinct_keys, graph_of_keys};
 use crate::builder::GraphBuilder;
 use crate::digraph::DiGraph;
 use crate::error::GraphError;
@@ -86,6 +87,8 @@ pub fn barabasi_albert(
             attachment_pool.push(t);
         }
     }
+    // The pool is as long as the edge list: free it before the build.
+    drop(attachment_pool);
     Ok(builder.build())
 }
 
@@ -94,7 +97,9 @@ pub fn barabasi_albert(
 pub struct PowerLawConfig {
     /// Number of nodes.
     pub nodes: usize,
-    /// Target number of directed edges (achieved approximately).
+    /// Number of distinct directed edges wanted: the graph has exactly this
+    /// many unless the candidate budget runs out first, and then fewer (see
+    /// [`power_law_digraph`]).
     pub edges: usize,
     /// Power-law exponent of the in-degree distribution (typically 2.0–3.0;
     /// smaller means more skew / heavier hubs).
@@ -123,10 +128,15 @@ impl Default for PowerLawConfig {
 /// Each node draws an in-weight and an out-weight from a Zipf-like
 /// distribution with the configured exponents; edges are then created by
 /// sampling source nodes proportionally to out-weight and target nodes
-/// proportionally to in-weight (a Chung–Lu style construction). Self-loops and
-/// duplicates are dropped, so the realised edge count is slightly below the
-/// target — the generator tops up with additional samples until it reaches at
-/// least 95% of the requested edges or exhausts its retry budget.
+/// proportionally to in-weight (a Chung–Lu style construction).
+///
+/// Candidate edges are drawn one pair at a time; a self-loop or a pair
+/// already accepted is skipped. Drawing stops at the `edges`-th distinct
+/// pair, so the graph has exactly `edges` edges, or once `max(20·edges,
+/// 1000)` candidates have been drawn, whichever comes first. When the budget
+/// runs out first (a request close to `n(n − 1)` on skewed weights, whose
+/// light pairs are almost never drawn) the graph has fewer edges, and nothing
+/// reports it: compare `num_edges()` with the request.
 pub fn power_law_digraph(config: PowerLawConfig) -> Result<DiGraph, GraphError> {
     let PowerLawConfig {
         nodes: n,
@@ -150,14 +160,30 @@ pub fn power_law_digraph(config: PowerLawConfig) -> Result<DiGraph, GraphError> 
         )));
     }
     let mut rng = StdRng::seed_from_u64(seed);
+    let (out_sampler, in_sampler) = endpoint_samplers(n, gamma_in, gamma_out, &mut rng);
+    let budget = m.saturating_mul(20).max(1000);
+    let keys = distinct_keys(m, budget, move || {
+        let u = out_sampler.sample(&mut rng) as NodeId;
+        let v = in_sampler.sample(&mut rng) as NodeId;
+        (u, v)
+    });
+    Ok(graph_of_keys(n, keys))
+}
 
-    // Zipf-like weights: node ranked r gets weight (r+1)^(-1/(gamma-1)).
-    // A random permutation decouples in-rank from out-rank so hubs for
-    // in-degree are not automatically hubs for out-degree.
+/// The `(source, target)` samplers of [`power_law_digraph`]: node ranked `r`
+/// gets weight `(r+1)^(-1/(gamma-1))`, and a random permutation per side
+/// decouples in-rank from out-rank, so hubs for in-degree are not
+/// automatically hubs for out-degree.
+fn endpoint_samplers(
+    n: usize,
+    gamma_in: f64,
+    gamma_out: f64,
+    rng: &mut StdRng,
+) -> (AliasTable, AliasTable) {
     let mut in_rank: Vec<usize> = (0..n).collect();
     let mut out_rank: Vec<usize> = (0..n).collect();
-    shuffle(&mut in_rank, &mut rng);
-    shuffle(&mut out_rank, &mut rng);
+    shuffle(&mut in_rank, rng);
+    shuffle(&mut out_rank, rng);
 
     let in_alpha = 1.0 / (gamma_in - 1.0);
     let out_alpha = 1.0 / (gamma_out - 1.0);
@@ -167,27 +193,7 @@ pub fn power_law_digraph(config: PowerLawConfig) -> Result<DiGraph, GraphError> 
         in_weights[in_rank[r]] = ((r + 1) as f64).powf(-in_alpha);
         out_weights[out_rank[r]] = ((r + 1) as f64).powf(-out_alpha);
     }
-    let in_sampler = AliasTable::new(&in_weights);
-    let out_sampler = AliasTable::new(&out_weights);
-
-    let mut builder = GraphBuilder::with_capacity(n, m);
-    let mut seen = std::collections::HashSet::with_capacity(m * 2);
-    let mut added = 0usize;
-    let budget = m.saturating_mul(20).max(1000);
-    let mut attempts = 0usize;
-    while added < m && attempts < budget {
-        attempts += 1;
-        let u = out_sampler.sample(&mut rng) as NodeId;
-        let v = in_sampler.sample(&mut rng) as NodeId;
-        if u == v {
-            continue;
-        }
-        if seen.insert((u, v)) {
-            builder.add_edge(u, v);
-            added += 1;
-        }
-    }
-    Ok(builder.build())
+    (AliasTable::new(&out_weights), AliasTable::new(&in_weights))
 }
 
 /// Fisher–Yates shuffle with the supplied RNG.
@@ -349,6 +355,72 @@ mod tests {
             a.iter_edges().collect::<Vec<_>>(),
             b.iter_edges().collect::<Vec<_>>()
         );
+    }
+
+    /// `power_law_digraph` as it was first written: one candidate at a
+    /// time into a hash set, then the builder.
+    fn power_law_hash_set_reference(config: PowerLawConfig) -> DiGraph {
+        let n = config.nodes;
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let (out_sampler, in_sampler) =
+            endpoint_samplers(n, config.gamma_in, config.gamma_out, &mut rng);
+        let mut builder = GraphBuilder::with_capacity(n, config.edges);
+        let mut seen = std::collections::HashSet::new();
+        let budget = config.edges.saturating_mul(20).max(1000);
+        let mut attempts = 0usize;
+        while seen.len() < config.edges && attempts < budget {
+            attempts += 1;
+            let u = out_sampler.sample(&mut rng) as NodeId;
+            let v = in_sampler.sample(&mut rng) as NodeId;
+            if u != v && seen.insert((u, v)) {
+                builder.add_edge(u, v);
+            }
+        }
+        builder.build()
+    }
+
+    #[test]
+    fn power_law_equals_the_hash_set_loop() {
+        let mut rng = StdRng::seed_from_u64(26);
+        for _ in 0..24 {
+            let nodes = rng.gen_range(2..400usize);
+            let pairs = nodes * (nodes - 1);
+            let config = PowerLawConfig {
+                nodes,
+                edges: rng.gen_range(0..=pairs.min(8 * nodes)),
+                gamma_in: rng.gen_range(1.8..3.0),
+                gamma_out: rng.gen_range(1.8..3.0),
+                seed: rng.gen(),
+            };
+            let got = power_law_digraph(config).unwrap();
+            let want = power_law_hash_set_reference(config);
+            assert_eq!(got.out_csr(), want.out_csr(), "{config:?}");
+            assert_eq!(got.in_csr(), want.in_csr(), "{config:?}");
+        }
+    }
+
+    #[test]
+    fn power_law_returns_fewer_edges_when_its_budget_runs_out() {
+        // 2,000 of the 2,450 ordered pairs on skewed weights: the light pairs
+        // are almost never drawn, and the 40,000-candidate budget runs out.
+        let config = PowerLawConfig {
+            nodes: 50,
+            edges: 2_000,
+            gamma_in: 1.5,
+            gamma_out: 1.6,
+            seed: 5,
+        };
+        let g = power_law_digraph(config).unwrap();
+        assert!(g.num_edges() < config.edges, "{} edges", g.num_edges());
+        let want = power_law_hash_set_reference(config);
+        assert_eq!(g.out_csr(), want.out_csr());
+        assert_eq!(g.in_csr(), want.in_csr());
+        // A request the budget can fill gets exactly its edges.
+        let filled = PowerLawConfig {
+            edges: 300,
+            ..config
+        };
+        assert_eq!(power_law_digraph(filled).unwrap().num_edges(), 300);
     }
 
     #[test]
