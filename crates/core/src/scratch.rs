@@ -27,7 +27,11 @@
 //! each node is still charged its edge cost as if it had built it. The
 //! first two levels are never built at all: `e_q` and `P · e_q` are read
 //! off `q` and its CSR in-row, with the bits a build would have given them,
-//! so the arena holds levels ≥ 2 only.
+//! so the arena holds levels ≥ 2 only. A stored level keeps its nonzero
+//! values in ascending index order, and its indices either as a list or,
+//! once it is dense enough, as a bitmap of `n/64` words: both read back the
+//! same ascending `(index, value)` sequence, so the encoding changes bytes,
+//! never bits.
 //!
 //! Every accumulator is a [`Workspace`] whose slots hold `+0.0` outside its
 //! live set. A level build whose scatter makes at least one add per bitmap
@@ -106,6 +110,11 @@ impl Scratch {
     /// Number of nodes this workspace supports.
     pub fn num_nodes(&self) -> usize {
         self.n
+    }
+
+    /// Algorithm 3's part of this workspace, as the last query left it.
+    pub fn diagonal(&self) -> &DiagonalScratch {
+        &self.diag
     }
 }
 
@@ -210,6 +219,13 @@ impl DiagonalScratch {
     pub fn num_nodes(&self) -> usize {
         self.z.len()
     }
+
+    /// The walk-distribution levels the last Algorithm-3 query on this
+    /// scratch stored, by encoding: `[index lists, bitmaps]` (see
+    /// [`DistTable`]). A diagnostic; the answer is the same either way.
+    pub fn stored_levels(&self) -> [usize; 2] {
+        self.dist.stored
+    }
 }
 
 /// The walk-distribution arena of Algorithm 3: level `t` of slot `q` is
@@ -219,22 +235,33 @@ impl DiagonalScratch {
 /// Levels 0 and 1 are views, never stored: level 0 is `e_q`, and level 1,
 /// `P · e_q`, is `q`'s in-row with the value `1/din(q)` per in-edge (a run
 /// of duplicate in-edges is one entry, see `for_each_run`). The levels
-/// `t ≥ 2` of a query live in two flat arrays (`indices`, `values`),
-/// appended to as levels are built; starting the next query truncates them,
-/// keeping their capacity, so the arena retains one query's worth of
-/// memory, not every distribution the process has ever built. A level is
-/// built once per query and reused by every later node of that query. Each
-/// node is still charged a level's edge cost (`Σ din` over the previous
-/// level's support, views included) the first time *it* reaches that level
-/// (starting a node resets only what it has been charged for), so the
-/// exploration's edge counts and budget stops are those of a per-node
-/// table.
+/// `t ≥ 2` of a query are appended to the arena as they are built, in one
+/// of two encodings, chosen per level by one rule:
+/// - **bitmap**: one bit per node in `words` (`n/8` bytes per level), for
+///   a level that holds more than 16 entries per bitmap word (a timed
+///   constant, `ENTRIES_PER_BITMAP_WORD`);
+/// - **index list**: the entries' indices in `indices` (4 bytes each), for
+///   the sparser levels.
+///
+/// Either way the nonzero values sit in `values` in ascending index order,
+/// so a level reads back the same ascending `(index, value)` sequence in
+/// both encodings. Starting the next query truncates the arrays, keeping
+/// their capacity, so the arena retains one query's worth of memory, not
+/// every distribution the process has ever built. A level is built once per
+/// query and reused by every later node of that query. Each node is still
+/// charged a level's edge cost (`Σ din` over the previous level's support,
+/// views included) the first time *it* reaches that level (starting a node
+/// resets only what it has been charged for), so the exploration's edge
+/// counts and budget stops are those of a per-node table.
 #[derive(Debug)]
 pub struct DistTable {
     /// Workspace for the sparse `P·x` pushes that build levels.
     ws: Workspace,
-    /// Entry arrays of every level built this query, level after level.
+    /// Index lists of the levels stored as such, level after level.
     indices: Vec<NodeId>,
+    /// Bitmaps of the levels stored as such, `n/64` words per level.
+    words: Vec<u64>,
+    /// Values of every level built this query, level after level.
     values: Vec<f64>,
     /// Level records; slot `q`'s built levels `2..2 + len` are
     /// `spans[first..first + len]`.
@@ -242,9 +269,12 @@ pub struct DistTable {
     /// Per-node slot headers, stamped by query and by node.
     slots: Vec<Slot>,
     /// Level 1 of the slot whose level 2 is being built, copied out of
-    /// its in-row (entries, values).
+    /// its in-row (entries, values); or the indices of a bitmap level that
+    /// a level is being built from.
     row: Vec<NodeId>,
     row_values: Vec<f64>,
+    /// Levels stored this query: `[index lists, bitmaps]`.
+    stored: [usize; 2],
     query: u32,
     node: u32,
 }
@@ -252,16 +282,56 @@ pub struct DistTable {
 /// The first level that is built and stored; levels below it are views.
 const FIRST_BUILT: usize = 2;
 
-/// One built level: its entry range in the arena and the edge cost of
-/// reaching it from level 0.
-#[derive(Clone, Copy, Debug, Default)]
+/// A built level is stored as a bitmap when it holds more than this many
+/// live entries per bitmap word, and as an index list otherwise.
+///
+/// A bitmap costs 8 bytes per word and an index list 4 bytes per entry, so
+/// bytes alone break even at 2. But a bitmap level is read by scanning its
+/// words, and a level built from one decodes it first, so the sparser a
+/// bitmap level, the more its reads cost. Timed in one process that reads
+/// each of 100 distinct IC@0.005 sources (serving config) with an
+/// index-list-only table and with this one back to back, in alternating
+/// order (2-vCPU VM, one pinned CPU), the median per-read time ratio was
+/// 1.043–1.048 at 2 (2 runs), 1.005–1.033 at 4 (3 runs), 1.016 at 8 (9
+/// runs), 1.003 at 16 (11 runs) and 0.976–1.021 at 32 (3 runs), against
+/// 0.997–1.021 (median 1.011) with the same table on both sides (5 runs).
+/// At 16, the worst warm-up read of that graph stores 2.23M entries in
+/// 22.0 MB instead of 26.8 MB (20.8 MB at 2), and an average read stores
+/// 9.8 bytes per entry.
+///
+/// A level holds at most one entry per add, so only a scatter of more adds
+/// than this per word, which runs wide, can pass it.
+const ENTRIES_PER_BITMAP_WORD: usize = 16;
+
+/// One built level: its values' range in the arena, where its indices are,
+/// and the edge cost of reaching it from level 0.
+#[derive(Clone, Copy, Debug)]
 struct LevelSpan {
+    /// `values[start..end]`, in ascending index order.
     start: usize,
     end: usize,
+    layout: Layout,
     /// `Σ_{u=1..=t} cost(u)`, where `cost(u)` is `Σ din` over level
     /// `u - 1`'s support.
     cum_cost: u64,
 }
+
+/// Where a built level's indices are.
+#[derive(Clone, Copy, Debug)]
+enum Layout {
+    /// `indices[at..at + (end - start)]`.
+    Indices(usize),
+    /// The set bits of `words[at..at + n/64]`.
+    Bitmap(usize),
+}
+
+/// Room reserved in a slot's region of `spans` for a level not built yet.
+const VACANT: LevelSpan = LevelSpan {
+    start: 0,
+    end: 0,
+    layout: Layout::Indices(0),
+    cum_cost: 0,
+};
 
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
@@ -282,6 +352,7 @@ impl DistTable {
         DistTable {
             ws: Workspace::new(n),
             indices: Vec::new(),
+            words: Vec::new(),
             values: Vec::new(),
             spans: Vec::new(),
             // Grown on the first query, so a scratch that never runs
@@ -289,6 +360,7 @@ impl DistTable {
             slots: Vec::new(),
             row: Vec::new(),
             row_values: Vec::new(),
+            stored: [0; 2],
             query: 0,
             node: 0,
         }
@@ -301,8 +373,10 @@ impl DistTable {
             self.slots.resize(n, Slot::default());
         }
         self.indices.clear();
+        self.words.clear();
         self.values.clear();
         self.spans.clear();
+        self.stored = [0; 2];
         self.query = next_stamp(self.query, &mut self.slots, |slot| slot.query = 0);
     }
 
@@ -356,10 +430,16 @@ impl DistTable {
         }
     }
 
+    /// Bitmap words per bitmap level: `n/64`, rounded up.
+    fn level_words(&self) -> usize {
+        self.ws.len().div_ceil(64)
+    }
+
     /// Appends level `FIRST_BUILT + len` of slot `q` by applying `P` to the
     /// level below it.
     fn extend<G: NeighborAccess>(&mut self, graph: &G, q: NodeId) {
         let idx = q as usize;
+        let words = self.level_words();
         let Slot {
             first, len, cap, ..
         } = self.slots[idx];
@@ -380,18 +460,44 @@ impl DistTable {
             )
         } else {
             let last = self.spans[first + len - 1];
-            (
-                &self.indices[last.start..last.end],
-                &self.values[last.start..last.end],
-                last.cum_cost,
-            )
+            let values = &self.values[last.start..last.end];
+            let indices = match last.layout {
+                Layout::Indices(at) => &self.indices[at..at + values.len()],
+                Layout::Bitmap(at) => {
+                    // The scatter takes an index list: decode the bitmap.
+                    self.row.clear();
+                    for (w, &word) in self.words[at..at + words].iter().enumerate() {
+                        let mut bits = word;
+                        while bits != 0 {
+                            self.row.push((w * 64) as NodeId + bits.trailing_zeros());
+                            bits &= bits - 1;
+                        }
+                    }
+                    &self.row[..]
+                }
+            };
+            (indices, values, last.cum_cost)
         };
         let cost = p_multiply_accumulate(graph, below, below_values, &mut self.ws);
-        let start = self.indices.len();
-        self.ws.drain_append(&mut self.indices, &mut self.values);
+        let start = self.values.len();
+        // A level holds at most one entry per add, so the popcount runs
+        // only after scatters of more adds than that.
+        let dense = (ENTRIES_PER_BITMAP_WORD * words) as u64;
+        let bitmap = cost > dense && self.ws.num_touched() as u64 > dense;
+        let layout = if bitmap {
+            let at = self.words.len();
+            self.ws.drain_bitmap(&mut self.words, &mut self.values);
+            Layout::Bitmap(at)
+        } else {
+            let at = self.indices.len();
+            self.ws.drain_append(&mut self.indices, &mut self.values);
+            Layout::Indices(at)
+        };
+        self.stored[usize::from(bitmap)] += 1;
         let span = LevelSpan {
             start,
-            end: self.indices.len(),
+            end: self.values.len(),
+            layout,
             cum_cost: below_cost + cost,
         };
         let slot = &mut self.slots[idx];
@@ -404,18 +510,17 @@ impl DistTable {
                 self.spans.extend_from_within(first..first + len);
             }
             slot.cap = (2 * cap).max(1);
-            self.spans
-                .resize(slot.first + slot.cap, LevelSpan::default());
+            self.spans.resize(slot.first + slot.cap, VACANT);
         }
         self.spans[slot.first + len] = span;
         slot.len = len + 1;
     }
 
     /// Calls `f(i, map(v))` for every entry `(i, v)` of level `level` of
-    /// slot `q`, in ascending `i`; the level must have been
-    /// [`DistTable::reach`]ed this query. On level 1, whose entries all
-    /// hold `1/din(q)` but for merged runs of duplicate in-edges, `map`
-    /// runs once for the row and once per merged run.
+    /// slot `q`, in ascending `i`, whichever way the level is stored; the
+    /// level must have been [`DistTable::reach`]ed this query. On level 1,
+    /// whose entries all hold `1/din(q)` but for merged runs of duplicate
+    /// in-edges, `map` runs once for the row and once per merged run.
     pub(crate) fn for_each_mapped<G: NeighborAccess>(
         &self,
         graph: &G,
@@ -438,8 +543,28 @@ impl DistTable {
                 debug_assert!(slot.query == self.query && level < FIRST_BUILT + slot.len);
                 let span = self.spans[slot.first + level - FIRST_BUILT];
                 let values = &self.values[span.start..span.end];
-                for (&i, &v) in self.indices[span.start..span.end].iter().zip(values) {
-                    f(i, map(v));
+                match span.layout {
+                    Layout::Indices(at) => {
+                        let indices = &self.indices[at..at + values.len()];
+                        for (&i, &v) in indices.iter().zip(values) {
+                            f(i, map(v));
+                        }
+                    }
+                    Layout::Bitmap(at) => {
+                        // The k-th set bit holds the k-th value: each word
+                        // takes the next `popcount` values off the cursor.
+                        let mut rest = values;
+                        let words = &self.words[at..at + self.level_words()];
+                        for (w, &word) in words.iter().enumerate() {
+                            let (chunk, tail) = rest.split_at(word.count_ones() as usize);
+                            rest = tail;
+                            let mut bits = word;
+                            for &v in chunk {
+                                f((w * 64) as NodeId + bits.trailing_zeros(), map(v));
+                                bits &= bits - 1;
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -450,6 +575,7 @@ impl DistTable {
     pub(crate) fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.indices.capacity() + self.row.capacity()) * size_of::<NodeId>()
+            + self.words.capacity() * size_of::<u64>()
             + (self.values.capacity() + self.row_values.capacity()) * size_of::<f64>()
             + self.spans.capacity() * size_of::<LevelSpan>()
             + self.slots.capacity() * size_of::<Slot>()
@@ -618,6 +744,120 @@ mod tests {
             table.indices.len(),
             stored,
             "the arena holds levels 2..=4 only"
+        );
+    }
+
+    /// Levels stored in slot `q`'s region, by encoding:
+    /// `[index lists, bitmaps]`, plus how many levels were built on top of
+    /// a bitmap level.
+    fn slot_layouts(table: &DistTable, q: NodeId) -> [usize; 3] {
+        let slot = &table.slots[q as usize];
+        let mut counts = [0; 3];
+        let spans = &table.spans[slot.first..slot.first + slot.len];
+        for (t, span) in spans.iter().enumerate() {
+            counts[usize::from(matches!(span.layout, Layout::Bitmap(_)))] += 1;
+            if t > 0 && matches!(spans[t - 1].layout, Layout::Bitmap(_)) {
+                counts[2] += 1;
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn dist_table_reads_both_encodings_back_as_iterated_p_multiplies() {
+        // 640 nodes (10 bitmap words) with ~12 in-edges each: a first step
+        // holds ~12 entries and level 2 ~140, an index list each, while
+        // level 3 reaches most nodes, past ENTRIES_PER_BITMAP_WORD per
+        // word, and is stored as a bitmap; level 4 is built from it.
+        let n = 640;
+        let g = exactsim_graph::generators::gnm_directed(n, 12 * n, 7).unwrap();
+        let mut table = DistTable::new(n);
+        let mut ws = Workspace::new(n);
+        let mut layouts = [0usize; 3];
+        for round in 0..2 {
+            table.begin_query(n);
+            table.begin_node();
+            // Interleaved growth moves regions; a second query reuses the
+            // arena's capacity.
+            for level in 0..=5 {
+                for q in (round..n as NodeId).step_by(37) {
+                    table.reach(&g, q, level);
+                }
+            }
+            let mut round_layouts = [0usize; 3];
+            for q in (round..n as NodeId).step_by(37) {
+                let mut want = SparseVec::unit(q, 1.0);
+                for level in 0..=5 {
+                    let want_bits: Vec<_> = want.iter().map(|(i, v)| (i, v.to_bits())).collect();
+                    assert_eq!(
+                        level_bits(&table, &g, q, level),
+                        want_bits,
+                        "round {round} slot {q} level {level}"
+                    );
+                    want = p_multiply_sparse(&g, &want, &mut ws);
+                }
+                let counts = slot_layouts(&table, q);
+                round_layouts
+                    .iter_mut()
+                    .zip(counts)
+                    .for_each(|(t, c)| *t += c);
+            }
+            assert_eq!(round_layouts[..2], table.stored, "round {round}");
+            layouts
+                .iter_mut()
+                .zip(round_layouts)
+                .for_each(|(t, c)| *t += c);
+        }
+        assert!(
+            layouts[0] > 0 && layouts[1] > 0 && layouts[2] > 0,
+            "[index lists, bitmaps, built on a bitmap] = {layouts:?}"
+        );
+    }
+
+    #[test]
+    fn dense_levels_cost_fewer_bytes_per_entry_than_index_lists() {
+        // A heavy-tailed graph of 8,192 nodes (128 bitmap words) with 4
+        // edges per node, explored from every 64th node: Algorithm 3's
+        // shallow levels hold a few entries, its deep ones most nodes.
+        // Stored bytes per stored entry: 4 per index, 8 per value, 8 per
+        // bitmap word. Index lists alone cost exactly 12; a bitmap for
+        // every level costs a whole bitmap for each of the many sparse
+        // ones (~12 here).
+        let n = 8_192;
+        let g = exactsim_graph::generators::power_law_digraph(
+            exactsim_graph::generators::PowerLawConfig {
+                nodes: n,
+                edges: 4 * n,
+                gamma_in: 2.2,
+                gamma_out: 2.5,
+                seed: 27,
+            },
+        )
+        .unwrap();
+        let allocation: Vec<u64> = (0..n)
+            .map(|k| if k % 64 == 0 { 40_000 } else { 0 })
+            .collect();
+        let caps = crate::diagonal::LocalExploreCaps {
+            max_tail_samples: 10,
+            ..Default::default()
+        };
+        let mut scratch = DiagonalScratch::new(n);
+        crate::diagonal::estimate_diagonal_in(
+            &g,
+            &allocation,
+            &crate::diagonal::DiagonalEstimator::LocalDeterministic(caps),
+            0.6f64.sqrt(),
+            1e-3,
+            1,
+            &mut scratch,
+        );
+        let dist = &scratch.dist;
+        let entries = dist.values.len();
+        let bytes = 4 * dist.indices.len() + 8 * dist.words.len() + 8 * entries;
+        assert!(
+            bytes < 10 * entries,
+            "{bytes} bytes for {entries} entries in {:?} [index-list, bitmap] levels",
+            dist.stored
         );
     }
 

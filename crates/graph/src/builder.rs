@@ -87,6 +87,13 @@ impl GraphBuilder {
         self.num_nodes
     }
 
+    /// Raises the node count to `num_nodes` (never lowers it), for a caller
+    /// that learns its ids as it adds edges: an edge list remapped while it
+    /// is read.
+    pub(crate) fn grow_nodes(&mut self, num_nodes: usize) {
+        self.num_nodes = self.num_nodes.max(num_nodes);
+    }
+
     /// Number of edge insertions accepted so far (before dedup).
     pub fn num_pending_edges(&self) -> usize {
         self.edges.len()

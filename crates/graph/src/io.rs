@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Seek, Write};
 use std::path::Path;
 
 use crate::builder::{GraphBuilder, SelfLoopPolicy};
@@ -62,24 +62,79 @@ impl LoadedGraph {
 
 /// Parses an edge list from an in-memory string. See the module docs for the format.
 pub fn parse_edge_list(text: &str, options: EdgeListOptions) -> Result<LoadedGraph, GraphError> {
-    parse_lines(text.lines().map(|l| Ok(l.to_owned())), options)
+    let lines = text.lines();
+    parse_lines(
+        lines.clone().count(),
+        lines.map(|l| Ok(l.to_owned())),
+        options,
+    )
 }
 
 /// Reads an edge list from a file path. See the module docs for the format.
+///
+/// The file is read twice: once to count its lines, so the edge list is
+/// allocated once at its full size, then to parse them.
 pub fn read_edge_list<P: AsRef<Path>>(
     path: P,
     options: EdgeListOptions,
 ) -> Result<LoadedGraph, GraphError> {
-    let file = File::open(path)?;
+    let mut file = File::open(path)?;
+    let line_count = count_lines(BufReader::new(&file))?;
+    file.rewind()?;
     let reader = BufReader::new(file);
-    parse_lines(reader.lines().map(|r| r.map_err(GraphError::from)), options)
+    parse_lines(
+        line_count,
+        reader.lines().map(|r| r.map_err(GraphError::from)),
+        options,
+    )
 }
 
-fn parse_lines<I>(lines: I, options: EdgeListOptions) -> Result<LoadedGraph, GraphError>
+/// Number of lines `reader` holds: its newlines, plus one for a last line
+/// without one.
+fn count_lines(mut reader: impl BufRead) -> Result<usize, GraphError> {
+    let (mut lines, mut last) = (0, b'\n');
+    loop {
+        let chunk = reader.fill_buf()?;
+        let Some(&end) = chunk.last() else {
+            return Ok(lines + usize::from(last != b'\n'));
+        };
+        lines += chunk.iter().filter(|&&b| b == b'\n').count();
+        last = end;
+        let len = chunk.len();
+        reader.consume(len);
+    }
+}
+
+/// Parses `lines`, of which there are `line_count` (blank and comment lines
+/// included), into a graph.
+///
+/// Ids are remapped to dense ones as the lines are read, in order of first
+/// appearance, which keeps loading a file with already-dense ids an
+/// identity mapping. The remapped edges go straight into the builder,
+/// sized for every line (two slots per line for an undirected list), so
+/// the list is held once and never regrown.
+fn parse_lines<I>(
+    line_count: usize,
+    lines: I,
+    options: EdgeListOptions,
+) -> Result<LoadedGraph, GraphError>
 where
     I: IntoIterator<Item = Result<String, GraphError>>,
 {
-    let mut raw_edges: Vec<(u64, u64)> = Vec::new();
+    let slots_per_line = if options.undirected { 2 } else { 1 };
+    let mut builder = GraphBuilder::with_capacity(0, slots_per_line * line_count)
+        .dedup(options.dedup)
+        .self_loop_policy(options.self_loops)
+        .symmetric(options.undirected);
+    let mut id_map: HashMap<u64, NodeId> = HashMap::new();
+    let mut original_ids: Vec<u64> = Vec::new();
+    let mut dense = |x: u64| {
+        *id_map.entry(x).or_insert_with(|| {
+            let id = original_ids.len() as NodeId;
+            original_ids.push(x);
+            id
+        })
+    };
     for (lineno, line) in lines.into_iter().enumerate() {
         let line = line?;
         let line = line.trim();
@@ -90,33 +145,9 @@ where
         let u = parse_field(it.next(), lineno + 1)?;
         let v = parse_field(it.next(), lineno + 1)?;
         // Extra columns (e.g. weights or timestamps) are tolerated and ignored.
-        raw_edges.push((u, v));
-    }
-
-    // Remap to dense ids in order of first appearance, which keeps loading a
-    // file with already-dense ids an identity mapping.
-    let mut id_map: HashMap<u64, NodeId> = HashMap::with_capacity(raw_edges.len() / 2 + 1);
-    let mut original_ids: Vec<u64> = Vec::new();
-    let dense = |x: u64, id_map: &mut HashMap<u64, NodeId>, original_ids: &mut Vec<u64>| {
-        *id_map.entry(x).or_insert_with(|| {
-            let id = original_ids.len() as NodeId;
-            original_ids.push(x);
-            id
-        })
-    };
-    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(raw_edges.len());
-    for (u, v) in raw_edges {
-        let du = dense(u, &mut id_map, &mut original_ids);
-        let dv = dense(v, &mut id_map, &mut original_ids);
-        edges.push((du, dv));
-    }
-
-    let mut builder = GraphBuilder::with_capacity(original_ids.len(), edges.len())
-        .dedup(options.dedup)
-        .self_loop_policy(options.self_loops)
-        .symmetric(options.undirected);
-    for (u, v) in edges {
-        builder.try_add_edge(u, v)?;
+        let (du, dv) = (dense(u), dense(v));
+        builder.grow_nodes(du.max(dv) as usize + 1);
+        builder.try_add_edge(du, dv)?;
     }
     Ok(LoadedGraph {
         graph: builder.build(),
@@ -277,6 +308,28 @@ mod tests {
         let loaded = read_edge_list(&path, EdgeListOptions::default()).unwrap();
         assert_eq!(loaded.graph.num_edges(), 2);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn line_counts_match_str_lines_across_buffer_refills() {
+        let long = "1 2\n".repeat(3_000);
+        for text in [
+            "",
+            "\n",
+            "0 1",
+            "0 1\n",
+            "0 1\n\n2 3",
+            "# c\r\n0 1\r\n",
+            &long,
+        ] {
+            // A 7-byte buffer refills mid-line and mid-"\r\n".
+            let reader = std::io::BufReader::with_capacity(7, text.as_bytes());
+            assert_eq!(
+                count_lines(reader).unwrap(),
+                text.lines().count(),
+                "{text:?}"
+            );
+        }
     }
 
     #[test]

@@ -208,6 +208,7 @@ mod tests {
     use super::*;
     use crate::digraph::DiGraph;
     use crate::linalg::dense::{l1_norm, unit_vector};
+    use crate::linalg::workspace::bitmap_pairs;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -426,16 +427,29 @@ mod tests {
                 scatter_p(&graph, &support, &values, &mut narrow, false);
                 scatter_p(&graph, &support, &values, &mut wide, true);
 
+                // Every drain that drops exact zeros, by turns; the narrow
+                // workspace's `drain_append` is the reference.
                 let mut outs = Vec::new();
-                for ws in [&mut narrow, &mut wide, &mut chosen] {
+                for (k, ws) in [&mut narrow, &mut wide, &mut chosen]
+                    .into_iter()
+                    .enumerate()
+                {
                     let (mut out_indices, mut out_values) = (Vec::new(), Vec::new());
-                    if round % 2 == 0 {
-                        ws.drain_append(&mut out_indices, &mut out_values);
-                    } else {
-                        let mut out = SparseVec::unit(0, 1.0);
-                        ws.drain_into(&mut out);
-                        out_indices.extend_from_slice(out.indices());
-                        out_values.extend_from_slice(out.values());
+                    match if k == 0 { 0 } else { round % 3 } {
+                        0 => ws.drain_append(&mut out_indices, &mut out_values),
+                        1 => {
+                            let mut out = SparseVec::unit(0, 1.0);
+                            ws.drain_into(&mut out);
+                            out_indices.extend_from_slice(out.indices());
+                            out_values.extend_from_slice(out.values());
+                        }
+                        _ => {
+                            let mut words = Vec::new();
+                            ws.drain_bitmap(&mut words, &mut out_values);
+                            assert_eq!(words.len(), n.div_ceil(64), "{context}");
+                            let pairs = bitmap_pairs(&words, &out_values);
+                            out_indices = pairs.iter().map(|&(i, _)| i).collect();
+                        }
                     }
                     outs.push(bits(&out_indices, &out_values));
                     assert_eq!(ws.num_touched(), 0, "{context}: bitmap not cleared");

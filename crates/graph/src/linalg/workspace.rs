@@ -57,7 +57,8 @@ fn drain_sorts(touched: usize, words: usize) -> bool {
 ///   The drain then scans the bitmap.
 ///
 /// The two modes give the same bits after a drain that drops exact zeros
-/// ([`Workspace::drain_into`], [`Workspace::drain_append`]): a slot
+/// ([`Workspace::drain_into`], [`Workspace::drain_append`],
+/// [`Workspace::drain_bitmap`]): a slot
 /// receives its adds in the same order, and `0.0 + v == v` for every `v`
 /// but `−0.0`. The `P·x` scatter skips `x(j) == 0.0`, so a `−0.0` share
 /// comes only from underflow; it can change only the sign of a slot that
@@ -71,7 +72,10 @@ fn drain_sorts(touched: usize, words: usize) -> bool {
 /// that order by sorting the touched list while `t` is small next to the
 /// `n/64` bitmap words (`O(t log t)`); a wide drain, and a narrow one past
 /// that point, scans the bitmap word by word and clears each word as it
-/// goes (`O(n/64 + t)`, which is `O(t)` there).
+/// goes (`O(n/64 + t)`, which is `O(t)` there). [`Workspace::drain_bitmap`]
+/// always scans, and hands out the scanned words themselves, cleared of
+/// exact zeros, in place of an index list: for a dense result, `n/64`
+/// words take fewer bytes than 4 per entry.
 #[derive(Clone, Debug)]
 pub struct Workspace {
     accum: Vec<f64>,
@@ -216,6 +220,41 @@ impl Workspace {
         });
     }
 
+    /// Appends the accumulated entries as a bitmap plus values, and resets
+    /// the workspace: one word per 64 slots goes to `words` (`n/64` of
+    /// them, bit `i % 64` of the `i / 64`-th set iff slot `i` is an entry),
+    /// and the entries' values go to `values` in ascending index order.
+    /// Like [`Workspace::drain_append`], entries that cancelled to exactly
+    /// 0.0 are left out (their bit is cleared), so the set bits read in
+    /// ascending order with `values` give `drain_append`'s pairs, bit for
+    /// bit. The words are the workspace's live bitmap, taken as the drain
+    /// scans it.
+    pub fn drain_bitmap(&mut self, words: &mut Vec<u64>, values: &mut Vec<f64>) {
+        let Workspace {
+            accum,
+            live,
+            touched,
+            wide,
+        } = self;
+        words.extend(live.iter_mut().enumerate().map(|(w, word)| {
+            let mut kept = std::mem::take(word);
+            let mut bits = kept;
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                let v = std::mem::take(&mut accum[w * 64 + bit.trailing_zeros() as usize]);
+                if v != 0.0 {
+                    values.push(v);
+                } else {
+                    kept ^= bit;
+                }
+                bits ^= bit;
+            }
+            kept
+        }));
+        touched.clear();
+        *wide = false;
+    }
+
     /// Drains the accumulated entries into a freshly allocated sorted
     /// [`SparseVec`] and resets the workspace for reuse.
     pub(super) fn drain_sparse(&mut self) -> SparseVec {
@@ -223,6 +262,25 @@ impl Workspace {
         self.drain_into(&mut out);
         out
     }
+}
+
+/// The `(index, value)` pairs a bitmap plus values holds, read bit by bit
+/// (the reference the bitmap drain's tests decode with): the k-th set bit,
+/// in ascending order, with the k-th value.
+#[cfg(test)]
+pub(crate) fn bitmap_pairs(words: &[u64], values: &[f64]) -> Vec<(NodeId, f64)> {
+    let mut values = values.iter();
+    let mut pairs = Vec::new();
+    for (w, &word) in words.iter().enumerate() {
+        for bit in 0..64 {
+            if word >> bit & 1 == 1 {
+                let v = values.next().expect("a value for every set bit");
+                pairs.push(((w * 64 + bit) as NodeId, *v));
+            }
+        }
+    }
+    assert!(values.next().is_none(), "a set bit for every value");
+    pairs
 }
 
 #[cfg(test)]
@@ -282,11 +340,12 @@ mod tests {
             // Drains that sorted, scanned after narrow adds only, and
             // scanned after wide adds.
             let mut paths = [0usize; 3];
-            // Each size meets each way of draining twice: once after narrow
-            // adds, once after wide adds mixed with narrow ones.
-            for round in 0..8 * sizes.len() {
-                let target = sizes[round / 8].clamp(1, n);
-                let wide = round / 4 % 2 == 1;
+            // Each size meets each of the five ways of draining twice: once
+            // after narrow adds, once after wide adds mixed with narrow ones.
+            const DRAINS: usize = 5;
+            for round in 0..2 * DRAINS * sizes.len() {
+                let target = sizes[round / (2 * DRAINS)].clamp(1, n);
+                let wide = round / DRAINS % 2 == 1;
                 // `target` distinct slots in random order; the last slot sits
                 // in the last (possibly partial) word.
                 let mut slots = vec![(n - 1) as NodeId];
@@ -305,9 +364,16 @@ mod tests {
                         Some(&i) => i,
                         None => slots[rng.gen_range(0..target)],
                     };
-                    let v = match rng.gen_range(0u32..8) {
+                    // Zeros of both signs, negations that cancel a slot to
+                    // exactly 0.0, subnormals, and plain values.
+                    let v = match rng.gen_range(0u32..10) {
                         0 => -0.0,
-                        1 => -map.get(&i).copied().unwrap_or(1.0),
+                        1 => 0.0,
+                        2 => -map.get(&i).copied().unwrap_or(1.0),
+                        3 => {
+                            f64::from_bits(rng.gen_range(1..4))
+                                * if rng.gen_bool(0.5) { -1.0 } else { 1.0 }
+                        }
                         _ => rng.gen_range(-2.0..2.0),
                     };
                     add_both(&mut ws, &mut map, i, v, wide && k % 3 != 2);
@@ -322,7 +388,10 @@ mod tests {
                 } else {
                     usize::from(!sorts(target, n))
                 };
-                paths[path] += 1;
+                // The bitmap drain always scans.
+                if round % DRAINS != 3 {
+                    paths[path] += 1;
+                }
                 let live = bits(map.iter().map(|(&i, &v)| (i, v)));
                 let nonzero: Vec<_> = live
                     .iter()
@@ -330,7 +399,7 @@ mod tests {
                     .filter(|&(_, v)| f64::from_bits(v) != 0.0)
                     .collect();
                 let context = format!("n={n} round {round} ({target} touched)");
-                match round % 4 {
+                match round % DRAINS {
                     0 => {
                         let mut seen = Vec::new();
                         ws.drain_sorted(|i, v| seen.push((i, v)));
@@ -347,6 +416,18 @@ mod tests {
                         assert_eq!((indices[0], values[0]), (u32::MAX, 9.0));
                         let appended = indices[1..].iter().copied().zip(values[1..].to_vec());
                         assert_eq!(bits(appended), nonzero, "{context}: drain_append");
+                    }
+                    3 => {
+                        let (mut words, mut values) = (vec![u64::MAX], vec![9.0]);
+                        ws.drain_bitmap(&mut words, &mut values);
+                        assert_eq!((words[0], values[0]), (u64::MAX, 9.0));
+                        assert_eq!(
+                            words.len(),
+                            1 + n.div_ceil(64),
+                            "{context}: one word per 64 slots"
+                        );
+                        let pairs = bitmap_pairs(&words[1..], &values[1..]);
+                        assert_eq!(bits(pairs), nonzero, "{context}: drain_bitmap");
                     }
                     _ => ws.reset(),
                 }

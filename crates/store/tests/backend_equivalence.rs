@@ -11,11 +11,12 @@
 
 use std::sync::Arc;
 
-use exactsim::exactsim::ExactSimConfig;
+use exactsim::exactsim::{ExactSim, ExactSimConfig};
 use exactsim::linearization::LinearizationConfig;
 use exactsim::mc::MonteCarloConfig;
 use exactsim::parsim::ParSimConfig;
 use exactsim::prsim::PrSimConfig;
+use exactsim::scratch::Scratch;
 
 /// Cheap solver parameters: equivalence is about *determinism across
 /// backends*, not accuracy, so paper-fidelity sample counts (the defaults,
@@ -125,6 +126,37 @@ fn assert_identical(
     }
 }
 
+/// ExactSim through a scratch held here, on both backends: requires
+/// bit-identical scores and the same walk-distribution levels stored, and
+/// returns those levels summed over `sources`, as `[index lists, bitmaps]`,
+/// so a caller can see which arena encodings the paged side read.
+fn exactsim_stored_levels(
+    family: &str,
+    mem: &GraphHandle,
+    paged: &GraphHandle,
+    sources: &[NodeId],
+) -> [usize; 2] {
+    let n = mem.num_nodes();
+    let mut stored = [0; 2];
+    for &source in sources {
+        let mut runs = Vec::new();
+        for graph in [mem, paged] {
+            let mut scratch = Scratch::new(n);
+            let solver = ExactSim::new(graph.clone(), exactsim_config()).unwrap();
+            let scores = solver.query_with(source, &mut scratch).unwrap().scores;
+            let bits: Vec<u64> = scores.iter().map(|x| x.to_bits()).collect();
+            runs.push((bits, scratch.diagonal().stored_levels()));
+        }
+        assert_eq!(
+            runs[0], runs[1],
+            "ExactSim/{family}: scores or stored levels (source {source}) differ between backends"
+        );
+        stored[0] += runs[1].1[0];
+        stored[1] += runs[1].1[1];
+    }
+    stored
+}
+
 #[test]
 fn all_solvers_are_bit_identical_across_backends() {
     for (family, graph) in families() {
@@ -153,6 +185,16 @@ fn all_solvers_are_bit_identical_across_backends() {
             &ExactSimAlgorithm::new(paged.clone(), exactsim_config()).unwrap(),
             &sources,
         );
+        // Every in-degree of the ring is 1, so Algorithm 3 builds nothing
+        // there; on the other two families its deep levels are dense
+        // enough to be stored as bitmaps, its shallow ones as index lists.
+        let stored = exactsim_stored_levels(family, &mem, &paged, &sources);
+        if family != "cycle" {
+            assert!(
+                stored[0] > 0 && stored[1] > 0,
+                "{family}: index-list/bitmap levels {stored:?}"
+            );
+        }
         assert_identical(
             "ParSim",
             family,

@@ -449,10 +449,11 @@ fn bit_identity_graphs() -> Vec<(String, DiGraph)> {
     graphs
 }
 
-/// A sparse graph whose level builds scatter both ways: with 2 edges per
-/// node over 7 bitmap words, a level-2 build makes about 4 adds, fewer than
-/// the words, and runs narrow, while deeper levels grow past 7 and run
-/// wide. The bit-identity tests assert that both ran.
+/// A sparse graph whose level builds scatter both ways and are stored both
+/// ways: with 2 edges per node over 7 bitmap words, a level-2 build makes
+/// about 4 adds, fewer than the words, and runs narrow, while deeper levels
+/// grow past 7 and run wide, and the deepest cover enough of the 400 nodes
+/// to be stored as bitmaps. The bit-identity tests assert that each ran.
 const MIXED: &str = "mixed";
 const MIXED_NODES: usize = 400;
 
@@ -570,6 +571,8 @@ fn scratch_diagonal_kernel_is_bit_identical_to_the_seed_era_implementation() {
         let n = graph.num_nodes();
         let mut seed_ws = Workspace::new(n);
         let mut scratch = DiagonalScratch::new(n);
+        // Levels the scratch kernel stored: [index lists, bitmaps].
+        let mut stored = [0usize; 2];
         for (threshold, samples) in [(0.0, 3_000u64), (1e-4, 50_000)] {
             for k in 0..n as u32 {
                 let caps = LocalExploreCaps {
@@ -606,6 +609,9 @@ fn scratch_diagonal_kernel_is_bit_identical_to_the_seed_era_implementation() {
                     "{name} node {k} threshold {threshold}: seed-era {want} vs scratch {got}"
                 );
                 assert_eq!(want_stats, got_stats, "{name} node {k} stats diverged");
+                let levels = scratch.stored_levels();
+                stored[0] += levels[0];
+                stored[1] += levels[1];
             }
         }
         let modes = seed_reference::take_build_modes();
@@ -613,6 +619,10 @@ fn scratch_diagonal_kernel_is_bit_identical_to_the_seed_era_implementation() {
             assert!(
                 modes[0] > 0 && modes[1] > 0,
                 "{name}: narrow/wide builds {modes:?}"
+            );
+            assert!(
+                stored[0] > 0 && stored[1] > 0,
+                "{name}: index-list/bitmap levels {stored:?}"
             );
         }
     }
@@ -672,6 +682,9 @@ fn diagonal_estimation_reusing_walk_distributions_matches_the_seed_era_per_node_
                 want_edges += stats.edges;
                 want_skipped += usize::from(stats.tail_skipped);
             }
+            let scratch = scratches
+                .entry(n)
+                .or_insert_with(|| DiagonalScratch::new(n));
             let got = estimate_diagonal_in(
                 &graph,
                 &allocation,
@@ -679,10 +692,9 @@ fn diagonal_estimation_reusing_walk_distributions_matches_the_seed_era_per_node_
                 SQRT_C,
                 tail_skip,
                 seed,
-                scratches
-                    .entry(n)
-                    .or_insert_with(|| DiagonalScratch::new(n)),
+                scratch,
             );
+            let stored = scratch.stored_levels();
             for (k, (w, g)) in want.iter().zip(&got.values).enumerate() {
                 assert_eq!(
                     w.to_bits(),
@@ -702,6 +714,10 @@ fn diagonal_estimation_reusing_walk_distributions_matches_the_seed_era_per_node_
                 assert!(
                     modes[0] > 0 && modes[1] > 0,
                     "{name} tail_skip {tail_skip}: narrow/wide builds {modes:?}"
+                );
+                assert!(
+                    stored[0] > 0 && stored[1] > 0,
+                    "{name} tail_skip {tail_skip}: index-list/bitmap levels {stored:?}"
                 );
             }
         }
