@@ -26,6 +26,8 @@
 //! ranges are all checked, and any violation is a typed
 //! [`GraphError::Decode`] — never a panic or a structurally invalid graph.
 
+use std::io::Write;
+
 use crate::csr::CsrAdjacency;
 use crate::digraph::DiGraph;
 use crate::error::GraphError;
@@ -34,16 +36,37 @@ use crate::NodeId;
 /// Serializes `graph` into `out` (appending). See the module docs for the
 /// layout. The encoding is deterministic: equal graphs produce equal bytes.
 pub fn encode_digraph(graph: &DiGraph, out: &mut Vec<u8>) {
+    out.reserve(encoded_len(graph));
+    write_digraph(graph, out).expect("writing into a Vec cannot fail");
+}
+
+/// Streams the bytes [`encode_digraph`] would produce into `out`, a few
+/// kilobytes at a time: the encoding is never held whole, so a writer that
+/// goes to a file costs its own buffer and nothing the size of the graph.
+pub fn write_digraph<W: Write>(graph: &DiGraph, out: &mut W) -> std::io::Result<()> {
     let csr = graph.out_csr();
-    out.reserve(16 + 8 * csr.offsets().len() + 4 * csr.targets().len());
-    out.extend_from_slice(&(graph.num_nodes() as u64).to_le_bytes());
-    out.extend_from_slice(&(graph.num_edges() as u64).to_le_bytes());
-    for &offset in csr.offsets() {
-        out.extend_from_slice(&(offset as u64).to_le_bytes());
+    out.write_all(&(graph.num_nodes() as u64).to_le_bytes())?;
+    out.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
+    write_words(out, csr.offsets().iter().map(|&o| (o as u64).to_le_bytes()))?;
+    write_words(out, csr.targets().iter().map(|t| t.to_le_bytes()))
+}
+
+/// Writes `words` back to back, gathered into 8-KiB chunks.
+fn write_words<W: Write, const N: usize>(
+    out: &mut W,
+    words: impl Iterator<Item = [u8; N]>,
+) -> std::io::Result<()> {
+    let mut chunk = [0u8; 8192];
+    let mut len = 0;
+    for word in words {
+        chunk[len..len + N].copy_from_slice(&word);
+        len += N;
+        if len + N > chunk.len() {
+            out.write_all(&chunk[..len])?;
+            len = 0;
+        }
     }
-    for &target in csr.targets() {
-        out.extend_from_slice(&target.to_le_bytes());
-    }
+    out.write_all(&chunk[..len])
 }
 
 /// The exact encoded size of `graph` in bytes.
@@ -197,6 +220,62 @@ mod tests {
     fn encoding_is_deterministic() {
         let g = barabasi_albert(100, 2, true, 7).unwrap();
         assert_eq!(encode(&g), encode(&g.clone()));
+    }
+
+    /// A writer that accepts at most `limit` bytes per call, so `write_all`
+    /// has to come back for the rest of every chunk.
+    struct Trickle {
+        bytes: Vec<u8>,
+        limit: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.limit);
+            self.bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The layout of the module docs, one field at a time.
+    fn reference_encoding(graph: &DiGraph) -> Vec<u8> {
+        let csr = graph.out_csr();
+        let mut out = Vec::new();
+        out.extend_from_slice(&(graph.num_nodes() as u64).to_le_bytes());
+        out.extend_from_slice(&(graph.num_edges() as u64).to_le_bytes());
+        for &offset in csr.offsets() {
+            out.extend_from_slice(&(offset as u64).to_le_bytes());
+        }
+        for &target in csr.targets() {
+            out.extend_from_slice(&target.to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn streamed_bytes_equal_the_encoding_across_chunk_boundaries() {
+        // 3,000 offsets and ~9,000 targets span several 8-KiB chunks of
+        // each word size.
+        for graph in [
+            DiGraph::from_edges(0, &[]),
+            sample(),
+            barabasi_albert(3_000, 3, true, 5).unwrap(),
+        ] {
+            let encoded = reference_encoding(&graph);
+            assert_eq!(encode(&graph), encoded);
+            for limit in [1, 7, 4096, usize::MAX] {
+                let mut out = Trickle {
+                    bytes: Vec::new(),
+                    limit,
+                };
+                write_digraph(&graph, &mut out).unwrap();
+                assert_eq!(out.bytes, encoded, "limit {limit}");
+            }
+        }
     }
 
     #[test]

@@ -108,22 +108,6 @@ impl CsrAdjacency {
         CsrAdjacency { offsets, targets }
     }
 
-    /// Returns a copy of this adjacency covering `additional` extra nodes,
-    /// all isolated: the offsets array is extended by repeating the final
-    /// offset, so existing neighbor lists are untouched and the new nodes
-    /// have degree zero. `O(n + m)` (one copy), the cheap half of the store's
-    /// `addnode` growth path.
-    pub fn grow(&self, additional: usize) -> Self {
-        let last = *self.offsets.last().expect("offsets never empty");
-        let mut offsets = Vec::with_capacity(self.offsets.len() + additional);
-        offsets.extend_from_slice(&self.offsets);
-        offsets.resize(self.offsets.len() + additional, last);
-        CsrAdjacency {
-            offsets,
-            targets: self.targets.clone(),
-        }
-    }
-
     /// Number of nodes covered by this adjacency.
     #[inline]
     pub fn num_nodes(&self) -> usize {
@@ -207,7 +191,20 @@ impl CsrAdjacency {
     /// Rebuilds this orientation with a sequence of `(insertions, deletions)`
     /// deltas applied in order, in one pass: the result equals folding
     /// [`CsrAdjacency::apply_delta`] over `deltas`, at the cost of a single
-    /// copy of the arrays.
+    /// copy of the arrays. [`CsrAdjacency::apply_deltas_into`] with no new
+    /// nodes and no spare.
+    pub fn apply_deltas(&self, deltas: &[EdgeDelta<'_>]) -> Self {
+        self.apply_deltas_into(self.num_nodes(), deltas, None)
+    }
+
+    /// Rebuilds this orientation over `num_nodes` nodes with a sequence of
+    /// `(insertions, deletions)` deltas applied in order, in one pass, into
+    /// `spare`'s arrays when they have room.
+    ///
+    /// Rows `self.num_nodes() .. num_nodes` are appended empty before the
+    /// first delta, so any delta may name them: the result equals appending
+    /// the empty rows, then folding [`CsrAdjacency::apply_delta`] over
+    /// `deltas`, at the cost of a single copy of the arrays.
     ///
     /// Each delta obeys [`CsrAdjacency::apply_delta`]'s contract (sorted,
     /// duplicate-free, endpoints `< num_nodes`; debug-asserted). A run of
@@ -219,21 +216,40 @@ impl CsrAdjacency {
     /// deltas holding `Δ` edges the cost is `O(n + m)` for the copy,
     /// `O(Δ log D)` for the heap, and one merge of a named row per delta
     /// that names it.
-    pub fn apply_deltas(&self, deltas: &[EdgeDelta<'_>]) -> Self {
+    ///
+    /// **Arrays.** The result has at most `m + Σ insertions` targets. Each of
+    /// `spare`'s two arrays is cleared and written in place when its capacity
+    /// holds the result's bound, so the rebuild allocates nothing the size of
+    /// the graph; otherwise that array is freed first and a fresh one is
+    /// allocated, sized to the bound rounded up to whole 4-KiB pages plus one
+    /// page to spare. An array is never grown by copying, and a spare's old
+    /// contents never reach the result.
+    ///
+    /// # Panics
+    /// Panics if `num_nodes < self.num_nodes()`.
+    pub fn apply_deltas_into(
+        &self,
+        num_nodes: usize,
+        deltas: &[EdgeDelta<'_>],
+        spare: Option<CsrAdjacency>,
+    ) -> Self {
         let n = self.num_nodes();
+        assert!(
+            num_nodes >= n,
+            "a rebuild cannot drop nodes ({num_nodes} < {n})"
+        );
         for &(insertions, deletions) in deltas {
             debug_assert!(insertions.windows(2).all(|w| w[0] < w[1]));
             debug_assert!(deletions.windows(2).all(|w| w[0] < w[1]));
             debug_assert!(insertions
                 .iter()
                 .chain(deletions)
-                .all(|&(u, t)| (u as usize) < n && (t as usize) < n));
+                .all(|&(u, t)| (u as usize) < num_nodes && (t as usize) < num_nodes));
         }
-        let (inserted, deleted) = deltas
-            .iter()
-            .fold((0, 0), |(i, d), (ins, del)| (i + ins.len(), d + del.len()));
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity((self.num_edges() + inserted).saturating_sub(deleted));
+        let inserted: usize = deltas.iter().map(|(ins, _)| ins.len()).sum();
+        let (spare_offsets, spare_targets) = spare.map(|s| (s.offsets, s.targets)).unzip();
+        let mut offsets = emptied_with_room(spare_offsets, num_nodes + 1);
+        let mut targets = emptied_with_room(spare_targets, self.num_edges() + inserted);
         offsets.push(0usize);
 
         // Per delta, the next unread insertion and deletion.
@@ -251,7 +267,7 @@ impl CsrAdjacency {
             .collect();
         // A named row between two of its deltas, and the buffer the next
         // delta merges it into.
-        let (mut row, mut spare) = (Vec::new(), Vec::new());
+        let (mut row, mut spare_row) = (Vec::new(), Vec::new());
         let mut copied = 0usize; // rows below this one are in the output
         while let Some(Reverse((v, d))) = heap.pop() {
             let first = copied <= v as usize; // no delta has merged row v yet
@@ -267,29 +283,63 @@ impl CsrAdjacency {
             if let Some(next) = next_source(d, cursors[d]) {
                 heap.push(Reverse((next, d)));
             }
-            let old: &[NodeId] = if first { self.neighbors(v) } else { &row };
+            let old: &[NodeId] = match first {
+                true if (v as usize) < n => self.neighbors(v),
+                true => &[], // an appended row starts empty
+                false => &row,
+            };
             let (ins, del) = (&insertions[ins_lo..ins_hi], &deletions[del_lo..del_hi]);
             if heap.peek().is_none_or(|&Reverse((u, _))| u != v) {
                 // The last delta naming v writes the row into the output.
                 merge_row(old, ins, del, &mut targets);
                 offsets.push(targets.len());
             } else {
-                spare.clear();
-                merge_row(old, ins, del, &mut spare);
-                std::mem::swap(&mut row, &mut spare);
+                spare_row.clear();
+                merge_row(old, ins, del, &mut spare_row);
+                std::mem::swap(&mut row, &mut spare_row);
             }
         }
-        self.copy_rows(copied, n, &mut offsets, &mut targets);
+        self.copy_rows(copied, num_nodes, &mut offsets, &mut targets);
         CsrAdjacency { offsets, targets }
     }
 
     /// Appends rows `lo..hi` unchanged: one slice copy of their targets and
-    /// their offsets shifted to where that copy lands.
+    /// their offsets shifted to where that copy lands. Rows at or past
+    /// `num_nodes()` are appended empty.
     fn copy_rows(&self, lo: usize, hi: usize, offsets: &mut Vec<usize>, targets: &mut Vec<NodeId>) {
-        let (start, end) = (self.offsets[lo], self.offsets[hi]);
+        let n = self.num_nodes();
+        let (lo_held, hi_held) = (lo.min(n), hi.min(n));
+        let (start, end) = (self.offsets[lo_held], self.offsets[hi_held]);
         let base = targets.len();
         targets.extend_from_slice(&self.targets[start..end]);
-        offsets.extend(self.offsets[lo + 1..=hi].iter().map(|&o| o - start + base));
+        offsets.extend(
+            self.offsets[lo_held + 1..=hi_held]
+                .iter()
+                .map(|&o| o - start + base),
+        );
+        let appended = (hi - lo) - (hi_held - lo_held);
+        offsets.resize(offsets.len() + appended, targets.len());
+    }
+}
+
+/// Bytes per page of the allocations a rebuild sizes.
+const PAGE_BYTES: usize = 4096;
+
+/// `spare`, emptied, when it can hold `len` elements; otherwise `spare` is
+/// freed and a fresh array takes its place, with room for `len` elements
+/// rounded up to whole pages plus one page, so the next few rebuilds that
+/// are handed this array back find room in it.
+fn emptied_with_room<T>(spare: Option<Vec<T>>, len: usize) -> Vec<T> {
+    match spare {
+        Some(mut array) if array.capacity() >= len => {
+            array.clear();
+            array
+        }
+        spare => {
+            drop(spare);
+            let per_page = (PAGE_BYTES / std::mem::size_of::<T>()).max(1);
+            Vec::with_capacity((len.div_ceil(per_page) + 1) * per_page)
+        }
     }
 }
 
@@ -519,6 +569,97 @@ mod tests {
             CsrAdjacency::from_edges(4, vec![(0, 1), (0, 2), (0, 3), (2, 1), (3, 0), (3, 1)]);
         assert_eq!(batched, expected);
         assert_eq!(csr.apply_deltas(&[]), csr);
+    }
+
+    /// `csr` with `extra` empty rows appended: its offsets extended by the
+    /// last offset, its targets copied.
+    fn with_empty_rows(csr: &CsrAdjacency, extra: usize) -> CsrAdjacency {
+        let mut offsets = csr.offsets().to_vec();
+        offsets.resize(offsets.len() + extra, csr.num_edges());
+        CsrAdjacency::from_raw_parts(offsets, csr.targets().to_vec())
+    }
+
+    #[test]
+    fn growing_inside_the_merge_equals_growing_then_applying() {
+        let mut rng = StdRng::seed_from_u64(28);
+        for case in 0..300 {
+            let n = match case {
+                0..=9 => case % 2, // n = 0 and n = 1
+                _ => rng.gen_range(2..30usize),
+            };
+            let extra = rng.gen_range(0..4usize);
+            let total = n + extra;
+            let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+            if n > 0 {
+                for _ in 0..rng.gen_range(0..4 * n) {
+                    let e = (rng.gen_range(0..n) as NodeId, rng.gen_range(0..n) as NodeId);
+                    edges.extend(std::iter::repeat_n(e, rng.gen_range(1..=2))); // duplicates
+                }
+            }
+            let csr = CsrAdjacency::from_edges(n, edges.iter().copied());
+            // The multiset model: a deletion clears every copy, an
+            // insertion adds one.
+            let mut model = edges;
+            type Edges = Vec<(NodeId, NodeId)>;
+            let mut deltas: Vec<(Edges, Edges)> = Vec::new();
+            for _ in 0..rng.gen_range(0..4) {
+                let mut pick = |count: usize| {
+                    let mut list: Edges = (0..count)
+                        .filter(|_| total > 0)
+                        .map(|_| match rng.gen_range(0..3) {
+                            // An edge on an appended id, when there is one.
+                            0 if extra > 0 => (
+                                rng.gen_range(0..total) as NodeId,
+                                rng.gen_range(n..total) as NodeId,
+                            ),
+                            1 if !model.is_empty() => model[rng.gen_range(0..model.len())],
+                            _ => (
+                                rng.gen_range(0..total) as NodeId,
+                                rng.gen_range(0..total) as NodeId,
+                            ),
+                        })
+                        .collect();
+                    list.sort_unstable();
+                    list.dedup();
+                    list
+                };
+                let (ins, del) = (pick(3), pick(2));
+                model.retain(|e| del.binary_search(e).is_err());
+                model.extend(&ins);
+                deltas.push((ins, del));
+            }
+            let views: Vec<EdgeDelta> = deltas.iter().map(|(i, d)| (&i[..], &d[..])).collect();
+            let want = sorted_reference(total, model);
+            assert_eq!(with_empty_rows(&csr, extra).apply_deltas(&views), want);
+            // With no spare, a spare with room (holding other rows) and a
+            // spare too small to take the result.
+            let roomy = CsrAdjacency::from_edges(5, vec![(1, 2), (3, 4), (0, 0)])
+                .apply_deltas_into(40, &[], None);
+            let tight = CsrAdjacency::from_edges(1, vec![(0, 0)]);
+            for spare in [None, Some(roomy), Some(tight)] {
+                let got = csr.apply_deltas_into(total, &views, spare);
+                assert_eq!(got, want, "case {case}: n={n} extra={extra}");
+            }
+        }
+    }
+
+    #[test]
+    fn commit_built_arrays_have_a_page_to_spare() {
+        let csr = CsrAdjacency::from_edges(3, vec![(0, 1), (1, 2)]);
+        let built = csr.apply_deltas_into(3, &[(&[(2, 0)], &[])], None);
+        assert!(built.offsets.capacity() >= built.offsets.len() + 4096 / 8);
+        assert!(built.targets.capacity() >= built.targets.len() + 4096 / 4);
+        // A spare with room is written in place.
+        let targets = built.targets.as_ptr();
+        let again = csr.apply_deltas_into(3, &[(&[(2, 1)], &[(0, 1)])], Some(built));
+        assert_eq!(again.targets.as_ptr(), targets);
+        assert_eq!(again, CsrAdjacency::from_edges(3, vec![(1, 2), (2, 1)]));
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_rebuild_cannot_drop_nodes() {
+        sample().apply_deltas_into(3, &[], None);
     }
 
     #[test]

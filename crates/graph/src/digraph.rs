@@ -129,22 +129,6 @@ impl DiGraph {
         &self.in_adj
     }
 
-    /// Returns a copy of this graph with `additional` extra isolated nodes
-    /// appended at the top of the id space (`n .. n + additional`).
-    ///
-    /// The edge set is unchanged; both CSR orientations just extend their
-    /// offsets arrays ([`CsrAdjacency::grow`]). This is the store's `addnode`
-    /// growth path: grow first, then [`DiGraph::apply_delta`] may attach
-    /// edges to the new ids in the same commit.
-    pub fn grow(&self, additional: usize) -> DiGraph {
-        DiGraph {
-            num_nodes: self.num_nodes + additional,
-            num_edges: self.num_edges,
-            out_adj: self.out_adj.grow(additional),
-            in_adj: self.in_adj.grow(additional),
-        }
-    }
-
     /// Returns the transposed graph (every edge reversed).
     pub fn transpose(&self) -> DiGraph {
         DiGraph {
@@ -217,9 +201,34 @@ impl DiGraph {
     /// deltas applied in order, each under [`DiGraph::apply_delta`]'s
     /// contract: the result equals folding `apply_delta` over `deltas`, but
     /// each orientation is rebuilt in one [`CsrAdjacency::apply_deltas`]
-    /// pass. This is how WAL recovery replays a whole log.
+    /// pass. [`DiGraph::apply_deltas_into`] with no new nodes and no spare.
     pub fn apply_deltas(&self, deltas: &[EdgeDelta<'_>]) -> DiGraph {
-        let out_adj = self.out_adj.apply_deltas(deltas);
+        self.apply_deltas_into(self.num_nodes, deltas, None)
+    }
+
+    /// Rebuilds the graph over `num_nodes` nodes with a sequence of
+    /// `(insertions, deletions)` deltas applied in order, into `spare`'s
+    /// arrays where they have room.
+    ///
+    /// Nodes `self.num_nodes() .. num_nodes` are appended isolated before the
+    /// first delta, so any delta may attach edges to them: this is how a
+    /// store's `addnode` commit and its WAL replay grow the id space, in the
+    /// same single copy as the edge merge. Each orientation is rebuilt by
+    /// [`CsrAdjacency::apply_deltas_into`], which reuses the matching
+    /// orientation of `spare` array by array when its capacity holds the
+    /// result and allocates fresh otherwise; the result is the same either
+    /// way, bit for bit.
+    ///
+    /// # Panics
+    /// Panics if `num_nodes < self.num_nodes()`.
+    pub fn apply_deltas_into(
+        &self,
+        num_nodes: usize,
+        deltas: &[EdgeDelta<'_>],
+        spare: Option<DiGraph>,
+    ) -> DiGraph {
+        let (spare_out, spare_in) = spare.map(|g| (g.out_adj, g.in_adj)).unzip();
+        let out_adj = self.out_adj.apply_deltas_into(num_nodes, deltas, spare_out);
         let flip = |edges: &[(NodeId, NodeId)]| {
             let mut flipped: Vec<(NodeId, NodeId)> = edges.iter().map(|&(u, v)| (v, u)).collect();
             flipped.sort_unstable();
@@ -233,7 +242,7 @@ impl DiGraph {
             .iter()
             .map(|(insertions, deletions)| (insertions.as_slice(), deletions.as_slice()))
             .collect();
-        let in_adj = self.in_adj.apply_deltas(&flipped);
+        let in_adj = self.in_adj.apply_deltas_into(num_nodes, &flipped, spare_in);
         DiGraph::from_csr(out_adj, in_adj)
     }
 
@@ -273,7 +282,7 @@ mod tests {
     #[test]
     fn grow_appends_isolated_nodes_without_touching_edges() {
         let g = sample();
-        let grown = g.grow(3);
+        let grown = g.apply_deltas_into(7, &[], None);
         assert_eq!(grown.num_nodes(), 7);
         assert_eq!(grown.num_edges(), 4);
         assert!(grown.validate());
@@ -282,11 +291,45 @@ mod tests {
             assert_eq!(grown.out_degree(v), 0);
         }
         assert!(grown.has_edge(0, 2));
-        // Edges may then attach to the new ids via the delta path.
-        let attached = grown.grow(0).apply_delta(&[(4, 0), (5, 6)], &[]);
+        // Edges may attach to the new ids in the same rebuild.
+        let attached = g.apply_deltas_into(7, &[(&[(4, 0), (5, 6)], &[])], None);
         assert!(attached.validate());
         assert!(attached.has_edge(5, 6));
         assert_eq!(attached.in_degree(0), 2);
+        assert_eq!(
+            attached.out_csr(),
+            grown.apply_delta(&[(4, 0), (5, 6)], &[]).out_csr()
+        );
+        assert_eq!(
+            attached.in_csr(),
+            grown.apply_delta(&[(4, 0), (5, 6)], &[]).in_csr()
+        );
+    }
+
+    #[test]
+    fn a_rebuild_writes_into_a_spare_with_room_and_allocates_past_one_without() {
+        let g = sample(); // 0 -> 2, 1 -> 2, 2 -> 3, 3 -> 0
+        let delta: [EdgeDelta; 1] = [(&[(0, 1), (3, 2)], &[(1, 2)])];
+        let want = g.apply_deltas(&delta);
+        // A rebuilt graph has room to spare; its old edges must not leak.
+        let roomy = DiGraph::from_edges(6, &[(5, 4), (4, 3)]).apply_deltas_into(6, &[], None);
+        let (out_ptr, in_ptr) = (
+            roomy.out_csr().targets().as_ptr(),
+            roomy.in_csr().targets().as_ptr(),
+        );
+        let reused = g.apply_deltas_into(4, &delta, Some(roomy));
+        assert_eq!(reused.out_csr(), want.out_csr());
+        assert_eq!(reused.in_csr(), want.in_csr());
+        assert_eq!(reused.out_csr().targets().as_ptr(), out_ptr);
+        assert_eq!(reused.in_csr().targets().as_ptr(), in_ptr);
+        // A decoded or cloned graph has exact capacity: too small for a
+        // larger result, so the arrays are fresh.
+        let tight = DiGraph::from_edges(2, &[(0, 1)]);
+        let tight_ptr = tight.out_csr().targets().as_ptr();
+        let fresh = g.apply_deltas_into(4, &delta, Some(tight));
+        assert_eq!(fresh.out_csr(), want.out_csr());
+        assert_eq!(fresh.in_csr(), want.in_csr());
+        assert_ne!(fresh.out_csr().targets().as_ptr(), tight_ptr);
     }
 
     #[test]

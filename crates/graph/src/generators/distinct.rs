@@ -7,20 +7,25 @@
 //! earlier candidate was accepted with the same pair, and the loop stops at
 //! the `wanted`-th acceptance or once `budget` candidates have been drawn.
 //!
-//! [`distinct_keys`] keeps the accepted pairs as sorted `u64` keys
-//! `(u << 32) | v` instead of in a hash set, and draws candidates in rounds.
-//! A round draws exactly `min(wanted − accepted, budget − drawn)` candidates,
-//! so it can accept at most as many pairs as are still missing: it never
-//! passes the loop's stop point, and after every round the accepted set is the
-//! loop's after the same candidates. The key order is the order the out-CSR
-//! wants, so the sort that finds a round's duplicates is the only sort the
-//! graph needs ([`graph_of_keys`]).
+//! [`distinct_keys`] returns the accepted pairs as sorted `u64` keys
+//! `(u << 32) | v`, the order the out-CSR wants ([`graph_of_keys`]), and
+//! holds them in one of two forms, whichever is smaller:
 //!
-//! The accepted keys live in sorted runs whose lengths more than halve from
-//! one run to the next, merged like a binary counter: a round that accepts a
-//! handful of keys (a request close to the complete digraph ends in many
-//! such rounds) pays a binary search per candidate and a merge the size of
-//! its own run, never a merge the size of the graph.
+//! - **A pair bitmap** when its `n²` bits take no more room than the `wanted`
+//!   keys (`n² ≤ 64·wanted`): a request close to the complete digraph. The
+//!   loop runs as written, one candidate at a time, a bit test and set per
+//!   candidate, and the keys are read back off the bitmap in ascending order.
+//! - **Sorted runs** otherwise: every stand-in, whose `n²` is far larger than
+//!   its edge count. Candidates are drawn in rounds. A round draws exactly
+//!   `min(wanted − accepted, budget − drawn)` candidates, so it can accept at
+//!   most as many pairs as are still missing: it never passes the loop's stop
+//!   point, and after every round the accepted set is the loop's after the
+//!   same candidates. The sort that finds a round's duplicates is the only
+//!   sort the graph needs. The accepted keys live in sorted runs whose lengths
+//!   more than halve from one run to the next, merged like a binary counter:
+//!   a round that accepts a handful of keys pays a binary search per
+//!   candidate and a merge the size of its own run, never a merge the size of
+//!   the graph.
 
 use crate::csr::CsrAdjacency;
 use crate::digraph::DiGraph;
@@ -28,11 +33,61 @@ use crate::NodeId;
 
 /// The accepted keys of every candidate `draw` returns, under the module's
 /// rule: sorted and unique, at most `wanted` of them (exactly `wanted` unless
-/// `budget` candidates run out first).
+/// `budget` candidates run out first). `draw` returns ids below `num_nodes`.
 ///
 /// `draw` is dropped before the keys are returned, so whatever it owns (the
 /// samplers, the RNG) is freed before the graph is built.
 pub(super) fn distinct_keys(
+    num_nodes: usize,
+    wanted: usize,
+    budget: usize,
+    draw: impl FnMut() -> (NodeId, NodeId),
+) -> Vec<u64> {
+    if num_nodes.saturating_mul(num_nodes) <= wanted.saturating_mul(64) {
+        keys_by_bitmap(num_nodes, wanted, budget, draw)
+    } else {
+        keys_by_runs(wanted, budget, draw)
+    }
+}
+
+/// [`distinct_keys`] through an `n²`-bit map of the accepted pairs: bit
+/// `u·n + v` is pair `(u, v)`, so the set bits in ascending order are the
+/// keys in ascending order.
+fn keys_by_bitmap(
+    n: usize,
+    wanted: usize,
+    budget: usize,
+    mut draw: impl FnMut() -> (NodeId, NodeId),
+) -> Vec<u64> {
+    let mut bits = vec![0u64; (n * n).div_ceil(64)];
+    let (mut accepted, mut drawn) = (0usize, 0usize);
+    while accepted < wanted && drawn < budget {
+        drawn += 1;
+        let (u, v) = draw();
+        if u != v {
+            let bit = u as usize * n + v as usize;
+            let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+            if bits[word] & mask == 0 {
+                bits[word] |= mask;
+                accepted += 1;
+            }
+        }
+    }
+    drop(draw);
+    let mut keys = Vec::with_capacity(accepted);
+    for (w, &word) in bits.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            let bit = 64 * w + rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            keys.push(((bit / n) as u64) << 32 | (bit % n) as u64);
+        }
+    }
+    keys
+}
+
+/// [`distinct_keys`] in rounds over sorted runs (see the module docs).
+fn keys_by_runs(
     wanted: usize,
     budget: usize,
     mut draw: impl FnMut() -> (NodeId, NodeId),
@@ -186,12 +241,16 @@ mod tests {
                 wanted.saturating_mul(20).max(1000),
                 wanted / 2 + 1,
             ] {
-                let got = distinct_keys(wanted, budget, uniform(n, seed));
+                let got = distinct_keys(n, wanted, budget, uniform(n, seed));
                 let want = hash_set_loop(wanted, budget, uniform(n, seed));
                 assert_eq!(
                     got, want,
                     "n={n} wanted={wanted} budget={budget} seed={seed}"
                 );
+                // Whichever side of the switch the case falls on, the
+                // other form accepts the same keys.
+                assert_eq!(keys_by_runs(wanted, budget, uniform(n, seed)), want);
+                assert_eq!(keys_by_bitmap(n, wanted, budget, uniform(n, seed)), want);
                 if budget == usize::MAX {
                     assert_eq!(got.len(), wanted);
                 }
@@ -204,13 +263,39 @@ mod tests {
         let (n, wanted) = (60, 3_000);
         let budget = wanted * 20;
         for seed in 0..4 {
-            let got = distinct_keys(wanted, budget, skewed(n, seed));
+            let got = distinct_keys(n, wanted, budget, skewed(n, seed));
             assert!(
                 got.len() < wanted,
                 "the budget should run out: {}",
                 got.len()
             );
             assert_eq!(got, hash_set_loop(wanted, budget, skewed(n, seed)));
+            assert_eq!(got, keys_by_runs(wanted, budget, skewed(n, seed)));
+        }
+    }
+
+    #[test]
+    fn both_sides_of_the_switch_accept_what_the_hash_set_loop_accepts() {
+        // The bitmap side takes requests with n² ≤ 64·wanted.
+        for (n, wanted, bitmap) in [
+            (400, 2_000, false),
+            (400, 2_500, true),
+            (2_000, 9_000, false),
+            (40, 1_400, true),
+            (1, 0, false),
+            (0, 0, true),
+        ] {
+            assert_eq!(n * n <= 64 * wanted, bitmap, "n={n} wanted={wanted}");
+            let want = hash_set_loop(wanted, usize::MAX, uniform(n.max(1), 7));
+            assert_eq!(
+                distinct_keys(n, wanted, usize::MAX, uniform(n.max(1), 7)),
+                want
+            );
+            if n > 1 {
+                let budget = wanted * 20;
+                let want = hash_set_loop(wanted, budget, skewed(n, 3));
+                assert_eq!(distinct_keys(n, wanted, budget, skewed(n, 3)), want);
+            }
         }
     }
 }

@@ -93,7 +93,7 @@ pub fn gnm_directed(n: usize, m: usize, seed: u64) -> Result<DiGraph, GraphError
         )));
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let keys = distinct_keys(m, usize::MAX, move || {
+    let keys = distinct_keys(n, m, usize::MAX, move || {
         let u = rng.gen_range(0..n) as NodeId;
         let v = rng.gen_range(0..n) as NodeId;
         (u, v)

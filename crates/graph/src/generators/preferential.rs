@@ -162,7 +162,7 @@ pub fn power_law_digraph(config: PowerLawConfig) -> Result<DiGraph, GraphError> 
     let mut rng = StdRng::seed_from_u64(seed);
     let (out_sampler, in_sampler) = endpoint_samplers(n, gamma_in, gamma_out, &mut rng);
     let budget = m.saturating_mul(20).max(1000);
-    let keys = distinct_keys(m, budget, move || {
+    let keys = distinct_keys(n, m, budget, move || {
         let u = out_sampler.sample(&mut rng) as NodeId;
         let v = in_sampler.sample(&mut rng) as NodeId;
         (u, v)

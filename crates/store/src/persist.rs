@@ -21,7 +21,13 @@
 //!
 //! Snapshots are written to a `*.tmp` file, fsynced, then atomically renamed
 //! into place (and the directory fsynced), so a crash mid-write never leaves
-//! a half-visible snapshot — only an ignored temp file.
+//! a half-visible snapshot — only an ignored temp file. The write streams:
+//! header and payload pass through a 64-KiB buffer
+//! ([`exactsim_graph::binfmt::write_digraph`] encodes a few kilobytes at a
+//! time) while a running CRC32 follows every byte, and the checksum goes
+//! last. A snapshot write therefore allocates its buffer, not the ~4 bytes
+//! per edge of the whole encoding, and its bytes equal those of the encoding
+//! built whole.
 //!
 //! ## WAL format (version 2, little-endian)
 //!
@@ -67,11 +73,12 @@
 //!    must lie below the node count at that record. Records at or below the
 //!    snapshot epoch are skipped (they are the residue of a crash between
 //!    writing a compaction snapshot and truncating the WAL). The checked
-//!    records are then applied in one pass: the graph grows once by their
-//!    summed `added`, and one [`DiGraph::apply_deltas`] merges every delta
-//!    in record order. Growth only appends isolated nodes, so growing first
-//!    commutes with every delta, and a restart costs one copy of the graph
-//!    rather than one per record.
+//!    records are then applied in one pass: one
+//!    [`DiGraph::apply_deltas_into`] appends their summed `added` nodes and
+//!    merges every delta in record order. Growth only appends isolated
+//!    nodes, so growing first commutes with every delta, and a restart costs
+//!    one copy of the graph rather than one per record (or two per
+//!    `addnode` record).
 //!
 //! ## Compaction
 //!
@@ -82,10 +89,10 @@
 //! (step 3 above).
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use exactsim_graph::binfmt::{decode_digraph, encode_digraph, encoded_len};
+use exactsim_graph::binfmt::{decode_digraph, encoded_len, write_digraph};
 use exactsim_graph::{DiGraph, EdgeDelta, NodeId};
 use exactsim_obs::fault;
 
@@ -113,8 +120,11 @@ const SNAPSHOT_HEADER_LEN: usize = 24;
 // no checksum crate.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC32_TABLES[0]` is the byte-wise table, and
+/// `CRC32_TABLES[k][b]` is the CRC state of byte `b` followed by `k` zero
+/// bytes, so eight bytes fold into the state with eight lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -127,21 +137,90 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// A running CRC32 (IEEE): feeding the bytes in any number of
+/// [`Crc32::update`] calls gives the [`crc32`] of their concatenation.
+pub(crate) struct Crc32 {
+    state: u32,
+}
+
+impl Crc32 {
+    /// The CRC of no bytes yet.
+    pub(crate) fn new() -> Self {
+        Crc32 { state: 0xFFFF_FFFF }
+    }
+
+    /// Folds `bytes` into the running CRC, eight bytes per step (any
+    /// alignment) and the last `len % 8` one at a time.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC32_TABLES;
+        let mut c = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let lo = c ^ u32::from_le_bytes(word[..4].try_into().expect("4 bytes"));
+            let hi = u32::from_le_bytes(word[4..].try_into().expect("4 bytes"));
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.state = c;
+    }
+
+    /// The CRC32 of every byte fed so far.
+    pub(crate) fn finish(&self) -> u32 {
+        self.state ^ 0xFFFF_FFFF
+    }
+}
 
 /// CRC32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// A writer that passes every byte on to `inner` and folds the bytes
+/// `inner` accepted into a running [`Crc32`].
+struct CrcWriter<W> {
+    inner: W,
+    crc: Crc32,
+}
+
+impl<W: Write> Write for CrcWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let written = self.inner.write(buf)?;
+        self.crc.update(&buf[..written]);
+        Ok(written)
     }
-    c ^ 0xFFFF_FFFF
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -187,19 +266,12 @@ fn sync_dir(dir: &Path) -> Result<(), StoreError> {
 }
 
 /// Atomically writes `graph` as the snapshot of `epoch` into `dir` and
-/// returns the final path.
+/// returns the final path. The bytes stream to the file through a 64-KiB
+/// buffer while a running CRC follows them, so a snapshot write holds no
+/// copy of the graph's encoding.
 pub fn write_snapshot(dir: &Path, graph: &DiGraph, epoch: u64) -> Result<PathBuf, StoreError> {
     let final_path = dir.join(snapshot_file_name(epoch));
     let tmp_path = dir.join(format!("{}.tmp", snapshot_file_name(epoch)));
-    let mut bytes = Vec::with_capacity(SNAPSHOT_HEADER_LEN + encoded_len(graph) + 4);
-    bytes.extend_from_slice(SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.extend_from_slice(&epoch.to_le_bytes());
-    bytes.extend_from_slice(&(encoded_len(graph) as u64).to_le_bytes());
-    encode_digraph(graph, &mut bytes);
-    let checksum = crc32(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
-
     if fault::check(fault::sites::SNAPSHOT_WRITE).is_some() {
         return Err(StoreError::io(
             &tmp_path,
@@ -207,9 +279,9 @@ pub fn write_snapshot(dir: &Path, graph: &DiGraph, epoch: u64) -> Result<PathBuf
             fault::injected_io_error(fault::sites::SNAPSHOT_WRITE),
         ));
     }
-    let mut file = File::create(&tmp_path).map_err(|e| StoreError::io(&tmp_path, "create", e))?;
-    file.write_all(&bytes)
-        .map_err(|e| StoreError::io(&tmp_path, "write", e))?;
+    let file = File::create(&tmp_path).map_err(|e| StoreError::io(&tmp_path, "create", e))?;
+    let file =
+        stream_snapshot(file, graph, epoch).map_err(|e| StoreError::io(&tmp_path, "write", e))?;
     file.sync_all()
         .map_err(|e| StoreError::io(&tmp_path, "sync", e))?;
     drop(file);
@@ -217,6 +289,30 @@ pub fn write_snapshot(dir: &Path, graph: &DiGraph, epoch: u64) -> Result<PathBuf
         .map_err(|e| StoreError::io(&final_path, "rename", e))?;
     sync_dir(dir)?;
     Ok(final_path)
+}
+
+/// Bytes a snapshot write buffers before they go to the file.
+const SNAPSHOT_WRITE_BUFFER: usize = 64 << 10;
+
+/// Writes the snapshot file of `graph` at `epoch` into `file` (header,
+/// payload, then the CRC of both) and hands the file back unsynced.
+fn stream_snapshot(file: File, graph: &DiGraph, epoch: u64) -> std::io::Result<File> {
+    let crc = CrcWriter {
+        inner: file,
+        crc: Crc32::new(),
+    };
+    let mut out = BufWriter::with_capacity(SNAPSHOT_WRITE_BUFFER, crc);
+    out.write_all(SNAPSHOT_MAGIC)?;
+    out.write_all(&FORMAT_VERSION.to_le_bytes())?;
+    out.write_all(&epoch.to_le_bytes())?;
+    out.write_all(&(encoded_len(graph) as u64).to_le_bytes())?;
+    write_digraph(graph, &mut out)?;
+    // Flushed, every byte above has passed through the CRC.
+    out.flush()?;
+    let checksum = out.get_ref().crc.finish();
+    let mut file = out.into_inner().map_err(|e| e.into_error())?.inner;
+    file.write_all(&checksum.to_le_bytes())?;
+    Ok(file)
 }
 
 fn corrupt(path: &Path, detail: impl Into<String>) -> StoreError {
@@ -703,12 +799,11 @@ impl DurableLog {
             return Err(first_error.expect("fallback implies a snapshot error"));
         }
         // Growth only appends isolated nodes, so growing once up front
-        // commutes with every delta on the older ids.
-        if n > graph.num_nodes() as u64 {
-            graph = graph.grow(n as usize - graph.num_nodes());
-        }
+        // commutes with every delta on the older ids; the merge appends them
+        // in its one copy. Every record grows the graph through its delta,
+        // so no delta means no growth.
         if !deltas.is_empty() {
-            graph = graph.apply_deltas(&deltas);
+            graph = graph.apply_deltas_into(n as usize, &deltas, None);
         }
 
         Ok((
@@ -870,6 +965,81 @@ mod tests {
         // Standard IEEE CRC32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The one-byte-per-step CRC32 that slicing-by-8 replaced.
+    fn bytewise_crc32(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference_at_any_length_and_alignment() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let bytes: Vec<u8> = (0..4096 + 8).map(|_| next() as u8).collect();
+        for case in 0..500 {
+            let start = next() as usize % 8;
+            let len = if case < 17 {
+                case // every tail length, and one word plus every tail
+            } else {
+                next() as usize % 4097
+            };
+            let slice = &bytes[start..start + len];
+            let want = bytewise_crc32(slice);
+            assert_eq!(crc32(slice), want, "start {start}, len {len}");
+            // Fed in pieces of any size, the running CRC agrees.
+            let mut running = Crc32::new();
+            let mut rest = slice;
+            while !rest.is_empty() {
+                let (piece, tail) = rest.split_at(next() as usize % (rest.len() + 1));
+                running.update(piece);
+                rest = tail;
+            }
+            assert_eq!(running.finish(), want, "pieces, start {start}, len {len}");
+        }
+        let mut running = Crc32::new();
+        running.update(b"1234");
+        running.update(b"56789");
+        assert_eq!(running.finish(), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn a_streamed_snapshot_reads_back_with_its_checksum() {
+        let dir =
+            std::env::temp_dir().join(format!("exactsim-persist-stream-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Offsets and targets longer than the write buffer, so the CRC
+        // follows the bytes across several flushes.
+        let n = SNAPSHOT_WRITE_BUFFER / 4;
+        let edges: Vec<(NodeId, NodeId)> = (0..n as NodeId)
+            .flat_map(|u| [(u, (u + 1) % n as NodeId), (u, (u * 7 + 3) % n as NodeId)])
+            .collect();
+        let graph = DiGraph::from_edges(n, &edges);
+        let path = write_snapshot(&dir, &graph, 9).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let mut encoded = Vec::new();
+        exactsim_graph::binfmt::encode_digraph(&graph, &mut encoded);
+        assert_eq!(&bytes[SNAPSHOT_HEADER_LEN..bytes.len() - 4], &encoded[..]);
+        let body_end = bytes.len() - 4;
+        assert_eq!(
+            u32::from_le_bytes(bytes[body_end..].try_into().unwrap()),
+            bytewise_crc32(&bytes[..body_end])
+        );
+        let (read, epoch) = read_snapshot(&path).unwrap();
+        assert_eq!(epoch, 9);
+        assert_eq!(read.out_csr(), graph.out_csr());
+        assert_eq!(read.in_csr(), graph.in_csr());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

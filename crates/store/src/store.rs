@@ -56,7 +56,7 @@ pub struct GraphSnapshot {
 pub struct CommitTimings {
     /// Copying the staged insert/delete lists out of the delta buffer.
     pub staging: Duration,
-    /// Materializing the new CSR graph ([`DiGraph::apply_delta`]).
+    /// Materializing the new CSR graph ([`DiGraph::apply_deltas_into`]).
     pub csr_merge: Duration,
     /// Writing the delta record into the WAL (buffered write).
     pub wal_append: Duration,
@@ -144,9 +144,24 @@ fn page_file_path(dir: &Path, epoch: u64) -> PathBuf {
 /// [`GraphStore::stage_insert`] / [`GraphStore::stage_delete`] — validated
 /// against the node-id space and deduplicated against both the base graph
 /// and each other — and [`GraphStore::commit`] materializes a new CSR graph
-/// in one pass per batch ([`DiGraph::apply_delta`]: rows the delta does not
-/// name are copied in bulk, and only the named rows are merged), bumps the
-/// monotonic epoch, and atomically swaps the published snapshot.
+/// in one pass per batch ([`DiGraph::apply_deltas_into`]: rows the delta
+/// does not name are copied in bulk, and only the named rows are merged),
+/// bumps the monotonic epoch, and atomically swaps the published snapshot.
+///
+/// ## What a commit builds into
+///
+/// The graph is the only state a commit rebuilds, and in steady state a
+/// commit allocates nothing the size of it. The store keeps the graph the last commit superseded, and the
+/// next commit writes its CSR arrays into that graph's cleared arrays
+/// (`Arc::try_unwrap`), so a store holds two graphs: the published one and
+/// the retired one. The reuse needs the store's reference to be the last
+/// one. Anything still holding the retired epoch — a query in flight, a
+/// service that has not adopted the newer epoch yet, a caller's
+/// [`GraphSnapshot`] — keeps it intact, and that commit falls back to fresh
+/// arrays; so does an array too small for the result (a graph built by a
+/// decode or a clone has no room to spare; commit-built arrays keep a page
+/// of it). Either way the published bits are the same. A paged store
+/// materializes each base transiently and always builds fresh.
 ///
 /// ## Durability
 ///
@@ -157,7 +172,9 @@ fn page_file_path(dir: &Path, epoch: u64) -> PathBuf {
 /// protocol). Each commit appends its delta to the WAL and fsyncs *before*
 /// publishing the new epoch, so `open` after a crash restarts the store into
 /// exactly the last fully-committed epoch; it replays the whole WAL with one
-/// merge ([`DiGraph::apply_deltas`]), not one per record.
+/// merge ([`DiGraph::apply_deltas_into`]), not one per record. A compaction
+/// streams the snapshot to disk ([`crate::persist::write_snapshot`]), so it
+/// holds no encoding of the graph either.
 /// [`GraphStore::save`] folds the WAL into a fresh snapshot; commits also do
 /// this automatically once the WAL exceeds a threshold
 /// ([`GraphStore::set_auto_compaction`]).
@@ -167,7 +184,8 @@ fn page_file_path(dir: &Path, epoch: u64) -> PathBuf {
 /// The node-id space grows through [`GraphStore::stage_add_nodes`]: new
 /// nodes are appended at the top of the id space on commit (recorded in the
 /// WAL before the edge delta), and staged insertions may already reference
-/// them.
+/// them. The merge appends their empty rows itself, so an `addnode` commit
+/// costs the same one copy as any other.
 ///
 /// ## Paged mode
 ///
@@ -189,6 +207,10 @@ pub struct GraphStore {
     commits: AtomicU64,
     /// `Some` once [`GraphStore::with_paging`] ran; immutable afterwards.
     paged: Option<PagedMode>,
+    /// The in-memory graph the last commit superseded, whose arrays the next
+    /// commit builds into if this is the last reference to it by then.
+    /// Taken and refilled only by `commit`, under `pending`.
+    retired: Mutex<Option<Arc<DiGraph>>>,
 }
 
 impl std::fmt::Debug for GraphStore {
@@ -260,6 +282,7 @@ impl GraphStore {
             durable: Mutex::new(log),
             commits: AtomicU64::new(0),
             paged: None,
+            retired: Mutex::new(None),
         }
     }
 
@@ -512,13 +535,19 @@ impl GraphStore {
         // The paged backend materializes transiently; `Mem` hands back its
         // existing `Arc` (no copy).
         let base_graph = base.graph.materialize()?;
-        let merge_base = if added_nodes > 0 {
-            // Growth first, so staged insertions may reference the new ids.
-            Arc::new(base_graph.grow(added_nodes as usize))
-        } else {
-            base_graph
-        };
-        let next = Arc::new(merge_base.apply_delta(&insertions, &deletions));
+        // The graph the last commit superseded becomes this one's arrays,
+        // unless something still holds it: then the merge allocates fresh.
+        let spare = self
+            .retired
+            .lock()
+            .expect("retired graph poisoned")
+            .take()
+            .and_then(|graph| Arc::try_unwrap(graph).ok());
+        // The new ids are appended before the delta applies, so staged
+        // insertions may reference them.
+        let num_nodes = base_graph.num_nodes() + added_nodes as usize;
+        let next =
+            Arc::new(base_graph.apply_deltas_into(num_nodes, &[(&insertions, &deletions)], spare));
         timings.csr_merge = merge_start.elapsed();
         exactsim_obs::trace::record("csr_merge", merge_start, timings.csr_merge);
         let next_epoch = base.epoch + 1;
@@ -564,6 +593,9 @@ impl GraphStore {
         timings.publish = publish_start.elapsed();
         exactsim_obs::trace::record("publish", publish_start, timings.publish);
         self.commits.fetch_add(1, Ordering::Relaxed);
+        if self.paged.is_none() {
+            *self.retired.lock().expect("retired graph poisoned") = Some(base_graph);
+        }
 
         // The superseded epoch's page file is dead once no snapshot holds
         // it; removal is best-effort (an open handle keeps the inode alive
@@ -851,6 +883,74 @@ mod tests {
         assert_eq!(store.pending_nodes(), 0);
         assert!(!store.commit().unwrap().advanced());
         assert_eq!(store.num_nodes(), 4);
+    }
+
+    /// Where the published graph's out- and in-targets live.
+    fn target_arrays(store: &GraphStore) -> (*const NodeId, *const NodeId) {
+        let graph = store.graph();
+        let graph = graph.as_mem().expect("an in-memory store");
+        (
+            graph.out_csr().targets().as_ptr(),
+            graph.in_csr().targets().as_ptr(),
+        )
+    }
+
+    #[test]
+    fn a_held_snapshot_reads_back_intact_while_commits_build_around_it() {
+        // A ring; commit k swaps k -> k+1 for k -> k+5, so every epoch has
+        // the same edge count and a commit-built graph has room for the next.
+        let n = 64u32;
+        let ring: Vec<(NodeId, NodeId)> = (0..n).map(|u| (u, (u + 1) % n)).collect();
+        let store = GraphStore::new(Arc::new(DiGraph::from_edges(n as usize, &ring)));
+        let mut k = 0;
+        let mut commit = || {
+            k += 1;
+            store.stage_delete(k, (k + 1) % n).unwrap();
+            store.stage_insert(k, (k + 5) % n).unwrap();
+            store.commit().unwrap();
+            target_arrays(&store)
+        };
+        let epoch1 = commit();
+        let epoch2 = commit(); // epoch 0's exact-size arrays had no room
+        let held = store.snapshot();
+        assert_eq!(held.epoch, 2);
+        let graph = held.graph.as_mem().unwrap();
+        let (out_rows, in_rows) = (graph.out_csr().clone(), graph.in_csr().clone());
+
+        // Epoch 3 is built into epoch 1's arrays, which nothing holds.
+        let epoch3 = commit();
+        assert_eq!(epoch3, epoch1);
+        // Epoch 4 would take epoch 2's arrays, but the snapshot holds them:
+        // fresh arrays.
+        let epoch4 = commit();
+        assert_ne!(epoch4, epoch2);
+        assert_ne!(epoch4, epoch3);
+        let epoch5 = commit();
+        assert_eq!(epoch5, epoch3);
+        for arrays in [epoch3, epoch4, epoch5] {
+            assert_ne!(arrays.0, epoch2.0);
+            assert_ne!(arrays.1, epoch2.1);
+        }
+        // Three commits later, epoch 2 reads back every row bit for bit.
+        assert_eq!(store.epoch(), 5);
+        let graph = held.graph.as_mem().unwrap();
+        assert_eq!(graph.out_csr(), &out_rows);
+        assert_eq!(graph.in_csr(), &in_rows);
+        assert!(graph.has_edge(2, 7) && graph.has_edge(3, 4) && !graph.has_edge(3, 8));
+        drop(held);
+
+        // Released, recycling resumes: each commit reuses the arrays of the
+        // epoch two before it, the fresh ones of epoch 4 included.
+        let epoch6 = commit();
+        assert_eq!(epoch6, epoch4);
+        let epoch7 = commit();
+        assert_eq!(epoch7, epoch5);
+        let graph = store.graph();
+        assert!(graph.validate());
+        assert_eq!(graph.num_edges(), n as usize);
+        for u in 1..=7 {
+            assert!(!graph.has_edge(u, u + 1) && graph.has_edge(u, u + 5));
+        }
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {

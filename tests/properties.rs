@@ -492,7 +492,7 @@ fn batched_and_folded_csr_deltas_match_a_multiset_model() {
         let mut rng = StdRng::seed_from_u64(0x00DE_17A5 ^ case as u64);
         let old_n = base.num_nodes() as u32;
         // Up to 3 isolated nodes, which later deltas attach edges to.
-        let grown = base.grow(rng.gen_range(0..=3));
+        let grown = base.apply_deltas_into(base.num_nodes() + rng.gen_range(0..=3usize), &[], None);
         let n = grown.num_nodes() as u32;
         let mut model: BTreeMap<(u32, u32), usize> = BTreeMap::new();
         for edge in base.iter_edges() {
@@ -552,8 +552,18 @@ fn batched_and_folded_csr_deltas_match_a_multiset_model() {
         let folded = views.iter().fold(grown.clone(), |graph, &(ins, del)| {
             graph.apply_delta(ins, del)
         });
+        // Grown inside the merge, into the arrays of a graph a rebuild made
+        // (room to spare, other edges in them).
+        let spare = folded.apply_deltas(&[]);
+        let targets = spare.out_csr().targets().as_ptr();
+        let recycled = base.apply_deltas_into(n as usize, &views, Some(spare));
+        assert_eq!(recycled.out_csr().targets().as_ptr(), targets, "{name}");
         // `CsrAdjacency` equality compares the offsets and targets arrays.
-        for (how, got) in [("apply_deltas", &batched), ("folded apply_delta", &folded)] {
+        for (how, got) in [
+            ("apply_deltas", &batched),
+            ("folded apply_delta", &folded),
+            ("apply_deltas_into a spare", &recycled),
+        ] {
             let at = format!("{name} ({} deltas): {how}", deltas.len());
             assert_eq!(got.out_csr(), reference.out_csr(), "{at}");
             assert_eq!(got.in_csr(), reference.in_csr(), "{at}");
