@@ -443,7 +443,7 @@ fn bench_kernels(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool) {
     );
 }
 
-/// Buffer-pool residency sweep on the mid-size graph: images its CSR into a
+/// Buffer-pool residency sweep on the mid-size graph: images its in-rows into a
 /// page file, then serves the same optimized-ExactSim queries through a
 /// [`PagedGraph`] with the buffer pool sized to 25%, 50% and 100% of the
 /// file's page count, next to an in-memory reference (`exactsim_opt_mem`).
@@ -494,7 +494,7 @@ fn bench_paged(records: &mut Vec<Record>, bg: &BenchGraph, quick: bool) -> Vec<S
     };
 
     let path = std::env::temp_dir().join(format!("simrank-bench-{}.espg", std::process::id()));
-    PagedGraph::build(&path, &bg.graph, 0, DEFAULT_PAGE_BYTES).expect("page-file image");
+    PagedGraph::build(&path, bg.graph.in_graph(), 0, DEFAULT_PAGE_BYTES).expect("page-file image");
     let total_pages = PagedGraph::open(&path, Arc::new(BufferPool::new(2)))
         .expect("page file")
         .num_pages();

@@ -1,20 +1,23 @@
 //! The graph-access seam: [`NeighborAccess`].
 //!
-//! Every SimRank kernel in this workspace needs exactly four things from a
-//! graph: node/edge counts, degrees, and the two sorted neighbor lists. This
-//! trait captures that contract so the storage representation becomes
-//! interchangeable — an in-memory CSR ([`DiGraph`]), a buffer-managed page
-//! store (`exactsim-store`'s `PagedGraph`), or any future mmap'd snapshot —
-//! without the solvers knowing which one they are running against.
+//! Every SimRank kernel in this workspace needs exactly three things from a
+//! graph: node/edge counts, in-degrees, and the sorted in-neighbor lists. A
+//! √c-walk steps to a uniform in-neighbor, `P·x` scatters over in-rows and
+//! `Pᵀ·x` averages over them; nothing reads an out-row. This trait captures
+//! that contract so the storage representation becomes interchangeable — an
+//! in-memory CSR ([`InGraph`], or a [`DiGraph`] through its in-rows), a
+//! buffer-managed page store (`exactsim-store`'s `PagedGraph`), or any
+//! future mmap'd snapshot — without the solvers knowing which one they are
+//! running against.
 //!
 //! ## The guard type
 //!
-//! `out_neighbors`/`in_neighbors` return [`NeighborAccess::Neighbors`], a
-//! generic associated type that merely has to [`Deref`] to `&[NodeId]`:
+//! `in_neighbors` returns [`NeighborAccess::Neighbors`], a generic
+//! associated type that merely has to [`Deref`] to `&[NodeId]`:
 //!
-//! * the in-memory [`DiGraph`] uses `&[NodeId]` itself — a zero-overhead
-//!   slice return, so the fast path compiles to exactly the code it always
-//!   was (the bench gate in CI holds this to within noise);
+//! * the in-memory graphs use `&[NodeId]` itself — a zero-overhead slice
+//!   return, so the fast path compiles to exactly the code it always was
+//!   (the bench gate in CI holds this to within noise);
 //! * a paged backend returns a *pin guard* that keeps the underlying buffer
 //!   frame pinned (and therefore un-evictable) for as long as the caller
 //!   reads the slice, unpinning on drop.
@@ -27,12 +30,10 @@
 //! ## Run accessors
 //!
 //! Kernels that scan many nodes in ascending order (the `P·x` and `Pᵀ·x`
-//! multiplies) call
-//! [`NeighborAccess::for_each_in_neighbors`] /
-//! [`NeighborAccess::for_each_out_neighbors`] with the whole run instead of
-//! one accessor call per node. The provided default is exactly that
-//! per-node loop; a paged backend overrides it to fetch each page once per
-//! run of consecutive nodes stored on it.
+//! multiplies) call [`NeighborAccess::for_each_in_neighbors`] with the whole
+//! run instead of one accessor call per node. The provided default is
+//! exactly that per-node loop; a paged backend overrides it to fetch each
+//! page once per run of consecutive nodes stored on it.
 //!
 //! ## Determinism contract
 //!
@@ -47,9 +48,10 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::digraph::DiGraph;
+use crate::ingraph::InGraph;
 use crate::NodeId;
 
-/// Read-only adjacency access for directed graphs with dense node ids
+/// Read-only in-adjacency access for directed graphs with dense node ids
 /// `0..num_nodes()`.
 ///
 /// See the [module docs](self) for the guard-type and determinism contracts.
@@ -68,24 +70,18 @@ pub trait NeighborAccess: Send + Sync {
     /// Number of directed edges.
     fn num_edges(&self) -> usize;
 
-    /// Out-degree of `v` (must equal `out_neighbors(v).len()`), available
-    /// without touching adjacency storage — kernels call this in hot loops.
-    fn out_degree(&self, v: NodeId) -> usize;
-
     /// In-degree of `v` (must equal `in_neighbors(v).len()`), available
-    /// without touching adjacency storage.
+    /// without touching adjacency storage — kernels call this in hot loops.
     fn in_degree(&self, v: NodeId) -> usize;
-
-    /// The sorted out-neighbors of `v` (targets of edges `v → w`).
-    fn out_neighbors(&self, v: NodeId) -> Self::Neighbors<'_>;
 
     /// The sorted in-neighbors of `v` (sources of edges `u → v`).
     fn in_neighbors(&self, v: NodeId) -> Self::Neighbors<'_>;
 
-    /// `true` iff the edge `u → v` exists. The default binary-searches the
-    /// out-neighbor list; backends with cheaper membership tests may override.
+    /// `true` iff the edge `u → v` exists. The default binary-searches `v`'s
+    /// in-neighbor list for `u`; backends with cheaper membership tests may
+    /// override.
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.out_neighbors(u).binary_search(&v).is_ok()
+        self.in_neighbors(v).binary_search(&u).is_ok()
     }
 
     /// Calls `f(v, in_neighbors(v))` for every `v` of `nodes`, in order —
@@ -103,24 +99,47 @@ pub trait NeighborAccess: Send + Sync {
         }
     }
 
-    /// The out-neighbor twin of [`NeighborAccess::for_each_in_neighbors`].
-    #[inline]
-    fn for_each_out_neighbors<I, F>(&self, nodes: I, mut f: F)
-    where
-        I: IntoIterator<Item = NodeId>,
-        F: FnMut(NodeId, &[NodeId]),
-    {
-        for v in nodes {
-            f(v, &self.out_neighbors(v));
-        }
-    }
-
     /// Bytes of this backend's state resident in RAM (for an in-memory CSR
     /// that is the whole graph; for a paged backend only the directory,
     /// offsets, and buffer pool).
     fn resident_bytes(&self) -> usize;
 }
 
+impl NeighborAccess for InGraph {
+    type Neighbors<'a> = &'a [NodeId];
+
+    #[inline(always)]
+    fn num_nodes(&self) -> usize {
+        InGraph::num_nodes(self)
+    }
+
+    #[inline(always)]
+    fn num_edges(&self) -> usize {
+        InGraph::num_edges(self)
+    }
+
+    #[inline(always)]
+    fn in_degree(&self, v: NodeId) -> usize {
+        InGraph::in_degree(self, v)
+    }
+
+    #[inline(always)]
+    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
+        InGraph::in_neighbors(self, v)
+    }
+
+    #[inline(always)]
+    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
+        InGraph::has_edge(self, u, v)
+    }
+
+    #[inline(always)]
+    fn resident_bytes(&self) -> usize {
+        InGraph::memory_bytes(self)
+    }
+}
+
+/// A `DiGraph` serves its in-rows; its out-CSR is not part of this seam.
 impl NeighborAccess for DiGraph {
     type Neighbors<'a> = &'a [NodeId];
 
@@ -135,18 +154,8 @@ impl NeighborAccess for DiGraph {
     }
 
     #[inline(always)]
-    fn out_degree(&self, v: NodeId) -> usize {
-        DiGraph::out_degree(self, v)
-    }
-
-    #[inline(always)]
     fn in_degree(&self, v: NodeId) -> usize {
         DiGraph::in_degree(self, v)
-    }
-
-    #[inline(always)]
-    fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        DiGraph::out_neighbors(self, v)
     }
 
     #[inline(always)]
@@ -184,18 +193,8 @@ impl<G: NeighborAccess> NeighborAccess for &G {
     }
 
     #[inline(always)]
-    fn out_degree(&self, v: NodeId) -> usize {
-        (**self).out_degree(v)
-    }
-
-    #[inline(always)]
     fn in_degree(&self, v: NodeId) -> usize {
         (**self).in_degree(v)
-    }
-
-    #[inline(always)]
-    fn out_neighbors(&self, v: NodeId) -> Self::Neighbors<'_> {
-        (**self).out_neighbors(v)
     }
 
     #[inline(always)]
@@ -215,15 +214,6 @@ impl<G: NeighborAccess> NeighborAccess for &G {
         F: FnMut(NodeId, &[NodeId]),
     {
         (**self).for_each_in_neighbors(nodes, f)
-    }
-
-    #[inline(always)]
-    fn for_each_out_neighbors<I, F>(&self, nodes: I, f: F)
-    where
-        I: IntoIterator<Item = NodeId>,
-        F: FnMut(NodeId, &[NodeId]),
-    {
-        (**self).for_each_out_neighbors(nodes, f)
     }
 
     #[inline(always)]
@@ -252,18 +242,8 @@ impl<G: NeighborAccess> NeighborAccess for Arc<G> {
     }
 
     #[inline(always)]
-    fn out_degree(&self, v: NodeId) -> usize {
-        (**self).out_degree(v)
-    }
-
-    #[inline(always)]
     fn in_degree(&self, v: NodeId) -> usize {
         (**self).in_degree(v)
-    }
-
-    #[inline(always)]
-    fn out_neighbors(&self, v: NodeId) -> Self::Neighbors<'_> {
-        (**self).out_neighbors(v)
     }
 
     #[inline(always)]
@@ -283,15 +263,6 @@ impl<G: NeighborAccess> NeighborAccess for Arc<G> {
         F: FnMut(NodeId, &[NodeId]),
     {
         (**self).for_each_in_neighbors(nodes, f)
-    }
-
-    #[inline(always)]
-    fn for_each_out_neighbors<I, F>(&self, nodes: I, f: F)
-    where
-        I: IntoIterator<Item = NodeId>,
-        F: FnMut(NodeId, &[NodeId]),
-    {
-        (**self).for_each_out_neighbors(nodes, f)
     }
 
     #[inline(always)]
@@ -315,31 +286,78 @@ mod tests {
     }
 
     /// Exercises a graph purely through the trait, as the solvers do.
-    fn trait_summary<G: NeighborAccess>(g: &G) -> (usize, usize, Vec<NodeId>, Vec<NodeId>) {
-        let mut outs = Vec::new();
+    fn trait_summary<G: NeighborAccess>(g: &G) -> (usize, usize, Vec<NodeId>, Vec<usize>) {
         let mut ins = Vec::new();
+        let mut degrees = Vec::new();
         for v in 0..g.num_nodes() as NodeId {
-            outs.extend(g.out_neighbors(v).iter().copied());
             ins.extend(g.in_neighbors(v).iter().copied());
+            degrees.push(g.in_degree(v));
         }
-        (g.num_nodes(), g.num_edges(), outs, ins)
+        (g.num_nodes(), g.num_edges(), ins, degrees)
     }
 
     #[test]
     fn digraph_impl_matches_inherent_methods() {
         let g = sample();
-        let (n, m, outs, ins) = trait_summary(&g);
+        let (n, m, ins, degrees) = trait_summary(&g);
         assert_eq!(n, 4);
         assert_eq!(m, 4);
-        assert_eq!(outs, vec![2, 2, 3, 0]);
         assert_eq!(ins, vec![3, 0, 1, 2]);
+        assert_eq!(degrees, vec![1, 0, 2, 1]);
         for v in 0..4u32 {
-            assert_eq!(NeighborAccess::out_degree(&g, v), g.out_neighbors(v).len());
             assert_eq!(NeighborAccess::in_degree(&g, v), g.in_neighbors(v).len());
         }
         assert!(NeighborAccess::has_edge(&g, 0, 2));
         assert!(!NeighborAccess::has_edge(&g, 2, 0));
         assert_eq!(NeighborAccess::resident_bytes(&g), g.memory_bytes());
+    }
+
+    /// A backend that overrides nothing it need not, so the provided
+    /// `has_edge` runs.
+    struct Plain(InGraph);
+
+    impl NeighborAccess for Plain {
+        type Neighbors<'a> = &'a [NodeId];
+
+        fn num_nodes(&self) -> usize {
+            self.0.num_nodes()
+        }
+
+        fn num_edges(&self) -> usize {
+            self.0.num_edges()
+        }
+
+        fn in_degree(&self, v: NodeId) -> usize {
+            self.0.in_degree(v)
+        }
+
+        fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
+            self.0.in_neighbors(v)
+        }
+
+        fn resident_bytes(&self) -> usize {
+            self.0.memory_bytes()
+        }
+    }
+
+    #[test]
+    fn in_graph_serves_the_digraph_rows_at_one_orientation() {
+        let g = sample();
+        let ins = g.clone().into_in_graph();
+        assert_eq!(trait_summary(&ins), trait_summary(&g));
+        assert_eq!(NeighborAccess::resident_bytes(&ins), 8 * (4 + 1) + 4 * 4);
+        assert_eq!(
+            2 * NeighborAccess::resident_bytes(&ins),
+            NeighborAccess::resident_bytes(&g)
+        );
+        let plain = Plain(ins.clone());
+        for u in 0..4 {
+            for v in 0..4 {
+                let want = g.has_edge(u, v);
+                assert_eq!(NeighborAccess::has_edge(&ins, u, v), want, "{u} -> {v}");
+                assert_eq!(NeighborAccess::has_edge(&plain, u, v), want, "{u} -> {v}");
+            }
+        }
     }
 
     #[test]
@@ -348,9 +366,9 @@ mod tests {
         let mut ins = Vec::new();
         g.for_each_in_neighbors([3, 0, 2], |v, list| ins.push((v, list.to_vec())));
         assert_eq!(ins, vec![(3, vec![2]), (0, vec![3]), (2, vec![0, 1])]);
-        let mut outs = Vec::new();
-        Arc::new(sample()).for_each_out_neighbors(0..4, |v, list| outs.push((v, list.len())));
-        assert_eq!(outs, vec![(0, 1), (1, 1), (2, 1), (3, 1)]);
+        let mut lens = Vec::new();
+        Arc::new(sample()).for_each_in_neighbors(0..4, |v, list| lens.push((v, list.len())));
+        assert_eq!(lens, vec![(0, 1), (1, 0), (2, 2), (3, 1)]);
     }
 
     #[test]

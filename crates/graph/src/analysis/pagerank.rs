@@ -1,4 +1,4 @@
-//! PageRank over the out-edge orientation.
+//! PageRank following out-edges, computed from in-rows.
 //!
 //! PRSim (Wei et al., SIGMOD 2019) selects index ("hub") nodes by PageRank and
 //! its average query cost is `O(n·‖π‖²·log n / ε²)` where `π` is the PageRank
@@ -32,34 +32,48 @@ impl Default for PageRankConfig {
 /// Computes the PageRank vector (L1-normalised to 1) following out-edges,
 /// with uniform teleportation and dangling-node mass redistributed uniformly.
 ///
+/// The walk follows out-edges, but [`NeighborAccess`] serves in-rows, so each
+/// iteration gathers: `next(w) = Σ_{u ∈ I(w)} rank(u) / dout(u)`, with the
+/// out-degrees counted once from the in-rows. `I(w)` is ascending with its
+/// duplicates adjacent, so every `next(w)` receives the same shares in the
+/// same order as a scatter along ascending out-rows would add them: the
+/// same bits.
+///
 /// Returns an empty vector for the empty graph.
 pub fn pagerank<G: NeighborAccess>(graph: &G, config: PageRankConfig) -> Vec<f64> {
     let n = graph.num_nodes();
     if n == 0 {
         return Vec::new();
     }
+    let mut out_degree = vec![0usize; n];
+    graph.for_each_in_neighbors(0..n as NodeId, |_, sources| {
+        for &u in sources {
+            out_degree[u as usize] += 1;
+        }
+    });
     let uniform = 1.0 / n as f64;
     let mut rank = vec![uniform; n];
     let mut next = vec![0.0; n];
+    // rank(u) / dout(u), the share u passes along each of its out-edges.
+    let mut share = vec![0.0; n];
     let d = config.damping;
 
     for _ in 0..config.max_iterations {
         let mut dangling_mass = 0.0;
-        for v in next.iter_mut() {
-            *v = 0.0;
-        }
-        for u in 0..n as NodeId {
-            let out = graph.out_neighbors(u);
-            let r = rank[u as usize];
-            if out.is_empty() {
+        for (u, &r) in rank.iter().enumerate() {
+            if out_degree[u] == 0 {
                 dangling_mass += r;
             } else {
-                let share = r / out.len() as f64;
-                for &w in out.iter() {
-                    next[w as usize] += share;
-                }
+                share[u] = r / out_degree[u] as f64;
             }
         }
+        graph.for_each_in_neighbors(0..n as NodeId, |w, sources| {
+            let mut acc = 0.0;
+            for &u in sources {
+                acc += share[u as usize];
+            }
+            next[w as usize] = acc;
+        });
         let teleport = (1.0 - d) * uniform + d * dangling_mass * uniform;
         let mut delta = 0.0;
         for v in 0..n {
@@ -116,6 +130,73 @@ mod tests {
         // Scale-free graph ⇒ small squared norm (the PRSim quantity).
         let norm_sq: f64 = rank.iter().map(|r| r * r).sum();
         assert!(norm_sq < 0.05, "‖π‖² = {norm_sq} should be ≪ 1");
+    }
+
+    /// PageRank as a scatter along each node's out-row, in ascending node
+    /// order: the form the in-row gather must reproduce bit for bit.
+    fn scattered(g: &crate::DiGraph, config: PageRankConfig) -> Vec<f64> {
+        let n = g.num_nodes();
+        let uniform = 1.0 / n as f64;
+        let (mut rank, mut next) = (vec![uniform; n], vec![0.0; n]);
+        let d = config.damping;
+        for _ in 0..config.max_iterations {
+            let mut dangling_mass = 0.0;
+            next.iter_mut().for_each(|v| *v = 0.0);
+            for u in 0..n as NodeId {
+                let (out, r) = (g.out_neighbors(u), rank[u as usize]);
+                if out.is_empty() {
+                    dangling_mass += r;
+                } else {
+                    for &w in out {
+                        next[w as usize] += r / out.len() as f64;
+                    }
+                }
+            }
+            let teleport = (1.0 - d) * uniform + d * dangling_mass * uniform;
+            let mut delta = 0.0;
+            for v in 0..n {
+                let new_val = d * next[v] + teleport;
+                delta += (new_val - rank[v]).abs();
+                next[v] = new_val;
+            }
+            std::mem::swap(&mut rank, &mut next);
+            if delta < config.tolerance {
+                break;
+            }
+        }
+        rank
+    }
+
+    #[test]
+    fn the_in_row_gather_equals_the_out_row_scatter_bit_for_bit() {
+        // Parallel edges, self-loops, sinks and sources.
+        let multigraph = crate::DiGraph::from_edges(
+            7,
+            &[
+                (0, 1),
+                (0, 1),
+                (1, 2),
+                (2, 0),
+                (2, 2),
+                (3, 1),
+                (3, 4),
+                (3, 4),
+                (5, 3),
+            ],
+        );
+        for g in [
+            multigraph,
+            barabasi_albert(500, 3, false, 9).unwrap(),
+            star(9, true),
+        ] {
+            let config = PageRankConfig::default();
+            let bits = |rank: Vec<f64>| rank.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(pagerank(&g, config)), bits(scattered(&g, config)));
+            assert_eq!(
+                bits(pagerank(g.in_graph(), config)),
+                bits(scattered(&g, config))
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A compact, versionless binary codec for [`DiGraph`].
+//! A compact, versionless binary codec for a graph's in-rows.
 //!
 //! This is the *payload* format used by the persistence layer
 //! (`exactsim-store`): the store wraps these bytes in a versioned,
@@ -11,40 +11,51 @@
 //! ```text
 //! num_nodes  u64
 //! num_edges  u64
-//! offsets    u64 × (num_nodes + 1)   out-CSR offsets
-//! targets    u32 × num_edges         out-CSR targets (sorted per source)
+//! offsets    u64 × (num_nodes + 1)   in-CSR offsets
+//! targets    u32 × num_edges         in-CSR sources (sorted per target)
 //! ```
 //!
-//! Only the out-orientation is stored: the in-orientation is a pure function
-//! of it. Decoding rebuilds it with [`CsrAdjacency::transpose`], whose rows
-//! come out ascending by source with duplicates kept, which is exactly the
-//! in-CSR every constructor of this crate builds, so the original is
-//! reproduced bit for bit. This halves the on-disk size relative to storing
-//! both orientations, and a decode allocates the graph and nothing else.
+//! Only the in-orientation is stored: it is everything a SimRank query
+//! reads, and the out-orientation is a pure function of it. A store decodes
+//! the payload straight into an [`InGraph`] ([`read_in_graph`]), with no
+//! transpose at all. [`decode_digraph`] adds the out-rows with one
+//! [`CsrAdjacency::transpose`], whose rows come out ascending with
+//! duplicates kept, which is exactly the out-CSR every constructor of this
+//! crate builds, so the original [`DiGraph`] is reproduced bit for bit.
+//! Storing one orientation halves the on-disk size relative to storing
+//! both, and a decode allocates the graph and nothing else.
+//!
+//! Until format version 3 of the store's files the payload held the
+//! out-rows in this same shape, so an older reader would take these bytes
+//! for the transposed graph; the store's version field, not this codec,
+//! tells the two apart.
 //!
 //! Decoding never trusts the input: lengths, offset monotonicity, and target
 //! ranges are all checked, and any violation is a typed
 //! [`GraphError::Decode`] — never a panic or a structurally invalid graph.
 
-use std::io::Write;
+use std::io::{Read, Write};
 
 use crate::csr::CsrAdjacency;
 use crate::digraph::DiGraph;
 use crate::error::GraphError;
+use crate::ingraph::InGraph;
 use crate::NodeId;
 
-/// Serializes `graph` into `out` (appending). See the module docs for the
-/// layout. The encoding is deterministic: equal graphs produce equal bytes.
+/// Serializes `graph` into `out` (appending): its in-rows, see the module
+/// docs for the layout. The encoding is deterministic: equal graphs produce
+/// equal bytes.
 pub fn encode_digraph(graph: &DiGraph, out: &mut Vec<u8>) {
-    out.reserve(encoded_len(graph));
-    write_digraph(graph, out).expect("writing into a Vec cannot fail");
+    out.reserve(encoded_len(graph.in_graph()));
+    write_in_graph(graph.in_graph(), out).expect("writing into a Vec cannot fail");
 }
 
-/// Streams the bytes [`encode_digraph`] would produce into `out`, a few
-/// kilobytes at a time: the encoding is never held whole, so a writer that
-/// goes to a file costs its own buffer and nothing the size of the graph.
-pub fn write_digraph<W: Write>(graph: &DiGraph, out: &mut W) -> std::io::Result<()> {
-    let csr = graph.out_csr();
+/// Streams the payload of `graph` into `out`, a few kilobytes at a time:
+/// the encoding is never held whole, so a writer that goes to a file costs
+/// its own buffer and nothing the size of the graph. A [`DiGraph`] writes
+/// the same bytes through [`DiGraph::in_graph`].
+pub fn write_in_graph<W: Write>(graph: &InGraph, out: &mut W) -> std::io::Result<()> {
+    let csr = graph.in_csr();
     out.write_all(&(graph.num_nodes() as u64).to_le_bytes())?;
     out.write_all(&(graph.num_edges() as u64).to_le_bytes())?;
     write_words(out, csr.offsets().iter().map(|&o| (o as u64).to_le_bytes()))?;
@@ -70,49 +81,89 @@ fn write_words<W: Write, const N: usize>(
 }
 
 /// The exact encoded size of `graph` in bytes.
-pub fn encoded_len(graph: &DiGraph) -> usize {
+pub fn encoded_len(graph: &InGraph) -> usize {
     16 + 8 * (graph.num_nodes() + 1) + 4 * graph.num_edges()
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Reads the payload's little-endian words from `input`, 8 KiB at a time.
+struct Reader<R> {
+    input: R,
+    chunk: [u8; 8192],
+    /// Unread bytes are `chunk[start..end]`.
+    start: usize,
+    end: usize,
+    /// Bytes handed out so far, for error messages.
+    offset: u64,
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], GraphError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
-        match end {
-            Some(end) => {
-                let slice = &self.bytes[self.pos..end];
-                self.pos = end;
-                Ok(slice)
-            }
-            None => Err(GraphError::Decode(format!(
-                "truncated input: needed {n} bytes for {what} at offset {}, only {} remain",
-                self.pos,
-                self.bytes.len() - self.pos
-            ))),
+impl<R: Read> Reader<R> {
+    fn word<const N: usize>(&mut self, what: &str) -> Result<[u8; N], GraphError> {
+        if self.end - self.start < N {
+            self.refill(N, what)?;
         }
+        let word = self.chunk[self.start..self.start + N]
+            .try_into()
+            .expect("N bytes");
+        self.start += N;
+        self.offset += N as u64;
+        Ok(word)
+    }
+
+    /// Moves the unread bytes to the front of the chunk and reads until at
+    /// least `need` are buffered.
+    fn refill(&mut self, need: usize, what: &str) -> Result<(), GraphError> {
+        self.chunk.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        while self.end < need {
+            match self.input.read(&mut self.chunk[self.end..]) {
+                Ok(0) => {
+                    return Err(GraphError::Decode(format!(
+                        "truncated input: needed {need} bytes for {what} at offset {}, \
+                         only {} remain",
+                        self.offset, self.end
+                    )))
+                }
+                Ok(read) => self.end += read,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(GraphError::Io(e)),
+            }
+        }
+        Ok(())
     }
 
     fn u64(&mut self, what: &str) -> Result<u64, GraphError> {
-        let bytes = self.take(8, what)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        self.word(what).map(u64::from_le_bytes)
     }
 
     fn u32(&mut self, what: &str) -> Result<u32, GraphError> {
-        let bytes = self.take(4, what)?;
-        Ok(u32::from_le_bytes(bytes.try_into().expect("4 bytes")))
+        self.word(what).map(u32::from_le_bytes)
     }
 }
 
-/// Decodes a graph previously written by [`encode_digraph`], validating
-/// every structural invariant (see the module docs). The whole input must be
-/// consumed: trailing bytes are an error, so a truncated or padded payload
-/// can never decode successfully.
+/// Decodes a graph previously written by [`encode_digraph`]:
+/// [`read_in_graph`] over the whole of `bytes`, so trailing bytes are an
+/// error and a truncated or padded payload can never decode successfully,
+/// then [`DiGraph::from_in_graph`], one transpose for the out-rows.
 pub fn decode_digraph(bytes: &[u8]) -> Result<DiGraph, GraphError> {
-    let mut r = Reader { bytes, pos: 0 };
+    read_in_graph(&mut &bytes[..], bytes.len() as u64).map(DiGraph::from_in_graph)
+}
+
+/// Reads the in-rows of a payload of exactly `len` bytes from `input`,
+/// validating every structural invariant (see the module docs), a few
+/// kilobytes at a time: a decode from a file holds its chunk and the graph,
+/// never the encoding. The declared sizes must account for exactly `len`
+/// bytes, which is checked before anything the size of the graph is
+/// allocated. A read failure other than running out of input is
+/// [`GraphError::Io`]; everything else is [`GraphError::Decode`].
+pub fn read_in_graph<R: Read>(input: &mut R, len: u64) -> Result<InGraph, GraphError> {
+    let mut r = Reader {
+        input,
+        chunk: [0; 8192],
+        start: 0,
+        end: 0,
+        offset: 0,
+    };
     let num_nodes = r.u64("num_nodes")?;
     let num_edges = r.u64("num_edges")?;
     let n = usize::try_from(num_nodes)
@@ -126,11 +177,11 @@ pub fn decode_digraph(bytes: &[u8]) -> Result<DiGraph, GraphError> {
         .and_then(|n1| n1.checked_mul(8))
         .and_then(|o| m.checked_mul(4).and_then(|t| o.checked_add(t)))
         .ok_or_else(|| GraphError::Decode("declared sizes overflow".to_string()))?;
-    if bytes.len() - r.pos != expected {
+    let remaining = len.saturating_sub(r.offset);
+    if remaining != expected as u64 {
         return Err(GraphError::Decode(format!(
-            "payload length mismatch: {} bytes after header, expected {expected} \
-             for {n} nodes / {m} edges",
-            bytes.len() - r.pos
+            "payload length mismatch: {remaining} bytes after header, expected {expected} \
+             for {n} nodes / {m} edges"
         )));
     }
     let mut offsets = Vec::with_capacity(n + 1);
@@ -167,8 +218,8 @@ pub fn decode_digraph(bytes: &[u8]) -> Result<DiGraph, GraphError> {
         }
         targets.push(target);
     }
-    // Per-source neighbor lists must be sorted (the encoder always writes
-    // them sorted; anything else is corruption).
+    // Every in-row must be sorted (the encoder always writes them sorted;
+    // anything else is corruption).
     for v in 0..n {
         let list = &targets[offsets[v]..offsets[v + 1]];
         if list.windows(2).any(|w| w[0] > w[1]) {
@@ -177,9 +228,7 @@ pub fn decode_digraph(bytes: &[u8]) -> Result<DiGraph, GraphError> {
             )));
         }
     }
-    // Every target is in range, so the transpose cannot panic; its rows are
-    // the in-CSR the graph was originally built with.
-    Ok(DiGraph::from_out_csr(CsrAdjacency::from_raw_parts(
+    Ok(InGraph::from_in_csr(CsrAdjacency::from_raw_parts(
         offsets, targets,
     )))
 }
@@ -208,11 +257,13 @@ mod tests {
             barabasi_albert(200, 3, true, 42).unwrap(),
         ] {
             let bytes = encode(&graph);
-            assert_eq!(bytes.len(), encoded_len(&graph));
+            assert_eq!(bytes.len(), encoded_len(graph.in_graph()));
             let decoded = decode_digraph(&bytes).unwrap();
             assert_eq!(decoded.out_csr(), graph.out_csr());
             assert_eq!(decoded.in_csr(), graph.in_csr());
             assert!(decoded.validate());
+            let in_rows = read_in_graph(&mut &bytes[..], bytes.len() as u64).unwrap();
+            assert_eq!(&in_rows, graph.in_graph());
         }
     }
 
@@ -243,7 +294,7 @@ mod tests {
 
     /// The layout of the module docs, one field at a time.
     fn reference_encoding(graph: &DiGraph) -> Vec<u8> {
-        let csr = graph.out_csr();
+        let csr = graph.in_csr();
         let mut out = Vec::new();
         out.extend_from_slice(&(graph.num_nodes() as u64).to_le_bytes());
         out.extend_from_slice(&(graph.num_edges() as u64).to_le_bytes());
@@ -272,10 +323,61 @@ mod tests {
                     bytes: Vec::new(),
                     limit,
                 };
-                write_digraph(&graph, &mut out).unwrap();
+                write_in_graph(graph.in_graph(), &mut out).unwrap();
                 assert_eq!(out.bytes, encoded, "limit {limit}");
             }
         }
+    }
+
+    /// A reader that hands out at most `limit` bytes per call, then fails
+    /// once `fail_at` bytes are gone.
+    struct Dribble<'a> {
+        bytes: &'a [u8],
+        limit: usize,
+        fail_at: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.fail_at == 0 {
+                return Err(std::io::Error::other("disk gone"));
+            }
+            let n = buf
+                .len()
+                .min(self.limit)
+                .min(self.bytes.len())
+                .min(self.fail_at);
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            self.fail_at -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_streamed_read_equals_the_decode_across_chunk_boundaries() {
+        let graph = barabasi_albert(3_000, 3, true, 5).unwrap();
+        let bytes = encode(&graph);
+        for limit in [1, 7, 4096, usize::MAX] {
+            let mut input = Dribble {
+                bytes: &bytes,
+                limit,
+                fail_at: usize::MAX,
+            };
+            let read = read_in_graph(&mut input, bytes.len() as u64).unwrap();
+            assert_eq!(&read, graph.in_graph(), "limit {limit}");
+        }
+        // A failing reader is an I/O error, running dry a decode error.
+        let mut failing = Dribble {
+            bytes: &bytes,
+            limit: 4096,
+            fail_at: bytes.len() / 2,
+        };
+        let err = read_in_graph(&mut failing, bytes.len() as u64).unwrap_err();
+        assert!(matches!(err, GraphError::Io(_)), "{err}");
+        let mut short = &bytes[..bytes.len() - 1];
+        let err = read_in_graph(&mut short, bytes.len() as u64).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]
@@ -315,8 +417,8 @@ mod tests {
 
     #[test]
     fn unsorted_neighbor_list_is_rejected() {
-        // 0 -> {1, 2} encoded with the list reversed.
-        let g = DiGraph::from_edges(3, &[(0, 1), (0, 2)]);
+        // {1, 2} -> 0: node 0's in-row, the last two targets, reversed.
+        let g = DiGraph::from_edges(3, &[(1, 0), (2, 0)]);
         let mut bytes = encode(&g);
         let targets_start = bytes.len() - 8;
         bytes[targets_start..targets_start + 4].copy_from_slice(&2u32.to_le_bytes());

@@ -175,7 +175,7 @@ impl CsrAdjacency {
     /// `insertions` and `deletions` must both be sorted by `(source, target)`,
     /// duplicate-free, and name endpoints `< num_nodes` (all debug-asserted:
     /// a silently-dropped out-of-range source or stored out-of-range target
-    /// would desync the two orientations of a `DiGraph`); a deletion removes
+    /// would corrupt the rows it lands in); a deletion removes
     /// *every* stored occurrence of its edge (set semantics), and inserting
     /// an edge that is already present stores a second copy — callers that
     /// want set semantics must pre-filter against [`CsrAdjacency::has_edge`],

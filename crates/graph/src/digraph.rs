@@ -1,24 +1,27 @@
-//! The directed graph type used by every SimRank algorithm.
+//! The directed graph type every graph is built as.
 
 use crate::csr::{CsrAdjacency, EdgeDelta};
+use crate::ingraph::InGraph;
 use crate::NodeId;
 
-/// A directed graph with both orientations materialised in CSR form.
+/// A directed graph with both orientations materialised in CSR form: an
+/// [`InGraph`] (each node's sorted in-neighbors) plus the out-CSR (each
+/// node's sorted out-neighbors).
 ///
-/// SimRank's random-walk interpretation walks *backwards* along edges (to a
-/// uniformly random in-neighbor), while the Linearization family of algorithms
-/// needs both `P·x` (mass flowing from a node to its in-neighbors) and `Pᵀ·x`
-/// (averaging over in-neighbors). Storing the out-CSR and the in-CSR side by
-/// side makes both directions `O(deg)` with contiguous memory access.
+/// This is the construction and analysis type: the builder, the edge-list
+/// loader, the generators and the snapshot decoder all produce one, and
+/// degree statistics, PageRank and edge-list export read its out-rows.
+/// SimRank queries read in-rows only, so a server keeps just the
+/// [`InGraph`] ([`DiGraph::into_in_graph`] drops the out-CSR without a
+/// copy); every kernel also runs on a `DiGraph` directly, through the same
+/// in-rows.
 ///
 /// The structure is immutable after construction; build it with
 /// [`crate::GraphBuilder`] or one of the [`crate::generators`].
 #[derive(Clone, Debug)]
 pub struct DiGraph {
-    num_nodes: usize,
-    num_edges: usize,
+    ins: InGraph,
     out_adj: CsrAdjacency,
-    in_adj: CsrAdjacency,
 }
 
 impl DiGraph {
@@ -31,20 +34,27 @@ impl DiGraph {
         debug_assert_eq!(out_adj.num_nodes(), in_adj.num_nodes());
         debug_assert_eq!(out_adj.num_edges(), in_adj.num_edges());
         DiGraph {
-            num_nodes: out_adj.num_nodes(),
-            num_edges: out_adj.num_edges(),
+            ins: InGraph::from_in_csr(in_adj),
             out_adj,
-            in_adj,
         }
     }
 
     /// Assembles a graph from its out-orientation: the in-orientation is its
     /// [`CsrAdjacency::transpose`], every in-row ascending by source with
     /// duplicates kept. Every graph this crate builds from edges (the builder,
-    /// [`DiGraph::from_edges`], the generators, snapshot decode) ends here.
+    /// [`DiGraph::from_edges`], the generators) ends here.
     pub(crate) fn from_out_csr(out_adj: CsrAdjacency) -> Self {
         let in_adj = out_adj.transpose();
         DiGraph::from_csr(out_adj, in_adj)
+    }
+
+    /// Adds the out-orientation to an [`InGraph`]: one
+    /// [`CsrAdjacency::transpose`] of its in-rows, which visits the targets
+    /// in ascending order, so every out-row comes out ascending with its
+    /// duplicates kept — the out-CSR every constructor of this crate builds.
+    pub fn from_in_graph(ins: InGraph) -> Self {
+        let out_adj = ins.in_csr().transpose();
+        DiGraph { ins, out_adj }
     }
 
     /// Convenience constructor from an explicit edge list.
@@ -55,28 +65,39 @@ impl DiGraph {
         DiGraph::from_out_csr(CsrAdjacency::from_edges(num_nodes, edges.iter().copied()))
     }
 
+    /// The in-rows alone: everything a SimRank query reads.
+    #[inline]
+    pub fn in_graph(&self) -> &InGraph {
+        &self.ins
+    }
+
+    /// Drops the out-CSR and keeps the in-rows, without copying them.
+    pub fn into_in_graph(self) -> InGraph {
+        self.ins
+    }
+
     /// Number of nodes `n`.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.ins.num_nodes()
     }
 
     /// Number of directed edges `m`.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.ins.num_edges()
     }
 
     /// `true` iff the graph has no nodes.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.num_nodes == 0
+        self.ins.is_empty()
     }
 
     /// In-degree `din(v)`: the number of edges `u → v`.
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
-        self.in_adj.degree(v)
+        self.ins.in_degree(v)
     }
 
     /// Out-degree `dout(v)`: the number of edges `v → w`.
@@ -88,7 +109,7 @@ impl DiGraph {
     /// In-neighbors `I(v)` — the sources of edges pointing at `v` (sorted).
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        self.in_adj.neighbors(v)
+        self.ins.in_neighbors(v)
     }
 
     /// Out-neighbors `O(v)` — the targets of edges leaving `v` (sorted).
@@ -103,7 +124,7 @@ impl DiGraph {
         if self.out_degree(u) <= self.in_degree(v) {
             self.out_adj.has_edge(u, v)
         } else {
-            self.in_adj.has_edge(v, u)
+            self.ins.has_edge(u, v)
         }
     }
 
@@ -114,7 +135,7 @@ impl DiGraph {
 
     /// Iterates over all node ids `0..n`.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
-        0..self.num_nodes as NodeId
+        0..self.num_nodes() as NodeId
     }
 
     /// The out-orientation CSR (edges keyed by source).
@@ -126,17 +147,12 @@ impl DiGraph {
     /// The in-orientation CSR (edges keyed by target).
     #[inline]
     pub fn in_csr(&self) -> &CsrAdjacency {
-        &self.in_adj
+        self.ins.in_csr()
     }
 
     /// Returns the transposed graph (every edge reversed).
     pub fn transpose(&self) -> DiGraph {
-        DiGraph {
-            num_nodes: self.num_nodes,
-            num_edges: self.num_edges,
-            out_adj: self.in_adj.clone(),
-            in_adj: self.out_adj.clone(),
-        }
+        DiGraph::from_csr(self.in_csr().clone(), self.out_adj.clone())
     }
 
     /// Number of nodes with `din(v) = 0` ("dangling" for the backward walk).
@@ -151,10 +167,10 @@ impl DiGraph {
 
     /// Average in-degree `m / n` (0 for the empty graph).
     pub fn average_degree(&self) -> f64 {
-        if self.num_nodes == 0 {
+        if self.is_empty() {
             0.0
         } else {
-            self.num_edges as f64 / self.num_nodes as f64
+            self.num_edges() as f64 / self.num_nodes() as f64
         }
     }
 
@@ -171,17 +187,17 @@ impl DiGraph {
     /// Approximate heap footprint of the graph structure in bytes.
     ///
     /// This is what the paper's Table 3 calls the "graph size": the memory
-    /// needed to hold both CSR orientations.
+    /// needed to hold both CSR orientations. A server holds one of them
+    /// ([`InGraph::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
-        self.out_adj.memory_bytes() + self.in_adj.memory_bytes()
+        self.out_adj.memory_bytes() + self.ins.memory_bytes()
     }
 
     /// Rebuilds the graph with a batch of edge insertions and deletions
     /// applied to *both* CSR orientations: [`DiGraph::apply_deltas`] with one
     /// delta. Each orientation costs one bulk copy of the rows the delta
-    /// does not name plus a merge of the rows it does, `O(n + m + Δ log Δ)` —
-    /// the delta→CSR path used by epoch-based dynamic stores, which is much
-    /// cheaper than re-sorting the full edge list.
+    /// does not name plus a merge of the rows it does, `O(n + m + Δ log Δ)`,
+    /// which is much cheaper than re-sorting the full edge list.
     ///
     /// `insertions` and `deletions` must be sorted by `(source, target)` and
     /// duplicate-free (the in-orientation copies are re-sorted internally).
@@ -203,21 +219,20 @@ impl DiGraph {
     /// each orientation is rebuilt in one [`CsrAdjacency::apply_deltas`]
     /// pass. [`DiGraph::apply_deltas_into`] with no new nodes and no spare.
     pub fn apply_deltas(&self, deltas: &[EdgeDelta<'_>]) -> DiGraph {
-        self.apply_deltas_into(self.num_nodes, deltas, None)
+        self.apply_deltas_into(self.num_nodes(), deltas, None)
     }
 
     /// Rebuilds the graph over `num_nodes` nodes with a sequence of
     /// `(insertions, deletions)` deltas applied in order, into `spare`'s
     /// arrays where they have room.
     ///
-    /// Nodes `self.num_nodes() .. num_nodes` are appended isolated before the
-    /// first delta, so any delta may attach edges to them: this is how a
-    /// store's `addnode` commit and its WAL replay grow the id space, in the
-    /// same single copy as the edge merge. Each orientation is rebuilt by
-    /// [`CsrAdjacency::apply_deltas_into`], which reuses the matching
-    /// orientation of `spare` array by array when its capacity holds the
-    /// result and allocates fresh otherwise; the result is the same either
-    /// way, bit for bit.
+    /// The in-rows are rebuilt by [`InGraph::apply_deltas_into`] and the
+    /// out-rows by [`CsrAdjacency::apply_deltas_into`], each into the
+    /// matching orientation of `spare` array by array when its capacity
+    /// holds the result, and into fresh arrays otherwise; the result is the
+    /// same either way, bit for bit. Nodes `self.num_nodes() .. num_nodes`
+    /// are appended isolated before the first delta, so any delta may attach
+    /// edges to them.
     ///
     /// # Panics
     /// Panics if `num_nodes < self.num_nodes()`.
@@ -227,34 +242,20 @@ impl DiGraph {
         deltas: &[EdgeDelta<'_>],
         spare: Option<DiGraph>,
     ) -> DiGraph {
-        let (spare_out, spare_in) = spare.map(|g| (g.out_adj, g.in_adj)).unzip();
+        let (spare_ins, spare_out) = spare.map(|g| (g.ins, g.out_adj)).unzip();
         let out_adj = self.out_adj.apply_deltas_into(num_nodes, deltas, spare_out);
-        let flip = |edges: &[(NodeId, NodeId)]| {
-            let mut flipped: Vec<(NodeId, NodeId)> = edges.iter().map(|&(u, v)| (v, u)).collect();
-            flipped.sort_unstable();
-            flipped
-        };
-        let owned: Vec<_> = deltas
-            .iter()
-            .map(|&(insertions, deletions)| (flip(insertions), flip(deletions)))
-            .collect();
-        let flipped: Vec<EdgeDelta> = owned
-            .iter()
-            .map(|(insertions, deletions)| (insertions.as_slice(), deletions.as_slice()))
-            .collect();
-        let in_adj = self.in_adj.apply_deltas_into(num_nodes, &flipped, spare_in);
-        DiGraph::from_csr(out_adj, in_adj)
+        let ins = self.ins.apply_deltas_into(num_nodes, deltas, spare_ins);
+        DiGraph { ins, out_adj }
     }
 
     /// Validates internal consistency (both orientations describe the same
     /// edge multiset). Intended for tests and debugging; `O(m log m)`.
     pub fn validate(&self) -> bool {
-        if self.out_adj.num_edges() != self.in_adj.num_edges() {
+        if self.out_adj.num_edges() != self.num_edges() {
             return false;
         }
         let mut fwd: Vec<(NodeId, NodeId)> = self.out_adj.iter_edges().collect();
-        let mut bwd: Vec<(NodeId, NodeId)> =
-            self.in_adj.iter_edges().map(|(v, u)| (u, v)).collect();
+        let mut bwd: Vec<(NodeId, NodeId)> = self.ins.iter_edges().collect();
         fwd.sort_unstable();
         bwd.sort_unstable();
         fwd == bwd
@@ -330,6 +331,20 @@ mod tests {
         assert_eq!(fresh.out_csr(), want.out_csr());
         assert_eq!(fresh.in_csr(), want.in_csr());
         assert_ne!(fresh.out_csr().targets().as_ptr(), tight_ptr);
+    }
+
+    #[test]
+    fn the_in_rows_alone_rebuild_the_whole_graph() {
+        let multigraph = DiGraph::from_edges(5, &[(0, 1), (0, 1), (3, 3), (4, 0), (1, 0), (4, 1)]);
+        for g in [sample(), multigraph, DiGraph::from_edges(0, &[])] {
+            let rebuilt = DiGraph::from_in_graph(g.in_graph().clone());
+            assert_eq!(rebuilt.out_csr(), g.out_csr());
+            assert_eq!(rebuilt.in_csr(), g.in_csr());
+            assert!(rebuilt.validate());
+            // Dropping the out-CSR moves the in-rows, it does not copy them.
+            let targets = g.in_csr().targets().as_ptr();
+            assert_eq!(g.into_in_graph().in_csr().targets().as_ptr(), targets);
+        }
     }
 
     #[test]

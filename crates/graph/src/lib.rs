@@ -5,19 +5,21 @@
 //!
 //! Everything the SimRank algorithms need from a graph lives here:
 //!
-//! * [`NeighborAccess`] — the storage/compute seam: read-only adjacency
-//!   access (counts, degrees, sorted neighbor lists behind a deref guard)
-//!   that every kernel and solver is generic over, so in-memory CSR and
-//!   buffer-managed paged backends are interchangeable.
-//! * [`DiGraph`] — a compressed-sparse-row directed graph that materialises
-//!   *both* orientations (out-edges and in-edges). SimRank's √c-walks follow
-//!   in-edges; the Linearization family needs both `P·x` and `Pᵀ·x`.
+//! * [`NeighborAccess`] — the storage/compute seam: read-only in-adjacency
+//!   access (counts, in-degrees, sorted in-neighbor lists behind a deref
+//!   guard) that every kernel and solver is generic over, so in-memory CSR
+//!   and buffer-managed paged backends are interchangeable.
+//! * [`InGraph`] — the in-orientation CSR alone: each node's sorted
+//!   in-neighbors. SimRank's √c-walks, `P·x` and `Pᵀ·x` all read in-rows
+//!   and nothing else, so this is the graph a store serves.
+//! * [`DiGraph`] — an [`InGraph`] plus the out-orientation CSR: the type
+//!   every graph is built and analysed as.
 //! * [`GraphBuilder`] — incremental construction with deduplication and
 //!   undirected symmetrisation.
 //! * [`io`] — plain-text edge-list reading/writing (SNAP-compatible) so the
 //!   real datasets of the paper can be dropped in when available.
-//! * [`binfmt`] — a compact, validated binary codec for [`DiGraph`], the
-//!   payload format of the `exactsim-store` snapshot persistence layer.
+//! * [`binfmt`] — a compact, validated binary codec for a graph's in-rows,
+//!   the payload format of the `exactsim-store` snapshot persistence layer.
 //! * [`generators`] — deterministic synthetic graph generators (Erdős–Rényi,
 //!   Barabási–Albert, power-law configuration model, stochastic block model,
 //!   and regular families) used as stand-ins for the SNAP/LAW datasets.
@@ -71,6 +73,7 @@ pub mod csr;
 pub mod digraph;
 pub mod error;
 pub mod generators;
+pub mod ingraph;
 pub mod io;
 pub mod linalg;
 pub mod partition;
@@ -80,6 +83,7 @@ pub use builder::GraphBuilder;
 pub use csr::{CsrAdjacency, EdgeDelta};
 pub use digraph::DiGraph;
 pub use error::GraphError;
+pub use ingraph::InGraph;
 pub use linalg::SparseVec;
 pub use partition::PartitionMap;
 

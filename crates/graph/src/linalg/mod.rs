@@ -10,9 +10,10 @@
 //! * `Pᵀ · x` — averages over in-neighbors: this is the accumulation step of
 //!   equation (8)/(9) of the paper (`s^ℓ = √c·Pᵀ·s^{ℓ-1} + …`).
 //!
-//! Both dense (`Vec<f64>`) and sparse ([`SparseVec`]) variants are provided,
-//! the sparse ones backed by a reusable dense scratch space ([`Workspace`]) so
-//! that repeated calls allocate nothing.
+//! Both read in-rows only. `P·x` comes in dense (`Vec<f64>`) and sparse
+//! ([`SparseVec`]) forms, the sparse ones backed by a reusable dense scratch
+//! space ([`Workspace`]) so that repeated calls allocate nothing; `Pᵀ·x` is
+//! dense, one mean per in-row.
 
 mod dense;
 mod sparse_vec;
@@ -25,6 +26,5 @@ pub use dense::{
 pub use sparse_vec::SparseVec;
 pub use transition::{
     p_multiply, p_multiply_accumulate, p_multiply_sparse, p_multiply_sparse_into, pt_multiply,
-    pt_multiply_sparse, pt_multiply_sparse_into,
 };
 pub use workspace::Workspace;

@@ -162,47 +162,6 @@ pub(crate) fn scatter_p<G: NeighborAccess>(
     });
 }
 
-/// Sparse `Pᵀ·x` using a reusable [`Workspace`]; returns a sorted [`SparseVec`].
-///
-/// For every node `j` in the support of `x`, its contribution `x(j)` is spread
-/// to each out-neighbor `i` of `j` with weight `1/din(i)`.
-pub fn pt_multiply_sparse<G: NeighborAccess>(
-    graph: &G,
-    x: &SparseVec,
-    ws: &mut Workspace,
-) -> SparseVec {
-    accumulate_pt_multiply(graph, x, ws);
-    ws.drain_sparse()
-}
-
-/// Sparse `Pᵀ·x` into a caller-owned output vector (cleared first). `out`
-/// must be a different vector from `x`.
-pub fn pt_multiply_sparse_into<G: NeighborAccess>(
-    graph: &G,
-    x: &SparseVec,
-    ws: &mut Workspace,
-    out: &mut SparseVec,
-) {
-    accumulate_pt_multiply(graph, x, ws);
-    ws.drain_into(out);
-}
-
-fn accumulate_pt_multiply<G: NeighborAccess>(graph: &G, x: &SparseVec, ws: &mut Workspace) {
-    debug_assert_eq!(ws.len(), graph.num_nodes());
-    let mut values = x.values().iter();
-    graph.for_each_out_neighbors(x.indices().iter().copied(), |_, neighbors| {
-        let xj = *values.next().expect("one value per index");
-        if xj == 0.0 {
-            return;
-        }
-        for &i in neighbors {
-            let din = graph.in_degree(i);
-            debug_assert!(din > 0, "out-neighbor must have at least one in-edge");
-            ws.add(i, xj / din as f64);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,11 +245,6 @@ mod tests {
             p_multiply(&g, &dense, &mut dense_out);
             let sparse_out = p_multiply_sparse(&g, &sparse, &mut ws);
             assert_eq!(sparse_out.to_dense(4), dense_out, "P·e_{start}");
-
-            let mut dense_out_t = vec![0.0; 4];
-            pt_multiply(&g, &dense, &mut dense_out_t);
-            let sparse_out_t = pt_multiply_sparse(&g, &sparse, &mut ws);
-            assert_eq!(sparse_out_t.to_dense(4), dense_out_t, "Pᵀ·e_{start}");
         }
     }
 
@@ -344,10 +298,6 @@ mod tests {
         let mut b = SparseVec::new();
         p_multiply_sparse_into(&g, &x, &mut ws, &mut b);
         assert_eq!(a, b);
-        let c = pt_multiply_sparse(&g, &x, &mut ws);
-        let mut d = SparseVec::new();
-        pt_multiply_sparse_into(&g, &x, &mut ws, &mut d);
-        assert_eq!(c, d);
     }
 
     #[test]

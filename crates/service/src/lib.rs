@@ -69,7 +69,8 @@
 //!
 //! ## Concurrency model
 //!
-//! * Each epoch's graph is immutable and shared (`Arc<DiGraph>`); algorithm
+//! * Each epoch's graph is immutable and shared (its in-rows behind an
+//!   `Arc`, see `exactsim_store::GraphHandle`); algorithm
 //!   indices are built at most once per epoch under a `OnceLock`.
 //! * The service owns no threads: a query runs on the thread that issues
 //!   it (a TCP connection handler, the stdin REPL, or an application

@@ -2,7 +2,7 @@
 //!
 //! [`SimRankService`] resolves its graph through an epoch-based
 //! [`GraphStore`] and keeps a per-epoch serving state: the epoch's immutable
-//! `Arc<DiGraph>` snapshot plus each algorithm's index, built lazily — at
+//! graph snapshot plus each algorithm's index, built lazily — at
 //! most once per epoch, on first use, behind a `OnceLock` — as
 //! `Arc<dyn SingleSourceAlgorithm + Send + Sync>`. Every query flows through
 //! three layers:
@@ -412,9 +412,10 @@ pub struct SimRankService {
 
 impl SimRankService {
     /// Creates a service for a static `graph`, wrapping it in a private
-    /// [`GraphStore`] at epoch 0. Use [`SimRankService::store`] (or
-    /// [`SimRankService::with_store`] with a shared store) to stage and
-    /// commit edge updates later.
+    /// [`GraphStore`] at epoch 0, which keeps the graph's in-rows only (and
+    /// copies them once if `graph` is shared, see [`GraphStore::new`]). Use
+    /// [`SimRankService::store`] (or [`SimRankService::with_store`] with a
+    /// shared store) to stage and commit edge updates later.
     pub fn new(graph: Arc<DiGraph>, config: ServiceConfig) -> Result<Self, ServiceError> {
         Self::with_store(Arc::new(GraphStore::new(graph)), config)
     }
@@ -612,7 +613,6 @@ impl SimRankService {
 mod tests {
     use super::*;
     use exactsim_graph::generators::barabasi_albert;
-    use exactsim_graph::NeighborAccess;
 
     fn demo_service(n: usize, seed: u64) -> SimRankService {
         let graph = Arc::new(barabasi_albert(n, 3, true, seed).unwrap());
@@ -801,7 +801,8 @@ mod tests {
         let service = demo_service(300, 23);
         let sources: [NodeId; 4] = [0, 7, 150, 299];
         let assert_fresh_bits = |context: &str| {
-            let graph = service.graph().materialize().unwrap();
+            let graph = (*service.graph().materialize().unwrap()).clone();
+            let graph = Arc::new(DiGraph::from_in_graph(graph));
             let fresh = SimRankService::new(graph, ServiceConfig::fast_demo()).unwrap();
             for source in sources {
                 let served = service.query(AlgorithmKind::ExactSim, source).unwrap();
@@ -819,7 +820,9 @@ mod tests {
         // An edge commit keeps the pool. The pooled scratch is held out, so
         // the new epoch's solver must give a scratch back to the pool it
         // was handed for `idle` to read 1.
-        let dropped = service.graph().out_neighbors(0)[0];
+        let dropped = (0..300)
+            .find(|&v| service.graph().has_edge(0, v))
+            .expect("node 0 has an out-edge");
         assert_ne!(dropped, 299);
         service.store().stage_insert(0, 299).unwrap();
         service.store().stage_delete(0, dropped).unwrap();

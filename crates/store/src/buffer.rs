@@ -307,7 +307,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("epoch-0.pages");
-        let graph = barabasi_albert(200, 3, true, 5).unwrap();
+        let graph = barabasi_albert(200, 3, true, 5).unwrap().into_in_graph();
         write_page_file(&path, &graph, 0, 64).unwrap();
         let fm = FileManager::open(&path).unwrap();
         (dir, fm)

@@ -6,7 +6,7 @@
 //! pending insertion of the same edge (and vice versa), and duplicates
 //! collapse. Both sides are kept in `BTreeSet`s so the commit path can hand
 //! sorted, duplicate-free slices straight to
-//! [`exactsim_graph::DiGraph::apply_delta`].
+//! [`exactsim_graph::InGraph::apply_deltas_into`].
 
 use std::collections::BTreeSet;
 
@@ -16,7 +16,7 @@ use exactsim_graph::{NeighborAccess, NodeId};
 use exactsim_graph::DiGraph;
 
 /// A sorted, duplicate-free edge list, as produced by [`DeltaBuffer::drain`]
-/// and consumed by [`exactsim_graph::DiGraph::apply_delta`].
+/// and consumed by [`exactsim_graph::InGraph::apply_deltas_into`].
 pub type EdgeList = Vec<(NodeId, NodeId)>;
 
 /// What staging one edge update did to the buffer.
@@ -123,8 +123,9 @@ impl DeltaBuffer {
     }
 
     /// Drains the buffer into sorted, duplicate-free `(insertions, deletions)`
-    /// edge lists ready for [`exactsim_graph::DiGraph::apply_delta`]. Pending node growth is
-    /// reset too (read it first with [`DeltaBuffer::added_nodes`]).
+    /// edge lists ready for [`exactsim_graph::InGraph::apply_deltas_into`].
+    /// Pending node growth is reset too (read it first with
+    /// [`DeltaBuffer::added_nodes`]).
     pub fn drain(&mut self) -> (EdgeList, EdgeList) {
         self.added_nodes = 0;
         (

@@ -1,16 +1,17 @@
 //! [`GraphHandle`]: the store's published graph, behind either backend.
 //!
 //! A [`crate::GraphStore`] publishes each epoch as a `GraphHandle` — a cheap
-//! clonable handle that is either the in-memory CSR (`Mem`, the zero-overhead
-//! fast path) or a buffer-pool-backed page file (`Paged`, for graphs whose
-//! working set exceeds RAM). The handle implements [`NeighborAccess`], so
+//! clonable handle that is either the in-memory in-rows (`Mem`, an
+//! [`InGraph`], the zero-overhead fast path) or a buffer-pool-backed page
+//! file (`Paged`, for graphs whose working set exceeds RAM). Either way the
+//! handle serves in-rows only: that is all a query reads. The handle implements [`NeighborAccess`], so
 //! every solver takes it directly; the enum dispatch sits outside the
 //! per-neighbor hot loop for `Mem` (the returned guard *is* the slice).
 
 use std::ops::Deref;
 use std::sync::Arc;
 
-use exactsim_graph::{DiGraph, NeighborAccess, NodeId};
+use exactsim_graph::{InGraph, NeighborAccess, NodeId};
 
 use crate::error::StoreError;
 use crate::paged::{PagedGraph, PagedNeighbors};
@@ -18,15 +19,16 @@ use crate::paged::{PagedGraph, PagedNeighbors};
 /// A published graph: in-memory CSR or paged. Cloning clones an `Arc`.
 #[derive(Clone, Debug)]
 pub enum GraphHandle {
-    /// The whole graph resident in RAM (the default, zero-overhead backend).
-    Mem(Arc<DiGraph>),
+    /// The graph's in-rows resident in RAM (the default, zero-overhead
+    /// backend).
+    Mem(Arc<InGraph>),
     /// Adjacency streamed from a page file through a pinning buffer pool.
     Paged(Arc<PagedGraph>),
 }
 
 impl GraphHandle {
     /// `Some` iff this handle is the in-memory backend.
-    pub fn as_mem(&self) -> Option<&Arc<DiGraph>> {
+    pub fn as_mem(&self) -> Option<&Arc<InGraph>> {
         match self {
             GraphHandle::Mem(g) => Some(g),
             GraphHandle::Paged(_) => None,
@@ -41,9 +43,9 @@ impl GraphHandle {
         }
     }
 
-    /// The full in-memory graph: the existing `Arc` for `Mem`, a transient
+    /// The in-memory in-rows: the existing `Arc` for `Mem`, a transient
     /// `O(graph)`-memory rebuild for `Paged` (the commit/compaction path).
-    pub fn materialize(&self) -> Result<Arc<DiGraph>, StoreError> {
+    pub fn materialize(&self) -> Result<Arc<InGraph>, StoreError> {
         match self {
             GraphHandle::Mem(g) => Ok(Arc::clone(g)),
             GraphHandle::Paged(p) => Ok(Arc::new(p.materialize()?)),
@@ -70,13 +72,9 @@ impl GraphHandle {
         NeighborAccess::in_degree(self, v)
     }
 
-    /// Out-degree of `v`.
-    pub fn out_degree(&self, v: NodeId) -> usize {
-        NeighborAccess::out_degree(self, v)
-    }
-
-    /// Structural self-check (both orientations agree). `O(m log m)`, for
-    /// tests; the paged backend materializes transiently.
+    /// Structural self-check ([`InGraph::validate`]: sorted in-rows of
+    /// in-range sources). `O(n + m)`, for tests; the paged backend
+    /// materializes transiently.
     pub fn validate(&self) -> bool {
         match self {
             GraphHandle::Mem(g) => g.validate(),
@@ -126,26 +124,10 @@ impl NeighborAccess for GraphHandle {
     }
 
     #[inline]
-    fn out_degree(&self, v: NodeId) -> usize {
-        match self {
-            GraphHandle::Mem(g) => g.out_degree(v),
-            GraphHandle::Paged(p) => NeighborAccess::out_degree(&**p, v),
-        }
-    }
-
-    #[inline]
     fn in_degree(&self, v: NodeId) -> usize {
         match self {
             GraphHandle::Mem(g) => g.in_degree(v),
             GraphHandle::Paged(p) => NeighborAccess::in_degree(&**p, v),
-        }
-    }
-
-    #[inline]
-    fn out_neighbors(&self, v: NodeId) -> HandleNeighbors<'_> {
-        match self {
-            GraphHandle::Mem(g) => HandleNeighbors::Mem(g.out_neighbors(v)),
-            GraphHandle::Paged(p) => HandleNeighbors::Paged(p.out_neighbors(v)),
         }
     }
 
@@ -177,18 +159,6 @@ impl NeighborAccess for GraphHandle {
         }
     }
 
-    #[inline]
-    fn for_each_out_neighbors<I, F>(&self, nodes: I, f: F)
-    where
-        I: IntoIterator<Item = NodeId>,
-        F: FnMut(NodeId, &[NodeId]),
-    {
-        match self {
-            GraphHandle::Mem(g) => g.for_each_out_neighbors(nodes, f),
-            GraphHandle::Paged(p) => p.for_each_out_neighbors(nodes, f),
-        }
-    }
-
     fn resident_bytes(&self) -> usize {
         match self {
             GraphHandle::Mem(g) => g.memory_bytes(),
@@ -201,6 +171,7 @@ impl NeighborAccess for GraphHandle {
 mod tests {
     use super::*;
     use crate::buffer::BufferPool;
+    use exactsim_graph::DiGraph;
 
     #[test]
     fn mem_and_paged_handles_agree_through_the_trait() {
@@ -208,7 +179,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("epoch-0.pages");
-        let graph = Arc::new(DiGraph::from_edges(4, &[(0, 2), (1, 2), (2, 3), (3, 0)]));
+        let graph =
+            Arc::new(DiGraph::from_edges(4, &[(0, 2), (1, 2), (2, 3), (3, 0)]).into_in_graph());
         PagedGraph::build(&path, &graph, 0, 8).unwrap();
         let paged = PagedGraph::open(&path, Arc::new(BufferPool::new(2))).unwrap();
         let mem = GraphHandle::Mem(Arc::clone(&graph));
@@ -223,10 +195,7 @@ mod tests {
             let ins: Vec<NodeId> = h.in_neighbors(2).iter().copied().collect();
             assert_eq!(ins, vec![0, 1]);
         }
-        assert_eq!(
-            mem.materialize().unwrap().out_csr(),
-            paged.materialize().unwrap().out_csr()
-        );
+        assert_eq!(mem.materialize().unwrap(), paged.materialize().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

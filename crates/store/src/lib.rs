@@ -3,8 +3,8 @@
 //! An epoch-based dynamic graph store for the ExactSim serving stack, with
 //! optional crash-recoverable on-disk persistence.
 //!
-//! Everything behind `Arc<DiGraph>` in the algorithm and serving layers is
-//! immutable — the right call for query speed, but a serving system must
+//! Every graph the algorithm and serving layers read is immutable behind an
+//! `Arc` — the right call for query speed, but a serving system must
 //! also absorb a continuous stream of edge arrivals and removals. The store
 //! resolves that tension with the classic snapshot/epoch scheme used by
 //! systems that answer queries under updates: updates are cheap against a
@@ -15,7 +15,7 @@
 //! | type | role |
 //! |---|---|
 //! | [`GraphStore`] | owns the published [`GraphHandle`] + epoch, stages updates, commits |
-//! | [`GraphHandle`] | the published graph behind either backend: in-memory CSR or paged |
+//! | [`GraphHandle`] | the published graph's in-rows behind either backend: in-memory CSR or paged |
 //! | [`DeltaBuffer`] | sorted, deduplicated pending insert/delete sets + staged node growth |
 //! | [`GraphSnapshot`] | a consistent `(graph, epoch)` pair readers pin |
 //! | [`CommitReport`] | what a commit materialized (epoch, counts, build time) |
@@ -75,10 +75,13 @@
 //!
 //! ## Storage backends
 //!
-//! The store publishes each epoch behind a [`GraphHandle`]: either the
+//! The store serves a graph's in-rows alone ([`exactsim_graph::InGraph`]:
+//! each node's sorted in-neighbors, `8·(n+1) + 4·m` bytes), because every
+//! kernel reads in-neighbors only; a `DiGraph` handed to the store drops its
+//! out-CSR. It publishes each epoch behind a [`GraphHandle`]: either the
 //! in-memory CSR (`Mem`, the default zero-overhead path) or a *paged*
-//! backend ([`GraphStore::with_paging`]) that images the epoch as a page
-//! file and streams adjacency through a pinning [`BufferPool`] — serving
+//! backend ([`GraphStore::with_paging`]) that images the epoch's in-rows as
+//! a page file and streams them through a pinning [`BufferPool`] — serving
 //! graphs whose CSR exceeds RAM. Pages hold exactly the same sorted
 //! neighbor lists as the in-memory CSR, so solver output is bit-identical
 //! across backends. Page files are rebuildable caches; durability rests

@@ -1,8 +1,9 @@
 //! [`PagedGraph`]: a [`NeighborAccess`] backend that streams adjacency from
 //! a page file through a pinning [`BufferPool`].
 //!
-//! Only the global offsets arrays, the page directory, and up to
+//! Only the global in-offsets array, the page directory, and up to
 //! `pool_pages` decoded pages are resident; everything else stays on disk.
+//! The page file holds the in-rows alone, which is all a query reads.
 //! A solver generic over `G: NeighborAccess` runs against this backend
 //! unchanged and — because pages store exactly the same sorted neighbor
 //! lists as the in-memory CSR — produces bit-identical score vectors, which
@@ -12,7 +13,7 @@
 //!
 //! `NeighborAccess` has no error channel (the in-memory fast path must stay
 //! a plain slice return), so I/O failures and pool exhaustion inside
-//! `out_neighbors`/`in_neighbors` panic with the underlying [`StoreError`].
+//! `in_neighbors` panic with the underlying [`StoreError`].
 //! Both are deployment faults, not data states: a page file is a rebuildable
 //! cache of a durably-stored epoch, and pool exhaustion means the pool was
 //! sized below `threads + 1` pages.
@@ -22,7 +23,7 @@ use std::ops::{Deref, Range};
 use std::path::Path;
 use std::sync::{Arc, Weak};
 
-use exactsim_graph::{CsrAdjacency, DiGraph, NeighborAccess, NodeId};
+use exactsim_graph::{CsrAdjacency, InGraph, NeighborAccess, NodeId};
 
 use crate::buffer::{BufferPool, PinnedPage, PoolStats};
 use crate::error::StoreError;
@@ -40,7 +41,7 @@ impl PagedGraph {
     /// [`crate::pages::write_page_file`].
     pub fn build(
         path: &Path,
-        graph: &DiGraph,
+        graph: &InGraph,
         epoch: u64,
         page_bytes: usize,
     ) -> Result<(), StoreError> {
@@ -61,7 +62,7 @@ impl PagedGraph {
         self.fm.epoch()
     }
 
-    /// Total pages across both orientations.
+    /// Number of pages in the file.
     pub fn num_pages(&self) -> usize {
         self.fm.num_pages()
     }
@@ -81,29 +82,21 @@ impl PagedGraph {
         self.fm.path()
     }
 
-    /// Rebuilds the full in-memory [`DiGraph`] by streaming every page once,
+    /// Rebuilds the in-memory [`InGraph`] by streaming every page once,
     /// bypassing the pool (a sequential scan must not wipe the working set).
     /// This is the commit path's transient materialization — it costs
     /// `O(graph)` memory for its duration.
-    pub fn materialize(&self) -> Result<DiGraph, StoreError> {
-        let m = self.fm.num_edges();
-        let narrow =
-            |offsets: &[u64]| -> Vec<usize> { offsets.iter().map(|&o| o as usize).collect() };
-        let mut out_targets: Vec<NodeId> = Vec::with_capacity(m);
-        let mut in_targets: Vec<NodeId> = Vec::with_capacity(m);
+    pub fn materialize(&self) -> Result<InGraph, StoreError> {
+        let offsets = self.fm.in_offsets().iter().map(|&o| o as usize).collect();
+        let mut targets: Vec<NodeId> = Vec::with_capacity(self.fm.num_edges());
+        // Pages are laid out in node order, so straight concatenation
+        // reproduces the target array.
         for page_no in 0..self.fm.num_pages() as u32 {
-            let page = self.fm.read_page(page_no)?;
-            // Pages are laid out in node order, out orientation first, so
-            // straight concatenation reproduces both target arrays.
-            if (page_no as usize) < self.fm.num_out_pages() {
-                out_targets.extend_from_slice(&page.targets);
-            } else {
-                in_targets.extend_from_slice(&page.targets);
-            }
+            targets.extend_from_slice(&self.fm.read_page(page_no)?.targets);
         }
-        let out = CsrAdjacency::from_raw_parts(narrow(self.fm.out_offsets()), out_targets);
-        let in_ = CsrAdjacency::from_raw_parts(narrow(self.fm.in_offsets()), in_targets);
-        Ok(DiGraph::from_csr(out, in_))
+        Ok(InGraph::from_in_csr(CsrAdjacency::from_raw_parts(
+            offsets, targets,
+        )))
     }
 
     fn neighbors(&self, page_no: u32, range: Range<usize>) -> PagedNeighbors<'_> {
@@ -141,48 +134,6 @@ impl PagedGraph {
             *entry = Arc::downgrade(guard.data());
             PageRef::Pinned(guard)
         })
-    }
-
-    /// The run accessor behind both orientations (`offsets` and `locate`
-    /// pick one): walks `nodes` holding one page at a time. A node stored
-    /// on the held page is sliced straight out of it; only a node on another
-    /// page pays for the page lookup and fetch.
-    fn for_each_run<I, F>(
-        &self,
-        nodes: I,
-        offsets: &[u64],
-        locate: impl Fn(NodeId) -> (u32, Range<usize>),
-        mut f: F,
-    ) where
-        I: IntoIterator<Item = NodeId>,
-        F: FnMut(NodeId, &[NodeId]),
-    {
-        // (nodes stored on the page, offset of its first target, payload)
-        let mut held: Option<(Range<NodeId>, u64, PageRef<'_>)> = None;
-        for v in nodes {
-            let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
-            if lo == hi {
-                f(v, &[]);
-                continue;
-            }
-            let (base, page) = match &held {
-                Some((stored, base, page)) if stored.contains(&v) => (*base, page),
-                _ => {
-                    // Release the previous page before taking the next, so a
-                    // run never holds more than one pin.
-                    held = None;
-                    let (page_no, _) = locate(v);
-                    let stored = self.fm.page_nodes(page_no);
-                    let base = offsets[stored.start as usize];
-                    let (_, base, page) = held.insert((stored, base, self.page(page_no)));
-                    (*base, &*page)
-                }
-            };
-            f(
-                v,
-                &page.targets()[(lo - base) as usize..(hi - base) as usize],
-            );
-        }
     }
 }
 
@@ -263,20 +214,9 @@ impl NeighborAccess for PagedGraph {
     }
 
     #[inline]
-    fn out_degree(&self, v: NodeId) -> usize {
-        let offsets = self.fm.out_offsets();
-        (offsets[v as usize + 1] - offsets[v as usize]) as usize
-    }
-
-    #[inline]
     fn in_degree(&self, v: NodeId) -> usize {
         let offsets = self.fm.in_offsets();
         (offsets[v as usize + 1] - offsets[v as usize]) as usize
-    }
-
-    fn out_neighbors(&self, v: NodeId) -> PagedNeighbors<'_> {
-        let (page_no, range) = self.fm.locate_out(v);
-        self.neighbors(page_no, range)
     }
 
     fn in_neighbors(&self, v: NodeId) -> PagedNeighbors<'_> {
@@ -284,20 +224,41 @@ impl NeighborAccess for PagedGraph {
         self.neighbors(page_no, range)
     }
 
-    fn for_each_in_neighbors<I, F>(&self, nodes: I, f: F)
+    /// Walks `nodes` holding one page at a time. A node stored on the held
+    /// page is sliced straight out of it; only a node on another page pays
+    /// for the page lookup and fetch.
+    fn for_each_in_neighbors<I, F>(&self, nodes: I, mut f: F)
     where
         I: IntoIterator<Item = NodeId>,
         F: FnMut(NodeId, &[NodeId]),
     {
-        self.for_each_run(nodes, self.fm.in_offsets(), |v| self.fm.locate_in(v), f)
-    }
-
-    fn for_each_out_neighbors<I, F>(&self, nodes: I, f: F)
-    where
-        I: IntoIterator<Item = NodeId>,
-        F: FnMut(NodeId, &[NodeId]),
-    {
-        self.for_each_run(nodes, self.fm.out_offsets(), |v| self.fm.locate_out(v), f)
+        let offsets = self.fm.in_offsets();
+        // (nodes stored on the page, offset of its first target, payload)
+        let mut held: Option<(Range<NodeId>, u64, PageRef<'_>)> = None;
+        for v in nodes {
+            let (lo, hi) = (offsets[v as usize], offsets[v as usize + 1]);
+            if lo == hi {
+                f(v, &[]);
+                continue;
+            }
+            let (base, page) = match &held {
+                Some((stored, base, page)) if stored.contains(&v) => (*base, page),
+                _ => {
+                    // Release the previous page before taking the next, so a
+                    // run never holds more than one pin.
+                    held = None;
+                    let (page_no, _) = self.fm.locate_in(v);
+                    let stored = self.fm.page_nodes(page_no);
+                    let base = offsets[stored.start as usize];
+                    let (_, base, page) = held.insert((stored, base, self.page(page_no)));
+                    (*base, &*page)
+                }
+            };
+            f(
+                v,
+                &page.targets()[(lo - base) as usize..(hi - base) as usize],
+            );
+        }
     }
 
     fn resident_bytes(&self) -> usize {
@@ -311,12 +272,12 @@ mod tests {
     use exactsim_graph::generators::barabasi_albert;
     use std::path::PathBuf;
 
-    fn paged(tag: &str, pool_pages: usize) -> (PathBuf, DiGraph, PagedGraph) {
+    fn paged(tag: &str, pool_pages: usize) -> (PathBuf, InGraph, PagedGraph) {
         let dir = std::env::temp_dir().join(format!("exactsim-paged-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("epoch-0.pages");
-        let graph = barabasi_albert(400, 4, true, 23).unwrap();
+        let graph = barabasi_albert(400, 4, true, 23).unwrap().into_in_graph();
         PagedGraph::build(&path, &graph, 0, 64).unwrap();
         let paged = PagedGraph::open(&path, Arc::new(BufferPool::new(pool_pages))).unwrap();
         (dir, graph, paged)
@@ -328,9 +289,7 @@ mod tests {
         assert_eq!(NeighborAccess::num_nodes(&paged), graph.num_nodes());
         assert_eq!(NeighborAccess::num_edges(&paged), graph.num_edges());
         for v in 0..graph.num_nodes() as NodeId {
-            assert_eq!(paged.out_degree(v), graph.out_degree(v));
             assert_eq!(paged.in_degree(v), graph.in_degree(v));
-            assert_eq!(&*paged.out_neighbors(v), graph.out_neighbors(v));
             assert_eq!(&*paged.in_neighbors(v), graph.in_neighbors(v));
             assert_eq!(
                 NeighborAccess::has_edge(&paged, v, (v + 1) % graph.num_nodes() as NodeId),
@@ -350,15 +309,12 @@ mod tests {
         let n = graph.num_nodes() as NodeId;
         let mut ins = Vec::new();
         paged.for_each_in_neighbors(0..n, |v, list| ins.push((v, list.to_vec())));
-        let mut outs = Vec::new();
-        paged.for_each_out_neighbors(0..n, |v, list| outs.push((v, list.to_vec())));
         for v in 0..n {
             assert_eq!(ins[v as usize], (v, graph.in_neighbors(v).to_vec()));
-            assert_eq!(outs[v as usize], (v, graph.out_neighbors(v).to_vec()));
         }
         // One fetch per page, and every page was read from the file once.
         let touched = (0..n)
-            .flat_map(|v| [paged.fm.locate_in(v), paged.fm.locate_out(v)])
+            .map(|v| paged.fm.locate_in(v))
             .filter(|(_, range)| !range.is_empty())
             .map(|(page, _)| page)
             .collect::<std::collections::BTreeSet<_>>()
@@ -367,7 +323,6 @@ mod tests {
         assert_eq!((first.misses, first.hits), (touched, 0));
         // Every page is still resident: a second pass is all page-table hits.
         paged.for_each_in_neighbors(0..n, |_, _| {});
-        paged.for_each_out_neighbors(0..n, |_, _| {});
         let second = paged.pool_stats();
         assert_eq!((second.misses, second.hits), (touched, touched));
         let _ = std::fs::remove_dir_all(&dir);
@@ -391,8 +346,10 @@ mod tests {
         let s = paged.pool_stats();
         assert_eq!((s.misses, s.hits), (1, 1), "a resident page is a table hit");
         // Cycle other pages through the 2-frame pool until page 0 is gone.
-        let in_pages = paged.fm.num_out_pages() as u32..paged.num_pages() as u32;
-        for page in in_pages.filter(|&p| p != page0).take(4) {
+        for page in (0..paged.num_pages() as u32)
+            .filter(|&p| p != page0)
+            .take(4)
+        {
             drop(paged.in_neighbors(node_on(page)));
         }
         assert!(paged.pool_stats().evictions > 0);
@@ -410,8 +367,7 @@ mod tests {
     fn materialize_round_trips_bit_identically() {
         let (dir, graph, paged) = paged("mat", 4);
         let rebuilt = paged.materialize().unwrap();
-        assert_eq!(rebuilt.out_csr(), graph.out_csr());
-        assert_eq!(rebuilt.in_csr(), graph.in_csr());
+        assert_eq!(rebuilt, graph);
         assert!(rebuilt.validate());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -7,7 +7,7 @@
 //! (`write_page_file` over the materialized graph), so page I/O errors never
 //! threaten durability.
 //!
-//! ## Layout (version 1, little-endian)
+//! ## Layout (version 2, little-endian)
 //!
 //! ```text
 //! magic          "ESPG"                        4 bytes
@@ -16,10 +16,7 @@
 //! num_nodes      u64                           8 bytes
 //! num_edges      u64                           8 bytes
 //! page_bytes     u32   target capacity per regular page     4 bytes
-//! num_pages      u32   out pages first, then in pages       4 bytes
-//! num_out_pages  u32                           4 bytes
-//! reserved       u32   (zero)                  4 bytes
-//! out_offsets    u64 × (num_nodes + 1)         global out-CSR offsets
+//! num_pages      u32                           4 bytes
 //! in_offsets     u64 × (num_nodes + 1)         global in-CSR offsets
 //! directory      20 bytes × num_pages          {first_node u32, node_count u32,
 //!                                               file_offset u64, byte_len u32}
@@ -27,7 +24,14 @@
 //! pages          ...                           at their directory offsets
 //! ```
 //!
-//! The global offsets arrays stay RAM-resident in the [`FileManager`], which
+//! The file images the in-rows alone ([`InGraph`]): every kernel reads
+//! in-neighbors only. Version 1 also held an out-orientation (its offsets,
+//! an out-page count and out pages ahead of the in pages) that no query
+//! read; a version-1 file is refused with
+//! [`StoreError::UnsupportedVersion`], and since page files are caches it is
+//! simply rebuilt.
+//!
+//! The global offsets array stays RAM-resident in the [`FileManager`], which
 //! is what makes degrees (`offsets[v+1] - offsets[v]`) and page-relative
 //! slicing O(1) without touching adjacency storage — the per-page offset
 //! table of a textbook layout is hoisted to the file header, once, instead
@@ -35,8 +39,8 @@
 //!
 //! ## Pages
 //!
-//! Each page covers a contiguous node range of one orientation and stores
-//! exactly the concatenated neighbor lists of that range:
+//! Each page covers a contiguous node range and stores exactly the
+//! concatenated in-neighbor lists of that range:
 //!
 //! ```text
 //! first_node  u32
@@ -56,7 +60,7 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use exactsim_graph::{DiGraph, NodeId};
+use exactsim_graph::{InGraph, NodeId};
 use exactsim_obs::fault;
 
 use crate::error::StoreError;
@@ -65,15 +69,16 @@ use crate::persist::crc32;
 /// Page file magic.
 pub const PAGE_MAGIC: &[u8; 4] = b"ESPG";
 
-/// Page file format version this build writes and reads.
-pub const PAGE_FORMAT_VERSION: u32 = 1;
+/// Page file format version this build writes and reads. Version 2 holds
+/// the in-rows alone.
+pub const PAGE_FORMAT_VERSION: u32 = 2;
 
 /// Default target capacity of a regular page, in bytes (1024 neighbor ids).
 pub const DEFAULT_PAGE_BYTES: usize = 4096;
 
-/// Fixed-size part of the file header preceding the offsets arrays
-/// (through the reserved word).
-const FILE_HEADER_LEN: usize = 48;
+/// Fixed-size part of the file header preceding the offsets array
+/// (through `num_pages`).
+const FILE_HEADER_LEN: usize = 40;
 
 /// Bytes per directory entry.
 const DIR_ENTRY_LEN: usize = 20;
@@ -146,7 +151,7 @@ fn plan_pages(offsets: &[u64], cap_targets: usize) -> Vec<(NodeId, u32)> {
 /// capacity in bytes; it is clamped to at least one neighbor id.
 pub fn write_page_file(
     path: &Path,
-    graph: &DiGraph,
+    graph: &InGraph,
     epoch: u64,
     page_bytes: usize,
 ) -> Result<(), StoreError> {
@@ -154,35 +159,27 @@ pub fn write_page_file(
     let m = graph.num_edges();
     let cap_targets = (page_bytes / std::mem::size_of::<NodeId>()).max(1);
 
-    let widen = |offsets: &[usize]| -> Vec<u64> { offsets.iter().map(|&o| o as u64).collect() };
-    let out_offsets = widen(graph.out_csr().offsets());
-    let in_offsets = widen(graph.in_csr().offsets());
-    let out_plan = plan_pages(&out_offsets, cap_targets);
-    let in_plan = plan_pages(&in_offsets, cap_targets);
-    let num_out_pages = out_plan.len();
-    let num_pages = num_out_pages + in_plan.len();
+    let csr = graph.in_csr();
+    let offsets: Vec<u64> = csr.offsets().iter().map(|&o| o as u64).collect();
+    let plan = plan_pages(&offsets, cap_targets);
+    let num_pages = plan.len();
 
-    let header_region_len = FILE_HEADER_LEN
-        + 8 * (out_offsets.len() + in_offsets.len())
-        + DIR_ENTRY_LEN * num_pages
-        + 4;
+    let header_region_len = FILE_HEADER_LEN + 8 * offsets.len() + DIR_ENTRY_LEN * num_pages + 4;
 
     // Lay out the directory first so page offsets are known up front.
     let mut directory: Vec<PageMeta> = Vec::with_capacity(num_pages);
     let mut cursor = header_region_len as u64;
-    for (plan, offsets) in [(&out_plan, &out_offsets), (&in_plan, &in_offsets)] {
-        for &(first, count) in plan.iter() {
-            let lo = offsets[first as usize];
-            let hi = offsets[first as usize + count as usize];
-            let byte_len = (PAGE_OVERHEAD + (hi - lo) as usize * 4) as u32;
-            directory.push(PageMeta {
-                first_node: first,
-                node_count: count,
-                file_offset: cursor,
-                byte_len,
-            });
-            cursor += u64::from(byte_len);
-        }
+    for &(first, count) in &plan {
+        let lo = offsets[first as usize];
+        let hi = offsets[first as usize + count as usize];
+        let byte_len = (PAGE_OVERHEAD + (hi - lo) as usize * 4) as u32;
+        directory.push(PageMeta {
+            first_node: first,
+            node_count: count,
+            file_offset: cursor,
+            byte_len,
+        });
+        cursor += u64::from(byte_len);
     }
 
     let mut bytes = Vec::with_capacity(cursor as usize);
@@ -193,9 +190,7 @@ pub fn write_page_file(
     bytes.extend_from_slice(&(m as u64).to_le_bytes());
     bytes.extend_from_slice(&(page_bytes as u32).to_le_bytes());
     bytes.extend_from_slice(&(num_pages as u32).to_le_bytes());
-    bytes.extend_from_slice(&(num_out_pages as u32).to_le_bytes());
-    bytes.extend_from_slice(&0u32.to_le_bytes());
-    for &o in out_offsets.iter().chain(in_offsets.iter()) {
+    for &o in &offsets {
         bytes.extend_from_slice(&o.to_le_bytes());
     }
     for meta in &directory {
@@ -208,12 +203,7 @@ pub fn write_page_file(
     bytes.extend_from_slice(&header_crc.to_le_bytes());
     debug_assert_eq!(bytes.len(), header_region_len);
 
-    for (page_no, meta) in directory.iter().enumerate() {
-        let (csr, offsets) = if page_no < num_out_pages {
-            (graph.out_csr(), &out_offsets)
-        } else {
-            (graph.in_csr(), &in_offsets)
-        };
+    for meta in &directory {
         let lo = offsets[meta.first_node as usize] as usize;
         let hi = offsets[meta.first_node as usize + meta.node_count as usize] as usize;
         let page_start = bytes.len();
@@ -256,14 +246,10 @@ pub struct FileManager {
     num_nodes: usize,
     num_edges: usize,
     page_bytes: u32,
-    num_out_pages: u32,
-    out_offsets: Vec<u64>,
     in_offsets: Vec<u64>,
     directory: Vec<PageMeta>,
-    /// `first_node` of each out page, for `partition_point` node→page lookup.
-    out_first_nodes: Vec<NodeId>,
-    /// `first_node` of each in page.
-    in_first_nodes: Vec<NodeId>,
+    /// `first_node` of each page, for `partition_point` node→page lookup.
+    first_nodes: Vec<NodeId>,
 }
 
 impl FileManager {
@@ -298,16 +284,12 @@ impl FileManager {
         let num_edges = u64::from_le_bytes(fixed[24..32].try_into().expect("8 bytes"));
         let page_bytes = u32::from_le_bytes(fixed[32..36].try_into().expect("4 bytes"));
         let num_pages = u32::from_le_bytes(fixed[36..40].try_into().expect("4 bytes")) as usize;
-        let num_out_pages = u32::from_le_bytes(fixed[40..44].try_into().expect("4 bytes"));
         let n = usize::try_from(num_nodes)
             .map_err(|_| corrupt(path, format!("num_nodes {num_nodes} exceeds usize")))?;
         let m = usize::try_from(num_edges)
             .map_err(|_| corrupt(path, format!("num_edges {num_edges} exceeds usize")))?;
-        if num_out_pages as usize > num_pages {
-            return Err(corrupt(path, "out-page count exceeds total page count"));
-        }
 
-        let header_region_len = FILE_HEADER_LEN + 8 * 2 * (n + 1) + DIR_ENTRY_LEN * num_pages + 4;
+        let header_region_len = FILE_HEADER_LEN + 8 * (n + 1) + DIR_ENTRY_LEN * num_pages + 4;
         if file_len < header_region_len as u64 {
             return Err(corrupt(
                 path,
@@ -329,30 +311,25 @@ impl FileManager {
             ));
         }
 
-        let read_offsets = |at: usize| -> Result<Vec<u64>, StoreError> {
-            let mut offsets = Vec::with_capacity(n + 1);
-            let mut prev = 0u64;
-            for i in 0..=n {
-                let lo = at + 8 * i;
-                let o = u64::from_le_bytes(header[lo..lo + 8].try_into().expect("8 bytes"));
-                if (i == 0 && o != 0) || o < prev {
-                    return Err(corrupt(path, format!("offsets not monotonic at index {i}")));
-                }
-                prev = o;
-                offsets.push(o);
+        let mut in_offsets = Vec::with_capacity(n + 1);
+        let mut prev = 0u64;
+        for i in 0..=n {
+            let lo = FILE_HEADER_LEN + 8 * i;
+            let o = u64::from_le_bytes(header[lo..lo + 8].try_into().expect("8 bytes"));
+            if (i == 0 && o != 0) || o < prev {
+                return Err(corrupt(path, format!("offsets not monotonic at index {i}")));
             }
-            if prev != num_edges {
-                return Err(corrupt(
-                    path,
-                    format!("final offset {prev} does not match num_edges {num_edges}"),
-                ));
-            }
-            Ok(offsets)
-        };
-        let out_offsets = read_offsets(FILE_HEADER_LEN)?;
-        let in_offsets = read_offsets(FILE_HEADER_LEN + 8 * (n + 1))?;
+            prev = o;
+            in_offsets.push(o);
+        }
+        if prev != num_edges {
+            return Err(corrupt(
+                path,
+                format!("final offset {prev} does not match num_edges {num_edges}"),
+            ));
+        }
 
-        let dir_start = FILE_HEADER_LEN + 8 * 2 * (n + 1);
+        let dir_start = FILE_HEADER_LEN + 8 * (n + 1);
         let mut directory = Vec::with_capacity(num_pages);
         for p in 0..num_pages {
             let at = dir_start + DIR_ENTRY_LEN * p;
@@ -369,23 +346,18 @@ impl FileManager {
             }
             directory.push(meta);
         }
-        let coverage = |plan: &[PageMeta]| -> Result<Vec<NodeId>, StoreError> {
-            let mut firsts = Vec::with_capacity(plan.len());
-            let mut next = 0u64;
-            for meta in plan {
-                if u64::from(meta.first_node) != next || meta.node_count == 0 {
-                    return Err(corrupt(path, "page directory does not tile the node space"));
-                }
-                firsts.push(meta.first_node);
-                next += u64::from(meta.node_count);
+        let mut first_nodes = Vec::with_capacity(num_pages);
+        let mut next = 0u64;
+        for meta in &directory {
+            if u64::from(meta.first_node) != next || meta.node_count == 0 {
+                return Err(corrupt(path, "page directory does not tile the node space"));
             }
-            if next != num_nodes {
-                return Err(corrupt(path, "page directory does not cover every node"));
-            }
-            Ok(firsts)
-        };
-        let out_first_nodes = coverage(&directory[..num_out_pages as usize])?;
-        let in_first_nodes = coverage(&directory[num_out_pages as usize..])?;
+            first_nodes.push(meta.first_node);
+            next += u64::from(meta.node_count);
+        }
+        if next != num_nodes {
+            return Err(corrupt(path, "page directory does not cover every node"));
+        }
 
         Ok(FileManager {
             file,
@@ -395,12 +367,9 @@ impl FileManager {
             num_nodes: n,
             num_edges: m,
             page_bytes,
-            num_out_pages,
-            out_offsets,
             in_offsets,
             directory,
-            out_first_nodes,
-            in_first_nodes,
+            first_nodes,
         })
     }
 
@@ -424,15 +393,9 @@ impl FileManager {
         self.num_edges
     }
 
-    /// Total number of pages (both orientations).
+    /// Number of pages.
     pub fn num_pages(&self) -> usize {
         self.directory.len()
-    }
-
-    /// Number of out-orientation pages (pages `0..num_out_pages` are out
-    /// pages; the rest are in pages).
-    pub fn num_out_pages(&self) -> usize {
-        self.num_out_pages as usize
     }
 
     /// Regular-page target capacity in bytes, as written.
@@ -445,39 +408,17 @@ impl FileManager {
         &self.path
     }
 
-    /// Global out-CSR offsets (length `n + 1`).
-    pub fn out_offsets(&self) -> &[u64] {
-        &self.out_offsets
-    }
-
     /// Global in-CSR offsets (length `n + 1`).
     pub fn in_offsets(&self) -> &[u64] {
         &self.in_offsets
     }
 
-    /// RAM held by the manager itself: offsets arrays + directory (the pool
+    /// RAM held by the manager itself: offsets array + directory (the pool
     /// accounts for cached page payloads separately).
     pub fn resident_bytes(&self) -> usize {
-        8 * (self.out_offsets.len() + self.in_offsets.len())
+        8 * self.in_offsets.len()
             + self.directory.len() * std::mem::size_of::<PageMeta>()
-            + (self.out_first_nodes.len() + self.in_first_nodes.len())
-                * std::mem::size_of::<NodeId>()
-    }
-
-    fn locate(
-        &self,
-        v: NodeId,
-        firsts: &[NodeId],
-        page_base: usize,
-        offsets: &[u64],
-    ) -> (u32, std::ops::Range<usize>) {
-        let p = firsts.partition_point(|&f| f <= v) - 1;
-        let page_no = (page_base + p) as u32;
-        let first = firsts[p];
-        let base = offsets[first as usize];
-        let lo = (offsets[v as usize] - base) as usize;
-        let hi = (offsets[v as usize + 1] - base) as usize;
-        (page_no, lo..hi)
+            + self.first_nodes.len() * std::mem::size_of::<NodeId>()
     }
 
     /// The consecutive nodes whose lists page `page_no` stores.
@@ -486,19 +427,13 @@ impl FileManager {
         meta.first_node..meta.first_node + meta.node_count
     }
 
-    /// The page and page-relative target range holding `v`'s out-neighbors.
-    pub fn locate_out(&self, v: NodeId) -> (u32, std::ops::Range<usize>) {
-        self.locate(v, &self.out_first_nodes, 0, &self.out_offsets)
-    }
-
     /// The page and page-relative target range holding `v`'s in-neighbors.
     pub fn locate_in(&self, v: NodeId) -> (u32, std::ops::Range<usize>) {
-        self.locate(
-            v,
-            &self.in_first_nodes,
-            self.num_out_pages as usize,
-            &self.in_offsets,
-        )
+        let p = self.first_nodes.partition_point(|&f| f <= v) - 1;
+        let base = self.in_offsets[self.first_nodes[p] as usize];
+        let lo = (self.in_offsets[v as usize] - base) as usize;
+        let hi = (self.in_offsets[v as usize + 1] - base) as usize;
+        (p as u32, lo..hi)
     }
 
     /// Reads and validates one page (positioned read; no shared cursor, so
@@ -599,7 +534,7 @@ mod tests {
     fn page_file_round_trips_and_serves_neighbor_ranges() {
         let dir = tmp_dir("roundtrip");
         let path = dir.join("epoch-0.pages");
-        let graph = barabasi_albert(300, 4, true, 11).unwrap();
+        let graph = barabasi_albert(300, 4, true, 11).unwrap().into_in_graph();
         write_page_file(&path, &graph, 7, 64).unwrap();
         let fm = FileManager::open(&path).unwrap();
         assert_eq!(fm.epoch(), 7);
@@ -607,15 +542,22 @@ mod tests {
         assert_eq!(fm.num_edges(), graph.num_edges());
         assert!(fm.num_pages() > 2, "64-byte pages must split this graph");
         for v in 0..graph.num_nodes() as NodeId {
-            for (locate, expect) in [
-                (fm.locate_out(v), graph.out_neighbors(v)),
-                (fm.locate_in(v), graph.in_neighbors(v)),
-            ] {
-                let (page_no, range) = locate;
-                let page = fm.read_page(page_no).unwrap();
-                assert_eq!(&page.targets[range], expect, "node {v}");
-            }
+            let (page_no, range) = fm.locate_in(v);
+            let page = fm.read_page(page_no).unwrap();
+            assert_eq!(&page.targets[range], graph.in_neighbors(v), "node {v}");
         }
+        // One orientation: the header holds one offsets array, and the
+        // pages hold every in-row once, in node order.
+        let header = FILE_HEADER_LEN + 8 * (graph.num_nodes() + 1) + DIR_ENTRY_LEN * fm.num_pages();
+        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+        assert_eq!(
+            file_len,
+            header + 4 + PAGE_OVERHEAD * fm.num_pages() + 4 * graph.num_edges()
+        );
+        let rows: Vec<NodeId> = (0..fm.num_pages() as u32)
+            .flat_map(|p| fm.read_page(p).unwrap().targets)
+            .collect();
+        assert_eq!(rows, graph.in_csr().targets());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -623,7 +565,7 @@ mod tests {
     fn corruption_is_detected() {
         let dir = tmp_dir("corrupt");
         let path = dir.join("epoch-0.pages");
-        let graph = barabasi_albert(100, 3, true, 3).unwrap();
+        let graph = barabasi_albert(100, 3, true, 3).unwrap().into_in_graph();
         write_page_file(&path, &graph, 0, 64).unwrap();
 
         // Flip a byte in the header region.
@@ -653,10 +595,30 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_page_file_is_refused() {
+        let dir = tmp_dir("version");
+        let path = dir.join("epoch-0.pages");
+        let graph = barabasi_albert(50, 2, true, 5).unwrap().into_in_graph();
+        write_page_file(&path, &graph, 0, 64).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            FileManager::open(&path),
+            Err(StoreError::UnsupportedVersion {
+                found: 1,
+                supported: 2,
+                ..
+            })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn empty_graph_pages_cleanly() {
         let dir = tmp_dir("empty");
         let path = dir.join("epoch-0.pages");
-        let graph = DiGraph::from_edges(0, &[]);
+        let graph = exactsim_graph::DiGraph::from_edges(0, &[]).into_in_graph();
         write_page_file(&path, &graph, 0, DEFAULT_PAGE_BYTES).unwrap();
         let fm = FileManager::open(&path).unwrap();
         assert_eq!(fm.num_nodes(), 0);

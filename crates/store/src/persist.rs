@@ -8,7 +8,7 @@
 //!   wal.log                 edge deltas committed after that snapshot
 //! ```
 //!
-//! ## Snapshot file format (version 2, little-endian)
+//! ## Snapshot file format (version 3, little-endian)
 //!
 //! ```text
 //! magic        "ESSN"                       4 bytes
@@ -19,17 +19,26 @@
 //! crc32        u32 over everything above    4 bytes
 //! ```
 //!
+//! The payload is the graph's in-rows ([`exactsim_graph::InGraph`]: `n`,
+//! `m`, in-CSR offsets, in-CSR sources), which is what the store serves, so
+//! recovery decodes it with no transpose. Version 2 stored the out-rows in
+//! the same shape, so the bump to 3 is mandatory: without it an older build
+//! would accept a new file and serve the transposed graph, and a new build
+//! an old one. Files of another version are refused with
+//! [`StoreError::UnsupportedVersion`].
+//!
 //! Snapshots are written to a `*.tmp` file, fsynced, then atomically renamed
 //! into place (and the directory fsynced), so a crash mid-write never leaves
 //! a half-visible snapshot — only an ignored temp file. The write streams:
 //! header and payload pass through a 64-KiB buffer
-//! ([`exactsim_graph::binfmt::write_digraph`] encodes a few kilobytes at a
+//! ([`exactsim_graph::binfmt::write_in_graph`] encodes a few kilobytes at a
 //! time) while a running CRC32 follows every byte, and the checksum goes
 //! last. A snapshot write therefore allocates its buffer, not the ~4 bytes
 //! per edge of the whole encoding, and its bytes equal those of the encoding
-//! built whole.
+//! built whole. The read streams the same way ([`read_snapshot`]), so a
+//! recovery holds the graph it decodes and not the file too.
 //!
-//! ## WAL format (version 2, little-endian)
+//! ## WAL format (version 3, little-endian)
 //!
 //! An 8-byte file header (`"ESWL"` + `u32` version) followed by
 //! length-prefixed, checksummed records:
@@ -48,7 +57,8 @@
 //!
 //! (Version 2 added the `added` field for `addnode` id-space growth; replay
 //! grows the graph *before* applying the edge delta, so insertions may
-//! reference the new ids.)
+//! reference the new ids. Version 3 changed the snapshot payload only; the
+//! WAL shares the version number, so a directory is one version throughout.)
 //!
 //! A commit appends its record and fsyncs *before* the new epoch is
 //! published — the WAL is the durability point.
@@ -74,7 +84,7 @@
 //!    snapshot epoch are skipped (they are the residue of a crash between
 //!    writing a compaction snapshot and truncating the WAL). The checked
 //!    records are then applied in one pass: one
-//!    [`DiGraph::apply_deltas_into`] appends their summed `added` nodes and
+//!    [`InGraph::apply_deltas_into`] appends their summed `added` nodes and
 //!    merges every delta in record order. Growth only appends isolated
 //!    nodes, so growing first commutes with every delta, and a restart costs
 //!    one copy of the graph rather than one per record (or two per
@@ -89,19 +99,21 @@
 //! (step 3 above).
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use exactsim_graph::binfmt::{decode_digraph, encoded_len, write_digraph};
-use exactsim_graph::{DiGraph, EdgeDelta, NodeId};
+use exactsim_graph::binfmt::{encoded_len, read_in_graph, write_in_graph};
+use exactsim_graph::{EdgeDelta, GraphError, InGraph, NodeId};
 use exactsim_obs::fault;
 
 use crate::error::StoreError;
 
 /// The on-disk format version this build writes and reads. Version 2 added
-/// the `added_nodes` field to WAL records (`addnode` growth); version-1
-/// files are refused with a typed [`StoreError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 2;
+/// the `added_nodes` field to WAL records (`addnode` growth); version 3 made
+/// the snapshot payload the in-rows instead of the out-rows, in the same
+/// shape (see the module docs). Files of any other version are refused with
+/// a typed [`StoreError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Snapshot file magic.
 pub const SNAPSHOT_MAGIC: &[u8; 4] = b"ESSN";
@@ -204,6 +216,20 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc.finish()
 }
 
+/// A reader that folds every byte it hands out into a running [`Crc32`].
+struct CrcReader<R> {
+    inner: R,
+    crc: Crc32,
+}
+
+impl<R: Read> Read for CrcReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let read = self.inner.read(buf)?;
+        self.crc.update(&buf[..read]);
+        Ok(read)
+    }
+}
+
 /// A writer that passes every byte on to `inner` and folds the bytes
 /// `inner` accepted into a running [`Crc32`].
 struct CrcWriter<W> {
@@ -269,7 +295,7 @@ fn sync_dir(dir: &Path) -> Result<(), StoreError> {
 /// returns the final path. The bytes stream to the file through a 64-KiB
 /// buffer while a running CRC follows them, so a snapshot write holds no
 /// copy of the graph's encoding.
-pub fn write_snapshot(dir: &Path, graph: &DiGraph, epoch: u64) -> Result<PathBuf, StoreError> {
+pub fn write_snapshot(dir: &Path, graph: &InGraph, epoch: u64) -> Result<PathBuf, StoreError> {
     let final_path = dir.join(snapshot_file_name(epoch));
     let tmp_path = dir.join(format!("{}.tmp", snapshot_file_name(epoch)));
     if fault::check(fault::sites::SNAPSHOT_WRITE).is_some() {
@@ -291,22 +317,23 @@ pub fn write_snapshot(dir: &Path, graph: &DiGraph, epoch: u64) -> Result<PathBuf
     Ok(final_path)
 }
 
-/// Bytes a snapshot write buffers before they go to the file.
-const SNAPSHOT_WRITE_BUFFER: usize = 64 << 10;
+/// Bytes a snapshot write buffers before they go to the file, and a read
+/// after they come from it.
+const SNAPSHOT_IO_BUFFER: usize = 64 << 10;
 
 /// Writes the snapshot file of `graph` at `epoch` into `file` (header,
 /// payload, then the CRC of both) and hands the file back unsynced.
-fn stream_snapshot(file: File, graph: &DiGraph, epoch: u64) -> std::io::Result<File> {
+fn stream_snapshot(file: File, graph: &InGraph, epoch: u64) -> std::io::Result<File> {
     let crc = CrcWriter {
         inner: file,
         crc: Crc32::new(),
     };
-    let mut out = BufWriter::with_capacity(SNAPSHOT_WRITE_BUFFER, crc);
+    let mut out = BufWriter::with_capacity(SNAPSHOT_IO_BUFFER, crc);
     out.write_all(SNAPSHOT_MAGIC)?;
     out.write_all(&FORMAT_VERSION.to_le_bytes())?;
     out.write_all(&epoch.to_le_bytes())?;
     out.write_all(&(encoded_len(graph) as u64).to_le_bytes())?;
-    write_digraph(graph, &mut out)?;
+    write_in_graph(graph, &mut out)?;
     // Flushed, every byte above has passed through the CRC.
     out.flush()?;
     let checksum = out.get_ref().crc.finish();
@@ -322,26 +349,33 @@ fn corrupt(path: &Path, detail: impl Into<String>) -> StoreError {
     }
 }
 
-/// Reads and fully validates one snapshot file, returning its graph and
-/// epoch. Every validation failure is a typed error (see [`StoreError`]).
-pub fn read_snapshot(path: &Path) -> Result<(DiGraph, u64), StoreError> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| StoreError::io(path, "read", e))?;
-    if bytes.len() < SNAPSHOT_HEADER_LEN + 4 {
+/// Reads and fully validates one snapshot file, returning its graph's
+/// in-rows and epoch. Every validation failure is a typed error (see
+/// [`StoreError`]).
+///
+/// The read streams, like the write: the payload is decoded from a 64-KiB
+/// buffer ([`exactsim_graph::binfmt::read_in_graph`]) while a running CRC
+/// follows every byte, so recovery holds the graph it decodes and not the
+/// file as well. The checksum is still checked first: a decode that fails
+/// part-way reads the rest of the body into the CRC before its error is
+/// reported, so damage reads as a checksum mismatch.
+pub fn read_snapshot(path: &Path) -> Result<(InGraph, u64), StoreError> {
+    let io = |e| StoreError::io(path, "read", e);
+    let file = File::open(path).map_err(io)?;
+    let file_len = file.metadata().map_err(io)?.len();
+    if file_len < (SNAPSHOT_HEADER_LEN + 4) as u64 {
         return Err(corrupt(
             path,
-            format!(
-                "file too short ({} bytes) to hold a snapshot header",
-                bytes.len()
-            ),
+            format!("file too short ({file_len} bytes) to hold a snapshot header"),
         ));
     }
-    if &bytes[0..4] != SNAPSHOT_MAGIC {
+    let mut input = BufReader::with_capacity(SNAPSHOT_IO_BUFFER, file);
+    let mut header = [0u8; SNAPSHOT_HEADER_LEN];
+    input.read_exact(&mut header).map_err(io)?;
+    if &header[0..4] != SNAPSHOT_MAGIC {
         return Err(corrupt(path, "bad magic (not a snapshot file)"));
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
     if version != FORMAT_VERSION {
         return Err(StoreError::UnsupportedVersion {
             path: path.to_path_buf(),
@@ -349,31 +383,42 @@ pub fn read_snapshot(path: &Path) -> Result<(DiGraph, u64), StoreError> {
             supported: FORMAT_VERSION,
         });
     }
-    let epoch = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let payload_len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+    let epoch = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+    let payload_len = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
     let expected_total = (SNAPSHOT_HEADER_LEN as u64)
         .checked_add(payload_len)
         .and_then(|t| t.checked_add(4));
-    if expected_total != Some(bytes.len() as u64) {
+    if expected_total != Some(file_len) {
         return Err(corrupt(
             path,
-            format!(
-                "declared payload of {payload_len} bytes does not match file size {}",
-                bytes.len()
-            ),
+            format!("declared payload of {payload_len} bytes does not match file size {file_len}"),
         ));
     }
-    let body_end = bytes.len() - 4;
-    let stored = u32::from_le_bytes(bytes[body_end..].try_into().expect("4 bytes"));
-    let computed = crc32(&bytes[..body_end]);
+    let mut crc = Crc32::new();
+    crc.update(&header);
+    let mut body = CrcReader {
+        inner: input.take(payload_len),
+        crc,
+    };
+    let decoded = read_in_graph(&mut body, payload_len);
+    std::io::copy(&mut body, &mut std::io::sink()).map_err(io)?;
+    let computed = body.crc.finish();
+    let mut stored = [0u8; 4];
+    body.inner
+        .into_inner()
+        .read_exact(&mut stored)
+        .map_err(io)?;
+    let stored = u32::from_le_bytes(stored);
     if stored != computed {
         return Err(corrupt(
             path,
             format!("checksum mismatch (stored {stored:#010x}, computed {computed:#010x})"),
         ));
     }
-    let graph = decode_digraph(&bytes[SNAPSHOT_HEADER_LEN..body_end])
-        .map_err(|e| corrupt(path, format!("payload decode failed: {e}")))?;
+    let graph = decoded.map_err(|e| match e {
+        GraphError::Io(e) => io(e),
+        e => corrupt(path, format!("payload decode failed: {e}")),
+    })?;
     Ok((graph, epoch))
 }
 
@@ -634,7 +679,7 @@ pub(crate) struct DurableLog {
 impl DurableLog {
     /// Initializes a fresh data directory: snapshot of `graph` at `epoch`,
     /// empty WAL. Refuses directories that already hold a store.
-    pub(crate) fn create(dir: &Path, graph: &DiGraph, epoch: u64) -> Result<Self, StoreError> {
+    pub(crate) fn create(dir: &Path, graph: &InGraph, epoch: u64) -> Result<Self, StoreError> {
         std::fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, "create_dir", e))?;
         let wal_path = dir.join("wal.log");
         if wal_path.exists() || !list_snapshots(dir)?.is_empty() {
@@ -658,7 +703,7 @@ impl DurableLog {
 
     /// Recovers a data directory: newest valid snapshot + WAL replay.
     /// Returns the recovered graph and epoch alongside the open log.
-    pub(crate) fn open(dir: &Path) -> Result<(DiGraph, u64, Self), StoreError> {
+    pub(crate) fn open(dir: &Path) -> Result<(InGraph, u64, Self), StoreError> {
         let snapshots = list_snapshots(dir)?;
         if snapshots.is_empty() {
             return Err(StoreError::NoSnapshot {
@@ -771,7 +816,7 @@ impl DurableLog {
             // Endpoints must fit this graph's node space: apply_deltas only
             // debug-asserts ranges, and in release an out-of-range id (a
             // WAL from a different store, or damage that survived CRC32)
-            // would silently desync the two CSR orientations.
+            // would index past a row or store a source with no node.
             if let Some(&(u, v)) = record
                 .insertions
                 .iter()
@@ -889,7 +934,7 @@ impl DurableLog {
     /// Folds the WAL into a fresh snapshot of `graph` at `epoch`: write the
     /// snapshot, truncate the WAL to its header, delete older snapshots
     /// (best-effort). Safe against crashes at any point (see module docs).
-    pub(crate) fn compact(&mut self, graph: &DiGraph, epoch: u64) -> Result<(), StoreError> {
+    pub(crate) fn compact(&mut self, graph: &InGraph, epoch: u64) -> Result<(), StoreError> {
         write_snapshot(&self.dir, graph, epoch)?;
         self.last_snapshot_epoch = epoch;
         self.wal
@@ -1020,12 +1065,12 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         // Offsets and targets longer than the write buffer, so the CRC
         // follows the bytes across several flushes.
-        let n = SNAPSHOT_WRITE_BUFFER / 4;
+        let n = SNAPSHOT_IO_BUFFER / 4;
         let edges: Vec<(NodeId, NodeId)> = (0..n as NodeId)
             .flat_map(|u| [(u, (u + 1) % n as NodeId), (u, (u * 7 + 3) % n as NodeId)])
             .collect();
-        let graph = DiGraph::from_edges(n, &edges);
-        let path = write_snapshot(&dir, &graph, 9).unwrap();
+        let graph = exactsim_graph::DiGraph::from_edges(n, &edges);
+        let path = write_snapshot(&dir, graph.in_graph(), 9).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let mut encoded = Vec::new();
         exactsim_graph::binfmt::encode_digraph(&graph, &mut encoded);
@@ -1037,8 +1082,7 @@ mod tests {
         );
         let (read, epoch) = read_snapshot(&path).unwrap();
         assert_eq!(epoch, 9);
-        assert_eq!(read.out_csr(), graph.out_csr());
-        assert_eq!(read.in_csr(), graph.in_csr());
+        assert_eq!(&read, graph.in_graph());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

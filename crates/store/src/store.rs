@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use std::path::PathBuf;
 
-use exactsim_graph::{DiGraph, NodeId};
+use exactsim_graph::{DiGraph, InGraph, NodeId};
 
 use crate::buffer::{BufferPool, PoolStats};
 use crate::delta::{DeltaBuffer, Staged};
@@ -56,7 +56,7 @@ pub struct GraphSnapshot {
 pub struct CommitTimings {
     /// Copying the staged insert/delete lists out of the delta buffer.
     pub staging: Duration,
-    /// Materializing the new CSR graph ([`DiGraph::apply_deltas_into`]).
+    /// Materializing the new CSR graph ([`InGraph::apply_deltas_into`]).
     pub csr_merge: Duration,
     /// Writing the delta record into the WAL (buffered write).
     pub wal_append: Duration,
@@ -136,7 +136,7 @@ fn page_file_path(dir: &Path, epoch: u64) -> PathBuf {
 /// A dynamic graph store with epoch-based snapshot publication and optional
 /// on-disk durability.
 ///
-/// The store owns the current published [`DiGraph`] behind an `Arc` plus a
+/// The store owns the current published graph behind an `Arc` plus a
 /// buffer of staged edge updates. Readers call [`GraphStore::snapshot`] (or
 /// [`GraphStore::graph`] / [`GraphStore::epoch`]) and never block on writers
 /// beyond a pointer-swap critical section; in-flight work simply finishes on
@@ -144,9 +144,20 @@ fn page_file_path(dir: &Path, epoch: u64) -> PathBuf {
 /// [`GraphStore::stage_insert`] / [`GraphStore::stage_delete`] — validated
 /// against the node-id space and deduplicated against both the base graph
 /// and each other — and [`GraphStore::commit`] materializes a new CSR graph
-/// in one pass per batch ([`DiGraph::apply_deltas_into`]: rows the delta
+/// in one pass per batch ([`InGraph::apply_deltas_into`]: rows the delta
 /// does not name are copied in bulk, and only the named rows are merged),
 /// bumps the monotonic epoch, and atomically swaps the published snapshot.
+///
+/// ## One orientation
+///
+/// The store serves, commits, snapshots and pages an [`InGraph`]: each
+/// node's sorted in-neighbors, which is all a query reads. A [`DiGraph`]
+/// handed to [`GraphStore::new`] or [`GraphStore::create`] keeps only its
+/// in-rows: when the caller's `Arc` is the only reference (what
+/// `simrank-serve` passes), they are moved out without a copy and the
+/// out-CSR is freed; a shared `Arc` (a library caller that keeps its graph)
+/// has its in-rows copied once. A served graph therefore costs
+/// `8·(n+1) + 4·m` bytes, half of the [`DiGraph`] it came from.
 ///
 /// ## What a commit builds into
 ///
@@ -172,7 +183,7 @@ fn page_file_path(dir: &Path, epoch: u64) -> PathBuf {
 /// protocol). Each commit appends its delta to the WAL and fsyncs *before*
 /// publishing the new epoch, so `open` after a crash restarts the store into
 /// exactly the last fully-committed epoch; it replays the whole WAL with one
-/// merge ([`DiGraph::apply_deltas_into`]), not one per record. A compaction
+/// merge ([`InGraph::apply_deltas_into`]), not one per record. A compaction
 /// streams the snapshot to disk ([`crate::persist::write_snapshot`]), so it
 /// holds no encoding of the graph either.
 /// [`GraphStore::save`] folds the WAL into a fresh snapshot; commits also do
@@ -192,8 +203,8 @@ fn page_file_path(dir: &Path, epoch: u64) -> PathBuf {
 /// [`GraphStore::with_paging`] converts the published handle to the paged
 /// backend: each epoch is imaged as a page file served through a shared
 /// pinning [`BufferPool`], so queries stream adjacency instead of holding
-/// the whole CSR in RAM. The page file is a rebuildable cache — durability
-/// still rests solely on the snapshot + WAL.
+/// the whole CSR in RAM. The page file holds the in-rows alone and is a
+/// rebuildable cache — durability still rests solely on the snapshot + WAL.
 pub struct GraphStore {
     published: RwLock<Published>,
     /// Mirrors `published.epoch` for lock-free epoch polls on hot paths.
@@ -210,7 +221,7 @@ pub struct GraphStore {
     /// The in-memory graph the last commit superseded, whose arrays the next
     /// commit builds into if this is the last reference to it by then.
     /// Taken and refilled only by `commit`, under `pending`.
-    retired: Mutex<Option<Arc<DiGraph>>>,
+    retired: Mutex<Option<Arc<InGraph>>>,
 }
 
 impl std::fmt::Debug for GraphStore {
@@ -225,20 +236,33 @@ impl std::fmt::Debug for GraphStore {
     }
 }
 
+/// The in-rows a store serves from `graph`: moved out without a copy when
+/// the caller's `Arc` is the only one (the out-CSR is freed), copied once
+/// when the graph is shared.
+fn served_rows(graph: Arc<DiGraph>) -> InGraph {
+    match Arc::try_unwrap(graph) {
+        Ok(graph) => graph.into_in_graph(),
+        Err(shared) => shared.in_graph().clone(),
+    }
+}
+
 impl GraphStore {
-    /// Creates an in-memory store publishing `graph` as epoch 0. Nothing is
-    /// persisted; use [`GraphStore::create`] for a durable store.
+    /// Creates an in-memory store publishing `graph`'s in-rows as epoch 0
+    /// (see [One orientation](GraphStore#one-orientation): a uniquely held
+    /// `graph` is not copied). Nothing is persisted; use
+    /// [`GraphStore::create`] for a durable store.
     pub fn new(graph: Arc<DiGraph>) -> Self {
-        Self::assemble(graph, 0, None)
+        Self::assemble(Arc::new(served_rows(graph)), 0, None)
     }
 
-    /// Creates a durable store publishing `graph` as epoch 0 and initializes
-    /// `dir` with its first snapshot file and an empty WAL. Fails with
-    /// [`StoreError::StoreExists`] if `dir` already holds a store — recover
-    /// those with [`GraphStore::open`] instead.
+    /// Creates a durable store publishing `graph`'s in-rows as epoch 0 and
+    /// initializes `dir` with their first snapshot file and an empty WAL.
+    /// Fails with [`StoreError::StoreExists`] if `dir` already holds a store
+    /// — recover those with [`GraphStore::open`] instead.
     pub fn create<P: AsRef<Path>>(dir: P, graph: Arc<DiGraph>) -> Result<Self, StoreError> {
+        let graph = served_rows(graph);
         let log = DurableLog::create(dir.as_ref(), &graph, 0)?;
-        Ok(Self::assemble(graph, 0, Some(log)))
+        Ok(Self::assemble(Arc::new(graph), 0, Some(log)))
     }
 
     /// Recovers a durable store from its data directory: loads the newest
@@ -271,7 +295,7 @@ impl GraphStore {
         }
     }
 
-    fn assemble(graph: Arc<DiGraph>, epoch: u64, log: Option<DurableLog>) -> Self {
+    fn assemble(graph: Arc<InGraph>, epoch: u64, log: Option<DurableLog>) -> Self {
         GraphStore {
             published: RwLock::new(Published {
                 graph: GraphHandle::Mem(graph),
@@ -885,12 +909,12 @@ mod tests {
         assert_eq!(store.num_nodes(), 4);
     }
 
-    /// Where the published graph's out- and in-targets live.
-    fn target_arrays(store: &GraphStore) -> (*const NodeId, *const NodeId) {
+    /// Where the published graph's offsets and targets live.
+    fn target_arrays(store: &GraphStore) -> (*const usize, *const NodeId) {
         let graph = store.graph();
         let graph = graph.as_mem().expect("an in-memory store");
         (
-            graph.out_csr().targets().as_ptr(),
+            graph.in_csr().offsets().as_ptr(),
             graph.in_csr().targets().as_ptr(),
         )
     }
@@ -914,8 +938,7 @@ mod tests {
         let epoch2 = commit(); // epoch 0's exact-size arrays had no room
         let held = store.snapshot();
         assert_eq!(held.epoch, 2);
-        let graph = held.graph.as_mem().unwrap();
-        let (out_rows, in_rows) = (graph.out_csr().clone(), graph.in_csr().clone());
+        let in_rows = held.graph.as_mem().unwrap().in_csr().clone();
 
         // Epoch 3 is built into epoch 1's arrays, which nothing holds.
         let epoch3 = commit();
@@ -934,7 +957,6 @@ mod tests {
         // Three commits later, epoch 2 reads back every row bit for bit.
         assert_eq!(store.epoch(), 5);
         let graph = held.graph.as_mem().unwrap();
-        assert_eq!(graph.out_csr(), &out_rows);
         assert_eq!(graph.in_csr(), &in_rows);
         assert!(graph.has_edge(2, 7) && graph.has_edge(3, 4) && !graph.has_edge(3, 8));
         drop(held);

@@ -162,11 +162,13 @@ fn all_solvers_are_bit_identical_across_backends() {
     for (family, graph) in families() {
         let dir = TempDir::new(family);
         let path = dir.0.join("epoch-0.pages");
-        let graph = Arc::new(graph);
-        // Tiny pages (8 neighbor ids) + a pool of 4 frames: far below the
+        let graph = Arc::new(graph.into_in_graph());
+        // Tiny pages (4 neighbor ids) + a pool of 4 frames: far below the
         // page count even for the sparse ring, so the clock replacer must
-        // evict continuously while queries run.
-        PagedGraph::build(&path, &graph, 0, 32).unwrap();
+        // evict continuously while queries run. A page file holds one
+        // orientation, so 4-id pages give the page counts that 8-id pages
+        // gave a file of both.
+        PagedGraph::build(&path, &graph, 0, 16).unwrap();
         let pool = Arc::new(BufferPool::new(4));
         let paged = PagedGraph::open(&path, Arc::clone(&pool)).unwrap();
         assert!(
@@ -242,7 +244,7 @@ fn exactsim_needs_one_frame_per_query() {
     // scatter pins other rows' pages; a one-frame pool must do.
     let dir = TempDir::new("one-frame");
     let path = dir.0.join("epoch-0.pages");
-    let graph = Arc::new(barabasi_albert(160, 3, true, 17).unwrap());
+    let graph = Arc::new(barabasi_albert(160, 3, true, 17).unwrap().into_in_graph());
     PagedGraph::build(&path, &graph, 0, 32).unwrap();
     let pool = Arc::new(BufferPool::new(1));
     let paged = PagedGraph::open(&path, Arc::clone(&pool)).unwrap();

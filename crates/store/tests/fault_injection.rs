@@ -231,7 +231,7 @@ fn pool_exhausted_under_concurrent_pinners_is_typed_not_a_deadlock() {
     let dir = scratch_dir("pool");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("epoch-0.pages");
-    let graph = barabasi_albert(200, 3, true, 5).unwrap();
+    let graph = barabasi_albert(200, 3, true, 5).unwrap().into_in_graph();
     write_page_file(&path, &graph, 0, 64).unwrap();
     let fm = FileManager::open(&path).unwrap();
     assert!(fm.num_pages() >= 3, "need at least 3 pages for this test");

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use exactsim::exactsim::{ExactSim, ExactSimConfig};
 use exactsim_graph::generators::barabasi_albert;
-use exactsim_graph::DiGraph;
+use exactsim_graph::InGraph;
 use exactsim_service::net::{self, LineClient, NetOptions};
 use exactsim_service::{AlgorithmKind, GraphStore, QueryResponse, ServiceConfig, SimRankService};
 
@@ -79,7 +79,7 @@ fn epoch_of(json: &str) -> u64 {
 
 /// The expected wire fragment for `source` on `graph`: a direct library
 /// call, formatted exactly as the server formats it.
-fn expected_fragment(graph: &DiGraph, config: &ServiceConfig, epoch: u64, source: u32) -> String {
+fn expected_fragment(graph: &InGraph, config: &ServiceConfig, epoch: u64, source: u32) -> String {
     let direct = ExactSim::new(graph, config.exactsim.clone())
         .unwrap()
         .query(source)
@@ -168,7 +168,7 @@ fn concurrent_sockets_racing_a_commit_see_one_epoch_per_answer_bit_identical_to_
     let post_graph = service.store().graph();
     assert!(post_graph.has_edge(0, 219), "commit landed");
     let post_graph = post_graph.as_mem().expect("store is in-memory");
-    let expected: Vec<Vec<String>> = [pre_graph.as_ref(), post_graph.as_ref()]
+    let expected: Vec<Vec<String>> = [pre_graph.in_graph(), post_graph.as_ref()]
         .into_iter()
         .enumerate()
         .map(|(epoch, graph)| {

@@ -201,7 +201,7 @@ fn a_commit_raced_against_routed_queries_never_yields_a_mixed_epoch_answer() {
     let post_graph = witness.store().graph();
     assert!(post_graph.has_edge(0, 219), "commit landed on every shard");
     let post_graph = post_graph.as_mem().expect("witness store is in-memory");
-    let expected: Vec<Vec<String>> = [pre_graph.as_ref(), post_graph.as_ref()]
+    let expected: Vec<Vec<String>> = [pre_graph.in_graph(), post_graph.as_ref()]
         .into_iter()
         .enumerate()
         .map(|(epoch, graph)| {

@@ -25,13 +25,14 @@ use exactsim_datasets::dataset_by_key;
 use exactsim_graph::{DiGraph, NodeId};
 use exactsim_store::GraphStore;
 
-/// `(file, digest)` as recorded; the order is the order of [`files`].
+/// `(file, digest)` as recorded for format version 3 (in-row snapshot
+/// payloads); the order is the order of [`files`].
 const EXPECTED_DIGESTS: [(&str, u64); 5] = [
-    ("snapshot IC@0.001", 0xd71beba9f6029378),
-    ("snapshot from_edges_multigraph", 0x219f0847b095a765),
-    ("snapshot empty", 0x88e4846edf3ee871),
-    ("wal insert+delete+addnode", 0xfa922072ce0f7d98),
-    ("snapshot saved at epoch 3", 0x0ebc136fa43ace48),
+    ("snapshot IC@0.001", 0x160b588a5d82e468),
+    ("snapshot from_edges_multigraph", 0x78a27ae45f9de654),
+    ("snapshot empty", 0xcee8c833004f3070),
+    ("wal insert+delete+addnode", 0x60a16b52cf497c71),
+    ("snapshot saved at epoch 3", 0x163d78d5a96c850d),
 ];
 
 /// 64-bit FNV-1a.
