@@ -16,12 +16,15 @@
 //! ```
 //!
 //! Only the in-orientation is stored: it is everything a SimRank query
-//! reads, and the out-orientation is a pure function of it. A store decodes
-//! the payload straight into an [`InGraph`] ([`read_in_graph`]), with no
-//! transpose at all. [`decode_digraph`] adds the out-rows with one
+//! reads, and the out-orientation is a pure function of it. The codec is one
+//! pair of streaming functions: [`write_in_graph`] encodes (into a file, or
+//! into a `Vec<u8>` for bytes in memory) and [`read_in_graph`] decodes (from
+//! a file, or from a `&[u8]` with its length) straight into an [`InGraph`],
+//! with no transpose at all. Where a caller wants the out-rows too,
+//! [`crate::DiGraph::from_in_graph`] adds them with one
 //! [`CsrAdjacency::transpose`], whose rows come out ascending with
 //! duplicates kept, which is exactly the out-CSR every constructor of this
-//! crate builds, so the original [`DiGraph`] is reproduced bit for bit.
+//! crate builds, so the original `DiGraph` is reproduced bit for bit.
 //! Storing one orientation halves the on-disk size relative to storing
 //! both, and a decode allocates the graph and nothing else.
 //!
@@ -37,23 +40,16 @@
 use std::io::{Read, Write};
 
 use crate::csr::CsrAdjacency;
-use crate::digraph::DiGraph;
 use crate::error::GraphError;
 use crate::ingraph::InGraph;
 use crate::NodeId;
 
-/// Serializes `graph` into `out` (appending): its in-rows, see the module
-/// docs for the layout. The encoding is deterministic: equal graphs produce
-/// equal bytes.
-pub fn encode_digraph(graph: &DiGraph, out: &mut Vec<u8>) {
-    out.reserve(encoded_len(graph.in_graph()));
-    write_in_graph(graph.in_graph(), out).expect("writing into a Vec cannot fail");
-}
-
 /// Streams the payload of `graph` into `out`, a few kilobytes at a time:
 /// the encoding is never held whole, so a writer that goes to a file costs
-/// its own buffer and nothing the size of the graph. A [`DiGraph`] writes
-/// the same bytes through [`DiGraph::in_graph`].
+/// its own buffer and nothing the size of the graph. The encoding is
+/// deterministic: equal graphs produce equal bytes, [`encoded_len`] of them.
+/// A [`crate::DiGraph`] writes the same bytes through
+/// [`crate::DiGraph::in_graph`].
 pub fn write_in_graph<W: Write>(graph: &InGraph, out: &mut W) -> std::io::Result<()> {
     let csr = graph.in_csr();
     out.write_all(&(graph.num_nodes() as u64).to_le_bytes())?;
@@ -141,21 +137,15 @@ impl<R: Read> Reader<R> {
     }
 }
 
-/// Decodes a graph previously written by [`encode_digraph`]:
-/// [`read_in_graph`] over the whole of `bytes`, so trailing bytes are an
-/// error and a truncated or padded payload can never decode successfully,
-/// then [`DiGraph::from_in_graph`], one transpose for the out-rows.
-pub fn decode_digraph(bytes: &[u8]) -> Result<DiGraph, GraphError> {
-    read_in_graph(&mut &bytes[..], bytes.len() as u64).map(DiGraph::from_in_graph)
-}
-
 /// Reads the in-rows of a payload of exactly `len` bytes from `input`,
 /// validating every structural invariant (see the module docs), a few
 /// kilobytes at a time: a decode from a file holds its chunk and the graph,
 /// never the encoding. The declared sizes must account for exactly `len`
 /// bytes, which is checked before anything the size of the graph is
-/// allocated. A read failure other than running out of input is
-/// [`GraphError::Io`]; everything else is [`GraphError::Decode`].
+/// allocated, so a payload with trailing bytes or one cut short never
+/// decodes (to decode a slice, pass `&mut &bytes[..]` and `bytes.len()`).
+/// A read failure other than running out of input is [`GraphError::Io`];
+/// everything else is [`GraphError::Decode`].
 pub fn read_in_graph<R: Read>(input: &mut R, len: u64) -> Result<InGraph, GraphError> {
     let mut r = Reader {
         input,
@@ -237,15 +227,22 @@ pub fn read_in_graph<R: Read>(input: &mut R, len: u64) -> Result<InGraph, GraphE
 mod tests {
     use super::*;
     use crate::generators::barabasi_albert;
+    use crate::DiGraph;
 
     fn sample() -> DiGraph {
         DiGraph::from_edges(4, &[(0, 2), (1, 2), (2, 3), (3, 0)])
     }
 
+    /// The payload of `graph`, written into memory.
     fn encode(graph: &DiGraph) -> Vec<u8> {
         let mut bytes = Vec::new();
-        encode_digraph(graph, &mut bytes);
+        write_in_graph(graph.in_graph(), &mut bytes).expect("writing into a Vec cannot fail");
         bytes
+    }
+
+    /// The in-rows of the whole of `bytes`.
+    fn decode(bytes: &[u8]) -> Result<InGraph, GraphError> {
+        read_in_graph(&mut &bytes[..], bytes.len() as u64)
     }
 
     #[test]
@@ -258,12 +255,13 @@ mod tests {
         ] {
             let bytes = encode(&graph);
             assert_eq!(bytes.len(), encoded_len(graph.in_graph()));
-            let decoded = decode_digraph(&bytes).unwrap();
+            let in_rows = decode(&bytes).unwrap();
+            assert_eq!(&in_rows, graph.in_graph());
+            // The out-rows follow from the in-rows, bit for bit.
+            let decoded = DiGraph::from_in_graph(in_rows);
             assert_eq!(decoded.out_csr(), graph.out_csr());
             assert_eq!(decoded.in_csr(), graph.in_csr());
             assert!(decoded.validate());
-            let in_rows = read_in_graph(&mut &bytes[..], bytes.len() as u64).unwrap();
-            assert_eq!(&in_rows, graph.in_graph());
         }
     }
 
@@ -384,7 +382,7 @@ mod tests {
     fn truncated_input_is_rejected() {
         let bytes = encode(&sample());
         for cut in [0, 7, 15, 16, bytes.len() - 1] {
-            let err = decode_digraph(&bytes[..cut]).unwrap_err();
+            let err = decode(&bytes[..cut]).unwrap_err();
             assert!(matches!(err, GraphError::Decode(_)), "cut at {cut}: {err}");
         }
     }
@@ -393,7 +391,7 @@ mod tests {
     fn trailing_bytes_are_rejected() {
         let mut bytes = encode(&sample());
         bytes.push(0);
-        assert!(matches!(decode_digraph(&bytes), Err(GraphError::Decode(_))));
+        assert!(matches!(decode(&bytes), Err(GraphError::Decode(_))));
     }
 
     #[test]
@@ -401,7 +399,7 @@ mod tests {
         let mut bytes = encode(&sample());
         let last_target = bytes.len() - 4;
         bytes[last_target..].copy_from_slice(&99u32.to_le_bytes());
-        let err = decode_digraph(&bytes).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
     }
 
@@ -411,7 +409,7 @@ mod tests {
         // Offsets start at byte 16; corrupt the second one (index 1) to a
         // huge value so monotonicity breaks at index 2.
         bytes[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = decode_digraph(&bytes).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert!(matches!(err, GraphError::Decode(_)), "{err}");
     }
 
@@ -423,7 +421,7 @@ mod tests {
         let targets_start = bytes.len() - 8;
         bytes[targets_start..targets_start + 4].copy_from_slice(&2u32.to_le_bytes());
         bytes[targets_start + 4..].copy_from_slice(&1u32.to_le_bytes());
-        let err = decode_digraph(&bytes).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("not sorted"), "{err}");
     }
 
@@ -435,11 +433,11 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // num_nodes
         bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // num_edges
-        assert!(matches!(decode_digraph(&bytes), Err(GraphError::Decode(_))));
+        assert!(matches!(decode(&bytes), Err(GraphError::Decode(_))));
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&2u64.to_le_bytes());
         bytes.extend_from_slice(&(u64::MAX / 4).to_le_bytes());
-        assert!(matches!(decode_digraph(&bytes), Err(GraphError::Decode(_))));
+        assert!(matches!(decode(&bytes), Err(GraphError::Decode(_))));
     }
 
     #[test]
@@ -447,6 +445,6 @@ mod tests {
         let mut bytes = encode(&sample());
         // Claim one more edge than the payload carries.
         bytes[8..16].copy_from_slice(&5u64.to_le_bytes());
-        assert!(matches!(decode_digraph(&bytes), Err(GraphError::Decode(_))));
+        assert!(matches!(decode(&bytes), Err(GraphError::Decode(_))));
     }
 }

@@ -1,4 +1,7 @@
 //! Compressed-sparse-row adjacency storage.
+//!
+//! [`CsrAdjacency::apply_deltas_into`] is the only merge of edge deltas
+//! into a graph; its docs state the delta contract every caller keeps.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -6,7 +9,8 @@ use std::collections::BinaryHeap;
 use crate::NodeId;
 
 /// One edge delta: `(insertions, deletions)`, each sorted by
-/// `(source, target)` and duplicate-free (see [`CsrAdjacency::apply_delta`]).
+/// `(source, target)` and duplicate-free (see
+/// [`CsrAdjacency::apply_deltas_into`], the one merge that applies it).
 pub type EdgeDelta<'a> = (&'a [(NodeId, NodeId)], &'a [(NodeId, NodeId)]);
 
 /// One orientation of a graph's adjacency in compressed-sparse-row form.
@@ -166,56 +170,36 @@ impl CsrAdjacency {
         &self.targets
     }
 
-    /// Rebuilds this orientation with a batch of edge insertions and
-    /// deletions applied: [`CsrAdjacency::apply_deltas`] with one delta, so
-    /// rows the delta does not name are copied in bulk and the cost is one
-    /// `O(n + m)` copy plus a merge of each named row with its `Δ` entries,
-    /// instead of a from-scratch `O(m log m)` reconstruction.
-    ///
-    /// `insertions` and `deletions` must both be sorted by `(source, target)`,
-    /// duplicate-free, and name endpoints `< num_nodes` (all debug-asserted:
-    /// a silently-dropped out-of-range source or stored out-of-range target
-    /// would corrupt the rows it lands in); a deletion removes
-    /// *every* stored occurrence of its edge (set semantics), and inserting
-    /// an edge that is already present stores a second copy — callers that
-    /// want set semantics must pre-filter against [`CsrAdjacency::has_edge`],
-    /// which is what higher-level delta buffers do.
-    pub fn apply_delta(
-        &self,
-        insertions: &[(NodeId, NodeId)],
-        deletions: &[(NodeId, NodeId)],
-    ) -> CsrAdjacency {
-        self.apply_deltas(&[(insertions, deletions)])
-    }
-
-    /// Rebuilds this orientation with a sequence of `(insertions, deletions)`
-    /// deltas applied in order, in one pass: the result equals folding
-    /// [`CsrAdjacency::apply_delta`] over `deltas`, at the cost of a single
-    /// copy of the arrays. [`CsrAdjacency::apply_deltas_into`] with no new
-    /// nodes and no spare.
-    pub fn apply_deltas(&self, deltas: &[EdgeDelta<'_>]) -> Self {
-        self.apply_deltas_into(self.num_nodes(), deltas, None)
-    }
-
     /// Rebuilds this orientation over `num_nodes` nodes with a sequence of
     /// `(insertions, deletions)` deltas applied in order, in one pass, into
-    /// `spare`'s arrays when they have room.
+    /// `spare`'s arrays when they have room. This is the one edge merge: a
+    /// store's commit and its WAL replay both run it, through
+    /// [`crate::InGraph::apply_deltas_into`].
     ///
-    /// Rows `self.num_nodes() .. num_nodes` are appended empty before the
-    /// first delta, so any delta may name them: the result equals appending
-    /// the empty rows, then folding [`CsrAdjacency::apply_delta`] over
-    /// `deltas`, at the cost of a single copy of the arrays.
+    /// **The delta contract.**
+    /// - Each delta's `insertions` and `deletions` are sorted by
+    ///   `(source, target)`, duplicate-free, and name endpoints
+    ///   `< num_nodes` (all debug-asserted: a silently dropped out-of-range
+    ///   source or a stored out-of-range target would corrupt the rows it
+    ///   lands in).
+    /// - A deletion clears every stored copy of its edge, and a deletion of
+    ///   an absent edge changes nothing.
+    /// - Inserting an edge that is already present stores another copy;
+    ///   callers that want set semantics pre-filter against
+    ///   [`CsrAdjacency::has_edge`], as a store's delta buffer does.
+    /// - Rows `self.num_nodes() .. num_nodes` are appended empty before the
+    ///   first delta, so any delta may name them.
     ///
-    /// Each delta obeys [`CsrAdjacency::apply_delta`]'s contract (sorted,
-    /// duplicate-free, endpoints `< num_nodes`; debug-asserted). A run of
-    /// rows that no delta names is copied with one slice copy of its targets
-    /// and a shifted copy of its offsets. A named row goes through every
-    /// delta that names it, in delta order, with `apply_delta`'s merge. Each
-    /// delta's lists are walked by their own cursors as node ids ascend, and
-    /// a min-heap over the deltas' next sources finds the named rows. For `D`
-    /// deltas holding `Δ` edges the cost is `O(n + m)` for the copy,
-    /// `O(Δ log D)` for the heap, and one merge of a named row per delta
-    /// that names it.
+    /// The result equals applying the deltas one at a time, each to the
+    /// result of the one before, at the cost of a single copy of the arrays.
+    /// A run of rows that no delta names is copied with one slice copy of
+    /// its targets and a shifted copy of its offsets. A named row goes
+    /// through every delta that names it, in delta order, each merging its
+    /// sorted insertions in and its deletions out. Each delta's lists are
+    /// walked by their own cursors as node ids ascend, and a min-heap over
+    /// the deltas' next sources finds the named rows. For `D` deltas holding
+    /// `Δ` edges the cost is `O(n + m)` for the copy, `O(Δ log D)` for the
+    /// heap, and one merge of a named row per delta that names it.
     ///
     /// **Arrays.** The result has at most `m + Σ insertions` targets. Each of
     /// `spare`'s two arrays is cleared and written in place when its capacity
@@ -516,12 +500,22 @@ mod tests {
         assert!(csr.memory_bytes() > 0);
     }
 
+    /// `csr` with the one delta `(insertions, deletions)` merged in, over its
+    /// own node count and into fresh arrays.
+    fn apply(
+        csr: &CsrAdjacency,
+        insertions: &[(NodeId, NodeId)],
+        deletions: &[(NodeId, NodeId)],
+    ) -> CsrAdjacency {
+        csr.apply_deltas_into(csr.num_nodes(), &[(insertions, deletions)], None)
+    }
+
     #[test]
     fn apply_delta_matches_from_scratch_rebuild() {
         let csr = sample(); // 0 -> {1, 2}, 1 -> {2}, 2 -> {}, 3 -> {0}
         let insertions = vec![(0, 3), (2, 0), (2, 1)];
         let deletions = vec![(0, 2), (3, 0)];
-        let rebuilt = csr.apply_delta(&insertions, &deletions);
+        let rebuilt = apply(&csr, &insertions, &deletions);
         let expected = CsrAdjacency::from_edges(4, vec![(0, 1), (0, 3), (1, 2), (2, 0), (2, 1)]);
         assert_eq!(rebuilt, expected);
         // The original is untouched.
@@ -531,20 +525,20 @@ mod tests {
     #[test]
     fn apply_delta_with_empty_delta_is_identity() {
         let csr = sample();
-        assert_eq!(csr.apply_delta(&[], &[]), csr);
+        assert_eq!(apply(&csr, &[], &[]), csr);
     }
 
     #[test]
     fn apply_delta_deletes_every_occurrence_of_a_duplicate_edge() {
         let csr = CsrAdjacency::from_edges(2, vec![(0, 1), (0, 1)]);
-        let cleaned = csr.apply_delta(&[], &[(0, 1)]);
+        let cleaned = apply(&csr, &[], &[(0, 1)]);
         assert_eq!(cleaned.num_edges(), 0);
     }
 
     #[test]
     fn apply_delta_ignores_deletions_of_absent_edges() {
         let csr = sample();
-        let same = csr.apply_delta(&[], &[(1, 0), (2, 3)]);
+        let same = apply(&csr, &[], &[(1, 0), (2, 3)]);
         assert_eq!(same, csr);
     }
 
@@ -562,13 +556,13 @@ mod tests {
         ];
         let folded = deltas
             .iter()
-            .fold(csr.clone(), |acc, &(ins, del)| acc.apply_delta(ins, del));
-        let batched = csr.apply_deltas(&deltas);
+            .fold(csr.clone(), |acc, &(ins, del)| apply(&acc, ins, del));
+        let batched = csr.apply_deltas_into(4, &deltas, None);
         assert_eq!(batched, folded);
         let expected =
             CsrAdjacency::from_edges(4, vec![(0, 1), (0, 2), (0, 3), (2, 1), (3, 0), (3, 1)]);
         assert_eq!(batched, expected);
-        assert_eq!(csr.apply_deltas(&[]), csr);
+        assert_eq!(csr.apply_deltas_into(4, &[], None), csr);
     }
 
     /// `csr` with `extra` empty rows appended: its offsets extended by the
@@ -630,7 +624,8 @@ mod tests {
             }
             let views: Vec<EdgeDelta> = deltas.iter().map(|(i, d)| (&i[..], &d[..])).collect();
             let want = sorted_reference(total, model);
-            assert_eq!(with_empty_rows(&csr, extra).apply_deltas(&views), want);
+            let appended = with_empty_rows(&csr, extra);
+            assert_eq!(appended.apply_deltas_into(total, &views, None), want);
             // With no spare, a spare with room (holding other rows) and a
             // spare too small to take the result.
             let roomy = CsrAdjacency::from_edges(5, vec![(1, 2), (3, 4), (0, 0)])
@@ -666,11 +661,11 @@ mod tests {
     fn apply_delta_interleaves_insertions_in_sorted_position() {
         let csr = CsrAdjacency::from_edges(4, vec![(0, 2)]);
         // Additions below and above the existing target keep the list sorted.
-        let grown = csr.apply_delta(&[(0, 1), (0, 3)], &[]);
+        let grown = apply(&csr, &[(0, 1), (0, 3)], &[]);
         assert_eq!(grown.neighbors(0), &[1, 2, 3]);
         // An addition equal to an existing target stores a second copy (the
         // documented multiset semantics — dedup is the caller's job).
-        let dup = csr.apply_delta(&[(0, 2)], &[]);
+        let dup = apply(&csr, &[(0, 2)], &[]);
         assert_eq!(dup.neighbors(0), &[2, 2]);
         assert_eq!(dup.num_edges(), 2);
     }

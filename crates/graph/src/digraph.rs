@@ -1,6 +1,6 @@
 //! The directed graph type every graph is built as.
 
-use crate::csr::{CsrAdjacency, EdgeDelta};
+use crate::csr::CsrAdjacency;
 use crate::ingraph::InGraph;
 use crate::NodeId;
 
@@ -9,8 +9,9 @@ use crate::NodeId;
 /// node's sorted out-neighbors).
 ///
 /// This is the construction and analysis type: the builder, the edge-list
-/// loader, the generators and the snapshot decoder all produce one, and
-/// degree statistics, PageRank and edge-list export read its out-rows.
+/// loader and the generators produce one, [`DiGraph::from_in_graph`] gives
+/// in-rows (a decoded snapshot, a merged commit) their out-rows, and degree
+/// statistics, PageRank and edge-list export read the out-rows.
 /// SimRank queries read in-rows only, so a server keeps just the
 /// [`InGraph`] ([`DiGraph::into_in_graph`] drops the out-CSR without a
 /// copy); every kernel also runs on a `DiGraph` directly, through the same
@@ -25,27 +26,15 @@ pub struct DiGraph {
 }
 
 impl DiGraph {
-    /// Assembles a graph from pre-built CSR orientations.
-    ///
-    /// `out_adj` stores edges as `u → v` under source `u`; `in_adj` stores the
-    /// same edges under target `v`. Both must cover the same node count and
-    /// edge count (checked by debug assertions).
-    pub fn from_csr(out_adj: CsrAdjacency, in_adj: CsrAdjacency) -> Self {
-        debug_assert_eq!(out_adj.num_nodes(), in_adj.num_nodes());
-        debug_assert_eq!(out_adj.num_edges(), in_adj.num_edges());
-        DiGraph {
-            ins: InGraph::from_in_csr(in_adj),
-            out_adj,
-        }
-    }
-
     /// Assembles a graph from its out-orientation: the in-orientation is its
     /// [`CsrAdjacency::transpose`], every in-row ascending by source with
     /// duplicates kept. Every graph this crate builds from edges (the builder,
     /// [`DiGraph::from_edges`], the generators) ends here.
     pub(crate) fn from_out_csr(out_adj: CsrAdjacency) -> Self {
-        let in_adj = out_adj.transpose();
-        DiGraph::from_csr(out_adj, in_adj)
+        DiGraph {
+            ins: InGraph::from_in_csr(out_adj.transpose()),
+            out_adj,
+        }
     }
 
     /// Adds the out-orientation to an [`InGraph`]: one
@@ -150,11 +139,6 @@ impl DiGraph {
         self.ins.in_csr()
     }
 
-    /// Returns the transposed graph (every edge reversed).
-    pub fn transpose(&self) -> DiGraph {
-        DiGraph::from_csr(self.in_csr().clone(), self.out_adj.clone())
-    }
-
     /// Number of nodes with `din(v) = 0` ("dangling" for the backward walk).
     pub fn count_sources(&self) -> usize {
         self.nodes().filter(|&v| self.in_degree(v) == 0).count()
@@ -193,61 +177,6 @@ impl DiGraph {
         self.out_adj.memory_bytes() + self.ins.memory_bytes()
     }
 
-    /// Rebuilds the graph with a batch of edge insertions and deletions
-    /// applied to *both* CSR orientations: [`DiGraph::apply_deltas`] with one
-    /// delta. Each orientation costs one bulk copy of the rows the delta
-    /// does not name plus a merge of the rows it does, `O(n + m + Δ log Δ)`,
-    /// which is much cheaper than re-sorting the full edge list.
-    ///
-    /// `insertions` and `deletions` must be sorted by `(source, target)` and
-    /// duplicate-free (the in-orientation copies are re-sorted internally).
-    /// Endpoints must be `< num_nodes`; deletions remove every stored
-    /// occurrence of their edge, and deletions of absent edges are ignored.
-    /// Inserting an edge that is already present stores a parallel copy, so
-    /// set-semantics callers must pre-filter with [`DiGraph::has_edge`].
-    pub fn apply_delta(
-        &self,
-        insertions: &[(NodeId, NodeId)],
-        deletions: &[(NodeId, NodeId)],
-    ) -> DiGraph {
-        self.apply_deltas(&[(insertions, deletions)])
-    }
-
-    /// Rebuilds the graph with a sequence of `(insertions, deletions)`
-    /// deltas applied in order, each under [`DiGraph::apply_delta`]'s
-    /// contract: the result equals folding `apply_delta` over `deltas`, but
-    /// each orientation is rebuilt in one [`CsrAdjacency::apply_deltas`]
-    /// pass. [`DiGraph::apply_deltas_into`] with no new nodes and no spare.
-    pub fn apply_deltas(&self, deltas: &[EdgeDelta<'_>]) -> DiGraph {
-        self.apply_deltas_into(self.num_nodes(), deltas, None)
-    }
-
-    /// Rebuilds the graph over `num_nodes` nodes with a sequence of
-    /// `(insertions, deletions)` deltas applied in order, into `spare`'s
-    /// arrays where they have room.
-    ///
-    /// The in-rows are rebuilt by [`InGraph::apply_deltas_into`] and the
-    /// out-rows by [`CsrAdjacency::apply_deltas_into`], each into the
-    /// matching orientation of `spare` array by array when its capacity
-    /// holds the result, and into fresh arrays otherwise; the result is the
-    /// same either way, bit for bit. Nodes `self.num_nodes() .. num_nodes`
-    /// are appended isolated before the first delta, so any delta may attach
-    /// edges to them.
-    ///
-    /// # Panics
-    /// Panics if `num_nodes < self.num_nodes()`.
-    pub fn apply_deltas_into(
-        &self,
-        num_nodes: usize,
-        deltas: &[EdgeDelta<'_>],
-        spare: Option<DiGraph>,
-    ) -> DiGraph {
-        let (spare_ins, spare_out) = spare.map(|g| (g.ins, g.out_adj)).unzip();
-        let out_adj = self.out_adj.apply_deltas_into(num_nodes, deltas, spare_out);
-        let ins = self.ins.apply_deltas_into(num_nodes, deltas, spare_ins);
-        DiGraph { ins, out_adj }
-    }
-
     /// Validates internal consistency (both orientations describe the same
     /// edge multiset). Intended for tests and debugging; `O(m log m)`.
     pub fn validate(&self) -> bool {
@@ -265,6 +194,7 @@ impl DiGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::EdgeDelta;
 
     /// The 4-node "paper" example: 0 -> 2, 1 -> 2, 2 -> 3, 3 -> 0.
     fn sample() -> DiGraph {
@@ -280,10 +210,16 @@ mod tests {
         assert!((g.average_degree() - 1.0).abs() < 1e-12);
     }
 
+    /// `g` with one delta merged into its in-rows over `num_nodes` nodes
+    /// (the merge a store's commit runs), given back its out-rows.
+    fn merged(g: &DiGraph, num_nodes: usize, delta: EdgeDelta) -> DiGraph {
+        DiGraph::from_in_graph(g.in_graph().apply_deltas_into(num_nodes, &[delta], None))
+    }
+
     #[test]
     fn grow_appends_isolated_nodes_without_touching_edges() {
         let g = sample();
-        let grown = g.apply_deltas_into(7, &[], None);
+        let grown = merged(&g, 7, (&[], &[]));
         assert_eq!(grown.num_nodes(), 7);
         assert_eq!(grown.num_edges(), 4);
         assert!(grown.validate());
@@ -293,44 +229,13 @@ mod tests {
         }
         assert!(grown.has_edge(0, 2));
         // Edges may attach to the new ids in the same rebuild.
-        let attached = g.apply_deltas_into(7, &[(&[(4, 0), (5, 6)], &[])], None);
+        let attached = merged(&g, 7, (&[(4, 0), (5, 6)], &[]));
         assert!(attached.validate());
         assert!(attached.has_edge(5, 6));
         assert_eq!(attached.in_degree(0), 2);
-        assert_eq!(
-            attached.out_csr(),
-            grown.apply_delta(&[(4, 0), (5, 6)], &[]).out_csr()
-        );
-        assert_eq!(
-            attached.in_csr(),
-            grown.apply_delta(&[(4, 0), (5, 6)], &[]).in_csr()
-        );
-    }
-
-    #[test]
-    fn a_rebuild_writes_into_a_spare_with_room_and_allocates_past_one_without() {
-        let g = sample(); // 0 -> 2, 1 -> 2, 2 -> 3, 3 -> 0
-        let delta: [EdgeDelta; 1] = [(&[(0, 1), (3, 2)], &[(1, 2)])];
-        let want = g.apply_deltas(&delta);
-        // A rebuilt graph has room to spare; its old edges must not leak.
-        let roomy = DiGraph::from_edges(6, &[(5, 4), (4, 3)]).apply_deltas_into(6, &[], None);
-        let (out_ptr, in_ptr) = (
-            roomy.out_csr().targets().as_ptr(),
-            roomy.in_csr().targets().as_ptr(),
-        );
-        let reused = g.apply_deltas_into(4, &delta, Some(roomy));
-        assert_eq!(reused.out_csr(), want.out_csr());
-        assert_eq!(reused.in_csr(), want.in_csr());
-        assert_eq!(reused.out_csr().targets().as_ptr(), out_ptr);
-        assert_eq!(reused.in_csr().targets().as_ptr(), in_ptr);
-        // A decoded or cloned graph has exact capacity: too small for a
-        // larger result, so the arrays are fresh.
-        let tight = DiGraph::from_edges(2, &[(0, 1)]);
-        let tight_ptr = tight.out_csr().targets().as_ptr();
-        let fresh = g.apply_deltas_into(4, &delta, Some(tight));
-        assert_eq!(fresh.out_csr(), want.out_csr());
-        assert_eq!(fresh.in_csr(), want.in_csr());
-        assert_ne!(fresh.out_csr().targets().as_ptr(), tight_ptr);
+        let later = merged(&grown, 7, (&[(4, 0), (5, 6)], &[]));
+        assert_eq!(attached.out_csr(), later.out_csr());
+        assert_eq!(attached.in_csr(), later.in_csr());
     }
 
     #[test]
@@ -365,17 +270,6 @@ mod tests {
         assert!(!g.has_edge(2, 0));
         assert!(g.has_edge(3, 0));
         assert!(!g.has_edge(0, 3));
-    }
-
-    #[test]
-    fn transpose_reverses_all_edges() {
-        let g = sample();
-        let t = g.transpose();
-        assert_eq!(t.num_edges(), g.num_edges());
-        for (u, v) in g.iter_edges() {
-            assert!(t.has_edge(v, u));
-        }
-        assert!(t.validate());
     }
 
     #[test]
@@ -428,24 +322,9 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_updates_both_orientations_consistently() {
-        let g = sample(); // 0 -> 2, 1 -> 2, 2 -> 3, 3 -> 0
-        let updated = g.apply_delta(&[(0, 1), (3, 2)], &[(1, 2)]);
-        assert_eq!(updated.num_edges(), 5);
-        assert!(updated.has_edge(0, 1));
-        assert!(updated.has_edge(3, 2));
-        assert!(!updated.has_edge(1, 2));
-        assert!(updated.validate(), "orientations must stay in sync");
-        assert_eq!(updated.in_neighbors(2), &[0, 3]);
-        // The base graph is an untouched snapshot.
-        assert!(g.has_edge(1, 2));
-        assert_eq!(g.num_edges(), 4);
-    }
-
-    #[test]
     fn apply_delta_equals_from_scratch_construction() {
         let g = DiGraph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
-        let updated = g.apply_delta(&[(0, 3), (2, 5), (4, 1)], &[(1, 2), (5, 0)]);
+        let updated = merged(&g, 6, (&[(0, 3), (2, 5), (4, 1)], &[(1, 2), (5, 0)]));
         let fresh =
             DiGraph::from_edges(6, &[(0, 1), (0, 3), (2, 3), (2, 5), (3, 4), (4, 1), (4, 5)]);
         assert_eq!(updated.out_csr(), fresh.out_csr());

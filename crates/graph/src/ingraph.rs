@@ -9,7 +9,10 @@ use crate::NodeId;
 /// That is all a SimRank kernel reads: a √c-walk steps to a uniform
 /// in-neighbor, `P·x` scatters over in-rows, and `Pᵀ·x` averages over them.
 /// So this is the graph `exactsim-store` serves, commits, snapshots and
-/// pages, at the cost of one CSR orientation (`8·(n+1) + 4·m` bytes).
+/// pages, at the cost of one CSR orientation (`8·(n+1) + 4·m` bytes): a
+/// commit and a WAL replay merge through [`InGraph::apply_deltas_into`], and
+/// a snapshot is written and read by [`crate::binfmt::write_in_graph`] and
+/// [`crate::binfmt::read_in_graph`].
 /// [`crate::DiGraph`] is this plus the out-orientation: the construction and
 /// analysis type, which [`crate::DiGraph::into_in_graph`] turns into this
 /// one by dropping its out-CSR.
@@ -95,20 +98,19 @@ impl InGraph {
 
     /// Rebuilds the graph over `num_nodes` nodes with a sequence of
     /// `(insertions, deletions)` deltas applied in order, into `spare`'s
-    /// arrays where they have room: the in-rows of
-    /// [`crate::DiGraph::apply_deltas_into`].
+    /// arrays where they have room. A store's commit and its WAL replay
+    /// merge through here, and every merge of edges into a graph does.
     ///
-    /// Each delta's `insertions` and `deletions` must be sorted by
-    /// `(source, target)`, duplicate-free and name endpoints
-    /// `< num_nodes`; a deletion removes every stored occurrence of its
-    /// edge, a deletion of an absent edge is ignored, and inserting an edge
-    /// that is already present stores a parallel copy, so set-semantics
-    /// callers pre-filter with [`InGraph::has_edge`]. Nodes
+    /// The deltas are `(source, target)` edges under the contract of
+    /// [`CsrAdjacency::apply_deltas_into`]: sorted, duplicate-free,
+    /// endpoints `< num_nodes`; a deletion clears every stored copy of its
+    /// edge, and inserting a present edge stores another copy, so
+    /// set-semantics callers pre-filter with [`InGraph::has_edge`]. Nodes
     /// `self.num_nodes() .. num_nodes` are appended isolated before the
     /// first delta, so any delta may attach edges to them: this is how a
     /// store's `addnode` commit and its WAL replay grow the id space, in the
     /// same single copy as the edge merge. The deltas are flipped to
-    /// `(target, source)` order and merged by
+    /// `(target, source)` order and merged into the in-rows by
     /// [`CsrAdjacency::apply_deltas_into`], which reuses `spare`'s arrays
     /// when their capacity holds the result and allocates fresh otherwise;
     /// the result is the same either way, bit for bit.
@@ -172,20 +174,32 @@ mod tests {
 
     #[test]
     fn a_rebuild_equals_the_in_rows_of_the_digraph_rebuild() {
-        let g = sample();
+        let g = sample(); // 0 -> 2, 1 -> 2, 2 -> 3, 3 -> 0
         let ins = g.in_graph();
         let delta: [EdgeDelta; 1] = [(&[(0, 1), (3, 2), (4, 0)], &[(1, 2)])];
-        let want = g.apply_deltas_into(5, &delta, None);
+        // The graph rebuilt from scratch over the edges the delta leaves.
+        let edges = [(0, 1), (0, 2), (2, 3), (3, 0), (3, 2), (4, 0)];
+        let want = DiGraph::from_edges(5, &edges).into_in_graph();
         let got = ins.apply_deltas_into(5, &delta, None);
-        assert_eq!(got.in_csr(), want.in_csr());
+        assert_eq!(got, want);
         assert_eq!(got.num_nodes(), 5);
         assert!(got.has_edge(4, 0) && got.has_edge(3, 2) && !got.has_edge(1, 2));
+        assert_eq!(got.in_neighbors(2), &[0, 3]);
+        // The base graph is untouched.
+        assert!(ins.has_edge(1, 2) && ins.num_edges() == 4);
         // A spare with room is written in place.
         let roomy = ins.apply_deltas_into(6, &[], None);
         let ptr = roomy.in_csr().targets().as_ptr();
         let reused = ins.apply_deltas_into(5, &delta, Some(roomy));
         assert_eq!(reused, got);
         assert_eq!(reused.in_csr().targets().as_ptr(), ptr);
+        // A built graph has exact capacity: too small for a larger result,
+        // so the arrays are fresh.
+        let tight = DiGraph::from_edges(2, &[(0, 1)]).into_in_graph();
+        let tight_ptr = tight.in_csr().targets().as_ptr();
+        let fresh = ins.apply_deltas_into(5, &delta, Some(tight));
+        assert_eq!(fresh, got);
+        assert_ne!(fresh.in_csr().targets().as_ptr(), tight_ptr);
     }
 
     #[test]

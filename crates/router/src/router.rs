@@ -482,7 +482,15 @@ impl ShardRouter {
             }
             Request::AddEdge { u, v } => self.fan_update(true, *u, *v),
             Request::DelEdge { u, v } => self.fan_update(false, *u, *v),
-            Request::AddNode { count } => self.fan_add_nodes(*count),
+            // Node-id-space growth must land on every replica, or the next
+            // commit publishes divergent graphs. There is no inverse verb to
+            // compensate a partial stage with: the error is surfaced, and the
+            // divergence stays visible in each shard's own `epoch` reply
+            // (`pending_nodes`) until the lagging replicas are reconciled
+            // directly (or roll back by restart).
+            Request::AddNode { .. } => {
+                self.fan_out(&request.to_line(), &self.inner.counters.fanout.update)
+            }
             Request::Commit => self.commit(),
             // `ping` answers from the router's own published state — no
             // fan-out, no barrier — so it stays a pure liveness probe even
@@ -491,7 +499,10 @@ impl ShardRouter {
                 Outcome::Reply(format!("{{\"op\":\"ping\",\"epoch\":{}}}", self.epoch()))
             }
             Request::Epoch => self.gather_epoch(),
-            Request::Save => self.fan_save(),
+            // In-memory shards answer `not_durable`, passed through: the
+            // deployment either is durable everywhere or the operator learns
+            // it is not.
+            Request::Save => self.fan_out("save", &self.inner.counters.fanout.save),
         }
     }
 
@@ -555,14 +566,13 @@ impl ShardRouter {
         }
     }
 
-    /// One request line to every shard, concurrently (scoped threads — the
-    /// scatter width is the shard count, not a pool).
-    fn scatter(&self, lines: &[String]) -> Vec<Result<String, ShardError>> {
+    /// `line` to every shard, concurrently (scoped threads — the scatter
+    /// width is the shard count, not a pool): one result per shard, in shard
+    /// order.
+    fn scatter(&self, line: &str) -> Vec<Result<String, ShardError>> {
         std::thread::scope(|scope| {
-            let handles: Vec<_> = lines
-                .iter()
-                .enumerate()
-                .map(|(i, line)| scope.spawn(move || self.timed_request(i, line.as_str())))
+            let handles: Vec<_> = (0..self.num_shards())
+                .map(|i| scope.spawn(move || self.timed_request(i, line)))
                 .collect();
             handles
                 .into_iter()
@@ -672,24 +682,21 @@ impl ShardRouter {
             Request::DelEdge { u, v }
         };
         let line = request.to_line();
-        let lines: Vec<String> = (0..self.num_shards()).map(|_| line.clone()).collect();
         let _epoch_stable = self.read_barrier();
         self.inner
             .counters
             .fanout
             .update
             .add(self.num_shards() as u64);
-        let replies = self.scatter(&lines);
+        let replies = self.scatter(&line);
         let failed = replies.iter().any(|r| match r {
             Ok(reply) => wire::error_code(reply).is_some(),
             Err(_) => true,
         });
         if !failed {
             // Replicas answer identically; the first reply speaks for all.
-            return match replies.into_iter().next() {
-                Some(Ok(reply)) => Outcome::Reply(reply),
-                _ => self.internal_reply("update fan-out produced no reply".into()),
-            };
+            let first = replies.into_iter().flatten().next();
+            return Outcome::Reply(first.expect("a scatter answers for every shard"));
         }
         // Compensation: undo every stage that changed the delta — `pending`
         // staged the op, `cancelled` dropped a staged opposite op. Only a
@@ -728,153 +735,98 @@ impl ShardRouter {
         }
     }
 
-    /// `addnode` fans out to every replica: like edge updates, node-id-space
-    /// growth must land on all of them or the next commit publishes
-    /// divergent graphs. Unlike `addedge` there is no inverse verb, so a
-    /// partial stage cannot be compensated here; the error is surfaced and
-    /// the divergence stays operator-visible in each shard's own `epoch`
-    /// reply (`pending_nodes`) until the lagging replicas are reconciled
-    /// directly (or roll back by restart).
-    fn fan_add_nodes(&self, count: u64) -> Outcome {
-        let line = Request::AddNode { count }.to_line();
-        let lines: Vec<String> = (0..self.num_shards()).map(|_| line.clone()).collect();
-        let _epoch_stable = self.read_barrier();
-        self.inner
-            .counters
-            .fanout
-            .update
-            .add(self.num_shards() as u64);
-        let replies = self.scatter(&lines);
-        let mut first: Option<String> = None;
-        for reply in replies {
-            match reply {
-                Ok(reply) => {
-                    if wire::error_code(&reply).is_some() {
-                        // Replicas share one id space; the same rejection
-                        // (e.g. u32 overflow) comes back from each, and the
-                        // first speaks for all.
-                        self.inner.counters.errors.inc();
-                        return Outcome::Reply(reply);
-                    }
-                    first.get_or_insert(reply);
+    /// Sends `line` to every shard (the caller holds the barrier), counting
+    /// one request per shard into `fanout`, and returns the replies in shard
+    /// order — or, counted as a router error, the outcome of the first shard
+    /// that refused (its error reply, verbatim: replicas share one state) or
+    /// could not be asked (`shard_unavailable`).
+    fn broadcast(&self, line: &str, fanout: &Counter) -> Result<Vec<String>, Outcome> {
+        fanout.add(self.num_shards() as u64);
+        self.scatter(line)
+            .into_iter()
+            .map(|reply| match reply {
+                Ok(reply) if wire::error_code(&reply).is_some() => {
+                    self.inner.counters.errors.inc();
+                    Err(Outcome::Reply(reply))
                 }
-                Err(e) => return self.shard_error_reply(&e),
-            }
-        }
-        match first {
-            Some(reply) => Outcome::Reply(reply),
-            None => self.internal_reply("addnode fan-out produced no reply".into()),
+                Ok(reply) => Ok(reply),
+                Err(e) => Err(self.shard_error_reply(&e)),
+            })
+            .collect()
+    }
+
+    /// A write every replica must apply (`addnode`, `save`): under the read
+    /// barrier, [`Self::broadcast`] it and answer with the first reply.
+    fn fan_out(&self, line: &str, fanout: &Counter) -> Outcome {
+        let _epoch_stable = self.read_barrier();
+        match self.broadcast(line, fanout) {
+            Ok(mut replies) => Outcome::Reply(replies.swap_remove(0)),
+            Err(refused) => refused,
         }
     }
 
+    /// [`Self::broadcast`] of `verb`, then the epoch every reply carries.
+    /// A reply without one fails `internal` with `missing`, and replies that
+    /// disagree fail `internal` with `diverged` of their epochs.
+    fn broadcast_agreed(
+        &self,
+        verb: &str,
+        fanout: &Counter,
+        missing: &str,
+        diverged: impl FnOnce(&[u64]) -> String,
+    ) -> Result<(u64, Vec<String>), Outcome> {
+        let replies = self.broadcast(verb, fanout)?;
+        let epochs = replies
+            .iter()
+            .map(|r| wire::u64_field(r, "epoch"))
+            .collect::<Option<Vec<u64>>>()
+            .ok_or_else(|| self.internal_reply(missing.into()))?;
+        if epochs.windows(2).any(|w| w[0] != w[1]) {
+            return Err(self.internal_reply(diverged(&epochs)));
+        }
+        Ok((epochs[0], replies))
+    }
+
     /// The commit fan-out: write barrier (no read straddles it), commit on
-    /// every shard, publish the router epoch only on unanimous agreement.
+    /// every shard, publish the router epoch only on unanimous agreement. A
+    /// shard that refused leaves the shards that accepted ahead, which the
+    /// next commit heals (their empty commit does not advance further).
     fn commit(&self) -> Outcome {
         let _epoch_frozen = self.write_barrier();
-        let width = self.num_shards();
-        self.inner.counters.fanout.commit.add(width as u64);
-        let lines: Vec<String> = (0..width).map(|_| "commit".to_string()).collect();
-        let replies = self.scatter(&lines);
-        let mut oks = Vec::with_capacity(width);
-        for reply in replies {
-            match reply {
-                Ok(reply) => {
-                    if wire::error_code(&reply).is_some() {
-                        // A shard refused the commit; shards that accepted it
-                        // are now ahead, which the next commit heals (their
-                        // empty commit does not advance further).
-                        self.inner.counters.errors.inc();
-                        return Outcome::Reply(reply);
-                    }
-                    oks.push(reply);
-                }
-                Err(e) => return self.shard_error_reply(&e),
+        let agreed = self.broadcast_agreed(
+            "commit",
+            &self.inner.counters.fanout.commit,
+            "a shard answered commit without an epoch",
+            |epochs| {
+                format!("shard epochs diverge after commit ({epochs:?}); retry commit to heal")
+            },
+        );
+        match agreed {
+            Ok((epoch, mut replies)) => {
+                self.inner.epoch.store(epoch, Ordering::Release);
+                // Prefer a reply that actually advanced: after a heal, the
+                // lagging shard's reply describes the edges applied, while
+                // an already-committed replica reports an empty commit.
+                let advanced = replies.iter().position(|r| r.contains("\"advanced\":true"));
+                Outcome::Reply(replies.swap_remove(advanced.unwrap_or(0)))
             }
-        }
-        let epochs: Option<Vec<u64>> = oks.iter().map(|r| wire::u64_field(r, "epoch")).collect();
-        let Some(epochs) = epochs else {
-            return self.internal_reply("a shard answered commit without an epoch".into());
-        };
-        if !epochs.windows(2).all(|w| w[0] == w[1]) {
-            return self.internal_reply(format!(
-                "shard epochs diverge after commit ({epochs:?}); retry commit to heal"
-            ));
-        }
-        self.inner.epoch.store(epochs[0], Ordering::Release);
-        // Prefer a reply that actually advanced: after a heal, the lagging
-        // shard's reply describes the edges applied, while an
-        // already-committed replica reports an empty commit.
-        let reply = oks
-            .iter()
-            .find(|r| r.contains("\"advanced\":true"))
-            .or_else(|| oks.first())
-            .cloned();
-        match reply {
-            Some(reply) => Outcome::Reply(reply),
-            None => self.internal_reply("commit fan-out produced no reply".into()),
+            Err(refused) => refused,
         }
     }
 
     /// `epoch` gathers every shard's view and verifies agreement — the
     /// operator-facing probe for the consistency the barrier maintains.
     fn gather_epoch(&self) -> Outcome {
-        let width = self.num_shards();
-        let lines: Vec<String> = (0..width).map(|_| "epoch".to_string()).collect();
         let _epoch_stable = self.read_barrier();
-        self.inner.counters.fanout.epoch.add(width as u64);
-        let replies = self.scatter(&lines);
-        let mut oks = Vec::with_capacity(width);
-        for reply in replies {
-            match reply {
-                Ok(reply) => {
-                    if wire::error_code(&reply).is_some() {
-                        self.inner.counters.errors.inc();
-                        return Outcome::Reply(reply);
-                    }
-                    oks.push(reply);
-                }
-                Err(e) => return self.shard_error_reply(&e),
-            }
-        }
-        let epochs: Option<Vec<u64>> = oks.iter().map(|r| wire::u64_field(r, "epoch")).collect();
-        let Some(epochs) = epochs else {
-            return self.internal_reply("a shard answered epoch unparsably".into());
-        };
-        if !epochs.windows(2).all(|w| w[0] == w[1]) {
-            return self
-                .internal_reply(format!("shard epochs diverge ({epochs:?}); commit to heal"));
-        }
-        match oks.into_iter().next() {
-            Some(reply) => Outcome::Reply(reply),
-            None => self.internal_reply("epoch fan-out produced no reply".into()),
-        }
-    }
-
-    /// `save` fans out to every shard; in-memory shards answer `not_durable`
-    /// (passed through — the deployment either is durable everywhere or the
-    /// operator learns it is not).
-    fn fan_save(&self) -> Outcome {
-        let width = self.num_shards();
-        let lines: Vec<String> = (0..width).map(|_| "save".to_string()).collect();
-        let _epoch_stable = self.read_barrier();
-        self.inner.counters.fanout.save.add(width as u64);
-        let replies = self.scatter(&lines);
-        let mut first: Option<String> = None;
-        for reply in replies {
-            match reply {
-                Ok(reply) => {
-                    if wire::error_code(&reply).is_some() {
-                        self.inner.counters.errors.inc();
-                        return Outcome::Reply(reply);
-                    }
-                    first.get_or_insert(reply);
-                }
-                Err(e) => return self.shard_error_reply(&e),
-            }
-        }
-        match first {
-            Some(reply) => Outcome::Reply(reply),
-            None => self.internal_reply("save fan-out produced no reply".into()),
+        let agreed = self.broadcast_agreed(
+            "epoch",
+            &self.inner.counters.fanout.epoch,
+            "a shard answered epoch unparsably",
+            |epochs| format!("shard epochs diverge ({epochs:?}); commit to heal"),
+        );
+        match agreed {
+            Ok((_, mut replies)) => Outcome::Reply(replies.swap_remove(0)),
+            Err(refused) => refused,
         }
     }
 }

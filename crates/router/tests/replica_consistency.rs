@@ -9,6 +9,10 @@
 //!   an owner that committed out of band is fenced off and the read is
 //!   answered `degraded` by a replica at the published epoch, or fails typed
 //!   when no replica is.
+//!
+//! The verbs the router sends to every shard (`addnode`, `commit`, `epoch`,
+//! `save`) are pinned too: their fan-out and error counts, and the reply of
+//! the first shard, in shard order, that refused or could not be asked.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -16,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use exactsim::exactsim::ExactSimConfig;
 use exactsim_graph::generators::barabasi_albert;
 use exactsim_graph::partition::shard_of;
-use exactsim_router::{LocalShard, ShardBackend, ShardError, ShardRouter};
+use exactsim_router::{wire, LocalShard, ShardBackend, ShardError, ShardRouter};
 use exactsim_service::protocol::{self, codes, parse_line, Outcome};
 use exactsim_service::{AlgorithmKind, ServiceConfig, SimRankService};
 
@@ -260,4 +264,142 @@ fn reads_owned_by_a_replica_off_the_published_epoch_fail_over_marked_degraded() 
         assert!(!reply.contains("\"degraded\""), "{reply}");
         assert!(reply.contains("\"epoch\":1"), "{reply}");
     }
+}
+
+/// An edge `u → v` (`u != v`) that `service`'s published graph lacks.
+fn absent_edge(service: &SimRankService) -> (u32, u32) {
+    let graph = service.store().graph();
+    (0..NODES as u32)
+        .flat_map(|u| (0..NODES as u32).map(move |v| (u, v)))
+        .find(|&(u, v)| u != v && !graph.has_edge(u, v))
+        .expect("the graph is not complete")
+}
+
+/// The router's `errors` count and its fan-out count for `counter`, read
+/// from its `stats` reply.
+fn errors_and_fanout(router: &ShardRouter, counter: &str) -> (u64, u64) {
+    let stats = router.stats_json();
+    let fanout = &stats[stats.find("\"fanout\":").expect("a fanout object")..];
+    (
+        wire::u64_field(&stats, "errors").expect("an errors count"),
+        wire::u64_field(fanout, counter).expect("a fan-out count"),
+    )
+}
+
+/// The verbs the router sends to every shard, each with the fan-out counter
+/// it counts into.
+const BROADCASTS: [(&str, &str); 4] = [
+    ("addnode 1", "update"),
+    ("commit", "commit"),
+    ("epoch", "epoch"),
+    ("save", "save"),
+];
+
+#[test]
+fn a_broadcast_answers_for_the_first_shard_that_refused_or_could_not_be_asked() {
+    for (line, counter) in BROADCASTS {
+        let verb = line.split_whitespace().next().unwrap();
+        for down in 0..2 {
+            let (router, services, script) = scripted_router();
+            // A staged edge, so a commit that reached both shards would
+            // publish epoch 1.
+            let (u, v) = absent_edge(&services[0]);
+            let staged = ask(&router, &format!("addedge {u} {v}"));
+            assert!(staged.contains("\"staged\":\"pending\""), "{staged}");
+            script.fail(down, verb);
+            let (errors, fanout) = errors_and_fanout(&router, counter);
+
+            let reply = ask(&router, line);
+            let want = if verb == "save" && down == 1 {
+                // Shard 0 is asked first, and an in-memory replica refuses
+                // `save`: its refusal is the answer, passed through as is.
+                ask_service(&services[0], "save")
+            } else {
+                format!(
+                    "{{\"error\":\"scripted failure of `{line}` on shard {down}\",\"code\":\"{}\"}}",
+                    codes::SHARD_UNAVAILABLE
+                )
+            };
+            let at = format!("`{line}` with shard {down} down");
+            assert_eq!(reply, want, "{at}");
+            assert_eq!(
+                errors_and_fanout(&router, counter),
+                (errors + 1, fanout + 2),
+                "{at}"
+            );
+            assert_eq!(router.epoch(), 0, "{at}: nothing is published");
+        }
+    }
+}
+
+#[test]
+fn in_memory_replicas_refuse_save_and_the_router_passes_the_refusal_through() {
+    let (router, services, _script) = scripted_router();
+    let (errors, fanout) = errors_and_fanout(&router, "save");
+    let reply = ask(&router, "save");
+    assert!(
+        reply.contains(&format!("\"code\":\"{}\"", codes::NOT_DURABLE)),
+        "{reply}"
+    );
+    assert_eq!(reply, ask_service(&services[0], "save"));
+    assert_eq!(reply, ask_service(&services[1], "save"));
+    assert_eq!(errors_and_fanout(&router, "save"), (errors + 1, fanout + 2));
+}
+
+#[test]
+fn epoch_and_commit_answer_internal_when_a_replica_committed_out_of_band() {
+    for (line, message) in [
+        ("epoch", "shard epochs diverge ([0, 1]); commit to heal"),
+        (
+            "commit",
+            "shard epochs diverge after commit ([0, 1]); retry commit to heal",
+        ),
+    ] {
+        let (router, services, _script) = scripted_router();
+        let (u, v) = absent_edge(&services[1]);
+        services[1].store().stage_insert(u, v).unwrap();
+        services[1].commit().unwrap();
+        let (errors, fanout) = errors_and_fanout(&router, line);
+
+        let reply = ask(&router, line);
+        assert_eq!(
+            reply,
+            format!(
+                "{{\"error\":\"{message}\",\"code\":\"{}\"}}",
+                codes::INTERNAL
+            ),
+            "{line}"
+        );
+        assert_eq!(
+            errors_and_fanout(&router, line),
+            (errors + 1, fanout + 2),
+            "{line}"
+        );
+        assert_eq!(router.epoch(), 0, "{line}: nothing is published");
+    }
+}
+
+#[test]
+fn a_broadcast_to_healthy_replicas_counts_its_fan_out_and_no_error() {
+    let (router, services, _script) = scripted_router();
+    let (u, v) = absent_edge(&services[0]);
+    ask(&router, &format!("addedge {u} {v}"));
+    for (line, counter) in BROADCASTS {
+        if line == "save" {
+            continue; // in-memory replicas refuse it (see above)
+        }
+        let (errors, fanout) = errors_and_fanout(&router, counter);
+        let reply = ask(&router, line);
+        assert!(wire::error_code(&reply).is_none(), "{line}: {reply}");
+        assert_eq!(
+            errors_and_fanout(&router, counter),
+            (errors, fanout + 2),
+            "{line}"
+        );
+    }
+    // The commit published the epoch both replicas reached, and `epoch`
+    // answers with the first replica's reply.
+    assert_eq!(router.epoch(), 1);
+    assert_eq!(ask(&router, "epoch"), ask_service(&services[0], "epoch"));
+    assert_eq!(edge_set(&services[0]), edge_set(&services[1]));
 }

@@ -205,12 +205,15 @@ fn commit_racing_live_queries_is_atomic_and_matches_a_fresh_service() {
         })
         .collect();
 
-    // Ground truth for both epochs, via the same delta path the store uses.
+    // Ground truth for both epochs: the post-commit graph through the merge
+    // the store's commit runs, on the in-rows it serves.
     let mut sorted_ins = insertions.to_vec();
     sorted_ins.sort_unstable();
     let mut sorted_del = deletions.clone();
     sorted_del.sort_unstable();
-    let updated = Arc::new(base.apply_delta(&sorted_ins, &sorted_del));
+    let updated =
+        base.in_graph()
+            .apply_deltas_into(base.num_nodes(), &[(&sorted_ins, &sorted_del)], None);
     let pre: Vec<Vec<f64>> = (0..SOURCES)
         .map(|s| {
             ExactSim::new(base.as_ref(), config.exactsim.clone())
@@ -222,7 +225,7 @@ fn commit_racing_live_queries_is_atomic_and_matches_a_fresh_service() {
         .collect();
     let post: Vec<Vec<f64>> = (0..SOURCES)
         .map(|s| {
-            ExactSim::new(updated.as_ref(), config.exactsim.clone())
+            ExactSim::new(&updated, config.exactsim.clone())
                 .unwrap()
                 .query(s)
                 .unwrap()
@@ -314,7 +317,7 @@ fn commit_racing_live_queries_is_atomic_and_matches_a_fresh_service() {
 
     // Post-commit serving must be bit-identical to a from-scratch service
     // built on the new graph.
-    let fresh = SimRankService::new(Arc::clone(&updated), config).unwrap();
+    let fresh = SimRankService::new(Arc::new(DiGraph::from_in_graph(updated)), config).unwrap();
     for s in 0..SOURCES {
         let live = service.query(AlgorithmKind::ExactSim, s).unwrap();
         let scratch = fresh.query(AlgorithmKind::ExactSim, s).unwrap();

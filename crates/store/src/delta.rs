@@ -15,7 +15,7 @@ use exactsim_graph::{NeighborAccess, NodeId};
 #[cfg(test)]
 use exactsim_graph::DiGraph;
 
-/// A sorted, duplicate-free edge list, as produced by [`DeltaBuffer::drain`]
+/// A sorted, duplicate-free edge list, as produced by [`DeltaBuffer::lists`]
 /// and consumed by [`exactsim_graph::InGraph::apply_deltas_into`].
 pub type EdgeList = Vec<(NodeId, NodeId)>;
 
@@ -122,22 +122,12 @@ impl DeltaBuffer {
         self.added_nodes = 0;
     }
 
-    /// Drains the buffer into sorted, duplicate-free `(insertions, deletions)`
-    /// edge lists ready for [`exactsim_graph::InGraph::apply_deltas_into`].
-    /// Pending node growth is reset too (read it first with
-    /// [`DeltaBuffer::added_nodes`]).
-    pub fn drain(&mut self) -> (EdgeList, EdgeList) {
-        self.added_nodes = 0;
-        (
-            std::mem::take(&mut self.insertions).into_iter().collect(),
-            std::mem::take(&mut self.deletions).into_iter().collect(),
-        )
-    }
-
     /// Copies the buffer into sorted, duplicate-free `(insertions, deletions)`
-    /// edge lists *without* draining it. The durable commit path uses this to
-    /// write the WAL record first and clear the buffer only once the record
-    /// is safely on disk — a failed append leaves the staged delta intact.
+    /// edge lists ready for [`exactsim_graph::InGraph::apply_deltas_into`],
+    /// *without* draining it. A commit copies the lists, writes the WAL
+    /// record, and only once the record is safely on disk empties the buffer
+    /// with [`DeltaBuffer::clear`] — a failed append leaves the staged delta
+    /// intact.
     pub fn lists(&self) -> (EdgeList, EdgeList) {
         (
             self.insertions.iter().copied().collect(),
@@ -198,17 +188,22 @@ mod tests {
     }
 
     #[test]
-    fn drain_yields_sorted_unique_lists_and_empties_the_buffer() {
+    fn lists_are_sorted_and_unique_and_leave_the_buffer_until_clear() {
         let g = base();
         let mut d = DeltaBuffer::new();
         d.stage_insert(&g, 2, 0);
         d.stage_insert(&g, 0, 1);
         d.stage_delete(&g, 3, 0);
         d.stage_delete(&g, 1, 2);
-        let (ins, del) = d.drain();
+        d.stage_add_nodes(2);
+        let (ins, del) = d.lists();
         assert_eq!(ins, vec![(0, 1), (2, 0)]);
         assert_eq!(del, vec![(1, 2), (3, 0)]);
+        assert_eq!((d.num_insertions(), d.num_deletions()), (2, 2));
+        assert_eq!(d.lists(), (ins, del));
+        d.clear();
         assert!(d.is_empty());
+        assert_eq!(d.added_nodes(), 0);
     }
 
     #[test]

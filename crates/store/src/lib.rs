@@ -18,8 +18,8 @@
 //! | [`GraphHandle`] | the published graph's in-rows behind either backend: in-memory CSR or paged |
 //! | [`DeltaBuffer`] | sorted, deduplicated pending insert/delete sets + staged node growth |
 //! | [`GraphSnapshot`] | a consistent `(graph, epoch)` pair readers pin |
-//! | [`CommitReport`] | what a commit materialized (epoch, counts, build time) |
-//! | [`CommitTimings`] | per-stage commit breakdown (staging, CSR merge, WAL append, fsync, publish) |
+//! | [`CommitReport`] | what a commit materialized (epoch, counts, whole-commit time) |
+//! | [`CommitTimings`] | five commit stages (staging, CSR merge, WAL append, fsync, publish) |
 //! | [`persist`] | snapshot files + delta WAL: formats, recovery, compaction |
 //! | [`pages`] | the paged backend's on-disk page-file format |
 //! | [`BufferPool`] | pinning clock-replacement page cache shared across epochs |

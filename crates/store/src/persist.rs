@@ -813,7 +813,7 @@ impl DurableLog {
                     })
                 }
             };
-            // Endpoints must fit this graph's node space: apply_deltas only
+            // Endpoints must fit this graph's node space: the merge only
             // debug-asserts ranges, and in release an out-of-range id (a
             // WAL from a different store, or damage that survived CRC32)
             // would index past a row or store a source with no node.
@@ -932,7 +932,8 @@ impl DurableLog {
     }
 
     /// Folds the WAL into a fresh snapshot of `graph` at `epoch`: write the
-    /// snapshot, truncate the WAL to its header, delete older snapshots
+    /// snapshot, truncate the WAL to its header, delete older snapshots and
+    /// the temp files of snapshot writes that failed or a crash cut short
     /// (best-effort). Safe against crashes at any point (see module docs).
     pub(crate) fn compact(&mut self, graph: &InGraph, epoch: u64) -> Result<(), StoreError> {
         write_snapshot(&self.dir, graph, epoch)?;
@@ -947,9 +948,19 @@ impl DurableLog {
             .sync_all()
             .map_err(|e| StoreError::io(&self.wal_path, "sync", e))?;
         self.wal_records = 0;
-        for (old_epoch, path) in list_snapshots(&self.dir)? {
-            if old_epoch != epoch {
-                let _ = std::fs::remove_file(path);
+        // This log holds the WAL lock, so no other writer has a temp file in
+        // flight, and this write's own was renamed into place above.
+        let entries =
+            std::fs::read_dir(&self.dir).map_err(|e| StoreError::io(&self.dir, "read_dir", e))?;
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            let (stem, temp) = match name.strip_suffix(".tmp") {
+                Some(stem) => (stem, true),
+                None => (&*name, false),
+            };
+            if parse_snapshot_epoch(stem).is_some_and(|old| temp || old != epoch) {
+                let _ = std::fs::remove_file(entry.path());
             }
         }
         Ok(())
@@ -1073,7 +1084,7 @@ mod tests {
         let path = write_snapshot(&dir, graph.in_graph(), 9).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let mut encoded = Vec::new();
-        exactsim_graph::binfmt::encode_digraph(&graph, &mut encoded);
+        write_in_graph(graph.in_graph(), &mut encoded).unwrap();
         assert_eq!(&bytes[SNAPSHOT_HEADER_LEN..bytes.len() - 4], &encoded[..]);
         let body_end = bytes.len() - 4;
         assert_eq!(

@@ -46,12 +46,14 @@ pub struct GraphSnapshot {
     pub epoch: u64,
 }
 
-/// Per-stage wall-clock breakdown of one effective commit.
+/// Wall-clock times of five stages of one effective commit.
 ///
-/// Mirrors the commit pipeline in order: stage the delta, merge it into a
-/// new CSR graph, append to the WAL, fsync, publish the new epoch. The two
-/// WAL fields are zero for in-memory stores (there is no log); every field
-/// is zero for an empty commit.
+/// In pipeline order: stage the delta, merge it into a new CSR graph, append
+/// to the WAL, fsync, publish the new epoch. They do not add up to
+/// [`CommitReport::build_time`]: imaging the new epoch's page file (paged
+/// mode) and the auto-compaction a commit may run are timed there and
+/// nowhere else. The two WAL fields are zero for in-memory stores (there is
+/// no log); every field is zero for an empty commit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommitTimings {
     /// Copying the staged insert/delete lists out of the delta buffer.
@@ -82,10 +84,13 @@ pub struct CommitReport {
     pub num_nodes: usize,
     /// Edge count of the published graph.
     pub num_edges: usize,
-    /// Wall-clock time spent materializing and swapping the new CSR graph
-    /// (zero for an empty commit).
+    /// Wall-clock time of the whole commit (zero for an empty one): staging,
+    /// the CSR merge, imaging the page file (paged mode), the WAL append and
+    /// its fsync, publishing, and any auto-compaction. The commit reply's
+    /// `build_us`.
     pub build_time: Duration,
-    /// Per-stage breakdown of `build_time` (all zero for an empty commit).
+    /// Five of the stages inside `build_time`; page imaging and
+    /// auto-compaction are not among them (all zero for an empty commit).
     pub timings: CommitTimings,
 }
 
@@ -340,14 +345,16 @@ impl GraphStore {
             let mut published = self.published.write().expect("published snapshot poisoned");
             published.graph = GraphHandle::Paged(Arc::new(paged_graph));
         }
-        // Stale page files from previous runs (other epochs) are dead weight.
+        // Stale page files from previous runs (other epochs) are dead weight,
+        // and so are the temp files of page writes a crash or a failure cut
+        // short (this epoch's was renamed into place above).
         if let Ok(entries) = std::fs::read_dir(&dir) {
             for entry in entries.flatten() {
                 if entry.path() != path
-                    && entry
-                        .file_name()
-                        .to_str()
-                        .is_some_and(|n| n.starts_with("epoch-") && n.ends_with(".pages"))
+                    && entry.file_name().to_str().is_some_and(|n| {
+                        n.starts_with("epoch-")
+                            && (n.ends_with(".pages") || n.ends_with(".pages.tmp"))
+                    })
                 {
                     let _ = std::fs::remove_file(entry.path());
                 }
@@ -1013,6 +1020,45 @@ mod tests {
         // The superseded epoch's page file is gone; the new epoch's exists.
         assert!(!dir.join("pages/epoch-0.pages").exists());
         assert!(dir.join("pages/epoch-1.pages").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn paging_sweeps_the_temp_files_of_page_writes_cut_short() {
+        let dir = temp_dir("paged-tmp");
+        let pages = dir.join("pages");
+        std::fs::create_dir_all(&pages).unwrap();
+        let stale = pages.join("epoch-7.pages.tmp");
+        std::fs::write(&stale, b"half a page image").unwrap();
+        let store = store()
+            .with_paging(&pages, PagedOptions::default())
+            .unwrap();
+        assert!(!stale.exists(), "a stale page temp file survived");
+        assert!(pages.join("epoch-0.pages").exists());
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_sweeps_the_temp_files_of_snapshot_writes_cut_short() {
+        let dir = temp_dir("snap-tmp");
+        let store = GraphStore::create(
+            &dir,
+            Arc::new(DiGraph::from_edges(4, &[(0, 2), (1, 2), (2, 3), (3, 0)])),
+        )
+        .unwrap();
+        store.stage_insert(0, 1).unwrap();
+        store.commit().unwrap();
+        // A snapshot write at epoch 1 that failed before its rename.
+        let stale = dir.join("snapshot-1.snap.tmp");
+        std::fs::write(&stale, b"half a snapshot").unwrap();
+        store.stage_insert(1, 3).unwrap();
+        store.commit().unwrap();
+        assert_eq!(store.save().unwrap(), 2);
+        assert!(!stale.exists(), "a stale snapshot temp file survived");
+        assert!(dir.join("snapshot-2.snap").exists());
+        assert!(!dir.join("snapshot-0.snap").exists());
+        drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -19,7 +19,7 @@
 //! prints the table to paste.
 
 use exactsim_datasets::dataset_by_key;
-use exactsim_graph::binfmt::{decode_digraph, encode_digraph};
+use exactsim_graph::binfmt::{read_in_graph, write_in_graph};
 use exactsim_graph::builder::SelfLoopPolicy;
 use exactsim_graph::generators::{
     barabasi_albert, erdos_renyi_directed, erdos_renyi_undirected, gnm_directed, power_law_digraph,
@@ -131,8 +131,9 @@ fn inputs() -> Vec<(&'static str, DiGraph)> {
     let load = |options: EdgeListOptions| parse_edge_list(edge_list, options).unwrap().graph;
     let round_trip = |graph: &DiGraph| {
         let mut bytes = Vec::new();
-        encode_digraph(graph, &mut bytes);
-        decode_digraph(&bytes).unwrap()
+        write_in_graph(graph.in_graph(), &mut bytes).unwrap();
+        let in_rows = read_in_graph(&mut &bytes[..], bytes.len() as u64).unwrap();
+        DiGraph::from_in_graph(in_rows)
     };
     vec![
         // Every Table 2 stand-in, at a scale that keeps the debug build fast:
