@@ -210,11 +210,6 @@ impl SparseVec {
         dropped
     }
 
-    /// Removes exact-zero entries.
-    pub fn drop_zeros(&mut self) {
-        self.prune(0.0);
-    }
-
     /// Dot product with a dense vector.
     pub fn dot_dense(&self, dense: &[f64]) -> f64 {
         self.iter().map(|(i, v)| v * dense[i as usize]).sum()

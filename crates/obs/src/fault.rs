@@ -51,7 +51,7 @@ pub mod sites {
     /// `torn` action: the store leaves a partial frame on disk, modelling
     /// power loss mid-append.
     pub const WAL_FSYNC: &str = "wal.fsync";
-    /// Snapshot file creation/write (`snapshot-<epoch>.bin` tmp file).
+    /// Snapshot file creation/write (the `snapshot-<epoch>.snap.tmp` file).
     pub const SNAPSHOT_WRITE: &str = "snapshot.write";
     /// A page read from an `epoch-<N>.pages` file into the buffer pool.
     pub const PAGE_READ: &str = "page.read";

@@ -1,8 +1,10 @@
 //! Leveled operational logger with text and JSON output.
 //!
 //! A deliberately small substitute for the `tracing`/`log` ecosystem (the
-//! build environment is offline): a process-global level filter and output
-//! format, structured key/value fields, and one line per event on stderr.
+//! build environment is offline): a process-global output format,
+//! structured key/value fields, and one line per event on stderr. Every
+//! event is emitted: the levels are error, warn and info, and none is too
+//! verbose to keep.
 //! Text mode matches the `target: message` style the binaries have always
 //! printed; JSON mode (`simrank-serve --log-json`) emits one object per line
 //! so the stream can be shipped to a log pipeline unparsed.
@@ -17,7 +19,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use crate::json::escape_json;
 
 /// Event severity, most severe first.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Level {
     /// The operation failed; an operator should look.
     Error,
@@ -25,8 +27,6 @@ pub enum Level {
     Warn,
     /// Normal operational milestones (startup, shutdown, recovery).
     Info,
-    /// High-volume detail, off by default.
-    Debug,
 }
 
 impl Level {
@@ -35,16 +35,6 @@ impl Level {
             Level::Error => "error",
             Level::Warn => "warn",
             Level::Info => "info",
-            Level::Debug => "debug",
-        }
-    }
-
-    fn from_u8(v: u8) -> Level {
-        match v {
-            0 => Level::Error,
-            1 => Level::Warn,
-            3 => Level::Debug,
-            _ => Level::Info,
         }
     }
 }
@@ -58,19 +48,7 @@ pub enum LogFormat {
     Json,
 }
 
-static MAX_LEVEL: AtomicU8 = AtomicU8::new(2); // Info
 static FORMAT: AtomicU8 = AtomicU8::new(0); // Text
-
-/// Sets the process-global maximum level that will be emitted.
-pub fn set_level(level: Level) {
-    MAX_LEVEL.store(level as u8, Ordering::Relaxed);
-}
-
-/// The current maximum emitted level.
-#[must_use]
-pub fn level() -> Level {
-    Level::from_u8(MAX_LEVEL.load(Ordering::Relaxed))
-}
 
 /// Sets the process-global output format.
 pub fn set_format(format: LogFormat) {
@@ -200,11 +178,8 @@ pub fn render(
     }
 }
 
-/// Emits one event to stderr if `level` passes the global filter.
+/// Emits one event to stderr.
 pub fn log(level: Level, target: &str, message: &str, fields: &[(&str, FieldValue)]) {
-    if level > self::level() {
-        return;
-    }
     let ts_ms = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| u64::try_from(d.as_millis()).unwrap_or(u64::MAX))
@@ -228,11 +203,6 @@ pub fn warn(target: &str, message: &str, fields: &[(&str, FieldValue)]) {
 /// Emits at [`Level::Info`].
 pub fn info(target: &str, message: &str, fields: &[(&str, FieldValue)]) {
     log(Level::Info, target, message, fields);
-}
-
-/// Emits at [`Level::Debug`].
-pub fn debug(target: &str, message: &str, fields: &[(&str, FieldValue)]) {
-    log(Level::Debug, target, message, fields);
 }
 
 #[cfg(test)]
@@ -274,16 +244,6 @@ mod tests {
              \"msg\":\"write failed: \\\"disk\\\"\",\"path\":\"/tmp/x\",\
              \"attempts\":3,\"fatal\":true}"
         );
-    }
-
-    #[test]
-    fn level_ordering_filters_more_verbose_events() {
-        assert!(Level::Error < Level::Warn);
-        assert!(Level::Info < Level::Debug);
-        // Round-trips through the atomic encoding.
-        for l in [Level::Error, Level::Warn, Level::Info, Level::Debug] {
-            assert_eq!(Level::from_u8(l as u8), l);
-        }
     }
 
     #[test]

@@ -57,9 +57,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use exactsim_obs::json::escape_json;
-use exactsim_router::scenario::{self, arrival_offsets, build_plan, parse_scenario, Op};
+use exactsim_router::scenario::{self, arrival_offsets, build_plan, parse_scenario};
 use exactsim_router::wire::{f64_field, u64_field};
 use exactsim_service::net::LineClient;
+use exactsim_service::Request;
 
 struct Options {
     connect: String,
@@ -265,12 +266,14 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
     let spec = parse_scenario(raw_spec)?;
     let plan = build_plan(&spec);
     let offsets = arrival_offsets(&spec, plan.len());
-    let reads = plan.iter().filter(|op| op.is_read()).count() as u64;
-    let writes = plan
+    let is_read =
+        |request: &Request| matches!(request, Request::Query { .. } | Request::TopK { .. });
+    let reads = plan.iter().filter(|request| is_read(request)).count() as u64;
+    let commits = plan
         .iter()
-        .filter(|op| matches!(op, Op::Write { .. }))
+        .filter(|request| matches!(request, Request::Commit))
         .count() as u64;
-    let commits = plan.iter().filter(|op| matches!(op, Op::Commit)).count() as u64;
+    let writes = plan.len() as u64 - reads - commits;
     let conns = spec.conns.min(plan.len()).max(1);
     eprintln!(
         "simrank-client: scenario `{}`: {} ops ({reads} reads, {writes} writes, \
@@ -288,14 +291,14 @@ fn run_scenario(opts: &Options, raw_spec: &str) -> Result<ExitCode, String> {
     // scheduling stays a single global timetable.
     let mut per_conn: Vec<Vec<(usize, String)>> = vec![Vec::new(); conns];
     let mut next_read_conn = 0usize;
-    for (i, op) in plan.iter().enumerate() {
-        let conn = if op.is_read() {
+    for (i, request) in plan.iter().enumerate() {
+        let conn = if is_read(request) {
             next_read_conn = (next_read_conn + 1) % conns;
             next_read_conn
         } else {
             0
         };
-        per_conn[conn].push((i, op.to_line(spec.topk)));
+        per_conn[conn].push((i, request.to_line()));
     }
 
     // Connect every socket before starting the clock: the run measures

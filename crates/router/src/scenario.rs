@@ -21,10 +21,11 @@
 //!    measured from the *scheduled* arrival time, so queueing delay under
 //!    overload is visible instead of coordinated-omission-hidden.
 //!
-//! The whole scenario is expanded up front into a deterministic operation
-//! plan ([`build_plan`]) and, for open-loop runs, an arrival timetable
-//! ([`arrival_offsets`]) — both derived from the scenario seed alone, so two
-//! runs with the same spec issue bit-identical request streams.
+//! The whole scenario is expanded up front into a deterministic plan of
+//! protocol requests ([`build_plan`]) and, for open-loop runs, an arrival
+//! timetable ([`arrival_offsets`]) — both derived from the scenario seed
+//! alone, so two runs with the same spec issue bit-identical request
+//! streams.
 //!
 //! ## Spec grammar
 //!
@@ -61,7 +62,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use exactsim_service::AlgorithmKind;
+use exactsim_service::{AlgorithmKind, Request};
 
 /// Burst modulation of an open-loop arrival process: for the first
 /// `burst_len` arrivals of every `period`-arrival cycle, the instantaneous
@@ -422,64 +423,13 @@ impl ZipfSampler {
     }
 }
 
-/// One operation of an expanded scenario plan.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Op {
-    /// A `topk`/`query` read of `source`, optionally pinning the algorithm.
-    Read {
-        /// Source node to ask about.
-        source: u32,
-        /// Explicit algorithm, or `None` for the server default.
-        algo: Option<AlgorithmKind>,
-    },
-    /// A staged `addedge`/`deledge` of `u -> v`.
-    Write {
-        /// `true` for `addedge`, `false` for `deledge`.
-        insert: bool,
-        /// Edge tail.
-        u: u32,
-        /// Edge head.
-        v: u32,
-    },
-    /// A `commit` publishing the staged writes as a new epoch.
-    Commit,
-}
-
-impl Op {
-    /// The protocol request line for this operation. Reads become
-    /// `topk <src> <k>` (or `query <src>` when `topk == 0`).
-    pub fn to_line(&self, topk: usize) -> String {
-        match self {
-            Op::Read { source, algo } => {
-                let suffix = algo.map(|a| format!(" {a}")).unwrap_or_default();
-                if topk > 0 {
-                    format!("topk {source} {topk}{suffix}")
-                } else {
-                    format!("query {source}{suffix}")
-                }
-            }
-            Op::Write { insert: true, u, v } => format!("addedge {u} {v}"),
-            Op::Write {
-                insert: false,
-                u,
-                v,
-            } => format!("deledge {u} {v}"),
-            Op::Commit => "commit".to_string(),
-        }
-    }
-
-    /// `true` for [`Op::Read`].
-    pub fn is_read(&self) -> bool {
-        matches!(self, Op::Read { .. })
-    }
-}
-
-/// Expands a scenario into its deterministic operation plan:
-/// `spec.requests` reads/writes in issue order, with a `commit` inserted
-/// after every `commit_every`-th write (plus one final commit if writes
-/// remain staged). The plan depends only on the spec, so re-running a
-/// scenario replays the identical request stream.
-pub fn build_plan(spec: &ScenarioSpec) -> Vec<Op> {
+/// Expands a scenario into its deterministic request plan: `spec.requests`
+/// reads and writes in issue order, with a `commit` inserted after every
+/// `commit_every`-th write (plus one final commit if writes remain staged).
+/// Reads are `topk <src> <k>` requests, or `query <src>` when `spec.topk` is
+/// 0; writes are `addedge`/`deledge`. The plan depends only on the spec, so
+/// re-running a scenario replays the identical request stream.
+pub fn build_plan(spec: &ScenarioSpec) -> Vec<Request> {
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let zipf = ZipfSampler::new(spec.sources, spec.zipf_exponent);
     let algo_total: f64 = spec.algo_mix.iter().map(|(_, w)| w).sum();
@@ -495,7 +445,7 @@ pub fn build_plan(spec: &ScenarioSpec) -> Vec<Op> {
     for i in 0..spec.requests {
         let in_outage = has_outage && (outage_from..outage_to).contains(&i);
         if has_outage && i == outage_from && staged > 0 {
-            plan.push(Op::Commit);
+            plan.push(Request::Commit);
             staged = 0;
         }
         if in_outage || rng.gen_bool(spec.read_mix) {
@@ -513,9 +463,15 @@ pub fn build_plan(spec: &ScenarioSpec) -> Vec<Op> {
                 }
                 Some(chosen)
             };
-            plan.push(Op::Read {
-                source: zipf.sample(&mut rng),
-                algo,
+            let node = zipf.sample(&mut rng);
+            plan.push(if spec.topk > 0 {
+                Request::TopK {
+                    node,
+                    k: spec.topk,
+                    algo,
+                }
+            } else {
+                Request::Query { node, algo }
             });
         } else {
             // Write endpoints come from the same id range as read sources, so
@@ -525,20 +481,20 @@ pub fn build_plan(spec: &ScenarioSpec) -> Vec<Op> {
             // range minus the tail: the protocol rejects self-loops.
             let u = rng.gen_range(0..spec.sources);
             let v = (u + 1 + rng.gen_range(0..spec.sources - 1)) % spec.sources;
-            plan.push(Op::Write {
-                insert: rng.gen_bool(0.5),
-                u,
-                v,
+            plan.push(if rng.gen_bool(0.5) {
+                Request::AddEdge { u, v }
+            } else {
+                Request::DelEdge { u, v }
             });
             staged += 1;
             if staged >= spec.commit_every {
-                plan.push(Op::Commit);
+                plan.push(Request::Commit);
                 staged = 0;
             }
         }
     }
     if staged > 0 {
-        plan.push(Op::Commit);
+        plan.push(Request::Commit);
     }
     plan
 }
@@ -699,17 +655,24 @@ mod tests {
         }
     }
 
+    fn is_write(request: &Request) -> bool {
+        matches!(request, Request::AddEdge { .. } | Request::DelEdge { .. })
+    }
+
     #[test]
     fn plans_are_deterministic_and_respect_the_mix() {
         let spec = parse_scenario("read_mostly,requests=1000,sources=50").unwrap();
         let plan = build_plan(&spec);
         assert_eq!(plan, build_plan(&spec), "plan must be reproducible");
-        let reads = plan.iter().filter(|op| op.is_read()).count();
-        let writes = plan
+        let reads = plan
             .iter()
-            .filter(|op| matches!(op, Op::Write { .. }))
+            .filter(|request| matches!(request, Request::TopK { .. }))
             .count();
-        let commits = plan.iter().filter(|op| matches!(op, Op::Commit)).count();
+        let writes = plan.iter().filter(|request| is_write(request)).count();
+        let commits = plan
+            .iter()
+            .filter(|request| matches!(request, Request::Commit))
+            .count();
         assert_eq!(reads + writes, 1000, "commits ride on top of requests");
         // 95% read mix: allow generous sampling noise around 950.
         assert!((900..=990).contains(&reads), "reads {reads}");
@@ -717,19 +680,23 @@ mod tests {
         // batch gets one more.
         assert!(commits >= writes / spec.commit_every as usize, "{commits}");
         // All sources and endpoints stay in range.
-        for op in &plan {
-            match op {
-                Op::Read { source, .. } => assert!(*source < 50),
-                Op::Write { u, v, .. } => {
+        for request in &plan {
+            match request {
+                Request::TopK { node, k, .. } => {
+                    assert!(*node < 50);
+                    assert_eq!(*k, spec.topk);
+                }
+                Request::AddEdge { u, v } | Request::DelEdge { u, v } => {
                     assert!(*u < 50 && *v < 50);
                     assert_ne!(u, v, "self-loops are protocol-rejected");
                 }
-                Op::Commit => {}
+                Request::Commit => {}
+                other => panic!("unexpected plan request {other:?}"),
             }
         }
         // A write-bearing plan always ends on a published epoch.
         if writes > 0 {
-            assert_eq!(plan.last(), Some(&Op::Commit));
+            assert_eq!(plan.last(), Some(&Request::Commit));
         }
     }
 
@@ -743,67 +710,81 @@ mod tests {
         let mut req_idx = 0u64;
         let mut staged = 0u64;
         let mut checked_entry = false;
-        for op in &plan {
-            match op {
-                Op::Commit => staged = 0,
-                Op::Write { .. } => {
-                    if !checked_entry && req_idx >= from {
-                        assert_eq!(staged, 0, "staged writes survive into the window");
-                        checked_entry = true;
-                    }
-                    assert!(
-                        !(from..to).contains(&req_idx),
-                        "write at request {req_idx} inside the outage window [{from}, {to})"
-                    );
-                    staged += 1;
-                    req_idx += 1;
-                }
-                Op::Read { .. } => {
-                    if !checked_entry && req_idx >= from {
-                        assert_eq!(staged, 0, "staged writes survive into the window");
-                        checked_entry = true;
-                    }
-                    req_idx += 1;
-                }
+        for request in &plan {
+            if *request == Request::Commit {
+                staged = 0;
+                continue;
             }
+            if !checked_entry && req_idx >= from {
+                assert_eq!(staged, 0, "staged writes survive into the window");
+                checked_entry = true;
+            }
+            if is_write(request) {
+                assert!(
+                    !(from..to).contains(&req_idx),
+                    "write at request {req_idx} inside the outage window [{from}, {to})"
+                );
+                staged += 1;
+            }
+            req_idx += 1;
         }
         assert!(checked_entry, "the plan never reached the outage window");
         // Outside the window the 0.9 read mix still produces real writes.
-        let writes = plan
-            .iter()
-            .filter(|op| matches!(op, Op::Write { .. }))
-            .count();
+        let writes = plan.iter().filter(|request| is_write(request)).count();
         assert!(writes > 0, "fault_storm lost its write traffic entirely");
     }
 
+    /// Reads are `topk` requests with the scenario's `k`, or `query`
+    /// requests when `topk` is 0, and every plan line parses back to its
+    /// request.
     #[test]
     fn plan_lines_speak_the_protocol() {
-        let read = Op::Read {
-            source: 3,
-            algo: Some(AlgorithmKind::MonteCarlo),
-        };
-        assert_eq!(
-            read.to_line(10),
-            format!("topk 3 10 {}", AlgorithmKind::MonteCarlo)
-        );
-        assert_eq!(
-            Op::Read {
-                source: 3,
-                algo: None
+        for raw in ["algo_mix", "write_heavy,topk=0", "steady_read,topk=3"] {
+            let spec = parse_scenario(raw).unwrap();
+            for request in build_plan(&spec) {
+                match &request {
+                    Request::TopK { k, .. } => assert_eq!(*k, spec.topk, "{raw}"),
+                    Request::Query { .. } => assert_eq!(spec.topk, 0, "{raw}"),
+                    _ => {}
+                }
+                let line = request.to_line();
+                assert_eq!(
+                    exactsim_service::protocol::parse_line(&line),
+                    Ok(Some(request)),
+                    "{raw}: {line}"
+                );
             }
-            .to_line(0),
-            "query 3"
-        );
-        assert_eq!(
-            Op::Write {
-                insert: true,
-                u: 1,
-                v: 2
+        }
+    }
+
+    /// Every built-in plan's request lines, pinned by their count and an
+    /// FNV-1a digest over each line plus its newline, so the qps gates on
+    /// `bench/baseline_scenarios.json` keep measuring the same request
+    /// streams. Re-record only for a deliberate change to a plan.
+    #[test]
+    fn builtin_plans_send_pinned_request_lines() {
+        const PLANS: [(&str, usize, u64); 7] = [
+            ("steady_read", 400, 0xfe69_462e_841e_a267),
+            ("zipf_hot_reads", 400, 0x9f91_d538_2033_7875),
+            ("read_mostly", 403, 0xed5c_b2b9_5fbe_f492),
+            ("write_heavy", 452, 0x00bc_0f9a_22ed_8998),
+            ("bursty_open_loop", 406, 0xb551_8f39_0cbe_b8dc),
+            ("algo_mix", 400, 0x12c8_ce02_7c69_3ecc),
+            ("fault_storm", 1813, 0x6843_3418_a11b_c012),
+        ];
+        let names: Vec<&str> = PLANS.iter().map(|(name, ..)| *name).collect();
+        assert_eq!(names, builtin_names());
+        for (name, len, digest) in PLANS {
+            let plan = build_plan(&builtin(name).unwrap());
+            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            for request in &plan {
+                for byte in request.to_line().bytes().chain([b'\n']) {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0100_0000_01b3);
+                }
             }
-            .to_line(10),
-            "addedge 1 2"
-        );
-        assert_eq!(Op::Commit.to_line(10), "commit");
+            assert_eq!((plan.len(), hash), (len, digest), "{name}");
+        }
     }
 
     #[test]

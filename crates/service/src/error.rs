@@ -1,7 +1,7 @@
 //! Service-level error type.
 //!
 //! [`ServiceError`] is `Clone` because one computation's outcome may be
-//! broadcast to many deduplicated waiters (see `crate::inflight`).
+//! handed to many deduplicated waiters (see [`crate::cache::Lookup`]).
 
 use std::fmt;
 

@@ -10,9 +10,8 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`service`] | [`SimRankService`]: resolves its graph through an epoch-based [`exactsim_store::GraphStore`] and keeps per-epoch lazily-built algorithm indices behind `Arc<dyn SingleSourceAlgorithm + Send + Sync>` |
-//! | [`cache`] | sharded LRU result cache keyed by `(epoch, algorithm, source, epsilon-tier)` with generation invalidation |
-//! | `inflight` (private) | in-flight query deduplication: concurrent requests for the same key block on one computation |
+//! | [`service`] | [`SimRankService`]: resolves its graph through an epoch-based [`exactsim_store::GraphStore`] and keeps a per-epoch state: lazily-built algorithm indices behind `Arc<dyn SingleSourceAlgorithm + Send + Sync>` and the epoch's answer table |
+//! | [`cache`] | one epoch's answer table: a sharded LRU of answers keyed by `(algorithm, source, epsilon-tier)`, beside the pending entries of the answers being computed, which concurrent requests for the same key wait on |
 //! | `metrics` (private) | the labeled metric families (Prometheus text exposition via the `metrics` verb) wired over [`exactsim_obs`]: the one place every served query, build, write, and connection is counted |
 //! | [`stats`] | [`StatsSnapshot`]: the `stats` reply, a typed read of those registry series plus live cache, store and config state |
 //! | [`response`] | serializable [`QueryResponse`] / [`TopKResponse`] wire types |
@@ -75,14 +74,15 @@
 //! * The service owns no threads: a query runs on the thread that issues
 //!   it (a TCP connection handler, the stdin REPL, or an application
 //!   thread — `std::thread::scope` is enough to send a batch).
-//! * Queries may be issued from any number of threads; a sharded mutex LRU
-//!   keeps cache contention low, and the in-flight table guarantees that at
-//!   any moment at most one thread computes a given `(epoch, algorithm,
-//!   source, epsilon-tier)` key — latecomers block and receive the leader's
-//!   result.
+//! * Queries may be issued from any number of threads. Each epoch's answer
+//!   table is a sharded mutex LRU, which keeps contention low, and a key's
+//!   lookup and completion each run under its one shard lock: at any moment
+//!   at most one thread computes a given `(algorithm, source,
+//!   epsilon-tier)` key of an epoch — latecomers wait on its pending entry
+//!   and receive the leader's result.
 //! * A commit never blocks readers: queries capture one epoch state up
 //!   front and finish on it; the first query to observe the new epoch swaps
-//!   the serving state and sweeps the cache generation.
+//!   in a state with an empty answer table and clears the superseded one.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -90,7 +90,6 @@
 
 pub mod cache;
 pub mod error;
-pub(crate) mod inflight;
 pub(crate) mod metrics;
 pub mod net;
 pub mod protocol;

@@ -15,6 +15,8 @@
 //! | `simrank_serve_latency_us` | histogram | — (the aggregate behind `stats` p50/p99) |
 //! | `simrank_index_builds_total` | counter | — (PrSim and MC indices; ExactSim has none) |
 //! | `simrank_epoch_refreshes_total` | counter | — |
+//! | `simrank_cache_evictions_total` | counter | — (cached answers evicted under capacity pressure) |
+//! | `simrank_cache_invalidations_total` | counter | — (cached answers swept with a superseded epoch's table) |
 //! | `simrank_updates_staged_total` | counter | — (`addedge`/`deledge`/`addnode` that reached the store) |
 //! | `simrank_commit_requests_total` | counter | — (`commit` requests accepted) |
 //! | `simrank_commits_total` | counter | — (effective commits only) |
@@ -133,6 +135,10 @@ pub(crate) struct ServiceMetrics {
     pub(crate) index_builds: Arc<Counter>,
     /// `simrank_epoch_refreshes_total`.
     pub(crate) epoch_refreshes: Arc<Counter>,
+    /// `simrank_cache_evictions_total`, shared by every epoch's table.
+    pub(crate) cache_evictions: Arc<Counter>,
+    /// `simrank_cache_invalidations_total`, shared by every epoch's table.
+    pub(crate) cache_invalidations: Arc<Counter>,
     /// `simrank_updates_staged_total`.
     pub(crate) updates_staged: Arc<Counter>,
     /// `simrank_commit_requests_total`.
@@ -186,6 +192,16 @@ impl ServiceMetrics {
         let epoch_refreshes = registry.counter(
             "simrank_epoch_refreshes_total",
             "Times the service rebuilt its per-epoch state after a commit",
+            &[],
+        );
+        let cache_evictions = registry.counter(
+            "simrank_cache_evictions_total",
+            "Cached answers evicted under capacity pressure",
+            &[],
+        );
+        let cache_invalidations = registry.counter(
+            "simrank_cache_invalidations_total",
+            "Cached answers swept when a newer epoch was adopted",
             &[],
         );
         let updates_staged = registry.counter(
@@ -329,6 +345,8 @@ impl ServiceMetrics {
             serve_latency,
             index_builds,
             epoch_refreshes,
+            cache_evictions,
+            cache_invalidations,
             updates_staged,
             commit_requests,
             net,

@@ -2,19 +2,17 @@
 //!
 //! [`SimRankService`] resolves its graph through an epoch-based
 //! [`GraphStore`] and keeps a per-epoch serving state: the epoch's immutable
-//! graph snapshot plus each algorithm's index, built lazily — at
-//! most once per epoch, on first use, behind a `OnceLock` — as
-//! `Arc<dyn SingleSourceAlgorithm + Send + Sync>`. Every query flows through
-//! three layers:
+//! graph snapshot, each algorithm's index, built lazily — at most once per
+//! epoch, on first use, behind a `OnceLock` — as
+//! `Arc<dyn SingleSourceAlgorithm + Send + Sync>`, and the epoch's answer
+//! table ([`crate::cache`]). Every query flows through two layers:
 //!
-//! 1. the **sharded LRU cache** ([`crate::cache`]): a hit returns the shared
-//!    `Arc<QueryResponse>` without touching the algorithm;
-//! 2. the **in-flight table** (the private `inflight` module): concurrent
-//!    misses on the same key elect one leader; followers block and share its
-//!    result;
-//! 3. the **algorithm**: the leader computes, inserts into the cache, then
-//!    publishes to followers (insert-before-publish means there is no window
-//!    in which neither cache nor in-flight table can answer).
+//! 1. the epoch's **answer table**: one lookup under the key's shard lock
+//!    either returns the cached `Arc<QueryResponse>` (a hit), joins the
+//!    query already computing the key and waits for its result (a dedup
+//!    join), or makes this query the key's leader;
+//! 2. the **algorithm**: the leader computes, then completes the key, which
+//!    caches the answer and hands it to the waiting queries in one step.
 //!
 //! ## Updates and epochs
 //!
@@ -23,13 +21,13 @@
 //! stops: each query captures one epoch state up front and runs entirely
 //! against it, so a query racing a commit returns pre-commit or post-commit
 //! values, never a mix. The first query that observes a fresh epoch swaps in
-//! a new state and sweeps the result cache — and since [`CacheKey`] carries
-//! the epoch, entries of superseded epochs are unreachable even before the
-//! sweep. In-flight queries on the old snapshot finish undisturbed (their
-//! `Arc`s pin the old graph). The new state's ExactSim solver is handed the
-//! old state's scratch pool while the node count is unchanged, so a commit
-//! does not make the next cold read regrow Algorithm 3's arena and
-//! workspaces.
+//! a new state with an empty answer table and clears the superseded table,
+//! so no column computed against an older graph can answer a newer epoch's
+//! query, even one a late query of the old epoch completes after the swap.
+//! In-flight queries on the old snapshot finish undisturbed (their `Arc`s pin
+//! the old graph). The new state's ExactSim solver is handed the old state's
+//! scratch pool while the node count is unchanged, so a commit does not make
+//! the next cold read regrow Algorithm 3's arena and workspaces.
 //!
 //! The service runs no threads of its own: every query executes on its
 //! caller's thread (a TCP connection handler, the stdin REPL, or any
@@ -53,9 +51,8 @@ use exactsim_obs::trace;
 use exactsim_store::GraphHandle;
 use exactsim_store::{CommitReport, GraphSnapshot, GraphStore, StoreError};
 
-use crate::cache::{epsilon_tier, CacheKey, ShardedLruCache};
+use crate::cache::{epsilon_tier, CacheKey, Lookup, ShardedLruCache};
 use crate::error::ServiceError;
-use crate::inflight::{InflightTable, Ticket};
 use crate::metrics::{
     ServiceMetrics, COMMIT_STAGE_CACHE_SWEEP, OUTCOME_DEDUP, OUTCOME_ERROR, OUTCOME_HIT,
     OUTCOME_MISS, STAGE_CACHE, STAGE_DEDUP, STAGE_INDEX_BUILD, STAGE_KERNEL,
@@ -63,8 +60,8 @@ use crate::metrics::{
 use crate::response::{AlgorithmKind, QueryResponse, TopKResponse};
 use crate::stats::{ServingShape, StatsSnapshot};
 
-/// Independently locked shards of the result cache (fewer when the capacity
-/// is smaller, see [`ShardedLruCache::new`]).
+/// Independently locked shards of each answer table (fewer when the
+/// capacity is smaller, see [`ShardedLruCache::new`]).
 const CACHE_SHARDS: usize = 16;
 
 /// A `'static`, thread-safe, shareable algorithm handle.
@@ -131,8 +128,8 @@ impl ServiceConfig {
     }
 }
 
-/// One epoch's immutable serving state: the graph snapshot it serves plus
-/// the per-algorithm indices built against it.
+/// One epoch's serving state: the graph snapshot it serves, the
+/// per-algorithm indices built against it, and the answers computed on it.
 struct EpochState {
     epoch: u64,
     /// The epoch's graph behind either storage backend (in-memory CSR or
@@ -148,12 +145,20 @@ struct EpochState {
     /// epoch's graph can change, so retrying an invalid combination is
     /// pointless — the cell empties naturally at the next epoch.
     algorithms: [OnceLock<Result<AlgorithmHandle, SimRankError>>; 3],
+    /// This epoch's answers, cached and in flight. Every epoch starts with
+    /// an empty table of its own, never the previous epoch's.
+    answers: ShardedLruCache,
 }
 
 impl EpochState {
     /// The state for `snapshot`, keeping `previous`'s ExactSim scratch pool
-    /// when the node count is unchanged.
-    fn new(snapshot: GraphSnapshot, previous: Option<&EpochState>) -> Self {
+    /// when the node count is unchanged, with a fresh answer table.
+    fn new(
+        snapshot: GraphSnapshot,
+        previous: Option<&EpochState>,
+        config: &ServiceConfig,
+        metrics: &ServiceMetrics,
+    ) -> Self {
         let n = snapshot.graph.num_nodes();
         let exactsim_scratch = match previous {
             Some(state) if state.exactsim_scratch.num_nodes() == n => {
@@ -166,6 +171,12 @@ impl EpochState {
             graph: snapshot.graph,
             exactsim_scratch,
             algorithms: [OnceLock::new(), OnceLock::new(), OnceLock::new()],
+            answers: ShardedLruCache::new(
+                config.cache_capacity,
+                CACHE_SHARDS,
+                Arc::clone(&metrics.cache_evictions),
+                Arc::clone(&metrics.cache_invalidations),
+            ),
         }
     }
 
@@ -222,8 +233,6 @@ struct Inner {
     /// The epoch state queries currently serve from. Refreshed lazily by the
     /// first query that observes a newer published epoch on the store.
     state: RwLock<Arc<EpochState>>,
-    cache: ShardedLruCache,
-    inflight: InflightTable,
     metrics: ServiceMetrics,
     /// Behind `Arc` so `simrank_slow_queries_total` can read the ring's own
     /// count at scrape time.
@@ -232,9 +241,10 @@ struct Inner {
 
 impl Inner {
     /// Returns the serving state for the store's current epoch, rebuilding
-    /// it (and sweeping the cache) if a commit published a newer one. The
-    /// returned `Arc` pins a consistent `(epoch, graph, indices)` triple for
-    /// the whole query, whatever the store does concurrently.
+    /// it (and clearing the superseded answer table) if a commit published a
+    /// newer one. The returned `Arc` pins a consistent `(epoch, graph,
+    /// indices, answers)` state for the whole query, whatever the store does
+    /// concurrently.
     fn current_state(&self) -> Arc<EpochState> {
         {
             let state = self.state.read().expect("epoch state poisoned");
@@ -247,30 +257,22 @@ impl Inner {
         // refreshed while we waited, and the epoch may have advanced again.
         let snapshot = self.store.snapshot();
         if state.epoch != snapshot.epoch {
-            *state = Arc::new(EpochState::new(snapshot, Some(&state)));
-            // Reclaim superseded epochs' entries eagerly. The epoch in the
-            // key already makes them unreachable, so an old-epoch insert
-            // racing this sweep is harmless either way. This is the tail end
-            // of the commit pipeline, so it lands in the commit-stage series.
+            let fresh = EpochState::new(snapshot, Some(&state), &self.config, &self.metrics);
+            let superseded = std::mem::replace(&mut *state, Arc::new(fresh));
+            // Queries still running on the superseded epoch keep its state
+            // alive, but its answers can serve no later query: reclaim them
+            // now. This is the tail end of the commit pipeline, so it lands
+            // in the commit-stage series.
             {
                 let _sweep = trace::stage(
                     "cache_sweep",
                     Some(self.metrics.commit_stage(COMMIT_STAGE_CACHE_SWEEP)),
                 );
-                self.cache.clear();
+                superseded.answers.clear();
             }
             self.metrics.epoch_refreshes.inc();
         }
         Arc::clone(&state)
-    }
-
-    fn key_for(&self, state: &EpochState, algorithm: AlgorithmKind, source: NodeId) -> CacheKey {
-        CacheKey {
-            epoch: state.epoch,
-            algorithm,
-            source,
-            epsilon_tier: self.config.tier_for(algorithm),
-        }
     }
 
     fn compute(
@@ -329,68 +331,42 @@ impl Inner {
         source: NodeId,
     ) -> Result<Arc<QueryResponse>, ServiceError> {
         let serve_start = Instant::now();
-        // Captured once: cache key, index, and computation all use this
-        // epoch's snapshot, so one answer never mixes two graphs.
+        // Captured once: answer table, index, and computation all belong to
+        // this epoch's snapshot, so one answer never mixes two graphs.
         let state = self.current_state();
-        let key = self.key_for(&state, algorithm, source);
-
-        let cached = {
-            let _probe = trace::stage("cache", Some(self.metrics.query_stage(STAGE_CACHE)));
-            self.cache.get(&key)
+        let key = CacheKey {
+            algorithm,
+            source,
+            epsilon_tier: self.config.tier_for(algorithm),
         };
-        if let Some(hit) = cached {
-            self.finish_query(algorithm, source, OUTCOME_HIT, serve_start);
-            return Ok(hit);
-        }
-
-        let (result, outcome) = match self.inflight.join_or_lead(key) {
-            Ticket::Lead(slot) => {
-                // Double-check the cache: between our miss and winning the
-                // lead, the previous leader may have inserted and retired.
-                if let Some(hit) = self.cache.get(&key) {
-                    self.inflight.complete(&key, &slot, Ok(Arc::clone(&hit)));
-                    self.finish_query(algorithm, source, OUTCOME_HIT, serve_start);
-                    return Ok(hit);
-                }
-                // A panicking computation must still retire the key and wake
-                // the followers — otherwise the key is wedged forever (every
-                // later query joins a computation that will never complete).
+        let lookup = {
+            let _probe = trace::stage("cache", Some(self.metrics.query_stage(STAGE_CACHE)));
+            state.answers.lookup(key)
+        };
+        let (result, outcome) = match lookup {
+            Lookup::Hit(hit) => (Ok(hit), OUTCOME_HIT),
+            Lookup::Follow(flight) => {
+                let _join = trace::stage("dedup", Some(self.metrics.query_stage(STAGE_DEDUP)));
+                (flight.wait().clone(), OUTCOME_DEDUP)
+            }
+            Lookup::Lead(flight) => {
+                // A panicking computation must still complete the flight —
+                // otherwise the key is wedged for the epoch (every later
+                // query follows a computation that will never end).
                 let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     self.compute(&state, algorithm, source)
                 })) {
                     Ok(result) => result,
                     Err(payload) => {
-                        self.inflight.complete(
-                            &key,
-                            &slot,
-                            Err(ServiceError::Internal("computation panicked".into())),
-                        );
+                        let panicked = Err(ServiceError::Internal("computation panicked".into()));
+                        state.answers.complete(key, &flight, &panicked);
                         // Count the query even on the unwind path.
                         self.finish_query(algorithm, source, OUTCOME_ERROR, serve_start);
                         std::panic::resume_unwind(payload);
                     }
                 };
-                if let Ok(response) = &result {
-                    // Insert BEFORE retiring the in-flight key: see module
-                    // docs. Skipped if a commit superseded our epoch while we
-                    // computed: the epoch-tagged key could never be looked up
-                    // again, so inserting would only strand a dead column in
-                    // the cache until capacity eviction. (Best-effort — a
-                    // commit racing this check leaks at most one entry, and
-                    // correctness never depends on it.)
-                    if state.epoch == self.store.epoch() {
-                        self.cache.insert(key, Arc::clone(response));
-                    }
-                }
-                self.inflight.complete(&key, &slot, result.clone());
+                state.answers.complete(key, &flight, &result);
                 (result, OUTCOME_MISS)
-            }
-            Ticket::Follow(slot) => {
-                let result = {
-                    let _join = trace::stage("dedup", Some(self.metrics.query_stage(STAGE_DEDUP)));
-                    slot.wait()
-                };
-                (result, OUTCOME_DEDUP)
             }
         };
         let outcome = if result.is_err() {
@@ -404,7 +380,7 @@ impl Inner {
 }
 
 /// The concurrent SimRank query-serving engine. Cheap to clone (all clones
-/// share one store, one cache, one in-flight table, one registry).
+/// share one store, one serving epoch state, one registry).
 #[derive(Clone)]
 pub struct SimRankService {
     inner: Arc<Inner>,
@@ -441,7 +417,6 @@ impl SimRankService {
         exactsim::exactsim::ExactSim::new(snapshot.graph.clone(), config.exactsim.clone())?;
         config.prsim.validate()?;
         config.mc.validate()?;
-        let cache = ShardedLruCache::new(config.cache_capacity, CACHE_SHARDS);
         let slowlog = Arc::new(SlowLog::new(
             config.slowlog_capacity,
             config.slowlog_threshold,
@@ -450,13 +425,12 @@ impl SimRankService {
         // already exposes every series at zero (Prometheus rate() needs the
         // first sample to exist).
         let metrics = ServiceMetrics::new(&store, &slowlog);
+        let state = EpochState::new(snapshot, None, &config, &metrics);
         Ok(SimRankService {
             inner: Arc::new(Inner {
                 store,
                 config,
-                state: RwLock::new(Arc::new(EpochState::new(snapshot, None))),
-                cache,
-                inflight: InflightTable::new(),
+                state: RwLock::new(Arc::new(state)),
                 metrics,
                 slowlog,
             }),
@@ -487,7 +461,8 @@ impl SimRankService {
     /// Commits the store's staged updates: materializes the new graph, bumps
     /// the epoch, and atomically swaps the published snapshot. Queries
     /// already running finish on their old snapshot; the next query adopts
-    /// the new epoch and sweeps the result cache. Zero serving downtime.
+    /// the new epoch with an empty answer table and clears the superseded
+    /// one. Zero serving downtime.
     ///
     /// On a durable store the delta is WAL-logged and fsynced before
     /// publication; a persistence failure ([`StoreError`]) leaves the staged
@@ -503,9 +478,11 @@ impl SimRankService {
         &self.inner.config
     }
 
-    /// Serves one single-source query through cache → dedup → computation.
+    /// Serves one single-source query from the epoch's answer table: a
+    /// cached answer, the answer of the query already computing it, or a
+    /// computation of its own.
     ///
-    /// The returned response is shared with the cache; results for the same
+    /// The returned response is shared with the table; results for the same
     /// `(algorithm, source)` under an unchanged configuration are
     /// bit-identical to a direct library call because every algorithm
     /// derives its randomness deterministically from `(seed, source)`.
@@ -528,10 +505,10 @@ impl SimRankService {
     }
 
     /// A point-in-time read of the serving counters: every counter comes
-    /// from the registry series `metrics` renders, next to the live cache
-    /// state, the backing store's durability state (data dir, WAL length,
-    /// snapshot epoch) when it has one, and the per-algorithm index memory
-    /// of the epoch state currently serving (without forcing an epoch
+    /// from the registry series `metrics` renders, next to the backing
+    /// store's durability state (data dir, WAL length, snapshot epoch) when
+    /// it has one, and the cached answers and per-algorithm index memory of
+    /// the epoch state currently serving (without forcing an epoch
     /// refresh). `queries` is the sum of the four outcomes, so
     /// `queries == cache_hits + dedup_joins + computations + errors` holds
     /// in every snapshot.
@@ -540,9 +517,9 @@ impl SimRankService {
         let metrics = &inner.metrics;
         let net = &metrics.net;
         let outcomes = metrics.outcome_totals();
-        let index_memory_bytes = {
+        let (index_memory_bytes, cached_entries) = {
             let state = inner.state.read().expect("epoch state poisoned");
-            state.index_memory_bytes()
+            (state.index_memory_bytes(), state.answers.len())
         };
         let durability = inner.store.durability();
         StatsSnapshot {
@@ -567,9 +544,9 @@ impl SimRankService {
             epoch_refreshes: metrics.epoch_refreshes.get(),
             updates_staged: metrics.updates_staged.get(),
             commit_requests: metrics.commit_requests.get(),
-            evictions: inner.cache.evictions(),
-            invalidations: inner.cache.invalidations(),
-            cached_entries: inner.cache.len(),
+            evictions: metrics.cache_evictions.get(),
+            invalidations: metrics.cache_invalidations.get(),
+            cached_entries,
             index_memory_bytes,
             p50: metrics.serve_latency.quantile(0.50),
             p99: metrics.serve_latency.quantile(0.99),
@@ -584,9 +561,11 @@ impl SimRankService {
         }
     }
 
-    /// Number of keys currently being computed (diagnostics).
+    /// Number of keys the epoch state currently serving is computing
+    /// (diagnostics).
     pub fn in_flight(&self) -> usize {
-        self.inner.inflight.len()
+        let state = self.inner.state.read().expect("epoch state poisoned");
+        state.answers.in_flight()
     }
 
     /// Renders every registered metric family in Prometheus text exposition
@@ -737,8 +716,8 @@ mod tests {
         assert_eq!(report.epoch, 1);
         assert_eq!(service.epoch(), 1);
 
-        // The next queries refresh the serving state: the cache generation
-        // was swept, ExactSim recomputes on the new graph, and the MC index
+        // The next queries refresh the serving state: epoch 0's answers
+        // were swept, ExactSim recomputes on the new graph, and the MC index
         // is rebuilt for the new epoch.
         let after = service.query(AlgorithmKind::ExactSim, 0).unwrap();
         assert_ne!(
@@ -758,6 +737,52 @@ mod tests {
         let again = service.query(AlgorithmKind::ExactSim, 0).unwrap();
         assert!(Arc::ptr_eq(&after, &again));
         assert_eq!(service.stats().cache_hits, 1);
+    }
+
+    /// A query that captured epoch 0's state before epoch 1 was adopted,
+    /// and looks its key up and completes it only afterwards, caches its
+    /// column where no epoch-1 query looks: every epoch owns its table.
+    #[test]
+    fn a_late_query_of_a_superseded_epoch_cannot_answer_the_next_one() {
+        let service = demo_service(40, 9);
+        let stale = service.inner.current_state();
+        assert_eq!(stale.epoch, 0);
+        assert!(service.store().stage_insert(0, 39).unwrap().changed());
+        service.commit().unwrap();
+        // Another query adopts epoch 1, clearing epoch 0's table.
+        service.query(AlgorithmKind::ExactSim, 1).unwrap();
+        assert_eq!(service.stats().epoch_refreshes, 1);
+
+        // The late query runs the steps of `Inner::query` on its state.
+        let key = CacheKey {
+            algorithm: AlgorithmKind::ExactSim,
+            source: 0,
+            epsilon_tier: service.config().tier_for(AlgorithmKind::ExactSim),
+        };
+        let Lookup::Lead(flight) = stale.answers.lookup(key) else {
+            panic!("epoch 0's cleared table cannot answer");
+        };
+        let late = service.inner.compute(&stale, AlgorithmKind::ExactSim, 0);
+        stale.answers.complete(key, &flight, &late);
+        assert_eq!(late.unwrap().epoch, 0);
+
+        let hits = service.stats().cache_hits;
+        let answer = service.query(AlgorithmKind::ExactSim, 0).unwrap();
+        assert_eq!(
+            answer.epoch, 1,
+            "epoch 1 was answered with epoch 0's column"
+        );
+        assert_eq!(service.stats().cache_hits, hits);
+        let graph = (*service.graph().materialize().unwrap()).clone();
+        let fresh = SimRankService::new(
+            Arc::new(DiGraph::from_in_graph(graph)),
+            ServiceConfig::fast_demo(),
+        )
+        .unwrap();
+        assert_eq!(
+            answer.scores(),
+            fresh.query(AlgorithmKind::ExactSim, 0).unwrap().scores()
+        );
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! [`StatsSnapshot`] owns no counters. [`crate::SimRankService::stats`]
 //! fills it from the same registry series that the `metrics` verb renders
-//! (query outcomes, index builds, epoch refreshes, writes, serve latency,
-//! and the listener's [`crate::net::NetMetrics`]), plus the live cache,
-//! store and config state. Each event is counted once, in one series, so
+//! (query outcomes, index builds, epoch refreshes, cache evictions and
+//! invalidations, writes, serve latency, and the listener's
+//! [`crate::net::NetMetrics`]), plus the serving epoch's answer table and
+//! the store and config state. Each event is counted once, in one series, so
 //! `stats` and `metrics` cannot drift apart.
 //!
 //! Quantiles come from the power-of-two-bucketed
@@ -81,11 +82,13 @@ pub struct StatsSnapshot {
     pub updates_staged: u64,
     /// `commit` requests accepted, whether or not each advanced the epoch.
     pub commit_requests: u64,
-    /// Cache entries evicted under capacity pressure.
+    /// Cached answers evicted under capacity pressure
+    /// (`simrank_cache_evictions_total`).
     pub evictions: u64,
-    /// Cache entries swept by epoch-generation invalidations.
+    /// Cached answers swept with a superseded epoch's answer table
+    /// (`simrank_cache_invalidations_total`).
     pub invalidations: u64,
-    /// Entries currently resident in the cache.
+    /// Answers currently cached in the serving epoch's table.
     pub cached_entries: usize,
     /// Per-algorithm index heap footprint for the serving epoch, in
     /// `[exactsim, prsim, mc]` order ([`AlgorithmKind::ALL`] of the response

@@ -52,6 +52,8 @@ fn idle_scrape_exposes_every_series_at_zero() {
         ("simrank_slow_queries_total", 0.0),
         ("simrank_epoch", 0.0),
         ("simrank_commits_total", 0.0),
+        ("simrank_cache_evictions_total", 0.0),
+        ("simrank_cache_invalidations_total", 0.0),
     ] {
         assert_eq!(sample_value(&scrape, series), Some(value), "{series}");
     }
@@ -117,13 +119,20 @@ fn query_outcomes_land_in_their_labeled_series() {
 }
 
 /// A seeded mix on one service — hits, misses, dedup joins from 8 racing
-/// threads, out-of-range errors, all three algorithms, and a write + commit
-/// through the protocol. With no query in flight, every `stats` counter is
-/// exactly its series in one scrape, and the query books balance.
+/// threads, out-of-range errors, all three algorithms, capacity evictions,
+/// and a write + commit through the protocol. With no query in flight, every
+/// `stats` counter is exactly its series in one scrape, and the query books
+/// balance.
 #[test]
 fn stats_counters_are_their_registry_series_in_one_scrape() {
     const RACERS: usize = 8;
-    let service = demo_service();
+    // 32 answers cannot hold the mix's 36 hot keys, so some are evicted.
+    let graph = Arc::new(barabasi_albert(60, 3, true, 7).unwrap());
+    let config = ServiceConfig {
+        cache_capacity: 32,
+        ..ServiceConfig::fast_demo()
+    };
+    let service = SimRankService::new(graph, config).unwrap();
 
     // Dedup joins: 8 threads released together onto one cold source. A
     // leader that finishes before any follower arrives leaves only cache
@@ -207,10 +216,18 @@ fn stats_counters_are_their_registry_series_in_one_scrape() {
         series("simrank_commit_requests_total"),
         snap.commit_requests
     );
+    assert_eq!(series("simrank_cache_evictions_total"), snap.evictions);
+    assert_eq!(
+        series("simrank_cache_invalidations_total"),
+        snap.invalidations
+    );
 
     // The mix reached every outcome, every algorithm, and every counter.
     assert!(snap.cache_hits > 0 && snap.computations > 0, "{snap:?}");
     assert!(snap.dedup_joins > 0 && snap.errors > 0, "{snap:?}");
+    // The 32-answer table evicted, and adopting epoch 1 swept epoch 0's
+    // answers.
+    assert!(snap.evictions > 0 && snap.invalidations > 0, "{snap:?}");
     for algo in AlgorithmKind::ALL {
         let served: u64 = ["hit", "miss", "dedup", "error"]
             .iter()

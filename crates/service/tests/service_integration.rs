@@ -96,7 +96,7 @@ fn batch_of_100_over_10_sources_on_8_workers_deduplicates() {
 
     // 100 queries, 10 distinct sources, dealt round-robin to 8 scoped
     // threads so that concurrent duplicates actually race through the
-    // in-flight table.
+    // answer table's pending entries.
     std::thread::scope(|scope| {
         for thread in 0..THREADS {
             let service = &service;
@@ -165,7 +165,7 @@ fn thundering_herd_on_one_source_computes_once_and_agrees() {
         snap.computations, snap.cache_hits, snap.dedup_joins
     );
     assert_eq!(snap.cache_hits + snap.dedup_joins, 7);
-    assert_eq!(service.in_flight(), 0, "in-flight table must drain");
+    assert_eq!(service.in_flight(), 0, "no flight may stay pending");
 }
 
 #[test]
@@ -338,7 +338,7 @@ fn commit_racing_live_queries_is_atomic_and_matches_a_fresh_service() {
         "the warmed epoch-0 entries must have been swept (got {})",
         snap.invalidations
     );
-    assert_eq!(service.in_flight(), 0, "in-flight table must drain");
+    assert_eq!(service.in_flight(), 0, "no flight may stay pending");
 }
 
 #[test]

@@ -559,6 +559,7 @@ impl GraphStore {
             lists
         };
         let added_nodes = pending.added_nodes();
+        let (edges_inserted, edges_deleted) = (insertions.len(), deletions.len());
         // The pending lock serializes commits, so the published graph cannot
         // change between this read and the swap below.
         let base = self.snapshot();
@@ -603,8 +604,8 @@ impl GraphStore {
             let (wal_append, fsync) = log.append(&WalRecord {
                 epoch: next_epoch,
                 added_nodes,
-                insertions: insertions.clone(),
-                deletions: deletions.clone(),
+                insertions,
+                deletions,
             })?;
             timings.wal_append = wal_append;
             timings.fsync = fsync;
@@ -645,8 +646,8 @@ impl GraphStore {
 
         Ok(CommitReport {
             epoch,
-            edges_inserted: insertions.len(),
-            edges_deleted: deletions.len(),
+            edges_inserted,
+            edges_deleted,
             nodes_added: added_nodes as usize,
             num_nodes: next.num_nodes(),
             num_edges: next.num_edges(),
